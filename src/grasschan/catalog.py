@@ -34,6 +34,7 @@ import numpy as np
 
 from . import degradability as deg
 from .green import (
+    GaussianParams,
     NoSolutionError,
     angles_from_gaussian,
     detect_gaussian,
@@ -252,7 +253,7 @@ def analyze_channel(
             "signs": [1, 1, 1],
             "channel": report["channel"],
         }
-        report.update(_degradability_block(ch, residual_tol, notes))
+        report.update(_degradability_block(ch, gp, residual_tol, notes))
     else:
         report["gaussian"] = None
         eq = gaussian_equivalent(ch)
@@ -269,7 +270,8 @@ def analyze_channel(
             equivalent = eq
             block = {"perm": list(eq.perm), "signs": list(eq.signs), "channel": _channel_json(eq.channel)}
             sub_notes: list = []
-            sub = _degradability_block(eq.channel, residual_tol, sub_notes)
+            eq_gp = detect_gaussian(green_from_channel(eq.channel))
+            sub = _degradability_block(eq.channel, eq_gp, residual_tol, sub_notes)
             block["degradability"] = sub["degradability"]
             block["angles"] = sub["angles"]
             report["gaussian_equivalent"] = block
@@ -285,9 +287,14 @@ def analyze_channel(
     return report
 
 
-def _degradability_block(ch: QubitChannel, residual_tol: float, notes: list) -> dict:
+def _degradability_block(
+    ch: QubitChannel, gp: GaussianParams, residual_tol: float, notes: list
+) -> dict:
+    """Angle form, dilation and degradability verdict of a Gaussian channel.
+
+    ``gp`` is the detected Gaussian form of ``ch``'s kernel.
+    """
     out: dict = {}
-    gp = detect_gaussian(green_from_channel(ch))
     try:
         ap = angles_from_gaussian(gp)
     except NoSolutionError as exc:

@@ -32,7 +32,8 @@ from .grassmann import (
     Generator,
     GrassmannElement,
     OperatorElement,
-    substitute,
+    _element,
+    _index_map,
 )
 from .qubit import SIGMA_MINUS, SIGMA_PLUS, QubitState
 
@@ -56,6 +57,12 @@ _PAIRS = {
 
 _XI_MASK = (1 << Generator.XI) | (1 << Generator.XI_STAR)
 
+_MASKS = np.arange(16)
+# Monomials that hold zeta or zeta*.
+_OFF_XI_MASKS = _MASKS[(_MASKS & ~_XI_MASK) != 0]
+# (-1)^(degree of the monomial): the sign that g -> -g puts on each monomial.
+_PARITY_SIGN = np.array([-1.0 if bin(m).count("1") & 1 else 1.0 for m in range(16)])
+
 
 class NotNormalizedError(ValueError):
     """Constant coefficient of a characteristic function differs from 1."""
@@ -72,9 +79,8 @@ class CharFunction:
     body: GrassmannElement
 
     def __post_init__(self):
-        for mask in self.body.support():
-            if mask & ~_XI_MASK:
-                raise ValueError("characteristic function must live on the xi subalgebra")
+        if self.body.coefficients[_OFF_XI_MASKS].any():
+            raise ValueError("characteristic function must live on the xi subalgebra")
         if abs(self.body.constant - 1) > NORMALIZATION_ATOL:
             raise NotNormalizedError(
                 f"constant coefficient {self.body.constant} differs from 1"
@@ -147,7 +153,4 @@ def state_from_char(chi: CharFunction) -> QubitState:
 
 def negate_generators(x: GrassmannElement) -> GrassmannElement:
     """Map every generator g to -g (identity on even monomials)."""
-    return substitute(
-        x,
-        {g: -GrassmannElement.generator(g) for g in Generator},
-    )
+    return _element(_index_map(x.coefficients, _MASKS, _MASKS, _PARITY_SIGN))

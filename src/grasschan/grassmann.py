@@ -7,9 +7,32 @@ The algebra is generated by two conjugate pairs of Grassmann variables,
 
 An element is a complex polynomial over the 16 canonical monomials (one per
 subset of the generator set, factors written in ascending order), so two
-elements are equal iff all 16 coefficients agree.  All values are immutable
-and every operation is a pure function; the module is safe for concurrent
-read-only use.
+elements are equal iff all 16 coefficients agree.
+
+Storage and arithmetic:
+
+* A ``GrassmannElement`` holds one read-only complex array of its 16
+  coefficients, indexed by monomial mask (bit ``i`` marks generator ``i``).
+  An ``OperatorElement`` holds one read-only ``(2, 2, 16)`` array indexed
+  ``[row, column, monomial]``.
+* Every operation applies a fixed index table to these arrays.  A product
+  runs over the table of the 81 non-vanishing monomial pairs ``(i, j)``
+  (``i & j == 0``), ordered by ``i`` and then by ``j``, each with its target
+  ``i | j`` and merge sign; the eight entry products of an operator product
+  share one pass.  The adjoint, the Berezin integrals and ``integrate_pair``
+  are fixed signed maps from source to target monomials.
+* For finite coefficients, results are bit-identical to the term-by-term
+  definition: one scalar product ``sign * x[i] * y[j]`` per pair of nonzero
+  coefficients, added to a zero target in pair order.  The complex product
+  is written out in real arithmetic (``re = ar*br - ai*bi``,
+  ``im = ar*bi + ai*br``), because numpy's vectorised complex multiply
+  rounds some terms differently, and each target is summed from zero in
+  pair order by ``np.bincount``.  The tests keep the term-by-term loops as
+  the reference and compare bytes.
+* All values are immutable: the arrays are read-only, ``OperatorElement``
+  entry accessors return copies, and every operation is a pure function
+  that returns fresh arrays.  Values, including shared cached ones such as
+  ``charfunc.displacement()``, are safe to share and to read concurrently.
 
 Conventions frozen by the calibration tests:
 
@@ -97,13 +120,8 @@ MONOMIAL_NAMES = tuple(_monomial_name(m) for m in range(N_MONOMIALS))
 _NAME_TO_MASK = {name: mask for mask, name in enumerate(MONOMIAL_NAMES)}
 
 
-def _merge_sign(left: int, right: int) -> int:
-    """Sign of sorting the concatenation of two disjoint ascending monomials."""
-    swaps = 0
-    for j in range(N_GENERATORS):
-        if right >> j & 1:
-            swaps += bin(left >> (j + 1)).count("1")
-    return -1 if swaps & 1 else 1
+def _generators_of(mask: int) -> list:
+    return [g for g in range(N_GENERATORS) if mask >> g & 1]
 
 
 def _sequence_sign(seq: Iterable[int]) -> int:
@@ -121,26 +139,106 @@ def _partner_mask(mask: int) -> int:
 
 
 def _build_tables():
-    target = np.full((N_MONOMIALS, N_MONOMIALS), -1, dtype=np.int8)
-    sign = np.zeros((N_MONOMIALS, N_MONOMIALS), dtype=np.int8)
-    for a in range(N_MONOMIALS):
-        for b in range(N_MONOMIALS):
-            if a & b:
-                continue
-            target[a, b] = a | b
-            sign[a, b] = _merge_sign(a, b)
+    pairs = [(a, b) for a in range(N_MONOMIALS) for b in range(N_MONOMIALS) if not a & b]
+    pair_i, pair_j = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+    pair_sign = np.array(
+        [float(_sequence_sign(_generators_of(a) + _generators_of(b))) for a, b in pairs]
+    )
 
-    adj_mask = np.zeros(N_MONOMIALS, dtype=np.int8)
-    adj_sign = np.zeros(N_MONOMIALS, dtype=np.int8)
-    for m in range(N_MONOMIALS):
-        gens = [i for i in range(N_GENERATORS) if m >> i & 1]
-        mapped = [g ^ 1 for g in reversed(gens)]
-        adj_mask[m] = _partner_mask(m)
-        adj_sign[m] = _sequence_sign(mapped)
-    return target, sign, adj_mask, adj_sign
+    adj_mask = np.array([_partner_mask(m) for m in range(N_MONOMIALS)], dtype=np.intp)
+    adj_sign = np.array(
+        [
+            float(_sequence_sign(g ^ 1 for g in reversed(_generators_of(m))))
+            for m in range(N_MONOMIALS)
+        ]
+    )
+
+    # Integrating generator v: monomials holding v lose it, with the sign of
+    # commuting v past the generators below it.
+    berezin = []
+    for v in range(N_GENERATORS):
+        bit = 1 << v
+        src = np.array([m for m in range(N_MONOMIALS) if m & bit], dtype=np.intp)
+        sign = np.array([-1.0 if bin(m & (bit - 1)).count("1") & 1 else 1.0 for m in src])
+        berezin.append((src, src & ~bit, sign))
+    return pair_i, pair_j, pair_sign, adj_mask, adj_sign, tuple(berezin)
 
 
-_TARGET, _SIGN, _ADJ_MASK, _ADJ_SIGN = _build_tables()
+#: The 81 non-vanishing monomial pairs ``(i, j)``, ordered by ``i`` and then
+#: by ``j``, with the sign of merging ``j`` into ``i``; the target is ``i | j``.
+_PAIR_I, _PAIR_J, _PAIR_SIGN, _ADJ_MASK, _ADJ_SIGN, _BEREZIN = _build_tables()
+_PAIR_TARGET = _PAIR_I | _PAIR_J
+_ALL_MASKS = np.arange(N_MONOMIALS)
+#: ``integrate_pair`` keeps the monomials that hold both zeta and zeta*; the
+#: pair leads every such monomial, so stripping it never permutes (sign +1).
+_ZETA_PAIR = 0b0011
+_PAIR_INTEGRAL_SRC = _ALL_MASKS[(_ALL_MASKS & _ZETA_PAIR) == _ZETA_PAIR]
+_PAIR_INTEGRAL_DST = _PAIR_INTEGRAL_SRC & ~_ZETA_PAIR
+
+
+def _element(c: np.ndarray) -> "GrassmannElement":
+    """Wrap a coefficient array that nothing else holds, without copying it."""
+    c.flags.writeable = False
+    x = object.__new__(GrassmannElement)
+    object.__setattr__(x, "_c", c)
+    return x
+
+
+def _plan(x_rows, y_rows):
+    """Flat index tables for the products ``x[x_rows[k]] * y[y_rows[k]]``.
+
+    ``x`` and ``y`` are coefficient arrays flattened to rows of 16; product
+    ``k`` lands in output row ``k``.  Terms keep pair order within a row.
+    """
+    rows = len(x_rows)
+    return (
+        (N_MONOMIALS * np.array(x_rows)[:, None] + _PAIR_I).ravel(),
+        (N_MONOMIALS * np.array(y_rows)[:, None] + _PAIR_J).ravel(),
+        np.tile(_PAIR_SIGN, rows),
+        (N_MONOMIALS * np.arange(rows)[:, None] + _PAIR_TARGET).ravel(),
+        rows * N_MONOMIALS,
+    )
+
+
+_SINGLE_PRODUCT = _plan([0], [0])
+#: Operator product ``e @ f``: product ``[i, j, k]`` is ``e[i, k] f[k, j]``.
+_MATMUL_PRODUCTS = _plan(
+    [2 * i + k for i in range(2) for j in range(2) for k in range(2)],
+    [2 * k + j for i in range(2) for j in range(2) for k in range(2)],
+)
+#: Entrywise products ``op * x`` and ``x * op`` of an operator and an element.
+_OPERATOR_TIMES_ELEMENT = _plan(range(4), [0] * 4)
+_ELEMENT_TIMES_OPERATOR = _plan([0] * 4, range(4))
+
+
+def _products(xc: np.ndarray, yc: np.ndarray, plan) -> np.ndarray:
+    """Graded products of coefficient rows as laid out by ``plan``.
+
+    The complex product is written out in real arithmetic so that every term
+    has the bits of the scalar product ``sign * x[i] * y[j]``, and each target
+    is summed from zero in term order.
+    """
+    x_index, y_index, sign, target, size = plan
+    a, b = xc.reshape(-1)[x_index], yc.reshape(-1)[y_index]
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(target, sign * (ar * br - ai * bi), size)
+    out.imag = np.bincount(target, sign * (ar * bi + ai * br), size)
+    return out
+
+
+def _index_map(c: np.ndarray, src, dst, sign=None) -> np.ndarray:
+    """Move ``c[..., src]`` to ``dst`` (optionally times ``sign``); the rest is zero.
+
+    ``dst`` holds no index twice.  Accumulating into zeros turns a ``-0.0``
+    into ``+0.0``, exactly as adding each term to a zero coefficient does.
+    """
+    moved = c[..., src]
+    if sign is not None:
+        moved = sign * moved
+    out = np.zeros(c.shape, dtype=complex)
+    out[..., dst] += moved
+    return out
 
 
 def _as_coeffs(value) -> np.ndarray:
@@ -242,7 +340,7 @@ class GrassmannElement:
             oc = _as_coeffs(other)
         except TypeError:
             return NotImplemented
-        return GrassmannElement(self._c + oc)
+        return _element(self._c + oc)
 
     __radd__ = __add__
 
@@ -251,33 +349,33 @@ class GrassmannElement:
             oc = _as_coeffs(other)
         except TypeError:
             return NotImplemented
-        return GrassmannElement(self._c - oc)
+        return _element(self._c - oc)
 
     def __rsub__(self, other):
         try:
             oc = _as_coeffs(other)
         except TypeError:
             return NotImplemented
-        return GrassmannElement(oc - self._c)
+        return _element(oc - self._c)
 
     def __neg__(self):
-        return GrassmannElement(-self._c)
+        return _element(-self._c)
 
     def __mul__(self, other):
         if isinstance(other, GrassmannElement):
             return _multiply(self, other)
         if np.isscalar(other):
-            return GrassmannElement(self._c * complex(other))
+            return _element(self._c * complex(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if np.isscalar(other):
-            return GrassmannElement(self._c * complex(other))
+            return _element(self._c * complex(other))
         return NotImplemented
 
     def __truediv__(self, other):
         if np.isscalar(other):
-            return GrassmannElement(self._c / complex(other))
+            return _element(self._c / complex(other))
         return NotImplemented
 
     def __eq__(self, other):
@@ -333,34 +431,19 @@ class GrassmannElement:
 
 
 def _multiply(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
-    out = np.zeros(N_MONOMIALS, dtype=complex)
-    xc, yc = x._c, y._c
-    for i in np.nonzero(xc)[0]:
-        xi_coeff = xc[i]
-        for j in np.nonzero(yc)[0]:
-            t = _TARGET[i, j]
-            if t >= 0:
-                out[t] += _SIGN[i, j] * xi_coeff * yc[j]
-    return GrassmannElement(out)
+    return _element(_products(x._c, y._c, _SINGLE_PRODUCT))
+
+
+def _adjoint_coeffs(c: np.ndarray) -> np.ndarray:
+    return _index_map(np.conj(c), _ALL_MASKS, _ADJ_MASK, _ADJ_SIGN)
 
 
 def _adjoint(x: GrassmannElement) -> GrassmannElement:
-    out = np.zeros(N_MONOMIALS, dtype=complex)
-    for m in np.nonzero(x._c)[0]:
-        out[_ADJ_MASK[m]] += _ADJ_SIGN[m] * np.conj(x._c[m])
-    return GrassmannElement(out)
+    return _element(_adjoint_coeffs(x._c))
 
 
 def _berezin_integrate(x: GrassmannElement, v: Generator) -> GrassmannElement:
-    bit = 1 << int(v)
-    below = bit - 1
-    out = np.zeros(N_MONOMIALS, dtype=complex)
-    for m in np.nonzero(x._c)[0]:
-        if not m & bit:
-            continue
-        sign = -1 if bin(int(m) & below).count("1") & 1 else 1
-        out[m & ~bit] += sign * x._c[m]
-    return GrassmannElement(out)
+    return _element(_index_map(x._c, *_BEREZIN[int(v)]))
 
 
 # Module-level singletons for the four generators.
@@ -395,7 +478,7 @@ def berezin_integrate(x: GrassmannElement, v: Generator) -> GrassmannElement:
 
 def integrate_pair(x: GrassmannElement) -> GrassmannElement:
     """Berezin integral over the zeta pair: zeta first, then zeta*."""
-    return _berezin_integrate(_berezin_integrate(x, Generator.ZETA), Generator.ZETA_STAR)
+    return _element(_index_map(x._c, _PAIR_INTEGRAL_SRC, _PAIR_INTEGRAL_DST))
 
 
 def delta_pair(argument: GrassmannElement) -> GrassmannElement:
@@ -442,23 +525,34 @@ class OperatorElement:
 
     Products are matrix products with entrywise Grassmann multiplication;
     Grassmann coefficients commute with the matrix factors (see the module
-    docstring for why this assignment is the calibrated one).
+    docstring for why this assignment is the calibrated one).  The value is
+    one read-only ``(2, 2, 16)`` coefficient array, indexed
+    ``[row, column, monomial]``.
     """
 
-    __slots__ = ("_e",)
+    __slots__ = ("_a",)
 
     def __init__(self, entries):
-        rows = tuple(tuple(entries[i][j] for j in range(2)) for i in range(2))
+        rows = [[entries[i][j] for j in range(2)] for i in range(2)]
         for row in rows:
             for e in row:
                 if not isinstance(e, GrassmannElement):
                     raise TypeError("entries must be GrassmannElement instances")
-        object.__setattr__(self, "_e", rows)
+        a = np.array([[e._c for e in row] for row in rows], dtype=complex)
+        a.flags.writeable = False
+        object.__setattr__(self, "_a", a)
+
+    @classmethod
+    def _wrap(cls, a: np.ndarray) -> "OperatorElement":
+        """Wrap a ``(2, 2, 16)`` array that nothing else holds, without copying it."""
+        a.flags.writeable = False
+        op = object.__new__(cls)
+        object.__setattr__(op, "_a", a)
+        return op
 
     @classmethod
     def zero(cls) -> "OperatorElement":
-        z = GrassmannElement.zero()
-        return cls(((z, z), (z, z)))
+        return cls._wrap(np.zeros((2, 2, N_MONOMIALS), dtype=complex))
 
     @classmethod
     def identity(cls) -> "OperatorElement":
@@ -469,29 +563,30 @@ class OperatorElement:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
-        return cls(tuple(tuple(GrassmannElement.from_scalar(m[i, j]) for j in range(2)) for i in range(2)))
+        a = np.zeros((2, 2, N_MONOMIALS), dtype=complex)
+        a[:, :, 0] = m
+        return cls._wrap(a)
 
     @classmethod
     def from_monomial_matrices(cls, matrices: Mapping[int, np.ndarray]) -> "OperatorElement":
         """Build from ``{monomial mask: 2x2 complex matrix}``."""
-        coeffs = [[np.zeros(N_MONOMIALS, dtype=complex) for _ in range(2)] for _ in range(2)]
+        a = np.zeros((2, 2, N_MONOMIALS), dtype=complex)
         for mask, mat in matrices.items():
-            m = np.asarray(mat, dtype=complex)
-            for i in range(2):
-                for j in range(2):
-                    coeffs[i][j][mask] += m[i, j]
-        return cls(tuple(tuple(GrassmannElement(coeffs[i][j]) for j in range(2)) for i in range(2)))
+            a[:, :, mask] += np.asarray(mat, dtype=complex)
+        return cls._wrap(a)
 
     @property
     def entries(self):
-        return self._e
+        """The four entries as a tuple of rows of elements (copies)."""
+        return tuple(tuple(self.entry(i, j) for j in range(2)) for i in range(2))
 
     def entry(self, i: int, j: int) -> GrassmannElement:
-        return self._e[i][j]
+        """One entry, as a copy: values such as ``displacement()`` are shared."""
+        return _element(self._a[i, j].copy())
 
     def monomial_matrix(self, mask: int) -> np.ndarray:
-        """The 2x2 complex matrix multiplying one monomial."""
-        return np.array([[self._e[i][j].coefficients[mask] for j in range(2)] for i in range(2)])
+        """The 2x2 complex matrix multiplying one monomial (a fresh copy)."""
+        return self._a[:, :, mask].copy()
 
     def constant_part(self) -> np.ndarray:
         return self.monomial_matrix(0)
@@ -499,37 +594,31 @@ class OperatorElement:
     def __add__(self, other):
         if not isinstance(other, OperatorElement):
             return NotImplemented
-        return OperatorElement(
-            tuple(tuple(self._e[i][j] + other._e[i][j] for j in range(2)) for i in range(2))
-        )
+        return OperatorElement._wrap(self._a + other._a)
 
     def __sub__(self, other):
         if not isinstance(other, OperatorElement):
             return NotImplemented
-        return OperatorElement(
-            tuple(tuple(self._e[i][j] - other._e[i][j] for j in range(2)) for i in range(2))
-        )
+        return OperatorElement._wrap(self._a - other._a)
 
     def __neg__(self):
-        return OperatorElement(tuple(tuple(-self._e[i][j] for j in range(2)) for i in range(2)))
+        return OperatorElement._wrap(-self._a)
 
     def __mul__(self, other):
         if isinstance(other, OperatorElement):
             return self._matmul(other)
         if isinstance(other, GrassmannElement):
-            return OperatorElement(
-                tuple(tuple(self._e[i][j] * other for j in range(2)) for i in range(2))
+            return OperatorElement._wrap(
+                _products(self._a, other._c, _OPERATOR_TIMES_ELEMENT).reshape(2, 2, N_MONOMIALS)
             )
         if np.isscalar(other):
-            return OperatorElement(
-                tuple(tuple(self._e[i][j] * complex(other) for j in range(2)) for i in range(2))
-            )
+            return OperatorElement._wrap(self._a * complex(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, GrassmannElement):
-            return OperatorElement(
-                tuple(tuple(other * self._e[i][j] for j in range(2)) for i in range(2))
+            return OperatorElement._wrap(
+                _products(other._c, self._a, _ELEMENT_TIMES_OPERATOR).reshape(2, 2, N_MONOMIALS)
             )
         if np.isscalar(other):
             return self.__mul__(other)
@@ -541,37 +630,28 @@ class OperatorElement:
         return NotImplemented
 
     def _matmul(self, other: "OperatorElement") -> "OperatorElement":
-        e, f = self._e, other._e
-        return OperatorElement(
-            tuple(
-                tuple(e[i][0] * f[0][j] + e[i][1] * f[1][j] for j in range(2))
-                for i in range(2)
-            )
-        )
+        products = _products(self._a, other._a, _MATMUL_PRODUCTS).reshape(2, 2, 2, N_MONOMIALS)
+        return OperatorElement._wrap(products[:, :, 0] + products[:, :, 1])
 
     def adjoint(self) -> "OperatorElement":
-        return OperatorElement(
-            tuple(tuple(self._e[j][i].adjoint() for j in range(2)) for i in range(2))
-        )
+        return OperatorElement._wrap(_adjoint_coeffs(self._a.transpose(1, 0, 2)))
 
     def trace(self) -> GrassmannElement:
-        return self._e[0][0] + self._e[1][1]
+        return _element(self._a[0, 0] + self._a[1, 1])
 
     def isclose(self, other: "OperatorElement", atol: float = 1e-12) -> bool:
-        return all(
-            self._e[i][j].isclose(other._e[i][j], atol=atol) for i in range(2) for j in range(2)
-        )
+        return bool(np.max(np.abs(self._a - other._a)) <= atol)
 
     def __eq__(self, other):
         if not isinstance(other, OperatorElement):
             return NotImplemented
-        return all(self._e[i][j] == other._e[i][j] for i in range(2) for j in range(2))
+        return bool(np.array_equal(self._a, other._a))
 
     def __hash__(self):
-        return hash(tuple(self._e[i][j] for i in range(2) for j in range(2)))
+        return hash(self._a.tobytes())
 
     def __repr__(self):
         rows = "; ".join(
-            ", ".join(self._e[i][j].pretty() for j in range(2)) for i in range(2)
+            ", ".join(self.entry(i, j).pretty() for j in range(2)) for i in range(2)
         )
         return f"OperatorElement([{rows}])"

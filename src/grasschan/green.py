@@ -42,12 +42,12 @@ from .grassmann import (
     XI_STAR,
     ZETA,
     ZETA_STAR,
-    Generator,
     GrassmannElement,
     OperatorElement,
+    _element,
+    _index_map,
     delta_pair,
     integrate_pair,
-    substitute,
 )
 from .qubit import PAULI, NotCptpError, QubitChannel, is_cptp
 
@@ -119,6 +119,18 @@ class GaussianEquivalent:
     channel: QubitChannel
 
 
+# Constant monomials of the kernel, built once.
+_XI_XI_STAR = XI * XI_STAR
+_ZETA_ZETA_STAR_XI = ZETA * ZETA_STAR * XI
+_ZETA_ZETA_STAR_XI_STAR = ZETA * ZETA_STAR * XI_STAR
+
+# The xi subalgebra (1, xi, xi*, xi xi*) and its zeta-pair image (1, zeta,
+# zeta*, zeta zeta*): both pairs sit in the same relative order, so the
+# relabelling is a signless shift of the monomial mask.
+_XI_MASKS = np.array([0b0000, 0b0100, 0b1000, 0b1100])
+_ZETA_MASKS = _XI_MASKS >> 2
+
+
 def _delta_argument(a: complex, b: complex) -> GrassmannElement:
     return ZETA - a * XI - b * XI_STAR
 
@@ -145,11 +157,11 @@ def _green_body(t, lam, provenance=None) -> GreenFunction:
     a = (lam1 + lam2) / 2
     b = (lam2 - lam1) / 2
     body = delta_pair(_delta_argument(a, b)) * (
-        GrassmannElement.one() + (t3 / 2) * (XI * XI_STAR)
+        GrassmannElement.one() + (t3 / 2) * _XI_XI_STAR
     )
-    body = body + (lam3 - lam1 * lam2) * (XI * XI_STAR)
-    body = body + ((t1 - 1j * t2) / 2) * (ZETA * ZETA_STAR * XI)
-    body = body - ((t1 + 1j * t2) / 2) * (ZETA * ZETA_STAR * XI_STAR)
+    body = body + (lam3 - lam1 * lam2) * _XI_XI_STAR
+    body = body + ((t1 - 1j * t2) / 2) * _ZETA_ZETA_STAR_XI
+    body = body - ((t1 + 1j * t2) / 2) * _ZETA_ZETA_STAR_XI_STAR
     return GreenFunction(body=body, provenance=provenance)
 
 
@@ -175,9 +187,7 @@ def green_from_channel_trace(ch: QubitChannel) -> GreenFunction:
 
 def apply_green(green: GreenFunction, chi: CharFunction) -> CharFunction:
     """Berezin convolution of a kernel with an input characteristic function."""
-    relabeled = substitute(
-        chi.body, {Generator.XI: ZETA, Generator.XI_STAR: ZETA_STAR}
-    )
+    relabeled = _element(_index_map(chi.body.coefficients, _XI_MASKS, _ZETA_MASKS))
     return CharFunction(integrate_pair(relabeled * green.body))
 
 

@@ -205,3 +205,193 @@ def test_operator_element_adjoint_matches_dagger():
     m = np.array([[0.3, 0.1 - 0.2j], [0.5j, -0.7]])
     op = OperatorElement.from_matrix(m)
     assert np.allclose(op.adjoint().constant_part(), m.conj().T)
+
+
+# -- bit identity with the term-by-term reference ---------------------------
+#
+# The loops below are the reference implementation: one scalar complex product
+# per pair of nonzero monomials, accumulated in pair order into a zero array.
+# The table-driven core must reproduce their results bit for bit.
+
+
+def _generators_of(mask):
+    return [g for g in range(4) if mask >> g & 1]
+
+
+def _ordering_sign(seq):
+    inversions = sum(a > b for k, a in enumerate(seq) for b in seq[k + 1:])
+    return np.int8(-1 if inversions & 1 else 1)
+
+
+def ref_multiply(x, y):
+    out = np.zeros(16, dtype=complex)
+    xc, yc = x.coefficients, y.coefficients
+    for i in np.nonzero(xc)[0]:
+        xi_coeff = xc[i]
+        for j in np.nonzero(yc)[0]:
+            if i & j:
+                continue
+            sign = _ordering_sign(_generators_of(i) + _generators_of(j))
+            out[i | j] += sign * xi_coeff * yc[j]
+    return GrassmannElement(out)
+
+
+def ref_adjoint(x):
+    out = np.zeros(16, dtype=complex)
+    for m in np.nonzero(x.coefficients)[0]:
+        partner = ((m & 0b0101) << 1) | ((m & 0b1010) >> 1)
+        sign = _ordering_sign([g ^ 1 for g in reversed(_generators_of(m))])
+        out[partner] += sign * np.conj(x.coefficients[m])
+    return GrassmannElement(out)
+
+
+def ref_berezin_integrate(x, v):
+    bit = 1 << int(v)
+    below = bit - 1
+    out = np.zeros(16, dtype=complex)
+    for m in np.nonzero(x.coefficients)[0]:
+        if not m & bit:
+            continue
+        sign = -1 if bin(int(m) & below).count("1") & 1 else 1
+        out[m & ~bit] += sign * x.coefficients[m]
+    return GrassmannElement(out)
+
+
+def awkward_element(rng, density=1.0, small_integers=False):
+    """Random element with exact zeros and -0.0 in its real and imaginary parts.
+
+    ``small_integers`` draws from {-2, -1, 1, 2}, so that products cancel
+    exactly and the sign of a zero sum is exercised.
+    """
+    parts = []
+    for _ in range(2):
+        if small_integers:
+            part = rng.choice([-2.0, -1.0, 1.0, 2.0], size=16)
+        else:
+            part = rng.normal(size=16)
+        u = rng.random(16)
+        part[u < 0.2] = 0.0
+        part[(u >= 0.2) & (u < 0.35)] = -0.0
+        parts.append(part)
+    c = np.empty(16, dtype=complex)
+    c.real, c.imag = parts
+    dropped = rng.random(16) >= density
+    c.real[dropped] = rng.choice([0.0, -0.0], size=dropped.sum())
+    c.imag[dropped] = rng.choice([0.0, -0.0], size=dropped.sum())
+    return GrassmannElement(c)
+
+
+def awkward_elements(seed, n=300):
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        yield awkward_element(rng, density=(0.15, 0.5, 1.0)[k % 3], small_integers=k % 2 == 1)
+
+
+def same_bits(x, y):
+    return x.coefficients.tobytes() == y.coefficients.tobytes()
+
+
+def test_awkward_elements_hold_negative_zeros():
+    c = np.concatenate([x.coefficients for x in awkward_elements(1, n=20)])
+    assert np.signbit(c.real[c.real == 0]).any() and np.signbit(c.imag[c.imag == 0]).any()
+
+
+def test_multiply_bit_identical_to_term_loop():
+    xs = list(awkward_elements(211))
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        assert same_bits(multiply(x, y), ref_multiply(x, y))
+    for g in GENERATORS:
+        assert same_bits(multiply(g, xs[0]), ref_multiply(g, xs[0]))
+
+
+def test_adjoint_bit_identical_to_term_loop():
+    for x in awkward_elements(223):
+        assert same_bits(adjoint(x), ref_adjoint(x))
+
+
+def test_berezin_integrals_bit_identical_to_term_loop():
+    for x in awkward_elements(227):
+        for v in Generator:
+            assert same_bits(berezin_integrate(x, v), ref_berezin_integrate(x, v))
+        twice = ref_berezin_integrate(ref_berezin_integrate(x, Generator.ZETA), Generator.ZETA_STAR)
+        assert same_bits(integrate_pair(x), twice)
+
+
+def test_negate_generators_bit_identical_to_substitute():
+    from grasschan.charfunc import negate_generators
+
+    negation = {g: -GrassmannElement.generator(g) for g in Generator}
+    for x in awkward_elements(229):
+        assert same_bits(negate_generators(x), substitute(x, negation))
+
+
+def test_apply_green_bit_identical_to_substitute_path():
+    from grasschan.charfunc import CharFunction
+    from grasschan.green import apply_green, green_from_channel
+    from grasschan.qubit import random_cptp_canonical_channel
+
+    rng = np.random.default_rng(233)
+    relabel = {Generator.XI: ZETA, Generator.XI_STAR: ZETA_STAR}
+    for k, x in enumerate(awkward_elements(239, n=60)):
+        c = np.zeros(16, dtype=complex)
+        for mask in (0b0100, 0b1000, 0b1100):
+            c[mask] = x.coefficients[mask]
+        c[0] = 1.0
+        chi = CharFunction(GrassmannElement(c))
+        kernel = green_from_channel(random_cptp_canonical_channel(rng))
+        expected = integrate_pair(ref_multiply(substitute(chi.body, relabel), kernel.body))
+        assert same_bits(apply_green(kernel, chi).body, expected)
+
+
+def ref_operator_product(e, f):
+    return [
+        [ref_multiply(e[i][0], f[0][j]) + ref_multiply(e[i][1], f[1][j]) for j in range(2)]
+        for i in range(2)
+    ]
+
+
+def test_operator_element_bit_identical_to_entrywise_reference():
+    xs = list(awkward_elements(241, n=96))
+    for k in range(0, len(xs) - 8, 8):
+        a = OperatorElement((xs[k:k + 2], xs[k + 2:k + 4]))
+        b = OperatorElement((xs[k + 4:k + 6], xs[k + 6:k + 8]))
+        g = xs[k + 8]
+        e, f = a.entries, b.entries
+        expected = {
+            "product": ref_operator_product(e, f),
+            "right": [[ref_multiply(e[i][j], g) for j in range(2)] for i in range(2)],
+            "left": [[ref_multiply(g, e[i][j]) for j in range(2)] for i in range(2)],
+            "adjoint": [[ref_adjoint(e[j][i]) for j in range(2)] for i in range(2)],
+            "sum": [[e[i][j] + f[i][j] for j in range(2)] for i in range(2)],
+            "scaled": [[e[i][j] * (0.3 - 1.7j) for j in range(2)] for i in range(2)],
+        }
+        got = {
+            "product": a * b,
+            "right": a * g,
+            "left": g * a,
+            "adjoint": a.adjoint(),
+            "sum": a + b,
+            "scaled": a * (0.3 - 1.7j),
+        }
+        for name, op in got.items():
+            for i in range(2):
+                for j in range(2):
+                    assert same_bits(op.entry(i, j), expected[name][i][j]), (name, i, j)
+        assert same_bits(a.trace(), e[0][0] + e[1][1])
+
+
+def test_operator_element_data_cannot_be_written():
+    from grasschan.charfunc import displacement
+
+    for op in (OperatorElement.from_matrix(np.eye(2)) * XI, displacement(), displacement(-1, "zeta")):
+        snapshot = OperatorElement(op.entries)
+        for e in [e for row in op.entries for e in row] + [op.entry(1, 0)]:
+            with pytest.raises(ValueError):
+                e.coefficients[0] = 7.0
+            # even an entry forced writable is a copy
+            e.coefficients.flags.writeable = True
+            e.coefficients[0] = 7.0
+        m = op.monomial_matrix(0)
+        m[:] = 7.0
+        assert op == snapshot
+    assert displacement().entry(0, 0) == GrassmannElement.from_table({"1": 1, "ξξ*": 0.5})

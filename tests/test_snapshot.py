@@ -1,0 +1,81 @@
+"""Byte-level snapshot of the JSON reports.
+
+The analysis reports and the verification result must not change by a single
+byte when the algebra is reimplemented: every float is printed with ``repr``
+precision, so the snapshot pins the exact bits of every kernel coefficient,
+angle, certificate residual and oracle residual.
+
+The fixture ``data/output_snapshot.json`` maps a case key to the exact text.
+Regenerate it only for an intended change of results::
+
+    PYTHONPATH=src python tests/test_snapshot.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from grasschan import catalog, verify
+from grasschan.qubit import QubitChannel
+
+FIXTURE = Path(__file__).parent / "data" / "output_snapshot.json"
+
+# Two parameter points per named channel, on both sides of every verdict
+# boundary the catalog documents.
+NAMED_POINTS = {
+    "bit_flip": ({"s": 0.3}, {"s": 0.85}),
+    "phase_flip": ({"s": 0.2}, {"s": 0.7}),
+    "bit_phase_flip": ({"s": 0.4}, {"s": 0.9}),
+    "depolarizing": ({"s": 0.25}, {"s": 0.6}),
+    "amplitude_damping": ({"n": 0.3}, {"n": 0.8}),
+    "generalized_amplitude_damping": ({"n": 0.3, "s": 0.2}, {"n": 0.75, "s": 0.6}),
+}
+
+# A generic channel (short path) and an amplitude-damping channel with its
+# axes relabelled so that only the lambda-permutation search recovers it.
+CANONICAL_CASES = {
+    "generic": ((0.1, -0.05, 0.08), (0.4, 0.3, -0.2)),
+    "permuted": ((0.36, 0.0, 0.0), (0.64, 0.8, 0.8)),
+}
+
+
+def render(key: str) -> str:
+    kind, _, name = key.partition(":")
+    if kind == "verify":
+        return json.dumps(verify.run_verification(trials=50, seed=42).to_json(), indent=2)
+    if kind == "channel":
+        report = catalog.analyze_channel(QubitChannel.from_canonical(*CANONICAL_CASES[name]))
+        return json.dumps(report, indent=2)
+    name, _, index = name.partition("#")
+    return json.dumps(catalog.analyze(name, NAMED_POINTS[name][int(index)]), indent=2)
+
+
+KEYS = (
+    [f"named:{name}#{i}" for name, points in NAMED_POINTS.items() for i in range(len(points))]
+    + [f"channel:{name}" for name in CANONICAL_CASES]
+    + ["verify:trials=50,seed=42"]
+)
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def test_snapshot_covers_every_case(snapshot):
+    assert sorted(snapshot) == sorted(KEYS)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_output_is_byte_identical(snapshot, key):
+    assert render(key) == snapshot[key]
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(
+        json.dumps({key: render(key) for key in KEYS}, indent=1, ensure_ascii=False) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {len(KEYS)} cases to {FIXTURE}")
