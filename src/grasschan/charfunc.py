@@ -34,6 +34,7 @@ from .grassmann import (
     OperatorElement,
     _element,
     _index_map,
+    _product_trace,
 )
 from .qubit import SIGMA_MINUS, SIGMA_PLUS, QubitState
 
@@ -124,7 +125,7 @@ def displacement(sign: int = 1, pair: str = "xi") -> OperatorElement:
 def char_function(rho: QubitState) -> CharFunction:
     """``trace(rho D(xi))`` as a Grassmann element of the xi subalgebra."""
     rho_op = OperatorElement.from_matrix(rho.matrix)
-    return CharFunction((rho_op * displacement()).trace())
+    return CharFunction(_product_trace(rho_op, displacement()))
 
 
 def state_from_char(chi: CharFunction) -> QubitState:

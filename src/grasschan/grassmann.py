@@ -206,6 +206,10 @@ _MATMUL_PRODUCTS = _plan(
     [2 * i + k for i in range(2) for j in range(2) for k in range(2)],
     [2 * k + j for i in range(2) for j in range(2) for k in range(2)],
 )
+#: Diagonal of ``e @ f`` only: products ``e[0, 0] f[0, 0]``, ``e[0, 1] f[1, 0]``,
+#: ``e[1, 0] f[0, 1]`` and ``e[1, 1] f[1, 1]``, the rows of ``_MATMUL_PRODUCTS``
+#: that land on entries ``[0, 0]`` and ``[1, 1]``.
+_DIAGONAL_PRODUCTS = _plan([0, 1, 2, 3], [0, 2, 1, 3])
 #: Entrywise products ``op * x`` and ``x * op`` of an operator and an element.
 _OPERATOR_TIMES_ELEMENT = _plan(range(4), [0] * 4)
 _ELEMENT_TIMES_OPERATOR = _plan([0] * 4, range(4))
@@ -655,3 +659,9 @@ class OperatorElement:
             ", ".join(self.entry(i, j).pretty() for j in range(2)) for i in range(2)
         )
         return f"OperatorElement([{rows}])"
+
+
+def _product_trace(e: OperatorElement, f: OperatorElement) -> GrassmannElement:
+    """``(e * f).trace()``, bit for bit, from the two diagonal entries only."""
+    p = _products(e._a, f._a, _DIAGONAL_PRODUCTS).reshape(4, N_MONOMIALS)
+    return _element((p[0] + p[1]) + (p[2] + p[3]))

@@ -137,7 +137,11 @@ def _delta_argument(a: complex, b: complex) -> GrassmannElement:
 
 def green_from_canonical(t, lam) -> GreenFunction:
     """Kernel of the CPTP canonical channel ``(t, lam)``."""
-    ch = QubitChannel.from_canonical(t, lam)
+    return green_from_channel(QubitChannel.from_canonical(t, lam))
+
+
+def green_from_channel(ch: QubitChannel) -> GreenFunction:
+    """Kernel of a CPTP channel; uses the channel's cached CPTP report."""
     report = is_cptp(ch)
     if not report.ok:
         raise NotCptpError(
@@ -145,10 +149,6 @@ def green_from_canonical(t, lam) -> GreenFunction:
             f"{report.min_choi_eigenvalue:.3e})"
         )
     return _green_body(ch.t, ch.lam, provenance=(ch.t, ch.lam))
-
-
-def green_from_channel(ch: QubitChannel) -> GreenFunction:
-    return green_from_canonical(ch.t, ch.lam)
 
 
 def _green_body(t, lam, provenance=None) -> GreenFunction:

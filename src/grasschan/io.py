@@ -14,6 +14,7 @@ a report's ``channel`` block is therefore always a valid input spec.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -44,7 +45,14 @@ def _parse_matrix(entry) -> np.ndarray:
         raise SpecError(f"bad Kraus matrix entry: {exc}") from exc
     if m.shape != (2, 2, 2):
         raise SpecError("each Kraus matrix must be a 2x2 array of [re, im] pairs")
+    _require_finite("Kraus matrix", m.flat)
     return m[..., 0] + 1j * m[..., 1]
+
+
+def _require_finite(what: str, values) -> None:
+    # Python's json accepts NaN and Infinity, which no channel has.
+    if not all(map(math.isfinite, values)):
+        raise SpecError(f"non-finite number in {what}")
 
 
 def channel_from_json(obj: dict) -> QubitChannel:
@@ -62,6 +70,7 @@ def channel_from_json(obj: dict) -> QubitChannel:
             raise SpecError(f"bad canonical spec: {exc}") from exc
         if len(t) != 3 or len(lam) != 3:
             raise SpecError("canonical spec needs 3-vectors 't' and 'lambda'")
+        _require_finite("canonical spec", t + lam)
         return QubitChannel.from_canonical(t, lam)
     if kind == "kraus":
         matrices = obj.get("matrices")
@@ -76,6 +85,11 @@ def channel_from_json(obj: dict) -> QubitChannel:
         params = obj.get("params", {})
         if not isinstance(name, str) or not isinstance(params, dict):
             raise SpecError("named spec needs a 'name' string and a 'params' object")
+        try:
+            params = {key: float(value) for key, value in params.items()}
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"bad named parameters: {exc}") from exc
+        _require_finite("named parameters", params.values())
         try:
             return catalog.build(name, params)
         except (KeyError, catalog.OutOfRangeError) as exc:

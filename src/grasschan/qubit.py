@@ -57,6 +57,11 @@ STATE_ATOL = 1e-9
 TP_ATOL = 1e-12
 CHOI_EIG_FLOOR = -1e-9
 DIAG_ATOL = 1e-10
+#: Candidates that ``random_cptp_canonical_channel`` screens per batch.
+SAMPLER_BLOCK = 32
+#: Slack of the batched Choi screen below ``CHOI_EIG_FLOOR``; far above the
+#: few-ulp gap between a batched and a single eigenvalue of an O(1) matrix.
+SCREEN_MARGIN = 1e-12
 
 
 class NonDiagonalBlockError(ValueError):
@@ -153,11 +158,15 @@ def canonical_from_ptm(ptm: np.ndarray, atol: float = DIAG_ATOL):
     return ptm[1:, 0].copy(), np.diag(block).copy()
 
 
+_BLOCK_DIAG = np.arange(1, 4)
+
+
 def _ptm_from_canonical(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    ptm = np.zeros((4, 4))
-    ptm[0, 0] = 1.0
-    ptm[1:, 0] = t
-    ptm[1:, 1:] = np.diag(lam)
+    """Transfer matrices of canonical parameters ``t, lam`` of shape ``(..., 3)``."""
+    ptm = np.zeros(np.shape(t)[:-1] + (4, 4))
+    ptm[..., 0, 0] = 1.0
+    ptm[..., 1:, 0] = t
+    ptm[..., _BLOCK_DIAG, _BLOCK_DIAG] = lam
     return ptm
 
 
@@ -226,7 +235,12 @@ class QubitChannel:
     def from_kraus(cls, kraus: Sequence[np.ndarray]) -> "QubitChannel":
         ops = tuple(np.asarray(a, dtype=complex) for a in kraus)
         t, lam = canonical_from_ptm(ptm_from_kraus(ops))
-        return cls(t=t, lam=lam, kraus=ops)
+        # The transfer matrix is derived once: canonical_from_ptm bounded the
+        # dropped entries by DIAG_ATOL, below the 1e-9 consistency bound that
+        # __post_init__ would re-check.
+        ch = cls(t=t, lam=lam)
+        object.__setattr__(ch, "kraus", ops)
+        return ch
 
     @classmethod
     def from_ptm(cls, ptm: np.ndarray) -> "QubitChannel":
@@ -301,11 +315,37 @@ def random_state(rng: np.random.Generator) -> QubitState:
 def random_cptp_canonical_channel(
     rng: np.random.Generator, t_scale: float = 0.8, max_tries: int = 10_000
 ) -> QubitChannel:
-    """Rejection-sample a CPTP canonical channel with generic ``t`` and ``lam``."""
-    for _ in range(max_tries):
-        lam = rng.uniform(-1, 1, size=3)
-        t = rng.uniform(-1, 1, size=3) * t_scale
-        ch = QubitChannel.from_canonical(t, lam)
-        if ch.cptp_report.ok:
-            return ch
+    """Rejection-sample a CPTP canonical channel with generic ``t`` and ``lam``.
+
+    Attempt ``k`` draws ``lam = rng.uniform(-1, 1, size=3)`` and then
+    ``t = rng.uniform(-1, 1, size=3) * t_scale``; the first attempt whose
+    channel passes :func:`is_cptp` is returned (with its report cached), and
+    ``RuntimeError`` is raised after ``max_tries`` failures.
+
+    Candidates are drawn and screened ``SAMPLER_BLOCK`` at a time, but the
+    sampling is stream-exact: for every ``numpy.random.Generator`` (any bit
+    generator; its state is saved and restored) and every ``max_tries`` the
+    returned channel has the same bits, and ``rng`` is left in the same state,
+    as drawing and checking the attempts one at a time.  The batched screen
+    drops only candidates whose smallest Choi eigenvalue lies more than
+    ``SCREEN_MARGIN`` below the floor; every acceptance is decided by the
+    single-channel check.  After an acceptance the generator is rewound to the
+    start of the block and advanced by exactly the draws of the attempts up
+    to the accepted one.
+    """
+    tried = 0
+    while tried < max_tries:
+        n = min(SAMPLER_BLOCK, max_tries - tried)
+        start = rng.bit_generator.state
+        draws = rng.uniform(-1, 1, size=(n, 2, 3))
+        lam = draws[:, 0]
+        t = draws[:, 1] * t_scale
+        min_eigs = np.linalg.eigvalsh(choi_from_ptm(_ptm_from_canonical(t, lam)))[:, 0]
+        for k in np.flatnonzero(min_eigs >= CHOI_EIG_FLOOR - SCREEN_MARGIN):
+            ch = QubitChannel.from_canonical(t[k], lam[k])
+            if ch.cptp_report.ok:
+                rng.bit_generator.state = start
+                rng.uniform(-1, 1, size=(k + 1, 2, 3))
+                return ch
+        tried += n
     raise RuntimeError("failed to sample a CPTP channel")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grasschan
 from grasschan import io
 from grasschan.cli import main
 from grasschan.qubit import (
@@ -108,6 +113,35 @@ class TestAnalyzeCommand:
         code, out, _ = run_cli(capsys, "analyze", str(bad), "--json")
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "canonical", "t": [float("nan"), 0, 0], "lambda": [1, 1, 1]},
+            {"type": "canonical", "t": [0, 0, 0], "lambda": [float("inf"), 1, 1]},
+            {"type": "kraus", "matrices": [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]]},
+            {"type": "named", "name": "amplitude_damping", "params": {"n": float("-inf")}},
+            {"type": "named", "name": "amplitude_damping", "params": {"n": "half"}},
+        ],
+    )
+    def test_non_finite_or_non_numeric_spec_exit_2(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "parse"
+
+    def test_nan_spec_exits_2_without_traceback_in_a_fresh_process(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"type": "canonical", "t": [NaN, 0, 0], "lambda": [1, 1, 1]}')
+        env = dict(os.environ, PYTHONPATH=str(Path(grasschan.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "grasschan.cli", "analyze", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "non-finite" in proc.stderr + proc.stdout
 
     def test_validation_error_exit_3(self, capsys, tmp_path):
         spec = tmp_path / "bad_channel.json"

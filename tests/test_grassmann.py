@@ -380,6 +380,24 @@ def test_operator_element_bit_identical_to_entrywise_reference():
         assert same_bits(a.trace(), e[0][0] + e[1][1])
 
 
+def test_product_trace_bit_identical_to_full_product_trace():
+    from grasschan.charfunc import char_function, displacement
+    from grasschan.grassmann import _product_trace
+    from grasschan.qubit import random_state
+
+    xs = list(awkward_elements(251, n=96))
+    for k in range(0, len(xs) - 7, 8):
+        a = OperatorElement((xs[k:k + 2], xs[k + 2:k + 4]))
+        b = OperatorElement((xs[k + 4:k + 6], xs[k + 6:k + 8]))
+        assert same_bits(_product_trace(a, b), (a * b).trace())
+        assert same_bits(_product_trace(a, displacement()), (a * displacement()).trace())
+    rng = np.random.default_rng(257)
+    for _ in range(200):
+        rho = random_state(rng)
+        expected = (OperatorElement.from_matrix(rho.matrix) * displacement()).trace()
+        assert same_bits(char_function(rho).body, expected)
+
+
 def test_operator_element_data_cannot_be_written():
     from grasschan.charfunc import displacement
 

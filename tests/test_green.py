@@ -57,8 +57,19 @@ class TestGreenFromCanonical:
         assert kernel.body.isclose(expected, atol=1e-15)
 
     def test_rejects_non_cptp(self):
-        with pytest.raises(NotCptpError):
+        message = r"canonical parameters are not CPTP \(min Choi eigenvalue -1\.000e\+00\)"
+        with pytest.raises(NotCptpError, match=message):
             green_from_canonical([0, 0, 0], [1, 1, -1])
+        with pytest.raises(NotCptpError, match=message):
+            green_from_channel(QubitChannel.from_canonical([0, 0, 0], [1, 1, -1]))
+
+    def test_channel_kernel_reuses_the_cached_cptp_report(self, monkeypatch):
+        ch = random_cptp_canonical_channel(np.random.default_rng(59))
+        expected = green_from_canonical(ch.t, ch.lam)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any new CPTP check would fail
+        kernel = green_from_channel(ch)
+        assert kernel.body.coefficients.tobytes() == expected.body.coefficients.tobytes()
+        assert kernel.provenance[0] is ch.t and kernel.provenance[1] is ch.lam
 
     def test_matches_trace_definition(self):
         rng = np.random.default_rng(61)

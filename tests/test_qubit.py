@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from grasschan.qubit import (
+    CHOI_EIG_FLOOR,
+    SAMPLER_BLOCK,
+    SCREEN_MARGIN,
     NonDiagonalBlockError,
     NotCptpError,
     NotTracePreservingError,
@@ -123,6 +126,23 @@ class TestCptp:
             assert np.linalg.eigvalsh(choi)[0] >= -1e-9
 
 
+class TestFromKraus:
+    def test_derives_transfer_matrix_once(self, monkeypatch):
+        import grasschan.qubit as qubit
+
+        calls = []
+        original = qubit.ptm_from_kraus
+        monkeypatch.setattr(qubit, "ptm_from_kraus", lambda ops: calls.append(1) or original(ops))
+        ch = QubitChannel.from_kraus(gad_kraus(0.4, 0.7))
+        assert len(calls) == 1
+        assert len(ch.kraus) == 4
+        assert np.max(np.abs(original(ch.kraus) - ch.ptm)) < 1e-12
+
+    def test_direct_construction_keeps_consistency_check(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            QubitChannel(t=[0, 0, 0], lam=[1, 1, 1], kraus=tuple(ad_kraus(0.3)))
+
+
 class TestApplyAndCompose:
     def test_identity_channel_fixes_states(self):
         rng = np.random.default_rng(2)
@@ -207,3 +227,94 @@ def test_choi_from_ptm_matches_basis_definition():
                 out_coeffs = ch.ptm @ coeffs
                 choi += np.kron(sum(c * p for c, p in zip(out_coeffs, paulis)), unit)
         assert np.max(np.abs(choi - choi_from_ptm(ch.ptm))) < 1e-12
+
+
+def reference_sampler(rng, t_scale=0.8, max_tries=10_000):
+    """The one-at-a-time rejection loop the batched sampler must reproduce."""
+    for _ in range(max_tries):
+        lam = rng.uniform(-1, 1, size=3)
+        t = rng.uniform(-1, 1, size=3) * t_scale
+        ch = QubitChannel.from_canonical(t, lam)
+        if ch.cptp_report.ok:
+            return ch
+    raise RuntimeError("failed to sample a CPTP channel")
+
+
+def sample_and_next_draw(sampler, rng, **kwargs):
+    try:
+        ch = sampler(rng, **kwargs)
+        out = (ch.t.tobytes(), ch.lam.tobytes(), ch.cptp_report)
+    except RuntimeError:
+        out = "RuntimeError"
+    return out, rng.uniform()
+
+
+class ScriptedGenerator:
+    """Serves a fixed list of numbers as the draws of ``uniform``; the state is the position."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.position = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.position
+
+    @state.setter
+    def state(self, position):
+        self.position = position
+
+    def uniform(self, low, high, size):
+        n = int(np.prod(size))
+        out = self.values[self.position:self.position + n]
+        assert len(out) == n, "script exhausted"
+        self.position += n
+        return out.reshape(size)
+
+
+class TestSamplerStreamExact:
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+    @pytest.mark.parametrize(
+        "max_tries", [0, 1, SAMPLER_BLOCK - 1, SAMPLER_BLOCK, SAMPLER_BLOCK + 1, 10_000]
+    )
+    def test_matches_one_at_a_time_loop(self, bit_generator, max_tries):
+        outcomes = set()
+        for seed in range(40):
+            ours, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            for _ in range(3):
+                got = sample_and_next_draw(random_cptp_canonical_channel, ours, max_tries=max_tries)
+                expected = sample_and_next_draw(reference_sampler, ref, max_tries=max_tries)
+                assert got == expected
+                outcomes.add(got[0] == "RuntimeError")
+        if max_tries in (0, 1):
+            assert outcomes == ({True} if max_tries == 0 else {True, False})
+        if max_tries == 10_000:
+            assert outcomes == {False}
+
+    def test_t_scale_and_block_boundaries(self):
+        # t_scale=1 lowers the acceptance rate, so acceptances land in later blocks.
+        for seed in range(40):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                assert sample_and_next_draw(
+                    random_cptp_canonical_channel, ours, t_scale=1.0
+                ) == sample_and_next_draw(reference_sampler, ref, t_scale=1.0)
+
+    def test_exact_check_decides_inside_the_screen_margin(self):
+        # Depolarizing lam = (l, l, l) has smallest Choi eigenvalue (1 + 3l)/2.
+        def lam_at(eig):
+            return (2 * eig - 1) / 3
+
+        below = lam_at(CHOI_EIG_FLOOR - SCREEN_MARGIN / 2)
+        above = lam_at(CHOI_EIG_FLOOR + SCREEN_MARGIN / 2)
+        eig_below = np.linalg.eigvalsh(QubitChannel.from_canonical([0, 0, 0], [below] * 3).choi)[0]
+        assert CHOI_EIG_FLOOR - SCREEN_MARGIN < eig_below < CHOI_EIG_FLOOR
+        # the screen keeps the first candidate; the exact check rejects it
+        draws = [below] * 3 + [0.0] * 3 + [above] * 3 + [0.0] * 3 + [0.5] * 6
+        ours, ref = ScriptedGenerator(draws), ScriptedGenerator(draws)
+        ch = random_cptp_canonical_channel(ours, max_tries=3)
+        assert ch.lam.tolist() == [above] * 3
+        assert ch.cptp_report == reference_sampler(ref, max_tries=3).cptp_report
+        assert ours.position == ref.position == 12
+

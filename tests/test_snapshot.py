@@ -43,7 +43,9 @@ CANONICAL_CASES = {
 def render(key: str) -> str:
     kind, _, name = key.partition(":")
     if kind == "verify":
-        return json.dumps(verify.run_verification(trials=50, seed=42).to_json(), indent=2)
+        args = dict(item.split("=") for item in name.split(","))
+        result = verify.run_verification(trials=int(args["trials"]), seed=int(args["seed"]))
+        return json.dumps(result.to_json(), indent=2)
     if kind == "channel":
         report = catalog.analyze_channel(QubitChannel.from_canonical(*CANONICAL_CASES[name]))
         return json.dumps(report, indent=2)
@@ -54,7 +56,7 @@ def render(key: str) -> str:
 KEYS = (
     [f"named:{name}#{i}" for name, points in NAMED_POINTS.items() for i in range(len(points))]
     + [f"channel:{name}" for name in CANONICAL_CASES]
-    + ["verify:trials=50,seed=42"]
+    + ["verify:trials=50,seed=42", "verify:trials=300,seed=7"]
 )
 
 
