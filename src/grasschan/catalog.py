@@ -18,6 +18,7 @@ diagnostics, the symbolic kernel, Gaussianity, the angle form and its
 dilation, the weakly complementary channel and the degradability verdict.
 Non-Gaussian channels are searched for a Gaussian unitary equivalent (lambda
 permutation); when one exists its verdict is reported on the equivalent.
+Every channel block of a report is written by ``QubitChannel.to_json``.
 The committed golden coefficient tables in ``data/golden_green.json`` were
 generated once from the closed channel formulas (scripts/make_golden_tables.py)
 and act as the regression anchor for the kernel layer.
@@ -212,14 +213,6 @@ def golden_tables() -> dict:
         return json.load(fh)
 
 
-def _channel_json(ch: QubitChannel) -> dict:
-    return {
-        "type": "canonical",
-        "t": [float(v) for v in ch.t],
-        "lambda": [float(v) for v in ch.lam],
-    }
-
-
 def analyze_channel(
     ch: QubitChannel,
     residual_tol: float = deg.CERT_RESIDUAL_TOL,
@@ -227,7 +220,7 @@ def analyze_channel(
     """Full analysis report for one canonical channel (JSON-ready dict)."""
     report: dict = {"schema_version": 1}
     notes: list = []
-    report["channel"] = _channel_json(ch)
+    report["channel"] = ch.to_json()
     cptp = is_cptp(ch)
     report["cptp"] = {
         "ok": cptp.ok,
@@ -268,7 +261,7 @@ def analyze_channel(
             )
         else:
             equivalent = eq
-            block = {"perm": list(eq.perm), "signs": list(eq.signs), "channel": _channel_json(eq.channel)}
+            block = {"perm": list(eq.perm), "signs": list(eq.signs), "channel": eq.channel.to_json()}
             sub_notes: list = []
             eq_gp = detect_gaussian(green_from_channel(eq.channel))
             sub = _degradability_block(eq.channel, eq_gp, residual_tol, sub_notes)
@@ -318,7 +311,7 @@ def _degradability_block(
         ch, comp, residual_tol=residual_tol, attempt_both=prediction.boundary
     )
     block = verdict.to_json()
-    block["complement"] = _channel_json(comp)
+    block["complement"] = comp.to_json()
     block["prediction"] = {
         "kind": prediction.kind,
         "ratio": None if prediction.boundary else prediction.ratio,

@@ -37,6 +37,7 @@ from .grassmann import (
     _product_trace,
 )
 from .qubit import SIGMA_MINUS, SIGMA_PLUS, QubitState
+from .tolerances import NORMALIZATION_ATOL, PHYSICALITY_ATOL
 
 __all__ = [
     "CharFunction",
@@ -47,9 +48,6 @@ __all__ = [
     "state_from_char",
     "negate_generators",
 ]
-
-NORMALIZATION_ATOL = 1e-10
-PHYSICALITY_ATOL = 1e-9
 
 _PAIRS = {
     "xi": (Generator.XI, Generator.XI_STAR),

@@ -20,6 +20,7 @@ from typing import Optional
 
 from . import catalog, io, verify
 from .qubit import NonDiagonalBlockError, NotCptpError, NotTracePreservingError
+from .tolerances import CERT_RESIDUAL_TOL
 
 __all__ = ["main"]
 
@@ -46,7 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="named-channel parameter (repeatable)",
     )
-    p_an.add_argument("--tol", type=float, default=1e-9, help="certificate residual tolerance")
+    p_an.add_argument(
+        "--tol",
+        type=float,
+        default=CERT_RESIDUAL_TOL,
+        help="certificate residual tolerance (default: %(default)g)",
+    )
     p_an.add_argument("--json", action="store_true", help="emit the report as JSON")
     p_an.add_argument("--out", help="write the report to a file instead of stdout")
 

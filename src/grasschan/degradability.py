@@ -43,6 +43,13 @@ from .qubit import (
     canonical_from_ptm,
     is_cptp,
 )
+from .tolerances import (
+    BOUNDARY_ATOL,
+    CERT_RESIDUAL_TOL,
+    ENV_ATOL,
+    UNITARITY_ATOL,
+    WITNESS_DIAG_ATOL,
+)
 
 __all__ = [
     "Dilation",
@@ -63,10 +70,6 @@ ANTI_DEGRADABLE = "anti_degradable"
 NEITHER_CERTIFIED = "neither_certified"
 NULL_CAPACITY_CLAIMED = "null_capacity_claimed"
 
-CERT_RESIDUAL_TOL = 1e-9
-UNITARITY_ATOL = 1e-12
-BOUNDARY_ATOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class Dilation:
@@ -82,7 +85,7 @@ class Dilation:
         dev = np.max(np.abs(u.conj().T @ u - np.eye(4)))
         if dev > UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
-        if abs(self.env_state.gamma) > 1e-12:
+        if abs(self.env_state.gamma) > ENV_ATOL:
             raise ValueError("environment state must be diagonal diag(q, 1-q)")
 
     @property
@@ -121,7 +124,7 @@ class Dilation:
 
 def dilation_from_angles(ap: AngleParams) -> Dilation:
     """Construct the dilation of the Gaussian channel with angle form ``ap``."""
-    if not -1e-12 <= ap.q <= 1 + 1e-12:
+    if not -ENV_ATOL <= ap.q <= 1 + ENV_ATOL:
         raise ValueError(f"q={ap.q} outside [0, 1]")
     ct, st = np.cos(ap.theta), np.sin(ap.theta)
     cp, sp = np.cos(ap.phi), np.sin(ap.phi)
@@ -168,13 +171,7 @@ class DegradabilityVerdict:
 
         return {
             "kind": self.kind,
-            "witness": None
-            if self.witness is None
-            else {
-                "type": "canonical",
-                "t": [float(v) for v in self.witness.t],
-                "lambda": [float(v) for v in self.witness.lam],
-            },
+            "witness": None if self.witness is None else self.witness.to_json(),
             "residual": float(self.residual),
             "min_choi_eigenvalue": float(self.min_choi_eigenvalue),
             "attempts": {k: attempt_json(v) for k, v in self.attempts.items()},
@@ -200,7 +197,7 @@ def _solve_degrading(source: QubitChannel, target: QubitChannel):
     ptm[1:, 1:] = delta
     residual = float(np.max(np.abs(ptm @ source.ptm - target.ptm)))
     try:
-        t, lam = canonical_from_ptm(ptm, atol=1e-9)
+        t, lam = canonical_from_ptm(ptm, atol=WITNESS_DIAG_ATOL)
     except NonDiagonalBlockError:
         return {
             "witness": None,
@@ -280,15 +277,15 @@ class Prediction:
     boundary: bool
 
 
-def classify_by_angles(ap: AngleParams, boundary_atol: float = BOUNDARY_ATOL) -> Prediction:
+def classify_by_angles(ap: AngleParams) -> Prediction:
     """Predict the verdict kind for the Gaussian channel with angle form ``ap``."""
     num = float(np.cos(2 * ap.theta))
     den = float(np.cos(2 * ap.phi))
-    boundary = abs(den) <= boundary_atol
+    boundary = abs(den) <= BOUNDARY_ATOL
     ratio = float("inf") if boundary else num / den
     if boundary or ratio >= 0:
         kind = WEAKLY_DEGRADABLE
-    elif ap.q <= boundary_atol or ap.q >= 1 - boundary_atol:
+    elif ap.q <= BOUNDARY_ATOL or ap.q >= 1 - BOUNDARY_ATOL:
         kind = ANTI_DEGRADABLE
     else:
         kind = NULL_CAPACITY_CLAIMED

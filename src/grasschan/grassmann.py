@@ -65,6 +65,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .tolerances import ISCLOSE_ATOL
+
 __all__ = [
     "Generator",
     "GrassmannElement",
@@ -392,7 +394,7 @@ class GrassmannElement:
     def __hash__(self):
         return hash(self._c.tobytes())
 
-    def isclose(self, other, atol: float = 1e-12) -> bool:
+    def isclose(self, other, atol: float = ISCLOSE_ATOL) -> bool:
         oc = _as_coeffs(other)
         return bool(np.max(np.abs(self._c - oc)) <= atol)
 
@@ -643,7 +645,7 @@ class OperatorElement:
     def trace(self) -> GrassmannElement:
         return _element(self._a[0, 0] + self._a[1, 1])
 
-    def isclose(self, other: "OperatorElement", atol: float = 1e-12) -> bool:
+    def isclose(self, other: "OperatorElement", atol: float = ISCLOSE_ATOL) -> bool:
         return bool(np.max(np.abs(self._a - other._a)) <= atol)
 
     def __eq__(self, other):

@@ -50,6 +50,7 @@ from .grassmann import (
     integrate_pair,
 )
 from .qubit import PAULI, NotCptpError, QubitChannel, is_cptp
+from .tolerances import ANGLE_ATOL, ANGLE_RATIO_ATOL, GAUSSIAN_ATOL, ISCLOSE_ATOL
 
 __all__ = [
     "GreenFunction",
@@ -66,9 +67,6 @@ __all__ = [
     "channel_from_angles",
     "gaussian_equivalent",
 ]
-
-GAUSSIAN_ATOL = 1e-10
-ANGLE_ATOL = 1e-9
 
 
 class NoSolutionError(ValueError):
@@ -88,7 +86,7 @@ class GreenFunction:
     def to_table(self) -> dict:
         return self.body.to_table()
 
-    def isclose(self, other: "GreenFunction", atol: float = 1e-12) -> bool:
+    def isclose(self, other: "GreenFunction", atol: float = ISCLOSE_ATOL) -> bool:
         return self.body.isclose(other.body, atol=atol)
 
 
@@ -112,7 +110,10 @@ class AngleParams:
 
 @dataclass(frozen=True, eq=False)
 class GaussianEquivalent:
-    """A lambda-permutation (with paired sign flips) that lands on a Gaussian channel."""
+    """An axis relabelling (lambda permutation) that lands on a Gaussian channel.
+
+    ``signs`` is always ``(1, 1, 1)``: no lambda sign flip is ever applied.
+    """
 
     perm: tuple
     signs: tuple
@@ -196,28 +197,28 @@ _GAUSSIAN_ZERO_MONOMIALS = (
 )
 
 
-def detect_gaussian(green: GreenFunction, atol: float = GAUSSIAN_ATOL) -> Optional[GaussianParams]:
+def detect_gaussian(green: GreenFunction) -> Optional[GaussianParams]:
     """Match the kernel against the Gaussian pattern; None when it fails.
 
     For kernels built from canonical parameters this is equivalent to
-    ``|t1|, |t2| <= atol`` and ``|lam3 - lam1 lam2| <= atol``.
+    ``|t1|, |t2| <= GAUSSIAN_ATOL`` and ``|lam3 - lam1 lam2| <= GAUSSIAN_ATOL``.
     """
     body = green.body
-    if abs(body.coefficient("ζζ*") - 1) > atol:
+    if abs(body.coefficient("ζζ*") - 1) > GAUSSIAN_ATOL:
         return None
     a = body.coefficient("ζ*ξ")
     b = body.coefficient("ζ*ξ*")
     c = body.coefficient("ζζ*ξξ*")
-    if abs(c.imag) > atol:
+    if abs(c.imag) > GAUSSIAN_ATOL:
         return None
     checks = (
         abs(body.coefficient("ζξ") + np.conj(b)),
         abs(body.coefficient("ζξ*") + np.conj(a)),
         abs(body.coefficient("ξξ*") - (abs(a) ** 2 - abs(b) ** 2)),
     )
-    if max(checks) > atol:
+    if max(checks) > GAUSSIAN_ATOL:
         return None
-    if any(abs(body.coefficient(name)) > atol for name in _GAUSSIAN_ZERO_MONOMIALS):
+    if any(abs(body.coefficient(name)) > GAUSSIAN_ATOL for name in _GAUSSIAN_ZERO_MONOMIALS):
         return None
     return GaussianParams(a=a, b=b, c=float(c.real))
 
@@ -248,7 +249,7 @@ def _candidate_angles(u: float, v: float) -> list:
     return out
 
 
-def angles_from_gaussian(gp: GaussianParams, atol: float = ANGLE_ATOL) -> AngleParams:
+def angles_from_gaussian(gp: GaussianParams) -> AngleParams:
     """Solve ``cos(theta)cos(phi) = a``, ``sin(theta)sin(phi) = -b`` and the
     exponent relation for ``q``.
 
@@ -258,26 +259,26 @@ def angles_from_gaussian(gp: GaussianParams, atol: float = ANGLE_ATOL) -> AngleP
     vanish and q defaults to 1.
     """
     a, b, c = complex(gp.a), complex(gp.b), float(gp.c)
-    if abs(a.imag) > atol or abs(b.imag) > atol:
+    if abs(a.imag) > ANGLE_ATOL or abs(b.imag) > ANGLE_ATOL:
         raise NoSolutionError("a and b must be real for the angle parametrization")
-    if abs(a) > 1 + atol or abs(b) > 1 + atol:
+    if abs(a) > 1 + ANGLE_ATOL or abs(b) > 1 + ANGLE_ATOL:
         raise NoSolutionError(f"|a|={abs(a):.6g} or |b|={abs(b):.6g} exceeds 1")
     lam1 = a.real - b.real
     lam2 = a.real + b.real
-    if abs(lam1) > 1 + atol or abs(lam2) > 1 + atol:
+    if abs(lam1) > 1 + ANGLE_ATOL or abs(lam2) > 1 + ANGLE_ATOL:
         raise NoSolutionError("difference/sum of a and b exceed the cosine range")
     u = float(np.arccos(np.clip(lam1, -1.0, 1.0)))
     v = float(np.arccos(np.clip(lam2, -1.0, 1.0)))
     valid = []
     for theta, phi in _candidate_angles(u, v):
         denom = (np.cos(2 * theta) - np.cos(2 * phi)) / 4
-        if abs(denom) <= atol:
-            if abs(c) > atol:
+        if abs(denom) <= ANGLE_ATOL:
+            if abs(c) > ANGLE_ATOL:
                 continue
             q = 1.0
         else:
             ratio = c / denom
-            if not -1 - 1e-7 <= ratio <= 1 + 1e-7:
+            if not -1 - ANGLE_RATIO_ATOL <= ratio <= 1 + ANGLE_RATIO_ATOL:
                 continue
             q = float(np.clip((1 + ratio) / 2, 0.0, 1.0))
         valid.append(AngleParams(theta=theta, phi=phi, q=q))
@@ -298,38 +299,28 @@ def channel_from_angles(ap: AngleParams) -> QubitChannel:
     return QubitChannel.from_canonical([0.0, 0.0, float(t3)], [lam1, lam2, lam3])
 
 
-# Even permutations first (identity leading), then odd ones; within a
-# permutation the sign patterns with fewer flips come first.  This order makes
+# Even permutations first (identity leading), then odd ones.  This order makes
 # an already-Gaussian channel report the identity permutation and sends the
-# phase-flip pattern (m, m, 1) to the bit-flip pattern (1, m, m).  Flipping
-# two lambdas can never rescue the product condition (it is invariant under
-# every even pattern), so matches always surface with all-plus signs; the
-# patterns stay enumerated because they complete the admissible frame group.
+# phase-flip pattern (m, m, 1) to the bit-flip pattern (1, m, m).
 _PERMUTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
-_SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 
-def gaussian_equivalent(
-    ch: QubitChannel, atol: float = GAUSSIAN_ATOL
-) -> Optional[GaussianEquivalent]:
-    """Search lambda permutations with even sign flips for a Gaussian form.
+def gaussian_equivalent(ch: QubitChannel) -> Optional[GaussianEquivalent]:
+    """Search the axis relabellings for a Gaussian form.
 
-    The admissible transforms are the unitary changes of canonical frame:
-    relabel the three axes (permuting ``lam`` and ``t`` together) and flip the
-    signs of any two lambdas.  Returns the first hit in a fixed enumeration
-    order, or None.
+    A relabelling permutes ``lam`` and ``t`` together; the result is Gaussian
+    when ``|t1|``, ``|t2|`` and ``|lam3 - lam1 lam2|`` are within
+    ``GAUSSIAN_ATOL``.  Returns the first hit in the fixed order of
+    ``_PERMUTATIONS``, or None.
     """
-    t = ch.t
-    lam = ch.lam
     for perm in _PERMUTATIONS:
-        inv = tuple(perm.index(i) for i in range(3))
-        for signs in _SIGN_PATTERNS:
-            new_lam = np.array([signs[inv[i]] * lam[inv[i]] for i in range(3)])
-            new_t = np.array([t[inv[i]] for i in range(3)])
-            if abs(new_t[0]) > atol or abs(new_t[1]) > atol:
-                continue
-            if abs(new_lam[2] - new_lam[0] * new_lam[1]) > atol:
-                continue
-            channel = QubitChannel.from_canonical([0.0, 0.0, float(new_t[2])], new_lam)
-            return GaussianEquivalent(perm=perm, signs=signs, channel=channel)
+        inv = [perm.index(i) for i in range(3)]
+        new_t = ch.t[inv]
+        if abs(new_t[0]) > GAUSSIAN_ATOL or abs(new_t[1]) > GAUSSIAN_ATOL:
+            continue
+        new_lam = ch.lam[inv]
+        if abs(new_lam[2] - new_lam[0] * new_lam[1]) > GAUSSIAN_ATOL:
+            continue
+        channel = QubitChannel.from_canonical([0.0, 0.0, float(new_t[2])], new_lam)
+        return GaussianEquivalent(perm=perm, signs=(1, 1, 1), channel=channel)
     return None

@@ -7,8 +7,10 @@ Input schema, ``schema_version`` 1.  Three forms::
                                     [ [re, im], [re, im] ]], ...]}
     {"type": "named", "name": "amplitude_damping", "params": {"n": 0.3}}
 
-``channel_to_json`` emits the canonical form, which re-ingests bit-exactly;
-a report's ``channel`` block is therefore always a valid input spec.
+``channel_to_json`` is ``QubitChannel.to_json``, the package's one writer of
+the canonical form, which re-ingests bit-exactly; every channel block of a
+report (``channel``, the equivalent's ``channel``, ``complement`` and
+``witness``) is therefore a valid input spec.
 """
 
 from __future__ import annotations
@@ -30,12 +32,7 @@ class SpecError(ValueError):
     """A channel spec does not conform to the documented JSON schema."""
 
 
-def channel_to_json(ch: QubitChannel) -> dict:
-    return {
-        "type": "canonical",
-        "t": [float(v) for v in ch.t],
-        "lambda": [float(v) for v in ch.lam],
-    }
+channel_to_json = QubitChannel.to_json
 
 
 def _parse_matrix(entry) -> np.ndarray:

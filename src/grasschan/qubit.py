@@ -23,6 +23,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .tolerances import (
+    CHOI_EIG_FLOOR,
+    DIAG_ATOL,
+    ISCLOSE_ATOL,
+    KRAUS_CONSISTENCY_ATOL,
+    KRAUS_TP_ATOL,
+    SCREEN_MARGIN,
+    STATE_ATOL,
+    TP_ATOL,
+)
+
 __all__ = [
     "PAULI",
     "SIGMA_PLUS",
@@ -53,15 +64,8 @@ PAULI = (
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 
-STATE_ATOL = 1e-9
-TP_ATOL = 1e-12
-CHOI_EIG_FLOOR = -1e-9
-DIAG_ATOL = 1e-10
 #: Candidates that ``random_cptp_canonical_channel`` screens per batch.
 SAMPLER_BLOCK = 32
-#: Slack of the batched Choi screen below ``CHOI_EIG_FLOOR``; far above the
-#: few-ulp gap between a batched and a single eigenvalue of an O(1) matrix.
-SCREEN_MARGIN = 1e-12
 
 
 class NonDiagonalBlockError(ValueError):
@@ -111,25 +115,25 @@ class QubitState:
         return cls(p=(1 + r[2]) / 2, gamma=(r[0] - 1j * r[1]) / 2)
 
     @classmethod
-    def from_matrix(cls, m, atol: float = STATE_ATOL) -> "QubitState":
+    def from_matrix(cls, m) -> "QubitState":
         m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
-        if abs(np.trace(m) - 1) > atol:
+        if abs(np.trace(m) - 1) > STATE_ATOL:
             raise ValueError(f"trace {np.trace(m)} differs from 1")
-        if np.max(np.abs(m - m.conj().T)) > atol:
+        if np.max(np.abs(m - m.conj().T)) > STATE_ATOL:
             raise ValueError("matrix is not Hermitian")
         return cls(p=m[0, 0].real, gamma=m[0, 1])
 
-    def isclose(self, other: "QubitState", atol: float = 1e-12) -> bool:
+    def isclose(self, other: "QubitState", atol: float = ISCLOSE_ATOL) -> bool:
         return abs(self.p - other.p) <= atol and abs(self.gamma - other.gamma) <= atol
 
 
-def ptm_from_kraus(kraus: Sequence[np.ndarray], atol: float = TP_ATOL) -> np.ndarray:
+def ptm_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """Transfer matrix ``Tr[sigma_i sum_k A_k sigma_j A_k^dag] / 2`` of a Kraus list."""
     ops = [np.asarray(a, dtype=complex) for a in kraus]
     total = sum(a.conj().T @ a for a in ops)
-    if np.max(np.abs(total - np.eye(2))) > max(atol, 1e-10):
+    if np.max(np.abs(total - np.eye(2))) > KRAUS_TP_ATOL:
         raise NotTracePreservingError(
             f"sum A^dag A deviates from identity by {np.max(np.abs(total - np.eye(2))):.3e}"
         )
@@ -220,7 +224,7 @@ class QubitChannel:
             ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus)
             object.__setattr__(self, "kraus", ops)
             derived = ptm_from_kraus(ops)
-            if np.max(np.abs(derived - self.ptm)) > 1e-9:
+            if np.max(np.abs(derived - self.ptm)) > KRAUS_CONSISTENCY_ATOL:
                 raise ValueError("Kraus list is inconsistent with the canonical parameters")
 
     @classmethod
@@ -236,8 +240,8 @@ class QubitChannel:
         ops = tuple(np.asarray(a, dtype=complex) for a in kraus)
         t, lam = canonical_from_ptm(ptm_from_kraus(ops))
         # The transfer matrix is derived once: canonical_from_ptm bounded the
-        # dropped entries by DIAG_ATOL, below the 1e-9 consistency bound that
-        # __post_init__ would re-check.
+        # dropped entries by DIAG_ATOL, below the KRAUS_CONSISTENCY_ATOL bound
+        # that __post_init__ would re-check.
         ch = cls(t=t, lam=lam)
         object.__setattr__(ch, "kraus", ops)
         return ch
@@ -266,8 +270,21 @@ class QubitChannel:
         ok = bool(eigs[0] >= CHOI_EIG_FLOOR and tp_dev <= TP_ATOL)
         return CptpReport(ok=ok, min_choi_eigenvalue=float(eigs[0]), tp_deviation=tp_dev)
 
-    def isclose(self, other: "QubitChannel", atol: float = 1e-12) -> bool:
+    def isclose(self, other: "QubitChannel", atol: float = ISCLOSE_ATOL) -> bool:
         return bool(np.max(np.abs(self.ptm - other.ptm)) <= atol)
+
+    def to_json(self) -> dict:
+        """The canonical spec ``{"type": "canonical", "t": ..., "lambda": ...}``.
+
+        The one channel-to-JSON writer (``io.channel_to_json`` is this
+        function); the spec re-ingests bit-exactly through
+        ``io.channel_from_json``.
+        """
+        return {
+            "type": "canonical",
+            "t": [float(v) for v in self.t],
+            "lambda": [float(v) for v in self.lam],
+        }
 
     def __repr__(self):
         t = ", ".join(f"{v:.6g}" for v in self.t)
@@ -276,7 +293,7 @@ class QubitChannel:
 
 
 def is_cptp(ch: QubitChannel) -> CptpReport:
-    """Choi positivity (floor ``-1e-9``) plus trace preservation (``1e-12``)."""
+    """Choi positivity (floor ``CHOI_EIG_FLOOR``) plus trace preservation (``TP_ATOL``)."""
     return ch.cptp_report
 
 

@@ -1,0 +1,79 @@
+"""The tolerance policy: every numeric tolerance of the package, in one place.
+
+Every other module imports its tolerances from here; none defines its own
+(``tests/test_tolerances.py`` enforces this on the source).  The modules
+that used to define a name re-export it, so ``grasschan.qubit.TP_ATOL`` and
+the like still resolve.
+
+==========================  =======  ==========================================  ===============================================
+name                        value    what it bounds                              where a report shows it
+==========================  =======  ==========================================  ===============================================
+``ISCLOSE_ATOL``            1e-12    default of every ``isclose`` method         (not in reports)
+``STATE_ATOL``              1e-9     ``p`` range, ``|gamma|^2 <= p(1-p)``,       (raises ``ValueError``)
+                                     trace and Hermiticity of a state matrix
+``KRAUS_TP_ATOL``           1e-10    ``max |sum A^dag A - I|`` of a Kraus list   (raises ``NotTracePreservingError``)
+``KRAUS_CONSISTENCY_ATOL``  1e-9     Kraus transfer matrix vs ``(t, lam)``       (raises ``ValueError``)
+                                     when both are given
+``DIAG_ATOL``               1e-10    first row and off-diagonal block entries    (raises ``NonDiagonalBlockError``)
+                                     dropped by ``canonical_from_ptm``
+``CHOI_EIG_FLOOR``          -1e-9    smallest Choi eigenvalue of a CPTP channel  ``cptp.ok``, ``cptp.min_choi_eigenvalue``
+``TP_ATOL``                 1e-12    ``max |Tr_out Choi - I|`` of a CPTP channel ``cptp.ok``, ``cptp.tp_deviation``
+``SCREEN_MARGIN``           1e-12    slack of the sampler's batched Choi screen  (none: the screen only skips candidates)
+                                     below ``CHOI_EIG_FLOOR``
+``NORMALIZATION_ATOL``      1e-10    ``|chi(0) - 1|`` of a characteristic        (raises ``NotNormalizedError``)
+                                     function
+``PHYSICALITY_ATOL``        1e-9     realness, conjugate symmetry and state      (raises ``NotPhysicalError``)
+                                     bounds of a recovered state
+``GAUSSIAN_ATOL``           1e-10    kernel vs the Gaussian pattern; in          ``gaussian`` (null or not),
+                                     canonical terms ``|t1|``, ``|t2|`` and      ``gaussian_equivalent``
+                                     ``|lam3 - lam1 lam2|``
+``ANGLE_ATOL``              1e-9     realness and range of ``a``, ``b``; the     ``angles`` (null with a "no angle form" note)
+                                     ``cos 2theta = cos 2phi`` degeneracy
+``ANGLE_RATIO_ATOL``        1e-7     ``c / ((cos 2theta - cos 2phi)/4)``         ``angles.q``
+                                     outside ``[-1, 1]``
+``UNITARITY_ATOL``          1e-12    ``max |U^dag U - I|`` of a dilation         (raises ``ValueError``)
+``ENV_ATOL``                1e-12    off-diagonal ``gamma`` and range of ``q``   ``dilation.env_state.q``
+                                     of a dilation's environment state
+``WITNESS_DIAG_ATOL``       1e-9     off-diagonal entries of a solved            ``degradability.attempts.*.cptp`` (false when
+                                     degrading map, read as canonical            the map is not canonical)
+``CERT_RESIDUAL_TOL``       1e-9     recomposition residual of an accepted       ``degradability.kind``, ``degradability.residual``
+                                     witness (``analyze --tol``)
+``BOUNDARY_ATOL``           1e-12    ``|cos 2phi|`` at the classification pole;  ``degradability.prediction.boundary``,
+                                     ``q`` at a pure environment                 ``degradability.prediction.kind``
+``CALIBRATION_TOL``         1e-14    characteristic function vs its closed form  ``verify``: ``checks[0].tolerance``
+``ORACLE_TOL``              1e-12    Berezin convolution vs the dense Bloch map  ``verify``: ``checks[1].tolerance``
+==========================  =======  ==========================================  ===============================================
+"""
+
+ISCLOSE_ATOL = 1e-12
+
+# Qubit states and channels (qubit.py).
+STATE_ATOL = 1e-9
+KRAUS_TP_ATOL = 1e-10
+KRAUS_CONSISTENCY_ATOL = 1e-9
+DIAG_ATOL = 1e-10
+CHOI_EIG_FLOOR = -1e-9
+TP_ATOL = 1e-12
+# Far above the few-ulp gap between a batched and a single eigenvalue of an
+# O(1) matrix, so the screen never drops a candidate the exact check accepts.
+SCREEN_MARGIN = 1e-12
+
+# Characteristic functions (charfunc.py).
+NORMALIZATION_ATOL = 1e-10
+PHYSICALITY_ATOL = 1e-9
+
+# Gaussian detection and the angle form (green.py).
+GAUSSIAN_ATOL = 1e-10
+ANGLE_ATOL = 1e-9
+ANGLE_RATIO_ATOL = 1e-7
+
+# Dilations and degradability certificates (degradability.py).
+UNITARITY_ATOL = 1e-12
+ENV_ATOL = 1e-12
+WITNESS_DIAG_ATOL = 1e-9
+CERT_RESIDUAL_TOL = 1e-9
+BOUNDARY_ATOL = 1e-12
+
+# Self-verification suites (verify.py).
+CALIBRATION_TOL = 1e-14
+ORACLE_TOL = 1e-12

@@ -21,12 +21,11 @@ from .charfunc import char_function, state_from_char
 from .grassmann import GrassmannElement
 from .green import apply_green, green_from_channel
 from .qubit import apply_channel, random_cptp_canonical_channel, random_state
+from .tolerances import CALIBRATION_TOL, ORACLE_TOL
 
 __all__ = ["CheckResult", "VerificationResult", "run_verification", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 42
-CALIBRATION_TOL = 1e-14
-ORACLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)

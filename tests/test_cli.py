@@ -8,13 +8,26 @@ import numpy as np
 import pytest
 
 import grasschan
-from grasschan import io
+from grasschan import catalog, io
 from grasschan.cli import main
+from grasschan.degradability import (
+    certify,
+    classify_by_angles,
+    dilation_from_angles,
+    weakly_complementary,
+)
+from grasschan.green import (
+    angles_from_gaussian,
+    detect_gaussian,
+    gaussian_equivalent,
+    green_from_channel,
+)
 from grasschan.qubit import (
     NonDiagonalBlockError,
     NotTracePreservingError,
     QubitChannel,
 )
+from grasschan.tolerances import CERT_RESIDUAL_TOL
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +74,40 @@ class TestChannelCodec:
         mats = [[[[hadamard[i, j], 0] for j in range(2)] for i in range(2)]]
         with pytest.raises(NonDiagonalBlockError):
             io.channel_from_json({"type": "kraus", "matrices": mats})
+
+    def test_io_writer_is_the_channel_writer(self):
+        assert io.channel_to_json is QubitChannel.to_json
+
+    @pytest.mark.parametrize(
+        "t, lam, n_blocks",
+        [
+            ((0.1, -0.05, 0.08), (0.4, 0.3, -0.2), 1),  # generic: no equivalent
+            ((0, 0, 0.7), (np.sqrt(0.3), np.sqrt(0.3), 0.3), 4),  # Gaussian
+            ((0.36, 0, 0), (0.64, 0.8, 0.8), 4),  # Gaussian after relabelling
+            ((0, 0, 0.5), (np.sqrt(0.5), np.sqrt(0.5), 0.5), 4),  # cos 2phi = 0
+        ],
+        ids=["generic", "gaussian", "permuted", "boundary"],
+    )
+    def test_every_report_channel_block_comes_from_the_writer(self, t, lam, n_blocks):
+        ch = QubitChannel.from_canonical(t, lam)
+        report = catalog.analyze_channel(ch)
+        blocks = [(report["channel"], ch)]
+        if report["gaussian"] is not None:
+            target, holder = ch, report
+        else:
+            eq = gaussian_equivalent(ch)
+            target, holder = (None, None) if eq is None else (eq.channel, report["gaussian_equivalent"])
+        if target is not None:
+            ap = angles_from_gaussian(detect_gaussian(green_from_channel(target)))
+            comp = weakly_complementary(dilation_from_angles(ap))
+            verdict = certify(target, comp, attempt_both=classify_by_angles(ap).boundary)
+            blocks.append((report["gaussian_equivalent"]["channel"], target))
+            blocks.append((holder["degradability"]["complement"], comp))
+            blocks.append((holder["degradability"]["witness"], verdict.witness))
+        assert len(blocks) == n_blocks
+        for block, channel in blocks:
+            assert block == channel.to_json()
+            assert io.channel_from_json(block).ptm.tobytes() == channel.ptm.tobytes()
 
 
 class TestAnalyzeCommand:
@@ -172,6 +219,16 @@ class TestAnalyzeCommand:
         assert code == 0 and out == ""
         report = json.loads(out_path.read_text())
         assert report["name"] == "bit_flip"
+
+    def test_tol_defaults_to_the_policy_constant(self, capsys):
+        args = ("analyze", "--named", "amplitude_damping", "--param", "n=0.3", "--json")
+        _, default, _ = run_cli(capsys, *args)
+        _, explicit, _ = run_cli(capsys, *args, "--tol", repr(CERT_RESIDUAL_TOL))
+        assert explicit == default
+        with pytest.raises(SystemExit):
+            main(["analyze", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"(default: {CERT_RESIDUAL_TOL:g})" in help_text
 
     def test_deterministic_output(self, capsys):
         args = ("analyze", "--named", "amplitude_damping", "--param", "n=0.6", "--json")

@@ -25,6 +25,7 @@ from grasschan.qubit import (
     random_cptp_canonical_channel,
     random_state,
 )
+from grasschan.tolerances import GAUSSIAN_ATOL
 
 
 def bit_flip(s):
@@ -266,6 +267,111 @@ class TestGaussianEquivalent:
         ch = QubitChannel.from_canonical([0.1, 0.15, 0], [0.7, 0.49, 0.7])
         assert ch.cptp_report.ok
         assert gaussian_equivalent(ch) is None
+
+
+# The frame search as it was before the sign loop was removed: 6 axis
+# permutations x 4 even lambda sign patterns, in this order.  Kept as the
+# reference the 6-candidate search must reproduce bit for bit.
+_REFERENCE_PERMUTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
+_REFERENCE_SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+
+
+def _reference_gaussian_equivalent(ch):
+    t = ch.t
+    lam = ch.lam
+    for perm in _REFERENCE_PERMUTATIONS:
+        inv = tuple(perm.index(i) for i in range(3))
+        for signs in _REFERENCE_SIGN_PATTERNS:
+            new_lam = np.array([signs[inv[i]] * lam[inv[i]] for i in range(3)])
+            new_t = np.array([t[inv[i]] for i in range(3)])
+            if abs(new_t[0]) > GAUSSIAN_ATOL or abs(new_t[1]) > GAUSSIAN_ATOL:
+                continue
+            if abs(new_lam[2] - new_lam[0] * new_lam[1]) > GAUSSIAN_ATOL:
+                continue
+            channel = QubitChannel.from_canonical([0.0, 0.0, float(new_t[2])], new_lam)
+            return perm, signs, channel
+    return None
+
+
+def _relabellings(t, lam):
+    """The channel ``(t, lam)`` under all six axis relabellings."""
+    t, lam = np.asarray(t, dtype=float), np.asarray(lam, dtype=float)
+    return [QubitChannel.from_canonical(t[list(p)], lam[list(p)]) for p in _REFERENCE_PERMUTATIONS]
+
+
+def _random_channels():
+    rng = np.random.default_rng(2718)
+    return [random_cptp_canonical_channel(rng) for _ in range(200)]
+
+
+def _angle_form_channels():
+    out = []
+    for theta in np.linspace(0, np.pi / 2, 7):
+        for phi in np.linspace(-np.pi, np.pi, 9):
+            for q in (1.0, 0.0, 0.25, 0.6):  # pure, then mixed environments
+                ch = channel_from_angles(AngleParams(theta=theta, phi=phi, q=q))
+                out.extend(_relabellings(ch.t, ch.lam))
+    return out
+
+
+def _depolarizing_channels():
+    return [QubitChannel.from_canonical([0, 0, 0], [1 - s] * 3) for s in np.linspace(0, 1, 21)]
+
+
+def _tolerance_edge_channels():
+    # Amplitude damping (n = 0.64) with |t1|, |t2| or |lam3 - lam1 lam2| moved
+    # to just inside and just outside GAUSSIAN_ATOL, under every relabelling.
+    steps = [f * GAUSSIAN_ATOL for f in (0.5, 1 - 1e-6, 1 + 1e-6, 2.0)]
+    steps += [GAUSSIAN_ATOL, np.nextafter(GAUSSIAN_ATOL, 1.0)]
+    out = []
+    for d in steps:
+        for sign in (1, -1):
+            for t, lam in (
+                ([sign * d, 0, 0.36], [0.8, 0.8, 0.64]),
+                ([0, sign * d, 0.36], [0.8, 0.8, 0.64]),
+                ([0, 0, 0.36], [0.8, 0.8, 0.8 * 0.8 + sign * d]),
+            ):
+                out.extend(_relabellings(t, lam))
+    return out
+
+
+class TestFrameSearchMatchesReference:
+    """The 6-candidate search returns what the 24-candidate loop returned."""
+
+    def _compare(self, channels):
+        matched = []
+        for ch in channels:
+            ref = _reference_gaussian_equivalent(ch)
+            eq = gaussian_equivalent(ch)
+            if ref is None:
+                assert eq is None
+                continue
+            perm, signs, channel = ref
+            assert eq is not None
+            assert (eq.perm, eq.signs) == (perm, signs)
+            assert eq.channel.t.tobytes() == channel.t.tobytes()
+            assert eq.channel.lam.tobytes() == channel.lam.tobytes()
+            matched.append(eq.perm)
+        return matched
+
+    def test_random_channels(self):
+        self._compare(_random_channels())
+
+    def test_angle_form_channels_under_every_relabelling(self):
+        matched = self._compare(_angle_form_channels())
+        # Swapping the first two axes keeps a Gaussian form Gaussian, so the
+        # even permutations, tried first, take every match.
+        assert set(matched) == set(_REFERENCE_PERMUTATIONS[:3])
+
+    def test_depolarizing_channels(self):
+        matched = self._compare(_depolarizing_channels())
+        assert matched  # s = 0 and s = 1 are Gaussian
+
+    def test_channels_at_the_gaussian_tolerance(self):
+        channels = _tolerance_edge_channels()
+        matched = self._compare(channels)
+        # both sides of the tolerance are exercised
+        assert 0 < len(matched) < len(channels)
 
 
 def test_green_serialization_table():

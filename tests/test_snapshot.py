@@ -12,31 +12,50 @@ Regenerate it only for an intended change of results::
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from grasschan import catalog, verify
+from grasschan import catalog, cli, io, verify
 from grasschan.qubit import QubitChannel
 
 FIXTURE = Path(__file__).parent / "data" / "output_snapshot.json"
 
 # Two parameter points per named channel, on both sides of every verdict
-# boundary the catalog documents.
+# boundary the catalog documents, plus amplitude damping on the boundary
+# itself (n = 1/2, cos 2phi = 0), where both certificate directions run.
 NAMED_POINTS = {
     "bit_flip": ({"s": 0.3}, {"s": 0.85}),
     "phase_flip": ({"s": 0.2}, {"s": 0.7}),
     "bit_phase_flip": ({"s": 0.4}, {"s": 0.9}),
     "depolarizing": ({"s": 0.25}, {"s": 0.6}),
-    "amplitude_damping": ({"n": 0.3}, {"n": 0.8}),
+    "amplitude_damping": ({"n": 0.3}, {"n": 0.8}, {"n": 0.5}),
     "generalized_amplitude_damping": ({"n": 0.3, "s": 0.2}, {"n": 0.75, "s": 0.6}),
 }
 
-# A generic channel (short path) and an amplitude-damping channel with its
-# axes relabelled so that only the lambda-permutation search recovers it.
+# A generic channel (short path), an amplitude-damping channel with its axes
+# relabelled so that only the lambda-permutation search recovers it, and a
+# generalized-amplitude-damping channel (n = 0.3, s = 0.2) relabelled the same
+# way: a mixed environment on the negative side of the sign test.
 CANONICAL_CASES = {
     "generic": ((0.1, -0.05, 0.08), (0.4, 0.3, -0.2)),
     "permuted": ((0.36, 0.0, 0.0), (0.64, 0.8, 0.8)),
+    "gad_permuted": ((-0.42, 0.0, 0.0), (0.3, math.sqrt(0.3), math.sqrt(0.3))),
+}
+
+# Kraus specs read through ``io.channel_from_json``: generalized amplitude
+# damping with n = 0.64 and s = 0.36, matrices as 2x2 arrays of [re, im].
+KRAUS_SPECS = {
+    "gad": {
+        "type": "kraus",
+        "matrices": [
+            [[[0.6, 0], [0, 0]], [[0, 0], [0.48, 0]]],
+            [[[0, 0], [0.36, 0]], [[0, 0], [0, 0]]],
+            [[[0.64, 0], [0, 0]], [[0, 0], [0.8, 0]]],
+            [[[0, 0], [0, 0]], [[0.48, 0], [0, 0]]],
+        ],
+    },
 }
 
 
@@ -49,6 +68,15 @@ def render(key: str) -> str:
     if kind == "channel":
         report = catalog.analyze_channel(QubitChannel.from_canonical(*CANONICAL_CASES[name]))
         return json.dumps(report, indent=2)
+    if kind == "kraus":
+        report = catalog.analyze_channel(io.channel_from_json(KRAUS_SPECS[name]))
+        return json.dumps(report, indent=2)
+    if kind == "text":
+        # The CLI's text rendering of a "channel:" report.
+        _, _, case = name.partition(":")
+        return cli._format_report_text(
+            catalog.analyze_channel(QubitChannel.from_canonical(*CANONICAL_CASES[case]))
+        )
     name, _, index = name.partition("#")
     return json.dumps(catalog.analyze(name, NAMED_POINTS[name][int(index)]), indent=2)
 
@@ -57,6 +85,8 @@ KEYS = (
     [f"named:{name}#{i}" for name, points in NAMED_POINTS.items() for i in range(len(points))]
     + [f"channel:{name}" for name in CANONICAL_CASES]
     + ["verify:trials=50,seed=42", "verify:trials=300,seed=7"]
+    + [f"kraus:{name}" for name in KRAUS_SPECS]
+    + ["text:channel:permuted"]
 )
 
 
