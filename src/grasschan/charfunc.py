@@ -29,14 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grassmann import (
+    MONOMIAL_NAMES,
     Generator,
     GrassmannElement,
     OperatorElement,
     _element,
     _index_map,
-    _product_trace,
+    _product_traces,
 )
-from .qubit import SIGMA_MINUS, SIGMA_PLUS, QubitState
+from .qubit import SIGMA_MINUS, SIGMA_PLUS, QubitState, _check_states
 from .tolerances import NORMALIZATION_ATOL, PHYSICALITY_ATOL
 
 __all__ = [
@@ -55,6 +56,7 @@ _PAIRS = {
 }
 
 _XI_MASK = (1 << Generator.XI) | (1 << Generator.XI_STAR)
+_XI, _XI_STAR, _XI_XI_STAR = (MONOMIAL_NAMES.index(name) for name in ("ξ", "ξ*", "ξξ*"))
 
 _MASKS = np.arange(16)
 # Monomials that hold zeta or zeta*.
@@ -120,10 +122,29 @@ def displacement(sign: int = 1, pair: str = "xi") -> OperatorElement:
     return result
 
 
+def _char_bodies(rho: np.ndarray) -> np.ndarray:
+    """Bodies ``trace(rho D(xi))`` of ``(n, 2, 2)`` density matrices, as ``(n, 16)`` rows.
+
+    Row ``s`` has the bits of ``char_function`` of the state with matrix
+    ``rho[s]``; the rows are not validated.
+    """
+    ops = np.zeros(rho.shape + (16,), dtype=complex)
+    ops[..., 0] = rho
+    return _product_traces(ops, displacement()._a)
+
+
+def _check_char_bodies(bodies: np.ndarray) -> None:
+    """Raise what ``CharFunction`` raises for the first invalid row of ``bodies``."""
+    bad = bodies[:, _OFF_XI_MASKS].any(axis=1) | (
+        np.abs(bodies[:, 0] - 1) > NORMALIZATION_ATOL
+    )
+    for s in np.flatnonzero(bad):
+        CharFunction(_element(bodies[s].copy()))
+
+
 def char_function(rho: QubitState) -> CharFunction:
     """``trace(rho D(xi))`` as a Grassmann element of the xi subalgebra."""
-    rho_op = OperatorElement.from_matrix(rho.matrix)
-    return CharFunction(_product_trace(rho_op, displacement()))
+    return CharFunction(_element(_char_bodies(rho.matrix[None])[0]))
 
 
 def state_from_char(chi: CharFunction) -> QubitState:
@@ -148,6 +169,29 @@ def state_from_char(chi: CharFunction) -> QubitState:
             f"recovered |gamma|^2={abs(gamma)**2:.3e} exceeds p(1-p)={p*(1-p):.3e}"
         )
     return QubitState(p=min(max(p, 0.0), 1.0), gamma=gamma)
+
+
+def _states_from_bodies(bodies: np.ndarray):
+    """``state_from_char`` on ``(n, 16)`` valid bodies: arrays ``p`` and ``gamma``.
+
+    Every row gets every check of ``state_from_char`` and ``QubitState``; the
+    first failing row raises through them, with their exception and message.
+    """
+    pair = bodies[:, _XI_XI_STAR]
+    gamma = bodies[:, _XI]
+    p = pair.real + 0.5
+    bad = (
+        (np.abs(bodies[:, 0] - 1) > NORMALIZATION_ATOL)
+        | (np.abs(pair.imag) > PHYSICALITY_ATOL)
+        | (np.abs(bodies[:, _XI_STAR] + np.conj(gamma)) > PHYSICALITY_ATOL)
+        | ~((-PHYSICALITY_ATOL <= p) & (p <= 1 + PHYSICALITY_ATOL))
+        | (np.abs(gamma) ** 2 > p * (1 - p) + PHYSICALITY_ATOL)
+    )
+    for s in np.flatnonzero(bad):
+        state_from_char(CharFunction(_element(bodies[s].copy())))
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    _check_states(p, gamma)
+    return p, gamma
 
 
 def negate_generators(x: GrassmannElement) -> GrassmannElement:

@@ -7,8 +7,11 @@ Subcommands::
     grasschan verify [--trials N] [--seed S] [--tol T] [--json]
 
 Exit codes: 0 ok, 2 parse error, 3 validation error (non-CPTP or
-non-canonical input), 4 verification-suite failure.  With ``--json`` errors
-are emitted as machine-readable objects on stdout.
+non-canonical input, or a result holding NaN or an infinity), 4
+verification-suite failure.  With ``--json`` errors are emitted as
+machine-readable objects on stdout, and every ``--json`` output is strict
+JSON: a result that holds a non-finite number is an error, never
+``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -78,10 +81,24 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def _error(kind: str, message: str, as_json: bool, code: int) -> int:
     if as_json:
-        print(json.dumps({"schema_version": 1, "error": {"kind": kind, "message": message}}))
+        print(_strict_json({"schema_version": 1, "error": {"kind": kind, "message": message}}))
     else:
         print(f"error ({kind}): {message}", file=sys.stderr)
     return code
+
+
+def _strict_json(payload: dict, indent: Optional[int] = None) -> str:
+    """``payload`` as JSON; ``ValueError`` when it holds NaN or an infinity."""
+    return json.dumps(payload, indent=indent, allow_nan=False)
+
+
+def _non_finite_json() -> int:
+    return _error(
+        "validation",
+        "the result holds a non-finite number, which strict JSON cannot encode",
+        True,
+        EXIT_VALIDATION,
+    )
 
 
 def _parse_params(pairs: list) -> dict:
@@ -191,7 +208,13 @@ def _cmd_analyze(args) -> int:
             args.json,
             EXIT_VALIDATION,
         )
-    text = json.dumps(report, indent=2) if args.json else _format_report_text(report)
+    if args.json:
+        try:
+            text = _strict_json(report, indent=2)
+        except ValueError:
+            return _non_finite_json()
+    else:
+        text = _format_report_text(report)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -203,7 +226,7 @@ def _cmd_catalog(args) -> int:
         if not listing:
             return _error("parse", f"unknown channel {args.name!r}", args.json, EXIT_PARSE)
     if args.json:
-        print(json.dumps({"schema_version": 1, "channels": listing}, indent=2))
+        print(_strict_json({"schema_version": 1, "channels": listing}, indent=2))
         return EXIT_OK
     for entry in listing:
         params = ", ".join(f"{p} in [0, 1]" for p in entry["params"])
@@ -228,7 +251,11 @@ def _cmd_verify(args) -> int:
         payload = result.to_json()
         if args.trials == 0:
             payload["warning"] = "0 trials requested; the pass is vacuous"
-        print(json.dumps(payload, indent=2))
+        try:
+            text = _strict_json(payload, indent=2)
+        except ValueError:
+            return _non_finite_json()
+        print(text)
     else:
         for check in result.checks:
             status = "pass" if check.passed else "FAIL"

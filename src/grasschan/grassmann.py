@@ -21,6 +21,10 @@ Storage and arithmetic:
   ``i | j`` and merge sign; the eight entry products of an operator product
   share one pass.  The adjoint, the Berezin integrals and ``integrate_pair``
   are fixed signed maps from source to target monomials.
+* The same tables run over a leading stack axis of many operands at once
+  (``_stacked_products``; the index maps take ``(..., 16)`` arrays): the
+  index tables are offset by row, so each row gets the bits of its own
+  single-operand pass.  ``verify`` runs its trials this way.
 * For finite coefficients, results are bit-identical to the term-by-term
   definition: one scalar product ``sign * x[i] * y[j]`` per pair of nonzero
   coefficients, added to a zero target in pair order.  The complex product
@@ -231,6 +235,29 @@ def _products(xc: np.ndarray, yc: np.ndarray, plan) -> np.ndarray:
     out.real = np.bincount(target, sign * (ar * br - ai * bi), size)
     out.imag = np.bincount(target, sign * (ar * bi + ai * br), size)
     return out
+
+
+def _stacked_products(xc: np.ndarray, yc: np.ndarray, plan) -> np.ndarray:
+    """``_products`` over a leading stack axis: row ``s`` pairs ``xc[s]`` with ``yc[s]``.
+
+    A ``yc`` with one dimension less than ``xc`` is one operand shared by
+    every row.  The index tables are offset by row, so every target still
+    sums its own terms in pair order and row ``s`` of the ``(n, size)``
+    result has the bits of ``_products(xc[s], yc[s], plan)``.
+    """
+    n = len(xc)
+    x_index, y_index, sign, target, size = plan
+    if n != 1:
+        row = np.arange(n)[:, None]
+        y_stride = yc[0].size if yc.ndim == xc.ndim else 0
+        plan = (
+            (x_index + row * xc[0].size).ravel(),
+            (y_index + row * y_stride).ravel(),
+            np.tile(sign, n),
+            (target + row * size).ravel(),
+            n * size,
+        )
+    return _products(xc, yc, plan).reshape(n, size)
 
 
 def _index_map(c: np.ndarray, src, dst, sign=None) -> np.ndarray:
@@ -482,9 +509,13 @@ def berezin_integrate(x: GrassmannElement, v: Generator) -> GrassmannElement:
     return _berezin_integrate(x, v)
 
 
+def _integrate_pair_coeffs(c: np.ndarray) -> np.ndarray:
+    return _index_map(c, _PAIR_INTEGRAL_SRC, _PAIR_INTEGRAL_DST)
+
+
 def integrate_pair(x: GrassmannElement) -> GrassmannElement:
     """Berezin integral over the zeta pair: zeta first, then zeta*."""
-    return _element(_index_map(x._c, _PAIR_INTEGRAL_SRC, _PAIR_INTEGRAL_DST))
+    return _element(_integrate_pair_coeffs(x._c))
 
 
 def delta_pair(argument: GrassmannElement) -> GrassmannElement:
@@ -663,7 +694,12 @@ class OperatorElement:
         return f"OperatorElement([{rows}])"
 
 
-def _product_trace(e: OperatorElement, f: OperatorElement) -> GrassmannElement:
-    """``(e * f).trace()``, bit for bit, from the two diagonal entries only."""
-    p = _products(e._a, f._a, _DIAGONAL_PRODUCTS).reshape(4, N_MONOMIALS)
-    return _element((p[0] + p[1]) + (p[2] + p[3]))
+def _product_traces(ea: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """Coefficients of ``(e * f).trace()`` for stacked ``(n, 2, 2, 16)`` operator arrays.
+
+    ``fa`` is stacked alike or is one ``(2, 2, 16)`` array shared by every
+    row.  Only the two diagonal entries of each product are computed; row
+    ``s`` has the bits of ``(e_s * f_s).trace()``.
+    """
+    p = _stacked_products(ea, fa, _DIAGONAL_PRODUCTS).reshape(-1, 4, N_MONOMIALS)
+    return (p[:, 0] + p[:, 1]) + (p[:, 2] + p[:, 3])

@@ -38,16 +38,14 @@ import numpy as np
 
 from .charfunc import CharFunction, displacement
 from .grassmann import (
-    XI,
-    XI_STAR,
-    ZETA,
-    ZETA_STAR,
+    _SINGLE_PRODUCT,
     GrassmannElement,
     OperatorElement,
+    _adjoint_coeffs,
     _element,
     _index_map,
-    delta_pair,
-    integrate_pair,
+    _integrate_pair_coeffs,
+    _stacked_products,
 )
 from .qubit import PAULI, NotCptpError, QubitChannel, is_cptp
 from .tolerances import ANGLE_ATOL, ANGLE_RATIO_ATOL, GAUSSIAN_ATOL, ISCLOSE_ATOL
@@ -120,20 +118,19 @@ class GaussianEquivalent:
     channel: QubitChannel
 
 
-# Constant monomials of the kernel, built once.
-_XI_XI_STAR = XI * XI_STAR
-_ZETA_ZETA_STAR_XI = ZETA * ZETA_STAR * XI
-_ZETA_ZETA_STAR_XI_STAR = ZETA * ZETA_STAR * XI_STAR
+# Monomial masks of the kernel's coefficients.
+_ZETA = 0b0001
+_XI = 0b0100
+_XI_STAR = 0b1000
+_XI_XI_STAR = 0b1100
+_ZETA_ZETA_STAR_XI = 0b0111
+_ZETA_ZETA_STAR_XI_STAR = 0b1011
 
 # The xi subalgebra (1, xi, xi*, xi xi*) and its zeta-pair image (1, zeta,
 # zeta*, zeta zeta*): both pairs sit in the same relative order, so the
 # relabelling is a signless shift of the monomial mask.
 _XI_MASKS = np.array([0b0000, 0b0100, 0b1000, 0b1100])
 _ZETA_MASKS = _XI_MASKS >> 2
-
-
-def _delta_argument(a: complex, b: complex) -> GrassmannElement:
-    return ZETA - a * XI - b * XI_STAR
 
 
 def green_from_canonical(t, lam) -> GreenFunction:
@@ -149,21 +146,34 @@ def green_from_channel(ch: QubitChannel) -> GreenFunction:
             f"canonical parameters are not CPTP (min Choi eigenvalue "
             f"{report.min_choi_eigenvalue:.3e})"
         )
-    return _green_body(ch.t, ch.lam, provenance=(ch.t, ch.lam))
+    body = _kernel_bodies(ch.t[None], ch.lam[None])[0]
+    return GreenFunction(body=_element(body), provenance=(ch.t, ch.lam))
 
 
-def _green_body(t, lam, provenance=None) -> GreenFunction:
-    t1, t2, t3 = (float(v) for v in t)
-    lam1, lam2, lam3 = (float(v) for v in lam)
-    a = (lam1 + lam2) / 2
-    b = (lam2 - lam1) / 2
-    body = delta_pair(_delta_argument(a, b)) * (
-        GrassmannElement.one() + (t3 / 2) * _XI_XI_STAR
-    )
-    body = body + (lam3 - lam1 * lam2) * _XI_XI_STAR
-    body = body + ((t1 - 1j * t2) / 2) * _ZETA_ZETA_STAR_XI
-    body = body - ((t1 + 1j * t2) / 2) * _ZETA_ZETA_STAR_XI_STAR
-    return GreenFunction(body=body, provenance=provenance)
+def _kernel_bodies(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Kernel bodies of the canonical rows ``(t[s], lam[s])``, as ``(n, 16)`` rows.
+
+    The module docstring's kernel, assembled coefficient by coefficient: the
+    delta argument ``zeta - a xi - b xi*`` and the factor ``1 + (t3/2) xi xi*``
+    are set directly, and the three additive terms land on their monomials
+    (``xi xi*``, ``zeta zeta* xi``, ``zeta zeta* xi*``, each with coefficient
+    +1 in the product basis).  Rows do not depend on each other.
+    """
+    t1, t2, t3 = t.T
+    lam1, lam2, lam3 = lam.T
+    arg = np.zeros((len(t), 16), dtype=complex)
+    arg[:, _ZETA] = 1.0
+    arg[:, _XI] = -(lam1 + lam2) / 2
+    arg[:, _XI_STAR] = -(lam2 - lam1) / 2
+    delta = _stacked_products(arg, _adjoint_coeffs(arg), _SINGLE_PRODUCT)
+    factor = np.zeros_like(arg)
+    factor[:, 0] = 1.0
+    factor[:, _XI_XI_STAR] = t3 / 2
+    body = _stacked_products(delta, factor, _SINGLE_PRODUCT)
+    body[:, _XI_XI_STAR] += lam3 - lam1 * lam2
+    body[:, _ZETA_ZETA_STAR_XI] += (t1 - 1j * t2) / 2
+    body[:, _ZETA_ZETA_STAR_XI_STAR] -= (t1 + 1j * t2) / 2
+    return body
 
 
 def green_from_channel_trace(ch: QubitChannel) -> GreenFunction:
@@ -186,10 +196,17 @@ def green_from_channel_trace(ch: QubitChannel) -> GreenFunction:
     return GreenFunction(body=body, provenance=(ch.t, ch.lam))
 
 
+def _apply_kernels(kernels: np.ndarray, chis: np.ndarray) -> np.ndarray:
+    """Berezin convolutions of ``(n, 16)`` kernel rows with characteristic-function
+    rows; row ``s`` has the bits of ``apply_green`` and is not validated."""
+    relabeled = _index_map(chis, _XI_MASKS, _ZETA_MASKS)
+    return _integrate_pair_coeffs(_stacked_products(relabeled, kernels, _SINGLE_PRODUCT))
+
+
 def apply_green(green: GreenFunction, chi: CharFunction) -> CharFunction:
     """Berezin convolution of a kernel with an input characteristic function."""
-    relabeled = _element(_index_map(chi.body.coefficients, _XI_MASKS, _ZETA_MASKS))
-    return CharFunction(integrate_pair(relabeled * green.body))
+    out = _apply_kernels(green.body.coefficients[None], chi.body.coefficients[None])
+    return CharFunction(_element(out[0]))
 
 
 _GAUSSIAN_ZERO_MONOMIALS = (
@@ -299,10 +316,13 @@ def channel_from_angles(ap: AngleParams) -> QubitChannel:
     return QubitChannel.from_canonical([0.0, 0.0, float(t3)], [lam1, lam2, lam3])
 
 
-# Even permutations first (identity leading), then odd ones.  This order makes
-# an already-Gaussian channel report the identity permutation and sends the
-# phase-flip pattern (m, m, 1) to the bit-flip pattern (1, m, m).
-_PERMUTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
+# The even permutations, identity first.  This order makes an already-Gaussian
+# channel report the identity permutation and sends the phase-flip pattern
+# (m, m, 1) to the bit-flip pattern (1, m, m).  No odd permutation can be the
+# first match: swapping the first two axes of a match keeps |t1|, |t2| and
+# lam1 lam2 exactly (IEEE products commute), and that swap turns every odd
+# permutation into an even one.
+_PERMUTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def gaussian_equivalent(ch: QubitChannel) -> Optional[GaussianEquivalent]:
@@ -311,7 +331,8 @@ def gaussian_equivalent(ch: QubitChannel) -> Optional[GaussianEquivalent]:
     A relabelling permutes ``lam`` and ``t`` together; the result is Gaussian
     when ``|t1|``, ``|t2|`` and ``|lam3 - lam1 lam2|`` are within
     ``GAUSSIAN_ATOL``.  Returns the first hit in the fixed order of
-    ``_PERMUTATIONS``, or None.
+    ``_PERMUTATIONS`` (the three even permutations; an odd one never matches
+    first), or None.
     """
     for perm in _PERMUTATIONS:
         inv = [perm.index(i) for i in range(3)]

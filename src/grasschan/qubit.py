@@ -129,6 +129,15 @@ class QubitState:
         return abs(self.p - other.p) <= atol and abs(self.gamma - other.gamma) <= atol
 
 
+def _check_states(p: np.ndarray, gamma: np.ndarray) -> None:
+    """Raise what ``QubitState(p[s], gamma[s])`` raises for the first row out of bounds."""
+    bad = ~((-STATE_ATOL <= p) & (p <= 1 + STATE_ATOL)) | (
+        np.abs(gamma) ** 2 > p * (1 - p) + STATE_ATOL
+    )
+    for s in np.flatnonzero(bad):
+        QubitState(p=p[s], gamma=gamma[s])
+
+
 def ptm_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """Transfer matrix ``Tr[sigma_i sum_k A_k sigma_j A_k^dag] / 2`` of a Kraus list."""
     ops = [np.asarray(a, dtype=complex) for a in kraus]
@@ -174,7 +183,10 @@ def _ptm_from_canonical(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return ptm
 
 
-_CHOI_BASIS = np.array([[np.kron(PAULI[k], PAULI[l].T) for l in range(4)] for k in range(4)])
+#: ``sigma_k (x) sigma_l^T`` flattened: row ``4k + l``, column ``4r + c``.
+_CHOI_BASIS = np.array(
+    [np.kron(PAULI[k], PAULI[l].T) for k in range(4) for l in range(4)]
+).reshape(16, 16)
 
 
 def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
@@ -184,11 +196,14 @@ def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
     ``choi = (1/2) sum_kl ptm[k, l] sigma_k (x) sigma_l^T``.
     """
     ptm = np.asarray(ptm, dtype=float)
-    return 0.5 * np.tensordot(ptm, _CHOI_BASIS, axes=2)
+    return 0.5 * np.dot(ptm.reshape(-1, 16), _CHOI_BASIS).reshape(ptm.shape[:-2] + (4, 4))
+
+
+_IDENTITY = np.eye(2)
 
 
 def _trace_out_first(op4: np.ndarray) -> np.ndarray:
-    return np.einsum("ikil->kl", op4.reshape(2, 2, 2, 2))
+    return op4[:2, :2] + op4[2:, 2:]
 
 
 @dataclass(frozen=True)
@@ -266,7 +281,7 @@ class QubitChannel:
     @cached_property
     def cptp_report(self) -> CptpReport:
         eigs = np.linalg.eigvalsh(self.choi)
-        tp_dev = float(np.max(np.abs(_trace_out_first(self.choi) - np.eye(2))))
+        tp_dev = float(np.abs(_trace_out_first(self.choi) - _IDENTITY).max())
         ok = bool(eigs[0] >= CHOI_EIG_FLOOR and tp_dev <= TP_ATOL)
         return CptpReport(ok=ok, min_choi_eigenvalue=float(eigs[0]), tp_deviation=tp_dev)
 
@@ -313,6 +328,19 @@ def apply_channel(ch: QubitChannel, rho: QubitState) -> QubitState:
     return QubitState.from_bloch(r_out)
 
 
+def _bloch_map(t: np.ndarray, lam: np.ndarray, p: np.ndarray, gamma: np.ndarray):
+    """``apply_channel`` of canonical rows ``(t[s], lam[s])`` without Kraus lists
+    to the states ``(p[s], gamma[s])``: arrays ``p`` and ``gamma``, checked like
+    ``QubitState``.  The channels must be CPTP.
+    """
+    r = np.stack([2 * gamma.real, -2 * gamma.imag, 2 * p - 1], axis=1)
+    r_out = t + lam * r
+    p_out = (1 + r_out[:, 2]) / 2
+    gamma_out = (r_out[:, 0] - 1j * r_out[:, 1]) / 2
+    _check_states(p_out, gamma_out)
+    return p_out, gamma_out
+
+
 def compose(second: QubitChannel, first: QubitChannel) -> QubitChannel:
     """Channel ``second o first``; transfer matrices multiply."""
     for ch in (second, first):
@@ -329,6 +357,49 @@ def random_state(rng: np.random.Generator) -> QubitState:
     return QubitState(p=p, gamma=radius * np.exp(1j * phase))
 
 
+def _states_from_uniforms(u: np.ndarray):
+    """The states ``random_state`` draws from the rows ``u[s]`` of standard uniforms.
+
+    ``rng.random((n, 3))`` consumes the stream of ``n`` ``random_state(rng)``
+    calls, and row ``s`` gives the bits of call ``s`` as arrays ``p`` and
+    ``gamma``, checked like ``QubitState``.
+    """
+    p = u[:, 0]
+    radius = np.sqrt(p * (1 - p)) * np.sqrt(u[:, 1])
+    gamma = radius * np.exp(1j * (2 * np.pi * u[:, 2]))
+    _check_states(p, gamma)
+    return p, gamma
+
+
+#: Sign patterns ``s_a`` of ``(sigma_x (x) sigma_x, -sigma_y (x) sigma_y,
+#: sigma_z (x) sigma_z)`` on the four Bell states: the Choi operator of
+#: ``(t, lam)`` has diagonal ``d_a = (1 + s_a . lam) / 2`` in the Bell basis.
+_BELL_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+#: ``t_k`` couples, with magnitude ``|t_k| / 2``, the two pairs of Bell
+#: states whose sign patterns agree on axis ``k``: pair ``(_BELL_A[m],
+#: _BELL_B[m])`` is coupled by ``t[_BELL_AXIS[m]]``.  The six pairs are all
+#: the pairs of the four states.
+_BELL_A = np.array([0, 2, 0, 1, 0, 1])
+_BELL_B = np.array([1, 3, 2, 3, 3, 2])
+_BELL_AXIS = np.array([0, 0, 1, 1, 2, 2])
+
+
+def _choi_prescreen(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Necessary conditions for ``cptp_report.ok`` on rows of ``(t, lam)``.
+
+    With ``f = CHOI_EIG_FLOOR - SCREEN_MARGIN``, a channel whose Choi
+    operator ``C`` satisfies ``C - f I >= 0`` has non-negative 2x2 principal
+    minors ``(d_a - f)(d_b - f) - t_k^2 / 4`` in the Bell basis.  These also
+    give ``d_a - f >= 0``: the ``d_a - f`` sum to ``2 - 4f > 0``, and a
+    negative one would need every state it is paired with, so every other
+    state, to be non-positive.  An accepted channel has
+    ``C - f I >= (SCREEN_MARGIN - O(1e-15)) I``, a slack far above the
+    rounding of these few products, so no accepted row is dropped.
+    """
+    d = (1 + lam @ _BELL_SIGNS.T) / 2 - (CHOI_EIG_FLOOR - SCREEN_MARGIN)
+    return (d[:, _BELL_A] * d[:, _BELL_B] >= (t * t)[:, _BELL_AXIS] / 4).all(axis=1)
+
+
 def random_cptp_canonical_channel(
     rng: np.random.Generator, t_scale: float = 0.8, max_tries: int = 10_000
 ) -> QubitChannel:
@@ -339,16 +410,16 @@ def random_cptp_canonical_channel(
     channel passes :func:`is_cptp` is returned (with its report cached), and
     ``RuntimeError`` is raised after ``max_tries`` failures.
 
-    Candidates are drawn and screened ``SAMPLER_BLOCK`` at a time, but the
+    Candidates are drawn ``SAMPLER_BLOCK`` at a time and pre-screened by the
+    closed-form Bell-basis conditions of :func:`_choi_prescreen`, but the
     sampling is stream-exact: for every ``numpy.random.Generator`` (any bit
     generator; its state is saved and restored) and every ``max_tries`` the
     returned channel has the same bits, and ``rng`` is left in the same state,
-    as drawing and checking the attempts one at a time.  The batched screen
-    drops only candidates whose smallest Choi eigenvalue lies more than
-    ``SCREEN_MARGIN`` below the floor; every acceptance is decided by the
-    single-channel check.  After an acceptance the generator is rewound to the
-    start of the block and advanced by exactly the draws of the attempts up
-    to the accepted one.
+    as drawing and checking the attempts one at a time.  The pre-screen only
+    drops candidates the exact check would reject; every acceptance is
+    decided by the single-channel check.  After an acceptance the generator
+    is rewound to the start of the block and advanced by exactly the draws of
+    the attempts up to the accepted one.
     """
     tried = 0
     while tried < max_tries:
@@ -357,8 +428,7 @@ def random_cptp_canonical_channel(
         draws = rng.uniform(-1, 1, size=(n, 2, 3))
         lam = draws[:, 0]
         t = draws[:, 1] * t_scale
-        min_eigs = np.linalg.eigvalsh(choi_from_ptm(_ptm_from_canonical(t, lam)))[:, 0]
-        for k in np.flatnonzero(min_eigs >= CHOI_EIG_FLOOR - SCREEN_MARGIN):
+        for k in np.flatnonzero(_choi_prescreen(t, lam)):
             ch = QubitChannel.from_canonical(t[k], lam[k])
             if ch.cptp_report.ok:
                 rng.bit_generator.state = start

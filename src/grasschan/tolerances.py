@@ -18,8 +18,8 @@ name                        value    what it bounds                             
                                      dropped by ``canonical_from_ptm``
 ``CHOI_EIG_FLOOR``          -1e-9    smallest Choi eigenvalue of a CPTP channel  ``cptp.ok``, ``cptp.min_choi_eigenvalue``
 ``TP_ATOL``                 1e-12    ``max |Tr_out Choi - I|`` of a CPTP channel ``cptp.ok``, ``cptp.tp_deviation``
-``SCREEN_MARGIN``           1e-12    slack of the sampler's batched Choi screen  (none: the screen only skips candidates)
-                                     below ``CHOI_EIG_FLOOR``
+``SCREEN_MARGIN``           1e-12    slack of the sampler's closed-form Choi     (none: the screen only skips candidates)
+                                     pre-screen below ``CHOI_EIG_FLOOR``
 ``NORMALIZATION_ATOL``      1e-10    ``|chi(0) - 1|`` of a characteristic        (raises ``NotNormalizedError``)
                                      function
 ``PHYSICALITY_ATOL``        1e-9     realness, conjugate symmetry and state      (raises ``NotPhysicalError``)
@@ -54,8 +54,10 @@ KRAUS_CONSISTENCY_ATOL = 1e-9
 DIAG_ATOL = 1e-10
 CHOI_EIG_FLOOR = -1e-9
 TP_ATOL = 1e-12
-# Far above the few-ulp gap between a batched and a single eigenvalue of an
-# O(1) matrix, so the screen never drops a candidate the exact check accepts.
+# The sampler's pre-screen tests Choi positivity against CHOI_EIG_FLOOR -
+# SCREEN_MARGIN.  The margin is far above the rounding of the pre-screen's
+# few products of O(1) numbers, so the pre-screen never drops a candidate
+# the exact check accepts.
 SCREEN_MARGIN = 1e-12
 
 # Characteristic functions (charfunc.py).

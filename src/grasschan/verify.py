@@ -9,6 +9,13 @@ Two independent paths must agree on every channel application:
 ``run_verification`` draws seeded random channels and states, runs both
 paths, and reports the worst residual per suite.  The calibration suite
 additionally pins the closed form of the characteristic function itself.
+
+Each trial's channel and state are drawn in stream order, and then a chunk
+of up to ``CHUNK_TRIALS`` trials runs both paths as ``(n, 16)`` coefficient
+arrays.  Every row has the bits of the single-object path (``char_function``,
+``green_from_channel``, ``apply_green``, ``state_from_char``,
+``apply_channel``), every per-trial check runs on every row and raises that
+check's exception, and a NaN residual makes its suite fail.
 """
 
 from __future__ import annotations
@@ -17,15 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfunc import char_function, state_from_char
-from .grassmann import GrassmannElement
-from .green import apply_green, green_from_channel
-from .qubit import apply_channel, random_cptp_canonical_channel, random_state
+from .charfunc import _char_bodies, _check_char_bodies, _states_from_bodies
+from .grassmann import MONOMIAL_NAMES
+from .green import _apply_kernels, _kernel_bodies
+from .qubit import _bloch_map, _states_from_uniforms, random_cptp_canonical_channel
 from .tolerances import CALIBRATION_TOL, ORACLE_TOL
 
 __all__ = ["CheckResult", "VerificationResult", "run_verification", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 42
+
+#: Trials per array pass: bounds the memory of a run with many trials.
+CHUNK_TRIALS = 256
 
 
 @dataclass(frozen=True)
@@ -61,20 +71,27 @@ class VerificationResult:
         }
 
 
+def _chunks(trials: int):
+    """Sizes of the array passes that cover ``trials`` trials, in order."""
+    for done in range(0, trials, CHUNK_TRIALS):
+        yield min(CHUNK_TRIALS, trials - done)
+
+
+def _matrices(p: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Density matrices ``[[p, gamma], [gamma*, 1 - p]]`` of the rows, as ``QubitState.matrix``."""
+    return np.stack([p, gamma, np.conj(gamma), 1 - p], axis=1).reshape(-1, 2, 2)
+
+
 def _calibration_suite(rng: np.random.Generator, trials: int, tol: float) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
-        rho = random_state(rng)
-        chi = char_function(rho)
-        expected = GrassmannElement.from_table(
-            {
-                "1": 1.0,
-                "ξξ*": (2 * rho.p - 1) / 2,
-                "ξ": rho.gamma,
-                "ξ*": -np.conj(rho.gamma),
-            }
-        )
-        worst = max(worst, float(np.max(np.abs(chi.body.coefficients - expected.coefficients))))
+    for n in _chunks(trials):
+        p, gamma = _states_from_uniforms(rng.random((n, 3)))
+        chi = _char_bodies(_matrices(p, gamma))
+        _check_char_bodies(chi)
+        expected = np.zeros_like(chi)
+        for name, value in (("1", 1.0), ("ξξ*", (2 * p - 1) / 2), ("ξ", gamma), ("ξ*", -np.conj(gamma))):
+            expected[:, MONOMIAL_NAMES.index(name)] = value
+        worst = float(np.max([worst, np.max(np.abs(chi - expected))]))
     return CheckResult(
         name="characteristic_function_closed_form",
         passed=worst <= tol,
@@ -86,16 +103,23 @@ def _calibration_suite(rng: np.random.Generator, trials: int, tol: float) -> Che
 
 def _oracle_suite(rng: np.random.Generator, trials: int, tol: float) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
-        ch = random_cptp_canonical_channel(rng)
-        rho = random_state(rng)
-        kernel = green_from_channel(ch)
-        symbolic = state_from_char(apply_green(kernel, char_function(rho)))
-        dense = apply_channel(ch, rho)
-        worst = max(
-            worst,
-            abs(symbolic.p - dense.p),
-            abs(symbolic.gamma - dense.gamma),
+    for n in _chunks(trials):
+        t, lam, u = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
+        for s in range(n):
+            ch = random_cptp_canonical_channel(rng)
+            t[s], lam[s] = ch.t, ch.lam
+            u[s] = rng.random(3)
+        p, gamma = _states_from_uniforms(u)
+        chi = _char_bodies(_matrices(p, gamma))
+        _check_char_bodies(chi)
+        chi_out = _apply_kernels(_kernel_bodies(t, lam), chi)
+        _check_char_bodies(chi_out)
+        symbolic_p, symbolic_gamma = _states_from_bodies(chi_out)
+        dense_p, dense_gamma = _bloch_map(t, lam, p, gamma)
+        worst = float(
+            np.max(
+                [worst, np.max(np.abs(symbolic_p - dense_p)), np.max(np.abs(symbolic_gamma - dense_gamma))]
+            )
         )
     return CheckResult(
         name="convolution_vs_dense_oracle",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -297,3 +298,63 @@ class TestVerifyCommand:
             "characteristic_function_closed_form",
             "convolution_vs_dense_oracle",
         }
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
+
+
+def strict_loads(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+class TestStrictJson:
+    def test_non_finite_report_value_exits_3(self, capsys, monkeypatch):
+        real_analyze = catalog.analyze
+
+        def analyze_with_inf(*args, **kwargs):
+            report = real_analyze(*args, **kwargs)
+            report["cptp"]["tp_deviation"] = float("inf")
+            return report
+
+        monkeypatch.setattr(catalog, "analyze", analyze_with_inf)
+        code, out, _ = run_cli(capsys, "analyze", "--named", "depolarizing", "--param", "s=0.3", "--json")
+        assert code == 3
+        payload = strict_loads(out)
+        assert payload["error"]["kind"] == "validation"
+        assert "non-finite" in payload["error"]["message"]
+        # the text report is not JSON and still prints
+        code, out, _ = run_cli(capsys, "analyze", "--named", "depolarizing", "--param", "s=0.3")
+        assert code == 0 and "inf" in out
+
+    def test_non_finite_verify_residual_exits_3(self, capsys, monkeypatch):
+        from grasschan import verify
+
+        real_run = verify.run_verification
+
+        def run_with_nan(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            check = dataclasses.replace(result.checks[1], max_residual=float("nan"), passed=False)
+            return dataclasses.replace(result, passed=False, checks=(result.checks[0], check))
+
+        monkeypatch.setattr(verify, "run_verification", run_with_nan)
+        code, out, _ = run_cli(capsys, "verify", "--trials", "3", "--json")
+        assert code == 3
+        assert strict_loads(out)["error"]["kind"] == "validation"
+
+    def test_every_json_output_is_strict(self, capsys, tmp_path):
+        spec = tmp_path / "generic.json"
+        spec.write_text(json.dumps({"type": "canonical", "t": [0.1, -0.05, 0.2], "lambda": [0.5, 0.4, 0.3]}))
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        invocations = [("analyze", str(spec)), ("analyze", str(bad)), ("catalog",), ("verify", "--trials", "5")]
+        invocations += [("verify", "--trials", "0"), ("verify", "--trials", "5", "--tol", "1e-30")]
+        invocations += [("analyze", "--named", "depolarizing", "--param", "s=2")]
+        for entry in catalog.list_channels():
+            for value in (0.0, 0.5, 1.0):
+                params = [arg for p in entry["params"] for arg in ("--param", f"{p}={value}")]
+                invocations.append(("analyze", "--named", entry["name"], *params))
+        for argv in invocations:
+            code, out, _ = run_cli(capsys, *argv, "--json")
+            assert code in (0, 2, 3, 4), argv
+            strict_loads(out)

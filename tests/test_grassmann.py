@@ -382,15 +382,22 @@ def test_operator_element_bit_identical_to_entrywise_reference():
 
 def test_product_trace_bit_identical_to_full_product_trace():
     from grasschan.charfunc import char_function, displacement
-    from grasschan.grassmann import _product_trace
+    from grasschan.grassmann import _product_traces
     from grasschan.qubit import random_state
 
     xs = list(awkward_elements(251, n=96))
-    for k in range(0, len(xs) - 7, 8):
-        a = OperatorElement((xs[k:k + 2], xs[k + 2:k + 4]))
-        b = OperatorElement((xs[k + 4:k + 6], xs[k + 6:k + 8]))
-        assert same_bits(_product_trace(a, b), (a * b).trace())
-        assert same_bits(_product_trace(a, displacement()), (a * displacement()).trace())
+    pairs = [
+        (OperatorElement((xs[k:k + 2], xs[k + 2:k + 4])), OperatorElement((xs[k + 4:k + 6], xs[k + 6:k + 8])))
+        for k in range(0, len(xs) - 7, 8)
+    ]
+    lefts = np.array([a._a for a, _ in pairs])
+    # one stacked pass over every pair, and one against a shared right operand
+    stacked = _product_traces(lefts, np.array([b._a for _, b in pairs]))
+    shared = _product_traces(lefts, displacement()._a)
+    for s, (a, b) in enumerate(pairs):
+        assert stacked[s].tobytes() == (a * b).trace().coefficients.tobytes()
+        assert shared[s].tobytes() == (a * displacement()).trace().coefficients.tobytes()
+        assert _product_traces(a._a[None], b._a)[0].tobytes() == stacked[s].tobytes()
     rng = np.random.default_rng(257)
     for _ in range(200):
         rho = random_state(rng)

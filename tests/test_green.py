@@ -241,17 +241,24 @@ class TestGaussianEquivalent:
         assert gaussian_equivalent(QubitChannel.from_canonical([0, 0, 0], [1 - s] * 3)) is None
 
     def test_equivalent_channel_is_cptp(self):
+        # Angle-form Gaussian channels under a random axis relabelling: every
+        # draw has an equivalent, and every equivalent must verify.
         rng = np.random.default_rng(101)
+        draws = 300
         found = 0
-        for _ in range(300):
-            ch = random_cptp_canonical_channel(rng)
+        for _ in range(draws):
+            ap = AngleParams(
+                theta=rng.uniform(0, np.pi / 2), phi=rng.uniform(-np.pi, np.pi), q=rng.uniform(0, 1)
+            )
+            gauss = channel_from_angles(ap)
+            perm = list(rng.permutation(3))
+            ch = QubitChannel.from_canonical(gauss.t[perm], gauss.lam[perm])
             eq = gaussian_equivalent(ch)
             if eq is not None:
                 found += 1
                 assert eq.channel.cptp_report.ok
                 assert detect_gaussian(green_from_channel(eq.channel)) is not None
-        # random channels rarely have an equivalent, but the permuted ones must verify
-        assert found >= 0
+        assert found == draws
 
     def test_shift_vector_is_permuted_with_the_lambdas(self):
         # t along y plus a lambda pattern that needs the y axis moved to z

@@ -18,6 +18,8 @@ from grasschan.qubit import (
     ptm_from_kraus,
     random_cptp_canonical_channel,
     random_state,
+    _choi_prescreen,
+    _ptm_from_canonical,
 )
 
 
@@ -318,3 +320,96 @@ class TestSamplerStreamExact:
         assert ch.cptp_report == reference_sampler(ref, max_tries=3).cptp_report
         assert ours.position == ref.position == 12
 
+
+
+def accepted_rows_the_prescreen_drops(t, lam, exact_rows=None):
+    """Rows of ``(t, lam)`` that ``cptp_report.ok`` accepts and the pre-screen drops.
+
+    ``exact_rows`` limits the single-channel check to the rows it marks.
+    """
+    dropped = ~_choi_prescreen(t, lam)
+    if exact_rows is not None:
+        dropped &= exact_rows
+    return [k for k in np.flatnonzero(dropped) if QubitChannel.from_canonical(t[k], lam[k]).cptp_report.ok]
+
+
+def ulp_neighbourhood(x, steps):
+    out = [x]
+    for direction in (np.inf, -np.inf):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return np.array(out)
+
+
+class TestPrescreenSoundness:
+    """The sampler's closed-form pre-screen never drops a channel the exact check accepts."""
+
+    @pytest.mark.parametrize("t_scale", [0.8, 1.0])
+    def test_random_candidates(self, t_scale):
+        draws = np.random.default_rng(404).uniform(-1, 1, size=(200_000, 2, 3))
+        lam, t = draws[:, 0], draws[:, 1] * t_scale
+        # A batched eigenvalue is within a few ulps of the single-channel one,
+        # so only rows near or above the floor need the exact check.
+        min_eigs = np.linalg.eigvalsh(choi_from_ptm(_ptm_from_canonical(t, lam)))[:, 0]
+        near = min_eigs >= CHOI_EIG_FLOOR - SCREEN_MARGIN
+        assert accepted_rows_the_prescreen_drops(t, lam, near) == []
+        kept = _choi_prescreen(t, lam)
+        assert near.sum() > 1000 and kept.sum() < 0.2 * len(kept)
+
+    def test_depolarizing_at_the_floor(self):
+        # lam = l * s_a puts the smallest Choi eigenvalue (1 + 3l)/2 on Bell
+        # state a; l is scanned ulp by ulp across the floor and at the floor
+        # +- SCREEN_MARGIN / 2.
+        def l_at(eig):
+            return (2 * eig - 1) / 3
+
+        ls = np.concatenate(
+            [ulp_neighbourhood(l_at(CHOI_EIG_FLOOR), 400)]
+            + [ulp_neighbourhood(l_at(CHOI_EIG_FLOOR + d * SCREEN_MARGIN / 2), 8) for d in (1, -1)]
+        )
+        signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        lam = (signs[:, None, :] * ls[None, :, None]).reshape(-1, 3)
+        t = np.zeros_like(lam)
+        ok = np.array([QubitChannel.from_canonical(z, l).cptp_report.ok for z, l in zip(t, lam)])
+        assert ok.any() and not ok.all()
+        assert accepted_rows_the_prescreen_drops(t, lam) == []
+
+    def test_shifted_channels_at_the_floor(self):
+        # A shift t_k along one axis couples the Bell states in pairs; t_k is
+        # set where a coupled pair's smallest eigenvalue meets the floor,
+        # (d_a - f)(d_b - f) = t_k^2 / 4, and scanned ulp by ulp across it.
+        rng = np.random.default_rng(77)
+        coupled = {0: [(0, 1), (2, 3)], 1: [(0, 2), (1, 3)], 2: [(0, 3), (1, 2)]}
+        signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        rows = []
+        for i in range(60):
+            lam = rng.uniform(-0.3, 0.3, 3)
+            axis = i % 3
+            d = (1 + signs @ lam) / 2 - CHOI_EIG_FLOOR
+            edge = min(2 * np.sqrt(d[a] * d[b]) for a, b in coupled[axis])
+            for x in ulp_neighbourhood(edge, 40):
+                t = np.zeros(3)
+                t[axis] = x if i % 2 else -x
+                rows.append((t, lam))
+        t = np.array([r[0] for r in rows])
+        lam = np.array([r[1] for r in rows])
+        ok = [QubitChannel.from_canonical(a, b).cptp_report.ok for a, b in rows]
+        assert any(ok) and not all(ok)
+        assert accepted_rows_the_prescreen_drops(t, lam) == []
+
+    def test_amplitude_damping_at_the_cp_edge(self):
+        # Amplitude damping has a zero Choi eigenvalue for every n; its shift
+        # is put on each axis in turn, so every coupling is exercised.
+        rows = []
+        for n in np.linspace(0, 1, 201):
+            for ulps in ulp_neighbourhood(np.sqrt(n), 2):
+                t, lam = [0.0, 0.0, 1 - n], [ulps, ulps, n]
+                for axis in range(3):
+                    perm = [(axis + 1) % 3, (axis + 2) % 3, axis]
+                    rows.append((np.array(t)[perm], np.array(lam)[perm]))
+        t = np.array([r[0] for r in rows])
+        lam = np.array([r[1] for r in rows])
+        assert all(QubitChannel.from_canonical(a, b).cptp_report.ok for a, b in rows[::15])
+        assert accepted_rows_the_prescreen_drops(t, lam) == []
