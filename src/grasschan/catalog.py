@@ -16,8 +16,9 @@ generalized_amplitude_damping   (0, 0, (1-n)(2s-1))        (sqrt n, sqrt n, n)
 ``analyze`` runs the whole pipeline on one channel: canonical form and CPTP
 diagnostics, the symbolic kernel, Gaussianity, the angle form and its
 dilation, the weakly complementary channel and the degradability verdict.
-Non-Gaussian channels are searched for a Gaussian unitary equivalent (lambda
-permutation); when one exists its verdict is reported on the equivalent.
+Gaussianity is decided once, by the frame search of ``gaussian_equivalent``:
+the identity frame fills the top-level blocks, and any other frame reports
+its verdict on that unitarily equivalent channel.
 Every channel block of a report is written by ``QubitChannel.to_json``.
 The committed golden coefficient tables in ``data/golden_green.json`` were
 generated once from the closed channel formulas (scripts/make_golden_tables.py)
@@ -37,8 +38,8 @@ from . import degradability as deg
 from .green import (
     GaussianParams,
     NoSolutionError,
+    _gaussian_params,
     angles_from_gaussian,
-    detect_gaussian,
     gaussian_equivalent,
     green_from_channel,
 )
@@ -217,7 +218,10 @@ def analyze_channel(
     ch: QubitChannel,
     residual_tol: float = deg.CERT_RESIDUAL_TOL,
 ) -> dict:
-    """Full analysis report for one canonical channel (JSON-ready dict)."""
+    """Full analysis report for one canonical channel (JSON-ready dict).
+
+    ``gaussian_equivalent`` alone decides Gaussianity (see the module docstring).
+    """
     report: dict = {"schema_version": 1}
     notes: list = []
     report["channel"] = ch.to_json()
@@ -237,80 +241,54 @@ def analyze_channel(
         "coefficients": {k: [v.real, v.imag] for k, v in kernel.to_table().items()},
     }
 
-    gp = detect_gaussian(kernel)
-    equivalent = None
-    if gp is not None:
+    eq = gaussian_equivalent(ch)
+    report["gaussian"] = None
+    report["gaussian_equivalent"] = None
+    angles = dilation = degradability = None
+    if eq is None:
+        notes.append(
+            "kernel is not Gaussian and no lambda permutation makes it so; "
+            "the Gaussian degradability classification does not apply"
+        )
+    elif eq.perm == (0, 1, 2):
+        # Certified on ``ch`` itself: a Kraus spec can keep sub-tolerance t1
+        # and t2, which ``eq.channel`` zeroes.
+        gp = _gaussian_params(ch)
         report["gaussian"] = {"a": [gp.a.real, gp.a.imag], "b": [gp.b.real, gp.b.imag], "c": gp.c}
-        report["gaussian_equivalent"] = {
-            "perm": [0, 1, 2],
-            "signs": [1, 1, 1],
-            "channel": report["channel"],
-        }
-        report.update(_degradability_block(ch, gp, residual_tol, notes))
+        report["gaussian_equivalent"] = {"perm": [0, 1, 2], "signs": [1, 1, 1], "channel": report["channel"]}
+        angles, dilation, degradability = _degradability_block(ch, gp, residual_tol, notes)
     else:
-        report["gaussian"] = None
-        eq = gaussian_equivalent(ch)
-        if eq is None:
-            report["gaussian_equivalent"] = None
-            report["angles"] = None
-            report["dilation"] = None
-            report["degradability"] = None
-            notes.append(
-                "kernel is not Gaussian and no lambda permutation makes it so; "
-                "the Gaussian degradability classification does not apply"
-            )
-        else:
-            equivalent = eq
-            block = {"perm": list(eq.perm), "signs": list(eq.signs), "channel": eq.channel.to_json()}
-            sub_notes: list = []
-            eq_gp = detect_gaussian(green_from_channel(eq.channel))
-            sub = _degradability_block(eq.channel, eq_gp, residual_tol, sub_notes)
-            block["degradability"] = sub["degradability"]
-            block["angles"] = sub["angles"]
-            report["gaussian_equivalent"] = block
-            report["angles"] = None
-            report["dilation"] = None
-            report["degradability"] = None
-            notes.append(
-                "kernel is not Gaussian; degradability is reported through the "
-                "unitarily equivalent Gaussian channel given by the permutation"
-            )
-            notes.extend(sub_notes)
+        notes.append(
+            "kernel is not Gaussian; degradability is reported through the "
+            "unitarily equivalent Gaussian channel given by the permutation"
+        )
+        block = {"perm": list(eq.perm), "signs": list(eq.signs), "channel": eq.channel.to_json()}
+        eq_angles, _, eq_degradability = _degradability_block(
+            eq.channel, _gaussian_params(eq.channel), residual_tol, notes
+        )
+        block["degradability"], block["angles"] = eq_degradability, eq_angles
+        report["gaussian_equivalent"] = block
+    report["angles"] = angles
+    report["dilation"] = None if dilation is None else _dilation_block(ch, dilation)
+    report["degradability"] = degradability
     report["notes"] = notes
     return report
 
 
 def _degradability_block(
     ch: QubitChannel, gp: GaussianParams, residual_tol: float, notes: list
-) -> dict:
-    """Angle form, dilation and degradability verdict of a Gaussian channel.
-
-    ``gp`` is the detected Gaussian form of ``ch``'s kernel.
-    """
-    out: dict = {}
+) -> tuple:
+    """``(angles block, Dilation, degradability block)`` of a Gaussian channel
+    with kernel parameters ``gp``; three Nones when no angle form exists."""
     try:
         ap = angles_from_gaussian(gp)
     except NoSolutionError as exc:
-        out["angles"] = None
-        out["dilation"] = None
-        out["degradability"] = None
         notes.append(f"no angle form: {exc}")
-        return out
-    out["angles"] = {"theta": ap.theta, "phi": ap.phi, "q": ap.q}
+        return None, None, None
     dilation = deg.dilation_from_angles(ap)
-    marginal = dilation.channel()
-    out["dilation"] = {
-        "unitary": [[[v.real, v.imag] for v in row] for row in dilation.unitary],
-        "env_state": {"q": dilation.q},
-        "env_purity": dilation.q ** 2 + (1 - dilation.q) ** 2,
-        "marginal_ptm_deviation": float(np.max(np.abs(marginal.ptm - ch.ptm))),
-    }
     comp = deg.weakly_complementary(dilation)
     prediction = deg.classify_by_angles(ap)
-    verdict = deg.certify(
-        ch, comp, residual_tol=residual_tol, attempt_both=prediction.boundary
-    )
-    block = verdict.to_json()
+    block = deg.certify(ch, comp, residual_tol=residual_tol, attempt_both=prediction.boundary).to_json()
     block["complement"] = comp.to_json()
     block["prediction"] = {
         "kind": prediction.kind,
@@ -327,8 +305,18 @@ def _degradability_block(
             "mixed-environment channel on the negative side of the sign test: "
             "quantum capacity is null (claimed; capacities are not computed here)"
         )
-    out["degradability"] = block
-    return out
+    return {"theta": ap.theta, "phi": ap.phi, "q": ap.q}, dilation, block
+
+
+def _dilation_block(ch: QubitChannel, dilation: deg.Dilation) -> dict:
+    """The report's ``dilation`` block, with the marginal's deviation from ``ch``."""
+    marginal = dilation.channel()
+    return {
+        "unitary": [[[v.real, v.imag] for v in row] for row in dilation.unitary],
+        "env_state": {"q": dilation.q},
+        "env_purity": dilation.q ** 2 + (1 - dilation.q) ** 2,
+        "marginal_ptm_deviation": float(np.max(np.abs(marginal.ptm - ch.ptm))),
+    }
 
 
 def analyze(name: str, params: dict, residual_tol: float = deg.CERT_RESIDUAL_TOL) -> dict:

@@ -82,7 +82,7 @@ class CharFunction:
     def __post_init__(self):
         if self.body.coefficients[_OFF_XI_MASKS].any():
             raise ValueError("characteristic function must live on the xi subalgebra")
-        if abs(self.body.constant - 1) > NORMALIZATION_ATOL:
+        if not abs(self.body.constant - 1) <= NORMALIZATION_ATOL:
             raise NotNormalizedError(
                 f"constant coefficient {self.body.constant} differs from 1"
             )
@@ -135,9 +135,7 @@ def _char_bodies(rho: np.ndarray) -> np.ndarray:
 
 def _check_char_bodies(bodies: np.ndarray) -> None:
     """Raise what ``CharFunction`` raises for the first invalid row of ``bodies``."""
-    bad = bodies[:, _OFF_XI_MASKS].any(axis=1) | (
-        np.abs(bodies[:, 0] - 1) > NORMALIZATION_ATOL
-    )
+    bad = bodies[:, _OFF_XI_MASKS].any(axis=1) | ~(np.abs(bodies[:, 0] - 1) <= NORMALIZATION_ATOL)
     for s in np.flatnonzero(bad):
         CharFunction(_element(bodies[s].copy()))
 
@@ -148,23 +146,21 @@ def char_function(rho: QubitState) -> CharFunction:
 
 
 def state_from_char(chi: CharFunction) -> QubitState:
-    """Invert the closed form: p from the xi xi* coefficient, gamma from xi."""
+    """Invert the closed form of a normalized ``chi``: p from xi xi*, gamma from xi."""
     body = chi.body
-    if abs(body.constant - 1) > NORMALIZATION_ATOL:
-        raise NotNormalizedError(f"constant coefficient {body.constant} differs from 1")
     pair_coeff = body.coefficient("ξξ*")
-    if abs(pair_coeff.imag) > PHYSICALITY_ATOL:
+    if not abs(pair_coeff.imag) <= PHYSICALITY_ATOL:
         raise NotPhysicalError(f"xi xi* coefficient {pair_coeff} is not real")
     p = pair_coeff.real + 0.5
     gamma = body.coefficient("ξ")
     mirror = body.coefficient("ξ*")
-    if abs(mirror + np.conj(gamma)) > PHYSICALITY_ATOL:
+    if not abs(mirror + np.conj(gamma)) <= PHYSICALITY_ATOL:
         raise NotPhysicalError(
             f"xi* coefficient {mirror} is inconsistent with -conj(xi coefficient)"
         )
     if not -PHYSICALITY_ATOL <= p <= 1 + PHYSICALITY_ATOL:
         raise NotPhysicalError(f"recovered p={p} outside [0, 1]")
-    if abs(gamma) ** 2 > p * (1 - p) + PHYSICALITY_ATOL:
+    if not abs(gamma) ** 2 <= p * (1 - p) + PHYSICALITY_ATOL:
         raise NotPhysicalError(
             f"recovered |gamma|^2={abs(gamma)**2:.3e} exceeds p(1-p)={p*(1-p):.3e}"
         )
@@ -174,20 +170,21 @@ def state_from_char(chi: CharFunction) -> QubitState:
 def _states_from_bodies(bodies: np.ndarray):
     """``state_from_char`` on ``(n, 16)`` valid bodies: arrays ``p`` and ``gamma``.
 
-    Every row gets every check of ``state_from_char`` and ``QubitState``; the
-    first failing row raises through them, with their exception and message.
+    Every row gets the checks of ``CharFunction``, ``state_from_char`` and
+    ``QubitState``; the first failing row raises their exception and message.
     """
     pair = bodies[:, _XI_XI_STAR]
     gamma = bodies[:, _XI]
     p = pair.real + 0.5
-    bad = (
-        (np.abs(bodies[:, 0] - 1) > NORMALIZATION_ATOL)
-        | (np.abs(pair.imag) > PHYSICALITY_ATOL)
-        | (np.abs(bodies[:, _XI_STAR] + np.conj(gamma)) > PHYSICALITY_ATOL)
-        | ~((-PHYSICALITY_ATOL <= p) & (p <= 1 + PHYSICALITY_ATOL))
-        | (np.abs(gamma) ** 2 > p * (1 - p) + PHYSICALITY_ATOL)
+    ok = (
+        (np.abs(bodies[:, 0] - 1) <= NORMALIZATION_ATOL)
+        & (np.abs(pair.imag) <= PHYSICALITY_ATOL)
+        & (np.abs(bodies[:, _XI_STAR] + np.conj(gamma)) <= PHYSICALITY_ATOL)
+        & (-PHYSICALITY_ATOL <= p)
+        & (p <= 1 + PHYSICALITY_ATOL)
+        & (np.abs(gamma) ** 2 <= p * (1 - p) + PHYSICALITY_ATOL)
     )
-    for s in np.flatnonzero(bad):
+    for s in np.flatnonzero(~ok):
         state_from_char(CharFunction(_element(bodies[s].copy())))
     p = np.minimum(np.maximum(p, 0.0), 1.0)
     _check_states(p, gamma)

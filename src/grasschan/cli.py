@@ -6,18 +6,21 @@ Subcommands::
     grasschan catalog [--name NAME] [--json]
     grasschan verify [--trials N] [--seed S] [--tol T] [--json]
 
-Exit codes: 0 ok, 2 parse error, 3 validation error (non-CPTP or
-non-canonical input, or a result holding NaN or an infinity), 4
-verification-suite failure.  With ``--json`` errors are emitted as
-machine-readable objects on stdout, and every ``--json`` output is strict
-JSON: a result that holds a non-finite number is an error, never
-``NaN`` or ``Infinity``.
+Exit codes: 0 ok, 2 parse error (malformed spec or argument, unwritable
+``--out``), 3 validation error (non-CPTP or non-canonical input, an
+overflowing Choi matrix, or a result holding NaN or an infinity), 4
+verification-suite failure; no input ends in a traceback, and a reader that
+closes stdout early (``| head``) drops the rest of the output, not the exit
+code.  With ``--json`` errors are emitted as machine-readable objects on
+stdout, and every ``--json`` output is strict JSON: a non-finite result is
+an error, never ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -71,17 +74,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(text: str, out_path: Optional[str] = None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout; send what is left, and the exit flush, to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _error(kind: str, message: str, as_json: bool, code: int) -> int:
     if as_json:
-        print(_strict_json({"schema_version": 1, "error": {"kind": kind, "message": message}}))
+        _emit(_strict_json({"schema_version": 1, "error": {"kind": kind, "message": message}}))
     else:
         print(f"error ({kind}): {message}", file=sys.stderr)
     return code
@@ -144,7 +151,7 @@ def _format_report_text(report: dict) -> str:
             f"gaussian equivalent: perm={eq['perm']} signs={eq['signs']} "
             f"-> t={eq_ch['t']} lambda={eq_ch['lambda']}"
         )
-    elif "gaussian_equivalent" in report and eq is None and report.get("gaussian") is None:
+    elif "gaussian_equivalent" in report and eq is None:
         lines.append("gaussian equivalent: none")
     for holder in (report, report.get("gaussian_equivalent") or {}):
         angles = holder.get("angles")
@@ -178,13 +185,8 @@ def _format_report_text(report: dict) -> str:
 
 def _cmd_analyze(args) -> int:
     if bool(args.spec) == bool(args.named):
-        return _error(
-            "parse",
-            "provide exactly one of a spec file or --named NAME",
-            args.json,
-            EXIT_PARSE,
-        )
-    if args.tol <= 0:
+        return _error("parse", "provide exactly one of a spec file or --named NAME", args.json, EXIT_PARSE)
+    if not args.tol > 0:
         return _error("parse", "--tol must be positive", args.json, EXIT_PARSE)
     try:
         if args.named:
@@ -202,12 +204,8 @@ def _cmd_analyze(args) -> int:
     except (NotCptpError, NotTracePreservingError, NonDiagonalBlockError) as exc:
         return _error("validation", str(exc), args.json, EXIT_VALIDATION)
     if not report["cptp"]["ok"]:
-        return _error(
-            "validation",
-            f"channel is not CPTP (min Choi eigenvalue {report['cptp']['min_choi_eigenvalue']:.3e})",
-            args.json,
-            EXIT_VALIDATION,
-        )
+        message = f"channel is not CPTP (min Choi eigenvalue {report['cptp']['min_choi_eigenvalue']:.3e})"
+        return _error("validation", message, args.json, EXIT_VALIDATION)
     if args.json:
         try:
             text = _strict_json(report, indent=2)
@@ -215,7 +213,10 @@ def _cmd_analyze(args) -> int:
             return _non_finite_json()
     else:
         text = _format_report_text(report)
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        return _error("parse", f"cannot write {args.out}: {exc.strerror}", args.json, EXIT_PARSE)
     return EXIT_OK
 
 
@@ -226,22 +227,22 @@ def _cmd_catalog(args) -> int:
         if not listing:
             return _error("parse", f"unknown channel {args.name!r}", args.json, EXIT_PARSE)
     if args.json:
-        print(_strict_json({"schema_version": 1, "channels": listing}, indent=2))
+        _emit(_strict_json({"schema_version": 1, "channels": listing}, indent=2))
         return EXIT_OK
     for entry in listing:
         params = ", ".join(f"{p} in [0, 1]" for p in entry["params"])
-        print(f"{entry['name']} ({params})")
-        print(f"  {entry['summary']}")
-        print(f"  canonical: {entry['canonical']}")
-        print(f"  gaussian: {entry['gaussian']}")
-        print(f"  degradability: {entry['degradability']}")
+        _emit(f"{entry['name']} ({params})")
+        _emit(f"  {entry['summary']}")
+        _emit(f"  canonical: {entry['canonical']}")
+        _emit(f"  gaussian: {entry['gaussian']}")
+        _emit(f"  degradability: {entry['degradability']}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     if args.trials < 0:
         return _error("parse", "--trials must be >= 0", args.json, EXIT_PARSE)
-    if args.tol is not None and args.tol <= 0:
+    if args.tol is not None and not args.tol > 0:
         return _error("parse", "--tol must be positive", args.json, EXIT_PARSE)
     kwargs = {}
     if args.tol is not None:
@@ -255,18 +256,18 @@ def _cmd_verify(args) -> int:
             text = _strict_json(payload, indent=2)
         except ValueError:
             return _non_finite_json()
-        print(text)
+        _emit(text)
     else:
         for check in result.checks:
             status = "pass" if check.passed else "FAIL"
-            print(
+            _emit(
                 f"{status}  {check.name}: max residual {check.max_residual:.3e} "
                 f"over {check.trials} trials (tolerance {check.tolerance:g})"
             )
-        print(f"seed: {result.seed}")
+        _emit(f"seed: {result.seed}")
         if args.trials == 0:
-            print("warning: 0 trials requested; the pass is vacuous")
-        print("verification PASSED" if result.passed else "verification FAILED")
+            _emit("warning: 0 trials requested; the pass is vacuous")
+        _emit("verification PASSED" if result.passed else "verification FAILED")
     return EXIT_OK if result.passed else EXIT_SUITE
 
 

@@ -83,9 +83,9 @@ class Dilation:
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
         dev = np.max(np.abs(u.conj().T @ u - np.eye(4)))
-        if dev > UNITARITY_ATOL:
+        if not dev <= UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
-        if abs(self.env_state.gamma) > ENV_ATOL:
+        if not abs(self.env_state.gamma) <= ENV_ATOL:
             raise ValueError("environment state must be diagonal diag(q, 1-q)")
 
     @property

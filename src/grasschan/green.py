@@ -217,27 +217,40 @@ _GAUSSIAN_ZERO_MONOMIALS = (
 def detect_gaussian(green: GreenFunction) -> Optional[GaussianParams]:
     """Match the kernel against the Gaussian pattern; None when it fails.
 
-    For kernels built from canonical parameters this is equivalent to
-    ``|t1|, |t2| <= GAUSSIAN_ATOL`` and ``|lam3 - lam1 lam2| <= GAUSSIAN_ATOL``.
+    Each coefficient is held to ``GAUSSIAN_ATOL``: on a canonical kernel that
+    bounds ``|t1 - i t2| / 2`` (so ``|t1|`` up to ``2 GAUSSIAN_ATOL`` passes)
+    and ``|lam3 - lam1 lam2|`` up to the rounding of the ``xi xi*`` term.
+    ``analyze`` decides in canonical terms, by :func:`gaussian_equivalent`.
     """
     body = green.body
-    if abs(body.coefficient("ζζ*") - 1) > GAUSSIAN_ATOL:
+    if not abs(body.coefficient("ζζ*") - 1) <= GAUSSIAN_ATOL:
         return None
     a = body.coefficient("ζ*ξ")
     b = body.coefficient("ζ*ξ*")
     c = body.coefficient("ζζ*ξξ*")
-    if abs(c.imag) > GAUSSIAN_ATOL:
+    if not abs(c.imag) <= GAUSSIAN_ATOL:
         return None
     checks = (
         abs(body.coefficient("ζξ") + np.conj(b)),
         abs(body.coefficient("ζξ*") + np.conj(a)),
         abs(body.coefficient("ξξ*") - (abs(a) ** 2 - abs(b) ** 2)),
     )
-    if max(checks) > GAUSSIAN_ATOL:
-        return None
-    if any(abs(body.coefficient(name)) > GAUSSIAN_ATOL for name in _GAUSSIAN_ZERO_MONOMIALS):
+    checks += tuple(abs(body.coefficient(name)) for name in _GAUSSIAN_ZERO_MONOMIALS)
+    if not all(x <= GAUSSIAN_ATOL for x in checks):
         return None
     return GaussianParams(a=a, b=b, c=float(c.real))
+
+
+def _gaussian_params(ch: QubitChannel) -> GaussianParams:
+    """``a = (lam1 + lam2)/2``, ``b = (lam2 - lam1)/2``, ``c = t3/2`` of a Gaussian frame.
+
+    These are the bits :func:`detect_gaussian` reads off the frame's kernel,
+    which sums each coefficient from +0.0 (so ``+ 0.0``: a -0.0 reads as +0.0).
+    """
+    (lam1, lam2, _), t3 = ch.lam, ch.t[2]
+    return GaussianParams(
+        complex((lam1 + lam2) / 2 + 0.0), complex((lam2 - lam1) / 2 + 0.0), float(t3 / 2 + 0.0)
+    )
 
 
 def _candidate_angles(u: float, v: float) -> list:
@@ -276,13 +289,13 @@ def angles_from_gaussian(gp: GaussianParams) -> AngleParams:
     vanish and q defaults to 1.
     """
     a, b, c = complex(gp.a), complex(gp.b), float(gp.c)
-    if abs(a.imag) > ANGLE_ATOL or abs(b.imag) > ANGLE_ATOL:
+    if not (abs(a.imag) <= ANGLE_ATOL and abs(b.imag) <= ANGLE_ATOL):
         raise NoSolutionError("a and b must be real for the angle parametrization")
-    if abs(a) > 1 + ANGLE_ATOL or abs(b) > 1 + ANGLE_ATOL:
+    if not (abs(a) <= 1 + ANGLE_ATOL and abs(b) <= 1 + ANGLE_ATOL):
         raise NoSolutionError(f"|a|={abs(a):.6g} or |b|={abs(b):.6g} exceeds 1")
     lam1 = a.real - b.real
     lam2 = a.real + b.real
-    if abs(lam1) > 1 + ANGLE_ATOL or abs(lam2) > 1 + ANGLE_ATOL:
+    if not (abs(lam1) <= 1 + ANGLE_ATOL and abs(lam2) <= 1 + ANGLE_ATOL):
         raise NoSolutionError("difference/sum of a and b exceed the cosine range")
     u = float(np.arccos(np.clip(lam1, -1.0, 1.0)))
     v = float(np.arccos(np.clip(lam2, -1.0, 1.0)))
@@ -290,7 +303,7 @@ def angles_from_gaussian(gp: GaussianParams) -> AngleParams:
     for theta, phi in _candidate_angles(u, v):
         denom = (np.cos(2 * theta) - np.cos(2 * phi)) / 4
         if abs(denom) <= ANGLE_ATOL:
-            if abs(c) > ANGLE_ATOL:
+            if not abs(c) <= ANGLE_ATOL:
                 continue
             q = 1.0
         else:
@@ -336,12 +349,9 @@ def gaussian_equivalent(ch: QubitChannel) -> Optional[GaussianEquivalent]:
     """
     for perm in _PERMUTATIONS:
         inv = [perm.index(i) for i in range(3)]
-        new_t = ch.t[inv]
-        if abs(new_t[0]) > GAUSSIAN_ATOL or abs(new_t[1]) > GAUSSIAN_ATOL:
-            continue
-        new_lam = ch.lam[inv]
-        if abs(new_lam[2] - new_lam[0] * new_lam[1]) > GAUSSIAN_ATOL:
-            continue
-        channel = QubitChannel.from_canonical([0.0, 0.0, float(new_t[2])], new_lam)
-        return GaussianEquivalent(perm=perm, signs=(1, 1, 1), channel=channel)
+        new_t, new_lam = ch.t[inv], ch.lam[inv]
+        residuals = (new_t[0], new_t[1], new_lam[2] - new_lam[0] * new_lam[1])
+        if all(abs(r) <= GAUSSIAN_ATOL for r in residuals):
+            channel = QubitChannel.from_canonical([0.0, 0.0, float(new_t[2])], new_lam)
+            return GaussianEquivalent(perm=perm, signs=(1, 1, 1), channel=channel)
     return None

@@ -38,7 +38,7 @@ channel_to_json = QubitChannel.to_json
 def _parse_matrix(entry) -> np.ndarray:
     try:
         m = np.asarray(entry, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"bad Kraus matrix entry: {exc}") from exc
     if m.shape != (2, 2, 2):
         raise SpecError("each Kraus matrix must be a 2x2 array of [re, im] pairs")
@@ -63,7 +63,7 @@ def channel_from_json(obj: dict) -> QubitChannel:
         try:
             t = [float(v) for v in obj["t"]]
             lam = [float(v) for v in obj["lambda"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"bad canonical spec: {exc}") from exc
         if len(t) != 3 or len(lam) != 3:
             raise SpecError("canonical spec needs 3-vectors 't' and 'lambda'")
@@ -84,7 +84,7 @@ def channel_from_json(obj: dict) -> QubitChannel:
             raise SpecError("named spec needs a 'name' string and a 'params' object")
         try:
             params = {key: float(value) for key, value in params.items()}
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"bad named parameters: {exc}") from exc
         _require_finite("named parameters", params.values())
         try:
@@ -100,5 +100,5 @@ def load_channel_spec(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge integers, deep nesting
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc

@@ -92,7 +92,7 @@ class QubitState:
         object.__setattr__(self, "gamma", complex(self.gamma))
         if not -STATE_ATOL <= self.p <= 1 + STATE_ATOL:
             raise ValueError(f"p={self.p} outside [0, 1]")
-        if abs(self.gamma) ** 2 > self.p * (1 - self.p) + STATE_ATOL:
+        if not abs(self.gamma) ** 2 <= self.p * (1 - self.p) + STATE_ATOL:
             raise ValueError(
                 f"|gamma|^2={abs(self.gamma)**2:.3e} exceeds p(1-p)={self.p*(1-self.p):.3e}"
             )
@@ -119,9 +119,9 @@ class QubitState:
         m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
-        if abs(np.trace(m) - 1) > STATE_ATOL:
+        if not abs(np.trace(m) - 1) <= STATE_ATOL:
             raise ValueError(f"trace {np.trace(m)} differs from 1")
-        if np.max(np.abs(m - m.conj().T)) > STATE_ATOL:
+        if not np.max(np.abs(m - m.conj().T)) <= STATE_ATOL:
             raise ValueError("matrix is not Hermitian")
         return cls(p=m[0, 0].real, gamma=m[0, 1])
 
@@ -131,21 +131,17 @@ class QubitState:
 
 def _check_states(p: np.ndarray, gamma: np.ndarray) -> None:
     """Raise what ``QubitState(p[s], gamma[s])`` raises for the first row out of bounds."""
-    bad = ~((-STATE_ATOL <= p) & (p <= 1 + STATE_ATOL)) | (
-        np.abs(gamma) ** 2 > p * (1 - p) + STATE_ATOL
-    )
-    for s in np.flatnonzero(bad):
+    ok = (-STATE_ATOL <= p) & (p <= 1 + STATE_ATOL) & (np.abs(gamma) ** 2 <= p * (1 - p) + STATE_ATOL)
+    for s in np.flatnonzero(~ok):
         QubitState(p=p[s], gamma=gamma[s])
 
 
 def ptm_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """Transfer matrix ``Tr[sigma_i sum_k A_k sigma_j A_k^dag] / 2`` of a Kraus list."""
     ops = [np.asarray(a, dtype=complex) for a in kraus]
-    total = sum(a.conj().T @ a for a in ops)
-    if np.max(np.abs(total - np.eye(2))) > KRAUS_TP_ATOL:
-        raise NotTracePreservingError(
-            f"sum A^dag A deviates from identity by {np.max(np.abs(total - np.eye(2))):.3e}"
-        )
+    deviation = np.max(np.abs(sum(a.conj().T @ a for a in ops) - np.eye(2)))
+    if not deviation <= KRAUS_TP_ATOL:
+        raise NotTracePreservingError(f"sum A^dag A deviates from identity by {deviation:.3e}")
     ptm = np.empty((4, 4))
     for j in range(4):
         mapped = sum(a @ PAULI[j] @ a.conj().T for a in ops)
@@ -159,12 +155,12 @@ def canonical_from_ptm(ptm: np.ndarray, atol: float = DIAG_ATOL):
     ptm = np.asarray(ptm, dtype=float)
     if ptm.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0]))) > atol:
+    if not np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0]))) <= atol:
         raise NonDiagonalBlockError("first row is not (1, 0, 0, 0)")
     block = ptm[1:, 1:]
     off = block - np.diag(np.diag(block))
     worst = np.max(np.abs(off))
-    if worst > atol:
+    if not worst <= atol:
         raise NonDiagonalBlockError(
             f"transfer block has off-diagonal entry {worst:.3e}; canonicalize externally"
         )
@@ -239,7 +235,7 @@ class QubitChannel:
             ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus)
             object.__setattr__(self, "kraus", ops)
             derived = ptm_from_kraus(ops)
-            if np.max(np.abs(derived - self.ptm)) > KRAUS_CONSISTENCY_ATOL:
+            if not np.max(np.abs(derived - self.ptm)) <= KRAUS_CONSISTENCY_ATOL:
                 raise ValueError("Kraus list is inconsistent with the canonical parameters")
 
     @classmethod
@@ -280,7 +276,10 @@ class QubitChannel:
 
     @cached_property
     def cptp_report(self) -> CptpReport:
-        eigs = np.linalg.eigvalsh(self.choi)
+        try:
+            eigs = np.linalg.eigvalsh(self.choi)
+        except np.linalg.LinAlgError:  # a Choi matrix that overflowed to inf or NaN
+            eigs = np.array([np.nan])
         tp_dev = float(np.abs(_trace_out_first(self.choi) - _IDENTITY).max())
         ok = bool(eigs[0] >= CHOI_EIG_FLOOR and tp_dev <= TP_ATOL)
         return CptpReport(ok=ok, min_choi_eigenvalue=float(eigs[0]), tp_deviation=tp_dev)

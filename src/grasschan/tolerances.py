@@ -3,7 +3,8 @@
 Every other module imports its tolerances from here; none defines its own
 (``tests/test_tolerances.py`` enforces this on the source).  The modules
 that used to define a name re-export it, so ``grasschan.qubit.TP_ATOL`` and
-the like still resolve.
+the like still resolve.  A validity rule accepts a value only when it lies
+within its tolerance (``if not x <= TOL: raise``), so NaN fails every rule.
 
 ==========================  =======  ==========================================  ===============================================
 name                        value    what it bounds                              where a report shows it
@@ -24,9 +25,11 @@ name                        value    what it bounds                             
                                      function
 ``PHYSICALITY_ATOL``        1e-9     realness, conjugate symmetry and state      (raises ``NotPhysicalError``)
                                      bounds of a recovered state
-``GAUSSIAN_ATOL``           1e-10    kernel vs the Gaussian pattern; in          ``gaussian`` (null or not),
-                                     canonical terms ``|t1|``, ``|t2|`` and      ``gaussian_equivalent``
-                                     ``|lam3 - lam1 lam2|``
+``GAUSSIAN_ATOL``           1e-10    ``|t1|``, ``|t2|``, ``|lam3 - lam1 lam2|``  ``gaussian`` (null or not),
+                                     of a frame: ``analyze`` decides in          ``gaussian_equivalent``
+                                     canonical terms, by ``gaussian_equivalent``
+                                     (``detect_gaussian`` holds each kernel
+                                     coefficient to it instead)
 ``ANGLE_ATOL``              1e-9     realness and range of ``a``, ``b``; the     ``angles`` (null with a "no angle form" note)
                                      ``cos 2theta = cos 2phi`` degeneracy
 ``ANGLE_RATIO_ATOL``        1e-7     ``c / ((cos 2theta - cos 2phi)/4)``         ``angles.q``

@@ -1,10 +1,34 @@
+import itertools
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
+from test_snapshot import CANONICAL_CASES, KRAUS_SPECS, NAMED_POINTS
 
-from grasschan import catalog
+from grasschan import catalog, degradability, green, io
 from grasschan.degradability import NULL_CAPACITY_CLAIMED, WEAKLY_DEGRADABLE
-from grasschan.green import green_from_channel
-from grasschan.qubit import is_cptp
+from grasschan.green import (
+    AngleParams,
+    GreenFunction,
+    _gaussian_params,
+    _kernel_bodies,
+    channel_from_angles,
+    detect_gaussian,
+    gaussian_equivalent,
+    green_from_channel,
+)
+from grasschan.grassmann import _element
+from grasschan.qubit import QubitChannel, is_cptp
+from grasschan.tolerances import GAUSSIAN_ATOL
+
+# A channel with lam3 - lam1 lam2 on the margin of the Gaussian rule: the
+# canonical rule accepts it, while the kernel pattern match rejects it.
+MARGIN_SPEC = {
+    "type": "canonical",
+    "t": [0, 0, -0.040998812800916176],
+    "lambda": [0.6961333826538778, -0.8027344603746971, -0.5588102551734733],
+}
 
 
 def test_channel_names():
@@ -168,3 +192,118 @@ class TestVerdictSweep:
                 else:
                     assert kind in ("anti_degradable", "neither_certified")
                     assert report["degradability"]["prediction"]["kind"] == NULL_CAPACITY_CLAIMED
+
+
+def _relabelled(t, lam):
+    """``(t, lam)`` under each of the six axis permutations."""
+    for perm in itertools.permutations(range(3)):
+        yield QubitChannel.from_canonical(np.asarray(t)[list(perm)], np.asarray(lam)[list(perm)])
+
+
+def _angle_channels(rng, n):
+    return [
+        channel_from_angles(AngleParams(rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi), q))
+        for q in rng.choice([0.0, 1.0, 0.3, 0.5, 0.9], size=n)
+    ]
+
+
+class TestOneGaussianDecision:
+    """``analyze_channel`` decides Gaussianity by the frame search alone."""
+
+    @staticmethod
+    def margin_channels():
+        """Gaussian channels pushed onto the edges of the canonical rule, relabelled."""
+        rng = np.random.default_rng(11)
+        yield io.channel_from_json(MARGIN_SPEC)
+        for base in _angle_channels(rng, 12):
+            (l1, l2, _), t3 = base.lam, base.t[2]
+            for sign, rel in itertools.product((1, -1), (1 - 1e-6, 1 + 1e-6)):
+                yield from _relabelled([0, 0, t3], [l1, l2, l1 * l2 + sign * rel * GAUSSIAN_ATOL])
+            for rel in rng.uniform(1, 2, size=2):  # |t1| in (1, 2] GAUSSIAN_ATOL
+                yield from _relabelled([rng.choice([-1, 1]) * rel * GAUSSIAN_ATOL, 0, t3], base.lam)
+
+    def test_margin_reports_follow_the_frame_search(self):
+        outcomes = Counter()
+        for ch in self.margin_channels():
+            report = catalog.analyze_channel(ch)
+            if not report["cptp"]["ok"]:
+                outcomes["not cptp"] += 1
+                continue
+            eq = gaussian_equivalent(ch)
+            identity = eq is not None and eq.perm == (0, 1, 2)
+            assert (report["gaussian"] is not None) == identity, ch
+            assert (report["gaussian_equivalent"] is None) == (eq is None), ch
+            outcomes["identity" if identity else "none" if eq is None else "relabelled"] += 1
+            json.dumps(report, allow_nan=False)
+        assert outcomes["identity"] and outcomes["relabelled"] and outcomes["none"], outcomes
+
+    def test_margin_spec_is_gaussian(self):
+        ch = io.channel_from_json(MARGIN_SPEC)
+        assert detect_gaussian(green_from_channel(ch)) is None
+        report = catalog.analyze_channel(ch)
+        assert report["gaussian"] is not None
+        assert report["degradability"]["kind"] == WEAKLY_DEGRADABLE
+
+    def test_sub_tolerance_t1_within_the_kernel_pattern_is_not_gaussian(self):
+        ch = QubitChannel.from_canonical([1.5e-10, 0, 0.1], [0.8, 0.6, 0.48])
+        assert detect_gaussian(green_from_channel(ch)) is not None
+        assert gaussian_equivalent(ch) is None
+        report = catalog.analyze_channel(ch)
+        assert report["gaussian"] is None and report["gaussian_equivalent"] is None
+
+    def test_one_kernel_no_pattern_match_and_a_marginal_only_when_shown(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(green, "_kernel_bodies", counting("kernel", green._kernel_bodies))
+        monkeypatch.setattr(green, "detect_gaussian", counting("detect", green.detect_gaussian))
+        monkeypatch.setattr(catalog, "detect_gaussian", counting("detect", green.detect_gaussian), raising=False)
+        monkeypatch.setattr(
+            degradability.Dilation, "channel", counting("marginal", degradability.Dilation.channel)
+        )
+        channels = [catalog.build(name, p) for name, points in NAMED_POINTS.items() for p in points]
+        channels += [QubitChannel.from_canonical(*case) for case in CANONICAL_CASES.values()]
+        channels += [io.channel_from_json(spec) for spec in KRAUS_SPECS.values()]
+        channels.append(QubitChannel.from_canonical([0, 0, 0], [1, 1, -1]))  # not CPTP
+        paths = Counter()
+        for ch in channels:
+            counts.clear()
+            report = catalog.analyze_channel(ch)
+            assert counts["kernel"] == int(report["cptp"]["ok"]), ch
+            assert counts["detect"] == 0, ch
+            assert counts["marginal"] == int(report.get("dilation") is not None), ch
+            paths[(report.get("gaussian") is not None, report.get("gaussian_equivalent") is not None)] += 1
+        assert paths[(True, True)] and paths[(False, True)] and paths[(False, False)], paths
+
+
+class TestClosedFormGaussianParams:
+    def test_equal_to_the_kernel_reads_bit_for_bit(self):
+        """``_gaussian_params`` of every Gaussian frame against ``detect_gaussian``."""
+        channels = _angle_channels(np.random.default_rng(17), 2900)
+        for name in catalog.CHANNEL_NAMES:
+            params = catalog.channel_info(name).params
+            for values in itertools.product(np.linspace(0, 1, 21), repeat=len(params)):
+                channels.append(catalog.build(name, dict(zip(params, values))))
+        channels.append(QubitChannel.from_canonical([0, 0, -0.0], [-0.0, -0.0, 0.0]))
+        frames = []
+        for ch in channels:
+            for relabelled in _relabelled(ch.t, ch.lam):
+                eq = gaussian_equivalent(relabelled)
+                if eq is not None:
+                    frames.append(relabelled if eq.perm == (0, 1, 2) else eq.channel)
+        assert len(frames) >= 20_000
+        kernels = _kernel_bodies(np.array([f.t for f in frames]), np.array([f.lam for f in frames]))
+
+        def bits(gp):
+            return [float(x).hex() for x in (gp.a.real, gp.a.imag, gp.b.real, gp.b.imag, gp.c)]
+
+        for frame, kernel in zip(frames, kernels):
+            read = detect_gaussian(GreenFunction(_element(kernel)))
+            assert read is not None, frame
+            assert bits(_gaussian_params(frame)) == bits(read), frame

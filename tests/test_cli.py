@@ -238,6 +238,102 @@ class TestAnalyzeCommand:
         assert first == second
 
 
+class TestNoTraceback:
+    def test_gaussian_margin_spec_exits_0(self, capsys, tmp_path):
+        spec = tmp_path / "margin.json"
+        spec.write_text(json.dumps({
+            "type": "canonical",
+            "t": [0, 0, -0.040998812800916176],
+            "lambda": [0.6961333826538778, -0.8027344603746971, -0.5588102551734733],
+        }))
+        code, out, _ = run_cli(capsys, "analyze", str(spec), "--json")
+        assert code == 0
+        assert strict_loads(out)["gaussian"] is not None
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "canonical", "t": [1e308, 1e308, 1e308], "lambda": [1e308, -1e308, 1e308]},
+            {"type": "canonical", "t": [0, 0, 0], "lambda": [1.7e308, 1.7e308, 1.7e308]},
+            # Finite entries whose sum A^dag A overflows to inf - inf = NaN.
+            {"type": "kraus", "matrices": [
+                [[[1e200, 0], [1e200, 0]], [[0, 0], [0, 0]]],
+                [[[1e200, 0], [-1e200, 0]], [[0, 0], [0, 0]]],
+            ]},
+        ],
+        ids=["choi-overflow", "choi-overflow-lambda", "kraus-overflow"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    def test_overflowing_spec_exits_3(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+        assert code == 3
+        assert strict_loads(out)["error"]["kind"] == "validation"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type": "canonical", "t": [1' + "0" * 400 + ', 0, 0], "lambda": [1, 1, 1]}',
+            '{"type": "named", "name": "bit_flip", "params": {"s": 1' + "0" * 400 + "}}",
+            '{"type": "kraus", "matrices": [[[[1' + "0" * 400 + ", 0], [0, 0]], [[0, 0], [1, 0]]]]}",
+            '{"type": "canonical", "t": [1' + "0" * 5000 + ', 0, 0], "lambda": [1, 1, 1]}',
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["huge-int-canonical", "huge-int-named", "huge-int-kraus", "int-digit-limit", "deep-nesting"],
+    )
+    def test_unreadable_number_or_nesting_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+        assert code == 2
+        assert strict_loads(out)["error"]["kind"] == "parse"
+
+    def test_bad_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, *_ = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [("analyze", "--named", "bit_flip", "--param", "s=0.5"), ("verify", "--trials", "2")])
+    def test_nan_tol_exits_2(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--tol", "nan", "--json")
+        assert code == 2
+        assert strict_loads(out)["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_unwritable_out_path_exits_2(self, capsys, tmp_path, as_json):
+        out_path = tmp_path / "missing" / "report.json"
+        argv = ["analyze", "--named", "bit_flip", "--param", "s=0.5", "--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 2
+        assert "cannot write" in (strict_loads(out)["error"]["message"] if as_json else err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--named", "amplitude_damping", "--param", "n=0.3", "--json"),
+            ("analyze", "--named", "amplitude_damping", "--param", "n=0.3"),
+            ("catalog",),
+            ("verify", "--trials", "2"),
+        ],
+        ids=["analyze-json", "analyze-text", "catalog", "verify"],
+    )
+    def test_closed_stdout_exits_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has gone before the first write, as after `| head`
+        env = dict(os.environ, PYTHONPATH=str(Path(grasschan.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "grasschan.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+
 class TestCatalogCommand:
     def test_lists_six_channels(self, capsys):
         code, out, _ = run_cli(capsys, "catalog")

@@ -189,6 +189,13 @@ class TestPerTrialChecks:
         bodies[3, 0b0010] = 0.1  # a later row fails another check
         with pytest.raises(NotNormalizedError):
             _check_char_bodies(bodies)
+        bodies = valid_bodies()
+        bodies[2, 0] = complex("nan")  # NaN fails every "within tolerance" rule
+        with pytest.raises(NotNormalizedError) as batched:
+            _check_char_bodies(bodies)
+        with pytest.raises(NotNormalizedError) as single:
+            CharFunction(GrassmannElement(bodies[2]))
+        assert str(batched.value) == str(single.value)
 
     @pytest.mark.parametrize(
         "mask, value, error",
@@ -198,6 +205,11 @@ class TestPerTrialChecks:
             (0b1000, 0.3, NotPhysicalError),
             (0b1100, 1.5, NotPhysicalError),
             (0b0100, 0.7, NotPhysicalError),
+            (0, float("nan"), NotNormalizedError),
+            (0b1100, complex(0, float("nan")), NotPhysicalError),
+            (0b1100, float("nan"), NotPhysicalError),
+            (0b0100, float("nan"), NotPhysicalError),
+            (0b1000, complex(float("nan"), 0), NotPhysicalError),
         ],
     )
     def test_state_from_char_physicality(self, mask, value, error):
@@ -211,7 +223,7 @@ class TestPerTrialChecks:
 
     def test_state_bounds(self):
         _check_states(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5, 0.0]))
-        for p, gamma in ((1.2, 0.0), (0.5, 0.6)):
+        for p, gamma in ((1.2, 0.0), (0.5, 0.6), (float("nan"), 0.0), (0.5, complex("nan"))):
             with pytest.raises(ValueError) as batched:
                 _check_states(np.array([0.5, p]), np.array([0.1, gamma]))
             with pytest.raises(ValueError) as single:
