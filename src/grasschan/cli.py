@@ -6,23 +6,27 @@ Subcommands::
     grasschan catalog [--name NAME] [--json]
     grasschan verify [--trials N] [--seed S] [--tol T] [--json]
 
-Exit codes: 0 ok, 2 parse error (malformed spec or argument, unwritable
-``--out``), 3 validation error (non-CPTP or non-canonical input, an
-overflowing Choi matrix, or a result holding NaN or an infinity), 4
-verification-suite failure; no input ends in a traceback, and a reader that
-closes stdout early (``| head``) drops the rest of the output, not the exit
-code.  With ``--json`` errors are emitted as machine-readable objects on
-stdout, and every ``--json`` output is strict JSON: a non-finite result is
-an error, never ``NaN`` or ``Infinity``.
+Exit codes: 0 ok, 2 parse error (malformed spec or argument, a ``--tol``
+outside ``(0, inf)``, a negative ``--seed``, unwritable ``--out``), 3
+validation error (non-CPTP or non-canonical input, an overflowing Choi
+matrix, or a result holding NaN or an infinity), 4 verification-suite
+failure; no input ends in a traceback, and a reader that closes stdout early
+(``| head``) drops the rest of the output, not the exit code.  With
+``--json`` errors are emitted as machine-readable objects on stdout, and
+every ``--json`` output is strict JSON: a non-finite result is an error,
+never ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
+
+import numpy as np
 
 from . import catalog, io, verify
 from .qubit import NonDiagonalBlockError, NotCptpError, NotTracePreservingError
@@ -186,19 +190,21 @@ def _format_report_text(report: dict) -> str:
 def _cmd_analyze(args) -> int:
     if bool(args.spec) == bool(args.named):
         return _error("parse", "provide exactly one of a spec file or --named NAME", args.json, EXIT_PARSE)
-    if not args.tol > 0:
-        return _error("parse", "--tol must be positive", args.json, EXIT_PARSE)
+    if not 0 < args.tol < math.inf:  # NaN fails too
+        return _error("parse", "--tol must be positive and finite", args.json, EXIT_PARSE)
     try:
-        if args.named:
-            params = _parse_params(args.param)
-            try:
-                report = catalog.analyze(args.named, params, residual_tol=args.tol)
-            except (KeyError, catalog.OutOfRangeError) as exc:
-                raise io.SpecError(str(exc)) from exc
-        else:
-            spec = io.load_channel_spec(args.spec)
-            ch = io.channel_from_json(spec)
-            report = catalog.analyze_channel(ch, residual_tol=args.tol)
+        # An overflowing spec is reported as invalid (exit 3); numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.named:
+                params = _parse_params(args.param)
+                try:
+                    report = catalog.analyze(args.named, params, residual_tol=args.tol)
+                except (KeyError, catalog.OutOfRangeError) as exc:
+                    raise io.SpecError(str(exc)) from exc
+            else:
+                spec = io.load_channel_spec(args.spec)
+                ch = io.channel_from_json(spec)
+                report = catalog.analyze_channel(ch, residual_tol=args.tol)
     except io.SpecError as exc:
         return _error("parse", str(exc), args.json, EXIT_PARSE)
     except (NotCptpError, NotTracePreservingError, NonDiagonalBlockError) as exc:
@@ -222,7 +228,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_catalog(args) -> int:
     listing = catalog.list_channels()
-    if args.name:
+    if args.name is not None:
         listing = [entry for entry in listing if entry["name"] == args.name]
         if not listing:
             return _error("parse", f"unknown channel {args.name!r}", args.json, EXIT_PARSE)
@@ -242,8 +248,10 @@ def _cmd_catalog(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 0:
         return _error("parse", "--trials must be >= 0", args.json, EXIT_PARSE)
-    if args.tol is not None and not args.tol > 0:
-        return _error("parse", "--tol must be positive", args.json, EXIT_PARSE)
+    if args.seed < 0:
+        return _error("parse", "--seed must be >= 0", args.json, EXIT_PARSE)
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        return _error("parse", "--tol must be positive and finite", args.json, EXIT_PARSE)
     kwargs = {}
     if args.tol is not None:
         kwargs = {"calibration_tol": args.tol, "oracle_tol": args.tol}

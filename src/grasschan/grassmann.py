@@ -24,7 +24,9 @@ Storage and arithmetic:
 * The same tables run over a leading stack axis of many operands at once
   (``_stacked_products``; the index maps take ``(..., 16)`` arrays): the
   index tables are offset by row, so each row gets the bits of its own
-  single-operand pass.  ``verify`` runs its trials this way.
+  single-operand pass.  The offset tables are kept, largest first, and a
+  pass over fewer rows slices their prefix.  ``verify`` runs its trials
+  this way.
 * For finite coefficients, results are bit-identical to the term-by-term
   definition: one scalar product ``sign * x[i] * y[j]`` per pair of nonzero
   coefficients, added to a zero target in pair order.  The complex product
@@ -237,6 +239,33 @@ def _products(xc: np.ndarray, yc: np.ndarray, plan) -> np.ndarray:
     return out
 
 
+#: Stacked index tables of ``_stacked_products``, keyed by ``(id(plan), x row
+#: size, y stride)``: the largest built so far, with its plan and row count.
+_STACKED_PLANS = {}
+
+
+def _stacked_plan(plan, n: int, x_size: int, y_stride: int):
+    """``plan`` offset by row for ``n`` rows, as a prefix of the largest table built.
+
+    The table for ``n`` rows is the first ``n * len(plan[0])`` entries of the
+    table for any ``m >= n`` rows, so a prefix slice gives the same indices.
+    """
+    key = (id(plan), x_size, y_stride)
+    entry = _STACKED_PLANS.get(key)
+    if entry is None or entry[0] is not plan or entry[1] < n:
+        x_index, y_index, sign, target, size = plan
+        row = np.arange(n)[:, None]
+        tables = (
+            (x_index + row * x_size).ravel(),
+            (y_index + row * y_stride).ravel(),
+            np.tile(sign, n),
+            (target + row * size).ravel(),
+        )
+        entry = _STACKED_PLANS[key] = (plan, n, tables)
+    terms = n * len(plan[0])
+    return tuple(table[:terms] for table in entry[2]) + (n * plan[4],)
+
+
 def _stacked_products(xc: np.ndarray, yc: np.ndarray, plan) -> np.ndarray:
     """``_products`` over a leading stack axis: row ``s`` pairs ``xc[s]`` with ``yc[s]``.
 
@@ -246,18 +275,9 @@ def _stacked_products(xc: np.ndarray, yc: np.ndarray, plan) -> np.ndarray:
     result has the bits of ``_products(xc[s], yc[s], plan)``.
     """
     n = len(xc)
-    x_index, y_index, sign, target, size = plan
     if n != 1:
-        row = np.arange(n)[:, None]
-        y_stride = yc[0].size if yc.ndim == xc.ndim else 0
-        plan = (
-            (x_index + row * xc[0].size).ravel(),
-            (y_index + row * y_stride).ravel(),
-            np.tile(sign, n),
-            (target + row * size).ravel(),
-            n * size,
-        )
-    return _products(xc, yc, plan).reshape(n, size)
+        plan = _stacked_plan(plan, n, xc[0].size, yc[0].size if yc.ndim == xc.ndim else 0)
+    return _products(xc, yc, plan).reshape(n, -1)
 
 
 def _index_map(c: np.ndarray, src, dst, sign=None) -> np.ndarray:

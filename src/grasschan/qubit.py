@@ -17,6 +17,8 @@ matrix has a diagonal block.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -64,8 +66,14 @@ PAULI = (
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 
-#: Candidates that ``random_cptp_canonical_channel`` screens per batch.
+#: Candidates in the first block that ``random_cptp_canonical_channel`` decides.
 SAMPLER_BLOCK = 32
+#: First block of ``_random_channels_and_states``, in rows of three doubles per
+#: trial: a trial takes ``2k + 1`` rows for ``k`` candidates, about 42 at
+#: ``t_scale = 0.8`` (5% of candidates are accepted).  The block holds
+#: ``trials + 4`` such shares, so that a five-trial chunk needs a second,
+#: doubled block in about 2% of calls.
+_ROWS_PER_TRIAL = 48
 
 
 class NonDiagonalBlockError(ValueError):
@@ -199,7 +207,7 @@ _IDENTITY = np.eye(2)
 
 
 def _trace_out_first(op4: np.ndarray) -> np.ndarray:
-    return op4[:2, :2] + op4[2:, 2:]
+    return op4[..., :2, :2] + op4[..., 2:, 2:]
 
 
 @dataclass(frozen=True)
@@ -349,19 +357,18 @@ def compose(second: QubitChannel, first: QubitChannel) -> QubitChannel:
 
 
 def random_state(rng: np.random.Generator) -> QubitState:
-    """Uniformly sample p, then gamma uniformly from the allowed disk."""
-    p = rng.uniform(0, 1)
-    radius = np.sqrt(p * (1 - p)) * np.sqrt(rng.uniform(0, 1))
-    phase = rng.uniform(0, 2 * np.pi)
-    return QubitState(p=p, gamma=radius * np.exp(1j * phase))
+    """Uniformly sample p, then gamma uniformly from the allowed disk (see ``_states_from_uniforms``)."""
+    p, gamma = _states_from_uniforms(rng.random((1, 3)))
+    return QubitState(p=p[0], gamma=gamma[0])
 
 
 def _states_from_uniforms(u: np.ndarray):
-    """The states ``random_state`` draws from the rows ``u[s]`` of standard uniforms.
+    """States from rows ``u[s]`` of standard uniforms: ``p = u0``, then
+    ``gamma = sqrt(p (1 - p)) sqrt(u1) exp(2 pi i u2)``, uniform on the allowed disk.
 
-    ``rng.random((n, 3))`` consumes the stream of ``n`` ``random_state(rng)``
-    calls, and row ``s`` gives the bits of call ``s`` as arrays ``p`` and
-    ``gamma``, checked like ``QubitState``.
+    ``random_state(rng)`` is row 0 of ``rng.random((1, 3))``, so
+    ``rng.random((n, 3))`` gives the bits of ``n`` ``random_state`` calls, as
+    arrays ``p`` and ``gamma`` checked like ``QubitState``.
     """
     p = u[:, 0]
     radius = np.sqrt(p * (1 - p)) * np.sqrt(u[:, 1])
@@ -399,6 +406,83 @@ def _choi_prescreen(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (d[:, _BELL_A] * d[:, _BELL_B] >= (t * t)[:, _BELL_AXIS] / 4).all(axis=1)
 
 
+def _cptp_candidates(rows: np.ndarray, t_scale: float) -> np.ndarray:
+    """``cptp_report.ok`` of every candidate ``lam = rows[j]``, ``t = rows[j + 1] * t_scale``.
+
+    Entry ``j`` of the result covers rows ``j`` and ``j + 1``, so both row
+    alignments are decided at once.  The closed-form pre-screen drops
+    candidates the exact check rejects; the survivors' Choi operators go
+    through one batched ``eigvalsh`` and the batched TP deviation.  These are
+    within rounding (about 1e-15) of the single-channel values, so they decide
+    as ``cptp_report`` does except near a threshold: a survivor whose smallest
+    eigenvalue lies within ``SCREEN_MARGIN`` of ``CHOI_EIG_FLOOR``, or whose
+    deviation exceeds ``TP_ATOL / 2``, is decided by ``cptp_report`` itself.
+    """
+    lam, t = rows[:-1], rows[1:] * t_scale
+    ok = np.zeros(len(lam), dtype=bool)
+    kept = np.flatnonzero(_choi_prescreen(t, lam))
+    choi = choi_from_ptm(_ptm_from_canonical(t[kept], lam[kept]))
+    eig = np.linalg.eigvalsh(choi)[:, 0]
+    tp_dev = np.abs(_trace_out_first(choi) - _IDENTITY).max(axis=(1, 2))
+    ok[kept] = (eig >= CHOI_EIG_FLOOR) & (tp_dev <= TP_ATOL)
+    for k in kept[(np.abs(eig - CHOI_EIG_FLOOR) <= SCREEN_MARGIN) | (tp_dev > TP_ATOL / 2)]:
+        ok[k] = QubitChannel.from_canonical(t[k], lam[k]).cptp_report.ok
+    return ok
+
+
+def _walk(ok: np.ndarray, rows: int, trials: int, tail: int, max_tries: int):
+    """The accepted candidate of each of ``trials`` consecutive rejection loops.
+
+    A loop starting at row ``pos`` tries the candidates at rows ``pos, pos +
+    2, ...``; the first one ``ok`` marks is its channel, and the next loop
+    starts ``tail`` rows after that candidate's first row (2 for the channel
+    alone, 3 with a state row).  Returns ``(starts, end)``: the accepted rows
+    and the rows consumed, with fewer than ``trials`` starts when a loop's
+    ``max_tries`` candidates all fail (``end`` is then the end of its last
+    candidate), or ``None`` when ``rows`` rows are too few to tell.
+    """
+    accepted = np.flatnonzero(ok)
+    by_parity = (accepted[accepted % 2 == 0].tolist(), accepted[accepted % 2 == 1].tolist())
+    starts, pos = [], 0
+    for _ in range(trials):
+        same_parity = by_parity[pos % 2]
+        k = bisect_left(same_parity, pos)
+        j = same_parity[k] if k < len(same_parity) else math.inf
+        if j >= pos + 2 * max_tries:
+            return None if pos + 2 * max_tries > rows else (starts, pos + 2 * max_tries)
+        if j + tail > rows:
+            return None
+        starts.append(j)
+        pos = j + tail
+    return starts, pos
+
+
+def _sample(rng, draw, trials: int, tail: int, t_scale: float, max_tries: int, rows: int, max_rows: float):
+    """Run ``trials`` rejection loops (see ``_walk``) on one block of draws.
+
+    ``draw(m)`` draws ``m`` rows of three doubles and returns ``(block,
+    uniforms)``, with ``uniforms`` the rows as ``rng.uniform(-1, 1)`` gives
+    them.  The generator state is saved; a block of ``rows`` rows (doubled,
+    up to ``max_rows``, until the walk is decided) is drawn and decided in one
+    pass; then the state is restored and exactly the consumed rows are drawn
+    again.  Returns ``(block, starts)``; ``RuntimeError`` when a loop runs out
+    of ``max_tries``, with the generator just past that loop's last candidate.
+    """
+    start = rng.bit_generator.state
+    while True:
+        block, uniforms = draw(rows)
+        walk = _walk(_cptp_candidates(uniforms, t_scale), rows, trials, tail, max_tries)
+        rng.bit_generator.state = start
+        if walk is not None:
+            break
+        rows = min(2 * rows, max_rows)
+    starts, end = walk
+    draw(end)
+    if len(starts) < trials:
+        raise RuntimeError("failed to sample a CPTP channel")
+    return block, starts
+
+
 def random_cptp_canonical_channel(
     rng: np.random.Generator, t_scale: float = 0.8, max_tries: int = 10_000
 ) -> QubitChannel:
@@ -409,29 +493,48 @@ def random_cptp_canonical_channel(
     channel passes :func:`is_cptp` is returned (with its report cached), and
     ``RuntimeError`` is raised after ``max_tries`` failures.
 
-    Candidates are drawn ``SAMPLER_BLOCK`` at a time and pre-screened by the
-    closed-form Bell-basis conditions of :func:`_choi_prescreen`, but the
-    sampling is stream-exact: for every ``numpy.random.Generator`` (any bit
-    generator; its state is saved and restored) and every ``max_tries`` the
-    returned channel has the same bits, and ``rng`` is left in the same state,
-    as drawing and checking the attempts one at a time.  The pre-screen only
-    drops candidates the exact check would reject; every acceptance is
-    decided by the single-channel check.  After an acceptance the generator
-    is rewound to the start of the block and advanced by exactly the draws of
-    the attempts up to the accepted one.
+    This is the one-trial case of the whole-stream sampler that ``verify``
+    runs (``_random_channels_and_states``): ``SAMPLER_BLOCK`` candidates (at
+    most ``max_tries``) are drawn in one block, doubled while too few, and
+    decided in one array pass by :func:`_cptp_candidates`.  The sampling is
+    stream-exact: for every ``numpy.random.Generator`` (any bit generator;
+    its state is saved and restored) and every ``max_tries`` the returned
+    channel has the same bits, and ``rng`` is left in the same state, as
+    drawing and checking the attempts one at a time.
     """
-    tried = 0
-    while tried < max_tries:
-        n = min(SAMPLER_BLOCK, max_tries - tried)
-        start = rng.bit_generator.state
-        draws = rng.uniform(-1, 1, size=(n, 2, 3))
-        lam = draws[:, 0]
-        t = draws[:, 1] * t_scale
-        for k in np.flatnonzero(_choi_prescreen(t, lam)):
-            ch = QubitChannel.from_canonical(t[k], lam[k])
-            if ch.cptp_report.ok:
-                rng.bit_generator.state = start
-                rng.uniform(-1, 1, size=(k + 1, 2, 3))
-                return ch
-        tried += n
-    raise RuntimeError("failed to sample a CPTP channel")
+    def draw(m):
+        uniforms = rng.uniform(-1, 1, size=(m, 3))
+        return uniforms, uniforms
+
+    rows, (j,) = _sample(
+        rng, draw, 1, 2, t_scale, max_tries, 2 * min(SAMPLER_BLOCK, max_tries), 2 * max_tries
+    )
+    ch = QubitChannel.from_canonical(rows[j + 1] * t_scale, rows[j])
+    ch.cptp_report  # computed now and cached, for the consumers that check it
+    return ch
+
+
+def _random_channels_and_states(
+    rng: np.random.Generator, trials: int, t_scale: float = 0.8, max_tries: int = 10_000
+):
+    """``trials`` rounds of ``random_cptp_canonical_channel(rng)`` then ``random_state(rng)``.
+
+    Returns ``(t, lam, u)`` of shape ``(trials, 3)``: the canonical
+    parameters of each round's channel and the standard uniforms of its state
+    (``_states_from_uniforms(u)`` gives the state).  A round with ``k``
+    candidates consumes ``6k + 3`` doubles, ``2k + 1`` rows of three, so
+    rounds start on rows of either parity.  One block ``rng.random((m,
+    3))`` is drawn, ``-1 + 2 * raw`` gives the bits of ``rng.uniform(-1,
+    1)``, every candidate of both parities is decided at once, and the
+    rounds are walked over the accepted rows.  The bits, the generator's final state and
+    any ``RuntimeError`` are those of the per-round loop.
+    """
+    def draw(m):
+        raw = rng.random((m, 3))
+        return raw, -1 + 2 * raw
+
+    raw, starts = _sample(
+        rng, draw, trials, 3, t_scale, max_tries, _ROWS_PER_TRIAL * (trials + 4), math.inf
+    )
+    starts = np.array(starts, dtype=np.intp)
+    return (-1 + 2 * raw[starts + 1]) * t_scale, -1 + 2 * raw[starts], raw[starts + 2]

@@ -20,7 +20,10 @@ name                        value    what it bounds                             
 ``CHOI_EIG_FLOOR``          -1e-9    smallest Choi eigenvalue of a CPTP channel  ``cptp.ok``, ``cptp.min_choi_eigenvalue``
 ``TP_ATOL``                 1e-12    ``max |Tr_out Choi - I|`` of a CPTP channel ``cptp.ok``, ``cptp.tp_deviation``
 ``SCREEN_MARGIN``           1e-12    slack of the sampler's closed-form Choi     (none: the screen only skips candidates)
-                                     pre-screen below ``CHOI_EIG_FLOOR``
+                                     pre-screen below ``CHOI_EIG_FLOOR``; band
+                                     around the floor in which the sampler's
+                                     batched eigenvalue defers to the
+                                     single-channel check
 ``NORMALIZATION_ATOL``      1e-10    ``|chi(0) - 1|`` of a characteristic        (raises ``NotNormalizedError``)
                                      function
 ``PHYSICALITY_ATOL``        1e-9     realness, conjugate symmetry and state      (raises ``NotPhysicalError``)
@@ -60,7 +63,8 @@ TP_ATOL = 1e-12
 # The sampler's pre-screen tests Choi positivity against CHOI_EIG_FLOOR -
 # SCREEN_MARGIN.  The margin is far above the rounding of the pre-screen's
 # few products of O(1) numbers, so the pre-screen never drops a candidate
-# the exact check accepts.
+# the exact check accepts; for the same reason a batched eigenvalue within
+# SCREEN_MARGIN of the floor is re-decided by the single-channel check.
 SCREEN_MARGIN = 1e-12
 
 # Characteristic functions (charfunc.py).

@@ -10,12 +10,16 @@ Two independent paths must agree on every channel application:
 paths, and reports the worst residual per suite.  The calibration suite
 additionally pins the closed form of the characteristic function itself.
 
-Each trial's channel and state are drawn in stream order, and then a chunk
-of up to ``CHUNK_TRIALS`` trials runs both paths as ``(n, 16)`` coefficient
-arrays.  Every row has the bits of the single-object path (``char_function``,
-``green_from_channel``, ``apply_green``, ``state_from_char``,
-``apply_channel``), every per-trial check runs on every row and raises that
-check's exception, and a NaN residual makes its suite fail.
+The suites run as array passes over chunks of up to ``CHUNK_TRIALS``
+trials.  The oracle suite samples a chunk's channels and states in one
+stream-exact pass (``qubit._random_channels_and_states``): the bits and the
+generator's final state are those of drawing each trial's channel, then its
+state, one at a time.  The chunk then runs both paths as ``(n, 16)``
+coefficient arrays.  Every row has the bits of the single-object path
+(``char_function``, ``green_from_channel``, ``apply_green``,
+``state_from_char``, ``apply_channel``), every per-trial check runs on every
+row and raises that check's exception, and a NaN residual makes its suite
+fail.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from .charfunc import _char_bodies, _check_char_bodies, _states_from_bodies
 from .grassmann import MONOMIAL_NAMES
 from .green import _apply_kernels, _kernel_bodies
-from .qubit import _bloch_map, _states_from_uniforms, random_cptp_canonical_channel
+from .qubit import _bloch_map, _random_channels_and_states, _states_from_uniforms
 from .tolerances import CALIBRATION_TOL, ORACLE_TOL
 
 __all__ = ["CheckResult", "VerificationResult", "run_verification", "DEFAULT_SEED"]
@@ -104,11 +108,7 @@ def _calibration_suite(rng: np.random.Generator, trials: int, tol: float) -> Che
 def _oracle_suite(rng: np.random.Generator, trials: int, tol: float) -> CheckResult:
     worst = 0.0
     for n in _chunks(trials):
-        t, lam, u = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
-        for s in range(n):
-            ch = random_cptp_canonical_channel(rng)
-            t[s], lam[s] = ch.t, ch.lam
-            u[s] = rng.random(3)
+        t, lam, u = _random_channels_and_states(rng, n)
         p, gamma = _states_from_uniforms(u)
         chi = _char_bodies(_matrices(p, gamma))
         _check_char_bodies(chi)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,13 +264,16 @@ class TestNoTraceback:
         ],
         ids=["choi-overflow", "choi-overflow-lambda", "kraus-overflow"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
     def test_overflowing_spec_exits_3(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "analyze", str(path), "--json")
         assert code == 3
         assert strict_loads(out)["error"]["kind"] == "validation"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize(
         "text",
@@ -300,6 +304,19 @@ class TestNoTraceback:
         code, out, _ = run_cli(capsys, *argv, "--tol", "nan", "--json")
         assert code == 2
         assert strict_loads(out)["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf"])
+    @pytest.mark.parametrize("argv", [("analyze", "--named", "bit_flip", "--param", "s=0.5"), ("verify", "--trials", "3")])
+    def test_infinite_tol_exits_2(self, capsys, argv, tol):
+        code, out, _ = run_cli(capsys, *argv, f"--tol={tol}", "--json")
+        assert code == 2
+        assert strict_loads(out)["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_negative_seed_exits_2(self, capsys, as_json):
+        code, out, err = run_cli(capsys, "verify", "--trials", "2", "--seed", "-1", *(["--json"] if as_json else []))
+        assert code == 2
+        assert "--seed" in (strict_loads(out)["error"]["message"] if as_json else err)
 
     @pytest.mark.parametrize("as_json", [True, False])
     def test_unwritable_out_path_exits_2(self, capsys, tmp_path, as_json):

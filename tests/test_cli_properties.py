@@ -1,10 +1,13 @@
-"""Property test: ``grasschan analyze`` ends in an exit code, never a traceback.
+"""Property tests: ``grasschan`` ends in an exit code, never a traceback.
 
-Random well-formed and malformed specs, plus canonical specs on the margins
-of the Gaussian rule (``lam3 - lam1 lam2`` at ``±GAUSSIAN_ATOL (1 ± 1e-6)``,
-``|t1|`` in ``(1, 2] GAUSSIAN_ATOL``), go through ``cli.main``.  The exit
-code must be 0, 2 or 3, no exception may escape, and every ``--json`` output
-must be one strict JSON document.
+``analyze``: random well-formed and malformed specs, plus canonical specs on
+the margins of the Gaussian rule (``lam3 - lam1 lam2`` at ``±GAUSSIAN_ATOL
+(1 ± 1e-6)``, ``|t1|`` in ``(1, 2] GAUSSIAN_ATOL``), go through ``cli.main``.
+``verify`` and ``catalog``: random argv, with ``--trials`` small or negative
+(never large, so no run starts many trials), ``--seed`` negative or huge and
+``--tol`` zero, negative, NaN or infinite.  The exit code must be 0, 2, 3 or
+4, no exception may escape, and every ``--json`` output must be one strict
+JSON document.
 """
 
 import contextlib
@@ -88,7 +91,6 @@ def spec_path(tmp_path_factory):
     return tmp_path_factory.mktemp("specs") / "spec.json"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports overflowing specs too
 @settings(max_examples=100, deadline=None)
 @given(spec=SPECS, as_json=st.booleans())
 @example(spec=MARGIN_SPEC, as_json=True)
@@ -102,3 +104,50 @@ def test_analyze_exits_with_a_code_and_strict_json(spec_path, spec, as_json):
     if as_json:
         payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert ("error" in payload) == (code != 0)
+
+
+TOLS = st.one_of(
+    st.floats(0, 1e-3),
+    st.sampled_from([0.0, -0.0, -1.0, 1e-300, 1e-20, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+VERIFY_ARGV = st.tuples(
+    st.one_of(st.none(), st.integers(0, 20), st.integers(-(10**6), -1)),
+    st.one_of(st.none(), st.integers(-(10**6), 10**6), st.integers(-(2**200), 2**200)),
+    st.one_of(st.none(), TOLS),
+)
+CATALOG_NAMES = st.one_of(st.none(), st.sampled_from(catalog.CHANNEL_NAMES + ("nope", "")), st.text(max_size=8))
+
+
+def _run(argv, as_json):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + (["--json"] if as_json else []))
+    if as_json:
+        payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert ("error" in payload) == (code in (2, 3)), (code, argv)
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(options=VERIFY_ARGV, as_json=st.booleans())
+@example(options=(2, -1, None), as_json=True)
+@example(options=(3, None, math.inf), as_json=True)
+def test_verify_exits_with_a_code_and_strict_json(options, as_json):
+    trials, seed, tol = options
+    argv = ["verify"]
+    for flag, value in (("--trials", trials), ("--seed", seed), ("--tol", tol)):
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    code = _run(argv, as_json)
+    assert code in (0, 2, 3, 4), (code, argv)
+    if (seed is not None and seed < 0) or (tol is not None and not 0 < tol < math.inf):
+        assert code == 2, argv
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=CATALOG_NAMES, as_json=st.booleans())
+def test_catalog_exits_with_a_code_and_strict_json(name, as_json):
+    argv = ["catalog"] + ([f"--name={name}"] if name is not None else [])
+    code = _run(argv, as_json)
+    assert code == (0 if name is None or name in catalog.CHANNEL_NAMES else 2), argv

@@ -10,7 +10,7 @@ bits, raise the same exceptions and leave the generator in the same state.
 import numpy as np
 import pytest
 
-from grasschan import verify
+from grasschan import qubit, verify
 from grasschan.charfunc import (
     CharFunction,
     NotNormalizedError,
@@ -36,15 +36,18 @@ from grasschan.grassmann import (
 )
 from grasschan.green import _apply_kernels, _kernel_bodies, apply_green, green_from_channel
 from grasschan.qubit import (
+    QubitChannel,
     QubitState,
     _bloch_map,
     _check_states,
+    _choi_prescreen,
+    _random_channels_and_states,
     _states_from_uniforms,
     apply_channel,
     random_cptp_canonical_channel,
     random_state,
 )
-from grasschan.tolerances import CALIBRATION_TOL, ORACLE_TOL
+from grasschan.tolerances import CALIBRATION_TOL, CHOI_EIG_FLOOR, ORACLE_TOL, SCREEN_MARGIN
 from grasschan.verify import CHUNK_TRIALS, CheckResult, run_verification
 
 
@@ -251,3 +254,137 @@ class TestPerTrialChecks:
         assert result.checks[0].passed
         assert not result.checks[1].passed and np.isnan(result.checks[1].max_residual)
         assert not result.passed
+
+
+def reference_channels_and_states(rng, trials, t_scale=0.8, max_tries=10_000):
+    """The per-trial loop the whole-stream sampler replaces: a channel, then a state's uniforms."""
+    rows = []
+    for _ in range(trials):
+        ch = random_cptp_canonical_channel(rng, t_scale=t_scale, max_tries=max_tries)
+        rows.append((ch.t, ch.lam, rng.random(3)))
+    return tuple(np.array([row[i] for row in rows]).reshape(-1, 3) for i in range(3))
+
+
+def draws_and_next(sampler, rng, trials, **kwargs):
+    """The ``(t, lam, u)`` bytes (or ``"RuntimeError"``) and the generator's next draw."""
+    try:
+        out = tuple(a.tobytes() for a in sampler(rng, trials, **kwargs))
+    except RuntimeError:
+        out = "RuntimeError"
+    return out, rng.random()
+
+
+class ScriptedStream:
+    """Serves fixed standard uniforms as ``random`` draws and, like numpy, ``uniform(low, high)``
+    as ``low + (high - low) * u``; the state is the position."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.position = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.position
+
+    @state.setter
+    def state(self, position):
+        self.position = position
+
+    def random(self, size):
+        n = int(np.prod(size))
+        out = self.values[self.position:self.position + n]
+        assert len(out) == n, "script exhausted"
+        self.position += n
+        return out.reshape(size)
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * self.random(size)
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
+
+
+class TestWholeStreamSampler:
+    """``_random_channels_and_states`` against per-trial channel-then-state draws."""
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("trials", [1, 5, 255, 256, 257])
+    def test_matches_per_trial_loop(self, bit_generator, trials):
+        for seed in range(20 if trials < 100 else 3):
+            ours, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            for _ in range(2):  # the second pass starts mid-stream, at either row alignment
+                got = draws_and_next(_random_channels_and_states, ours, trials)
+                assert got == draws_and_next(reference_channels_and_states, ref, trials)
+                assert got[0] != "RuntimeError"
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("first_rows_per_trial, t_scale", [(1, 0.8), (48, 1.0)])
+    def test_block_growth(self, monkeypatch, bit_generator, first_rows_per_trial, t_scale):
+        blocks, grown = [], 0
+        real = qubit._cptp_candidates
+        monkeypatch.setattr(qubit, "_ROWS_PER_TRIAL", first_rows_per_trial)
+        for seed in range(10):
+            ours, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            for trials in (1, 5, 40):
+                blocks.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(qubit, "_cptp_candidates", lambda rows, ts: blocks.append(len(rows)) or real(rows, ts))
+                    got = draws_and_next(_random_channels_and_states, ours, trials, t_scale=t_scale)
+                assert got == draws_and_next(reference_channels_and_states, ref, trials, t_scale=t_scale)
+                assert blocks == [blocks[0] * 2**k for k in range(len(blocks))]
+                grown += len(blocks) > 1
+        assert grown >= 10
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("max_tries", [0, 1, 60])
+    def test_max_tries_runs_out_at_the_same_stream_position(self, bit_generator, max_tries):
+        accepted_before_raising = []
+        for seed in range(30):
+            ours, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            got = draws_and_next(_random_channels_and_states, ours, 40, max_tries=max_tries)
+            assert got == draws_and_next(reference_channels_and_states, ref, 40, max_tries=max_tries)
+            if got[0] == "RuntimeError":
+                replay, done = np.random.Generator(bit_generator(seed)), 0
+                while True:
+                    try:
+                        reference_channels_and_states(replay, 1, max_tries=max_tries)
+                    except RuntimeError:
+                        break
+                    done += 1
+                accepted_before_raising.append(done)
+        if max_tries < 60:
+            assert len(accepted_before_raising) == 30
+        else:
+            # some runs finish; some raise inside the pass, after accepted trials
+            assert 0 < len(accepted_before_raising) < 30 and max(accepted_before_raising) > 0
+
+    def test_near_floor_survivor_is_decided_by_the_single_channel_check(self, monkeypatch):
+        # Depolarizing lam = (l, l, l) has smallest Choi eigenvalue (1 + 3l)/2.
+        def raw_at(eig):
+            return ((2 * eig - 1) / 3 + 1) / 2
+
+        below, above = raw_at(CHOI_EIG_FLOOR - SCREEN_MARGIN / 2), raw_at(CHOI_EIG_FLOOR + SCREEN_MARGIN / 2)
+        lam_below, lam_above = -1 + 2 * below, -1 + 2 * above
+        eig_below = np.linalg.eigvalsh(QubitChannel.from_canonical([0, 0, 0], [lam_below] * 3).choi)[0]
+        assert CHOI_EIG_FLOOR - SCREEN_MARGIN < eig_below < CHOI_EIG_FLOOR
+        assert _choi_prescreen(np.zeros((1, 3)), np.full((1, 3), lam_below)).all()
+        # trial 0: a near-floor candidate the exact check rejects, then one it accepts, then a state;
+        # trial 1 starts on the other row alignment and takes lam = t = 0.
+        script = [below] * 3 + [0.5] * 3 + [above] * 3 + [0.5] * 3 + [0.25, 0.5, 0.75] + [0.5] * 3000
+        checked = []
+        report = QubitChannel.__dict__["cptp_report"].func
+
+        def counting_report(ch):
+            checked.append(ch.lam[0])
+            return report(ch)
+
+        ours, ref = ScriptedStream(script), ScriptedStream(script)
+        with monkeypatch.context() as m:
+            m.setattr(QubitChannel, "cptp_report", property(counting_report))
+            t, lam, u = _random_channels_and_states(ours, 2)
+        assert lam_below in checked and lam_above in checked
+        ref_t, ref_lam, ref_u = reference_channels_and_states(ref, 2)
+        assert (t.tobytes(), lam.tobytes(), u.tobytes()) == (ref_t.tobytes(), ref_lam.tobytes(), ref_u.tobytes())
+        assert lam[0].tolist() == [lam_above] * 3 and u[0].tolist() == [0.25, 0.5, 0.75]
+        assert ours.position == ref.position == 24
