@@ -92,31 +92,22 @@ class Dilation:
     def q(self) -> float:
         return self.env_state.p
 
-    def _branch_weights(self):
-        q = self.q
-        return [(0, q), (1, 1 - q)]
+    def _kraus(self, blocks: np.ndarray) -> list:
+        """``sqrt(w_j) blocks[j, k]`` for the environment inputs ``j`` of
+        nonzero weight ``w_j``, ``j`` then ``k`` ascending, as a list."""
+        weights = np.array([self.q, 1 - self.q])
+        kept = np.flatnonzero(weights)
+        return list((np.sqrt(weights[kept])[:, None, None, None] * blocks[kept]).reshape(-1, 2, 2))
 
     def system_kraus(self) -> list:
         """Kraus list of the system-output channel Tr_E[U (rho (x) rho_E) U^dag]."""
         u = self.unitary.reshape(2, 2, 2, 2)  # [s_out, e_out, s_in, e_in]
-        ops = []
-        for j, weight in self._branch_weights():
-            if weight == 0:
-                continue
-            for k in range(2):
-                ops.append(np.sqrt(weight) * u[:, k, :, j])
-        return ops
+        return self._kraus(u.transpose(3, 1, 0, 2))  # [e_in, e_out, s_out, s_in]
 
     def env_kraus(self) -> list:
         """Kraus list of the environment-output channel Tr_S[U (rho (x) rho_E) U^dag]."""
         u = self.unitary.reshape(2, 2, 2, 2)
-        ops = []
-        for j, weight in self._branch_weights():
-            if weight == 0:
-                continue
-            for k in range(2):
-                ops.append(np.sqrt(weight) * u[k, :, :, j])
-        return ops
+        return self._kraus(u.transpose(3, 0, 1, 2))  # [e_in, s_out, e_out, s_in]
 
     def channel(self) -> QubitChannel:
         return QubitChannel.from_kraus(self.system_kraus())

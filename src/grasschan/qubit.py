@@ -144,18 +144,34 @@ def _check_states(p: np.ndarray, gamma: np.ndarray) -> None:
         QubitState(p=p[s], gamma=gamma[s])
 
 
+_PAULI_STACK = np.array(PAULI)
+
+
 def ptm_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """Transfer matrix ``Tr[sigma_i sum_k A_k sigma_j A_k^dag] / 2`` of a Kraus list."""
-    ops = [np.asarray(a, dtype=complex) for a in kraus]
-    deviation = np.max(np.abs(sum(a.conj().T @ a for a in ops) - np.eye(2)))
+    """Transfer matrix ``Tr[sigma_i sum_k A_k sigma_j A_k^dag] / 2`` of a Kraus list.
+
+    One stacked pass: the list becomes a ``(K, 2, 2)`` array, one batched
+    product forms every ``(A_k sigma_j) A_k^dag`` as ``(K, 4, 2, 2)``, the
+    ``K`` terms are summed in list order starting from +0.0, and one batched
+    product gives every ``sigma_i mapped_j``, whose trace is summed from +0.0
+    (``(0.0 + m00) + m11``, as ``np.trace`` does; without the start a -0.0
+    would survive).  Each entry thus has the bits of the per-entry loop.
+    """
+    ops = np.asarray(kraus, dtype=complex).reshape(len(kraus), 2, 2)
+    adjoints = ops.conj().swapaxes(-1, -2)
+    deviation = np.abs(np.add.reduce(adjoints @ ops, initial=0.0) - _IDENTITY).max()
     if not deviation <= KRAUS_TP_ATOL:
         raise NotTracePreservingError(f"sum A^dag A deviates from identity by {deviation:.3e}")
-    ptm = np.empty((4, 4))
-    for j in range(4):
-        mapped = sum(a @ PAULI[j] @ a.conj().T for a in ops)
-        for i in range(4):
-            ptm[i, j] = np.real(np.trace(PAULI[i] @ mapped)) / 2
-    return ptm
+    mapped = np.add.reduce((ops[:, None] @ _PAULI_STACK) @ adjoints[:, None], initial=0.0)
+    traced = (_PAULI_STACK[:, None] @ mapped).real
+    return ((0.0 + traced[..., 0, 0]) + traced[..., 1, 1]) / 2
+
+
+_BLOCK_DIAG = np.arange(1, 4)
+_FIRST_ROW = np.array([1.0, 0.0, 0.0, 0.0])
+#: 1 off the diagonal of the 3x3 block, 0 on it: the product keeps every
+#: off-diagonal entry and turns a non-finite diagonal entry into NaN.
+_OFF_DIAGONAL = 1.0 - np.eye(3)
 
 
 def canonical_from_ptm(ptm: np.ndarray, atol: float = DIAG_ATOL):
@@ -163,19 +179,14 @@ def canonical_from_ptm(ptm: np.ndarray, atol: float = DIAG_ATOL):
     ptm = np.asarray(ptm, dtype=float)
     if ptm.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if not np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0]))) <= atol:
+    if not np.abs(ptm[0] - _FIRST_ROW).max() <= atol:
         raise NonDiagonalBlockError("first row is not (1, 0, 0, 0)")
-    block = ptm[1:, 1:]
-    off = block - np.diag(np.diag(block))
-    worst = np.max(np.abs(off))
+    worst = np.abs(ptm[1:, 1:] * _OFF_DIAGONAL).max()
     if not worst <= atol:
         raise NonDiagonalBlockError(
             f"transfer block has off-diagonal entry {worst:.3e}; canonicalize externally"
         )
-    return ptm[1:, 0].copy(), np.diag(block).copy()
-
-
-_BLOCK_DIAG = np.arange(1, 4)
+    return ptm[1:, 0].copy(), ptm[_BLOCK_DIAG, _BLOCK_DIAG]
 
 
 def _ptm_from_canonical(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -406,19 +417,17 @@ def _choi_prescreen(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (d[:, _BELL_A] * d[:, _BELL_B] >= (t * t)[:, _BELL_AXIS] / 4).all(axis=1)
 
 
-def _cptp_candidates(rows: np.ndarray, t_scale: float) -> np.ndarray:
-    """``cptp_report.ok`` of every candidate ``lam = rows[j]``, ``t = rows[j + 1] * t_scale``.
+def _cptp_ok(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``cptp_report.ok`` of every row of ``(t, lam)``.
 
-    Entry ``j`` of the result covers rows ``j`` and ``j + 1``, so both row
-    alignments are decided at once.  The closed-form pre-screen drops
-    candidates the exact check rejects; the survivors' Choi operators go
-    through one batched ``eigvalsh`` and the batched TP deviation.  These are
-    within rounding (about 1e-15) of the single-channel values, so they decide
-    as ``cptp_report`` does except near a threshold: a survivor whose smallest
-    eigenvalue lies within ``SCREEN_MARGIN`` of ``CHOI_EIG_FLOOR``, or whose
-    deviation exceeds ``TP_ATOL / 2``, is decided by ``cptp_report`` itself.
+    The closed-form pre-screen drops candidates the exact check rejects; the
+    survivors' Choi operators go through one batched ``eigvalsh`` and the
+    batched TP deviation.  These are within rounding (about 1e-15) of the
+    single-channel values, so they decide as ``cptp_report`` does except near
+    a threshold: a survivor whose smallest eigenvalue lies within
+    ``SCREEN_MARGIN`` of ``CHOI_EIG_FLOOR``, or whose deviation exceeds
+    ``TP_ATOL / 2``, is decided by ``cptp_report`` itself.
     """
-    lam, t = rows[:-1], rows[1:] * t_scale
     ok = np.zeros(len(lam), dtype=bool)
     kept = np.flatnonzero(_choi_prescreen(t, lam))
     choi = choi_from_ptm(_ptm_from_canonical(t[kept], lam[kept]))
@@ -427,6 +436,23 @@ def _cptp_candidates(rows: np.ndarray, t_scale: float) -> np.ndarray:
     ok[kept] = (eig >= CHOI_EIG_FLOOR) & (tp_dev <= TP_ATOL)
     for k in kept[(np.abs(eig - CHOI_EIG_FLOOR) <= SCREEN_MARGIN) | (tp_dev > TP_ATOL / 2)]:
         ok[k] = QubitChannel.from_canonical(t[k], lam[k]).cptp_report.ok
+    return ok
+
+
+def _cptp_candidates(rows: np.ndarray, t_scale: float) -> np.ndarray:
+    """``cptp_report.ok`` of every candidate ``lam = rows[j]``, ``t = rows[j + 1] * t_scale``.
+
+    Entry ``j`` of the result covers rows ``j`` and ``j + 1``, so both row
+    alignments are decided at once.
+    """
+    return _cptp_ok(rows[1:] * t_scale, rows[:-1])
+
+
+def _even_candidates(rows: np.ndarray, t_scale: float) -> np.ndarray:
+    """``_cptp_candidates`` with the odd entries left False, undecided: a
+    lone rejection loop starts at row 0 and only tries even rows."""
+    ok = np.zeros(max(len(rows) - 1, 0), dtype=bool)
+    ok[::2] = _cptp_ok(rows[1::2] * t_scale, rows[:-1:2])
     return ok
 
 
@@ -469,9 +495,10 @@ def _sample(rng, draw, trials: int, tail: int, t_scale: float, max_tries: int, r
     of ``max_tries``, with the generator just past that loop's last candidate.
     """
     start = rng.bit_generator.state
+    decide = _cptp_candidates if trials > 1 else _even_candidates
     while True:
         block, uniforms = draw(rows)
-        walk = _walk(_cptp_candidates(uniforms, t_scale), rows, trials, tail, max_tries)
+        walk = _walk(decide(uniforms, t_scale), rows, trials, tail, max_tries)
         rng.bit_generator.state = start
         if walk is not None:
             break
@@ -496,7 +523,7 @@ def random_cptp_canonical_channel(
     This is the one-trial case of the whole-stream sampler that ``verify``
     runs (``_random_channels_and_states``): ``SAMPLER_BLOCK`` candidates (at
     most ``max_tries``) are drawn in one block, doubled while too few, and
-    decided in one array pass by :func:`_cptp_candidates`.  The sampling is
+    decided in one array pass by :func:`_even_candidates`.  The sampling is
     stream-exact: for every ``numpy.random.Generator`` (any bit generator;
     its state is saved and restored) and every ``max_tries`` the returned
     channel has the same bits, and ``rng`` is left in the same state, as
@@ -525,9 +552,10 @@ def _random_channels_and_states(
     candidates consumes ``6k + 3`` doubles, ``2k + 1`` rows of three, so
     rounds start on rows of either parity.  One block ``rng.random((m,
     3))`` is drawn, ``-1 + 2 * raw`` gives the bits of ``rng.uniform(-1,
-    1)``, every candidate of both parities is decided at once, and the
-    rounds are walked over the accepted rows.  The bits, the generator's final state and
-    any ``RuntimeError`` are those of the per-round loop.
+    1)``, every candidate of both parities (of the even rows only, for one
+    round) is decided at once, and the rounds are walked over the accepted
+    rows.  The bits, the generator's final state and any ``RuntimeError``
+    are those of the per-round loop.
     """
     def draw(m):
         raw = rng.random((m, 3))

@@ -77,6 +77,34 @@ class TestDilation:
         assert np.trace(env.matrix @ env.matrix).real < 1 - 1e-3
 
 
+def reference_kraus(d, system):
+    """The per-operator loop that the stacked ``system_kraus``/``env_kraus`` must reproduce."""
+    u = d.unitary.reshape(2, 2, 2, 2)  # [s_out, e_out, s_in, e_in]
+    ops = []
+    for j, weight in ((0, d.q), (1, 1 - d.q)):
+        if weight == 0:
+            continue
+        for k in range(2):
+            ops.append(np.sqrt(weight) * (u[:, k, :, j] if system else u[k, :, :, j]))
+    return ops
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 0.5, "random"])
+def test_stacked_kraus_lists_match_the_loop(q):
+    rng = np.random.default_rng(57)
+    for _ in range(100):
+        ap = AngleParams(
+            theta=rng.uniform(0, np.pi / 2),
+            phi=rng.uniform(-np.pi, np.pi),
+            q=rng.uniform(0, 1) if q == "random" else q,
+        )
+        d = dilation_from_angles(ap)
+        for got, system in ((d.system_kraus(), True), (d.env_kraus(), False)):
+            expected = reference_kraus(d, system)
+            assert isinstance(got, list) and len(got) == len(expected)
+            assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in expected]
+
+
 class TestWeaklyComplementary:
     def test_identity_dilation_gives_constant_channel(self):
         comp = complement_of(QubitChannel.identity())

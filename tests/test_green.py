@@ -175,6 +175,34 @@ class TestDetectGaussian:
         assert hits > 100
 
 
+class TestGaussianSemigroup:
+    """Angle-form Gaussian channels compose in closed form: ``second o first``
+    has ``a = a2 a1 + b2 b1``, ``b = a2 b1 + b2 a1`` and
+    ``c = (a2^2 - b2^2) c1 + c2``, the qubit analogue of the bosonic law
+    ``(X, Y) -> (X2 X1, X2 Y1 X2^T + Y2)``."""
+
+    def test_composition_law(self):
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(250):
+            first, second = (
+                channel_from_angles(
+                    AngleParams(theta=rng.uniform(0, np.pi / 2), phi=rng.uniform(-np.pi, np.pi), q=rng.uniform(0, 1))
+                )
+                for _ in range(2)
+            )
+            g1, g2 = (detect_gaussian(green_from_channel(ch)) for ch in (first, second))
+            composed = detect_gaussian(green_from_channel(compose(second, first)))
+            assert g1 is not None and g2 is not None and composed is not None
+            law = (
+                g2.a * g1.a + g2.b * g1.b,
+                g2.a * g1.b + g2.b * g1.a,
+                (g2.a**2 - g2.b**2).real * g1.c + g2.c,
+            )
+            worst = max(worst, *(abs(x - y) for x, y in zip((composed.a, composed.b, composed.c), law)))
+        assert worst <= 1e-14
+
+
 class TestAngles:
     def test_amplitude_damping_branch(self):
         n = 0.64

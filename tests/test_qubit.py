@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from grasschan.degradability import dilation_from_angles
+from grasschan.green import AngleParams
 from grasschan.qubit import (
     CHOI_EIG_FLOOR,
+    DIAG_ATOL,
+    KRAUS_TP_ATOL,
+    PAULI,
     SAMPLER_BLOCK,
     SCREEN_MARGIN,
     NonDiagonalBlockError,
@@ -20,6 +25,7 @@ from grasschan.qubit import (
     random_state,
     _choi_prescreen,
     _ptm_from_canonical,
+    _random_channels_and_states,
 )
 
 
@@ -102,6 +108,182 @@ class TestPtmAndCanonical:
             t, lam = canonical_from_ptm(ch.ptm)
             assert np.allclose(t, ch.t, atol=1e-12)
             assert np.allclose(lam, ch.lam, atol=1e-12)
+
+
+def reference_ptm_from_kraus(kraus):
+    """The per-entry double loop that the stacked ``ptm_from_kraus`` must reproduce bit for bit."""
+    ops = [np.asarray(a, dtype=complex) for a in kraus]
+    deviation = np.max(np.abs(sum(a.conj().T @ a for a in ops) - np.eye(2)))
+    if not deviation <= KRAUS_TP_ATOL:
+        raise NotTracePreservingError(f"sum A^dag A deviates from identity by {deviation:.3e}")
+    ptm = np.empty((4, 4))
+    for j in range(4):
+        mapped = sum(a @ PAULI[j] @ a.conj().T for a in ops)
+        for i in range(4):
+            ptm[i, j] = np.real(np.trace(PAULI[i] @ mapped)) / 2
+    return ptm
+
+
+def reference_canonical_from_ptm(ptm, atol=DIAG_ATOL):
+    """``canonical_from_ptm`` as written with per-call temporaries, the reference for the lean one."""
+    ptm = np.asarray(ptm, dtype=float)
+    if ptm.shape != (4, 4):
+        raise ValueError("expected a 4x4 matrix")
+    if not np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0]))) <= atol:
+        raise NonDiagonalBlockError("first row is not (1, 0, 0, 0)")
+    block = ptm[1:, 1:]
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+        off = block - np.diag(np.diag(block))
+    worst = np.max(np.abs(off))
+    if not worst <= atol:
+        raise NonDiagonalBlockError(
+            f"transfer block has off-diagonal entry {worst:.3e}; canonicalize externally"
+        )
+    return ptm[1:, 0].copy(), np.diag(block).copy()
+
+
+def outcome(f, *args):
+    """Result bits, or the exception type and message."""
+    try:
+        out = f(*args)
+    except (ValueError, NotTracePreservingError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, tuple):
+        return tuple((a.shape, a.dtype, a.tobytes()) for a in out)
+    return out.shape, out.dtype, out.tobytes()
+
+
+def dilation_kraus_lists(rng, q_values, count):
+    lists = []
+    for i in range(count):
+        ap = AngleParams(
+            theta=rng.uniform(0, np.pi / 2), phi=rng.uniform(-np.pi, np.pi), q=q_values[i % len(q_values)]
+        )
+        d = dilation_from_angles(ap)
+        lists += [d.system_kraus(), d.env_kraus()]
+    return lists
+
+
+def stinespring_kraus(rng, k):
+    """``k`` Kraus operators: the 2x2 blocks of a random ``2k x 2`` isometry."""
+    z = rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2))
+    isometry, _ = np.linalg.qr(z)
+    return [isometry[2 * m:2 * m + 2] for m in range(k)]
+
+
+def with_random_zero_signs(kraus, rng):
+    """The list with every zero real or imaginary part given a random sign."""
+    out = []
+    for a in kraus:
+        a = np.array(a, dtype=complex)
+        for part in (a.real, a.imag):
+            zero = part == 0
+            part[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+        out.append(a)
+    return out
+
+
+class TestStackedPtmFromKraus:
+    """The stacked ``ptm_from_kraus`` has the bits of the per-entry loop."""
+
+    @pytest.mark.parametrize("q_values", [[0.0], [1.0], [0.5, 0.13, 0.87]], ids=["q0", "q1", "mixed"])
+    def test_dilation_lists(self, q_values):
+        rng = np.random.default_rng(808)
+        for kraus in dilation_kraus_lists(rng, q_values, 300):
+            assert outcome(ptm_from_kraus, kraus) == outcome(reference_ptm_from_kraus, kraus)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_stinespring_lists(self, k):
+        rng = np.random.default_rng(809 + k)
+        for _ in range(300):
+            kraus = stinespring_kraus(rng, k)
+            assert outcome(ptm_from_kraus, kraus) == outcome(reference_ptm_from_kraus, kraus)
+
+    def test_exact_zeros_and_negative_zeros(self):
+        # Pauli mixtures, damping lists and axis-angle dilations hold exact
+        # zeros; each is tried with the zeros' signs drawn at random.
+        rng = np.random.default_rng(810)
+        bases = [[np.sqrt(w) * p for w, p in zip(ws, PAULI)] for ws in rng.dirichlet(np.ones(4), 10)]
+        bases += [gad_kraus(n, s) for n, s in rng.uniform(size=(10, 2))] + [ad_kraus(0.3), [np.eye(2)]]
+        for theta in np.linspace(0, np.pi / 2, 5):
+            for phi in np.linspace(-np.pi, np.pi, 9):
+                for q in (0.0, 0.4):
+                    d = dilation_from_angles(AngleParams(theta=theta, phi=phi, q=q))
+                    bases += [d.system_kraus(), d.env_kraus()]
+        negative_zeros = 0
+        for base in bases:
+            for _ in range(10):
+                kraus = with_random_zero_signs(base, rng)
+                negative_zeros += any(np.signbit(a.view(float)[a.view(float) == 0]).any() for a in kraus)
+                assert outcome(ptm_from_kraus, kraus) == outcome(reference_ptm_from_kraus, kraus)
+        assert negative_zeros > 500
+
+    @pytest.mark.parametrize(
+        "kraus",
+        [[0.9 * np.eye(2)], [], [np.zeros((2, 2))], [np.eye(2), 1e-3 * np.eye(2)], [np.full((2, 2), np.nan)]],
+        ids=["scaled", "empty", "zero", "excess", "nan"],
+    )
+    def test_not_trace_preserving_keeps_its_message(self, kraus):
+        with np.errstate(invalid="ignore"):
+            got = outcome(ptm_from_kraus, kraus)
+            assert got == outcome(reference_ptm_from_kraus, kraus)
+        assert got[0] is NotTracePreservingError
+        assert got[1].startswith("sum A^dag A deviates from identity by ")
+
+
+def canonical_from_ptm_cases():
+    """Kinds of transfer matrix, each as a list of 20 instances."""
+    rng = np.random.default_rng(811)
+    cases = {}
+
+    def add(kind, m):
+        cases.setdefault(kind, []).append(m)
+
+    for i in range(20):
+        ptm = _ptm_from_canonical(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        add("canonical", ptm)
+        add("signed-zeros", np.where(ptm == 0, -0.0, ptm))
+        row, col = 1 + i % 3, 1 + (i + 1 + i // 3) % 3
+        where = {"off": (row, col), "diag": (row, row), "t": (row, 0), "first": (0, i % 4)}
+        for name, value in [("tiny", 1e-13), ("edge", DIAG_ATOL), ("above", 2 * DIAG_ATOL), ("big", 0.3)]:
+            for part in ("off", "first"):
+                m = ptm.copy()
+                m[where[part]] += value
+                add(f"{name}-{part}", m)
+        for name, value in [("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)]:
+            for part in where:
+                m = ptm.copy()
+                m[where[part]] = value
+                add(f"{name}-{part}", m)
+    cases["shapes"] = [np.eye(3), np.eye(4).ravel(), np.eye(4).tolist(), np.eye(4, dtype=int)]
+    return cases
+
+
+class TestLeanCanonicalFromPtm:
+    @pytest.mark.parametrize("kind, matrices", canonical_from_ptm_cases().items())
+    def test_same_result_or_same_error(self, kind, matrices):
+        for ptm in matrices:
+            with np.errstate(invalid="ignore"):
+                got = outcome(canonical_from_ptm, ptm)
+            assert got == outcome(reference_canonical_from_ptm, ptm)
+            m = np.asarray(ptm, dtype=float)
+            if m.shape == (4, 4):
+                # a non-finite entry outside t, an infinite diagonal one included, is an error
+                non_finite = ~np.isfinite(m)
+                non_finite[1:, 0] = False
+                assert got[0] is NonDiagonalBlockError or not non_finite.any()
+
+    def test_wider_witness_tolerance(self):
+        ptm = np.eye(4)
+        ptm[2, 3] = 1e-8
+        for atol in (1e-9, 1e-7):
+            assert outcome(canonical_from_ptm, ptm, atol) == outcome(reference_canonical_from_ptm, ptm, atol)
+
+    def test_results_are_fresh_arrays(self):
+        ptm = np.eye(4)
+        t, lam = canonical_from_ptm(ptm)
+        t[0] = lam[0] = 7.0
+        assert ptm[1, 0] == 0.0 and ptm[1, 1] == 1.0
 
 
 class TestCptp:
@@ -273,6 +455,43 @@ class ScriptedGenerator:
         assert len(out) == n, "script exhausted"
         self.position += n
         return out.reshape(size)
+
+
+class TestLoneTrialDecidesEvenRowsOnly:
+    """A lone rejection loop starts at row 0 and tries rows 0, 2, 4, ...; the odd candidates are never decided."""
+
+    def decided_rows(self, sample):
+        import grasschan.qubit as qubit
+
+        decided, real = [], qubit._cptp_ok
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(qubit, "_cptp_ok", lambda t, lam: decided.append(len(lam)) or real(t, lam))
+            sample()
+        return decided
+
+    def test_channel_sampler(self):
+        grown = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            decided = self.decided_rows(lambda: random_cptp_canonical_channel(rng, t_scale=1.0))
+            # blocks of 2 SAMPLER_BLOCK rows, doubled: one candidate per row pair
+            assert decided == [SAMPLER_BLOCK * 2**k for k in range(len(decided))]
+            grown += len(decided) > 1
+        assert grown > 0
+
+    @pytest.mark.parametrize("rows_per_trial", [1, 48])
+    def test_one_trial_of_the_whole_stream_sampler(self, monkeypatch, rows_per_trial):
+        import grasschan.qubit as qubit
+
+        monkeypatch.setattr(qubit, "_ROWS_PER_TRIAL", rows_per_trial)
+        grown = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            decided = self.decided_rows(lambda: _random_channels_and_states(rng, 1))
+            # blocks of 5 rows_per_trial rows, doubled: one candidate per row pair
+            assert decided == [5 * rows_per_trial * 2**k // 2 for k in range(len(decided))]
+            grown += len(decided) > 1
+        assert grown == 10 if rows_per_trial == 1 else grown < 10
 
 
 class TestSamplerStreamExact:
