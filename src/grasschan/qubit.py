@@ -156,8 +156,11 @@ def ptm_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     product gives every ``sigma_i mapped_j``, whose trace is summed from +0.0
     (``(0.0 + m00) + m11``, as ``np.trace`` does; without the start a -0.0
     would survive).  Each entry thus has the bits of the per-entry loop.
+    Operators that are not 2x2 raise ``ValueError``.
     """
-    ops = np.asarray(kraus, dtype=complex).reshape(len(kraus), 2, 2)
+    ops = np.asarray(kraus, dtype=complex) if len(kraus) else np.empty((0, 2, 2), dtype=complex)
+    if ops.shape[1:] != (2, 2):
+        raise ValueError(f"expected 2x2 Kraus operators, got shape {ops.shape[1:]}")
     adjoints = ops.conj().swapaxes(-1, -2)
     deviation = np.abs(np.add.reduce(adjoints @ ops, initial=0.0) - _IDENTITY).max()
     if not deviation <= KRAUS_TP_ATOL:
@@ -417,42 +420,29 @@ def _choi_prescreen(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (d[:, _BELL_A] * d[:, _BELL_B] >= (t * t)[:, _BELL_AXIS] / 4).all(axis=1)
 
 
-def _cptp_ok(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """``cptp_report.ok`` of every row of ``(t, lam)``.
+def _cptp_candidates(rows: np.ndarray, t_scale: float, step: int) -> np.ndarray:
+    """``cptp_report.ok`` of every ``step``-th candidate ``lam = rows[j]``, ``t = rows[j + 1] * t_scale``.
 
-    The closed-form pre-screen drops candidates the exact check rejects; the
-    survivors' Choi operators go through one batched ``eigvalsh`` and the
-    batched TP deviation.  These are within rounding (about 1e-15) of the
-    single-channel values, so they decide as ``cptp_report`` does except near
-    a threshold: a survivor whose smallest eigenvalue lies within
-    ``SCREEN_MARGIN`` of ``CHOI_EIG_FLOOR``, or whose deviation exceeds
-    ``TP_ATOL / 2``, is decided by ``cptp_report`` itself.
+    Entry ``j`` of the result covers rows ``j`` and ``j + 1``.  With ``step``
+    1 both row alignments are decided at once; with ``step`` 2 only the
+    entries at even ``j`` are, and the others stay False.  The closed-form
+    pre-screen drops candidates the exact check rejects; the survivors' Choi
+    operators go through one batched ``eigvalsh`` and the batched TP
+    deviation.  These are within rounding (about 1e-15) of the single-channel
+    values, so they decide as ``cptp_report`` does except near a threshold: a
+    survivor whose smallest eigenvalue lies within ``SCREEN_MARGIN`` of
+    ``CHOI_EIG_FLOOR``, or whose deviation exceeds ``TP_ATOL / 2``, is
+    decided by ``cptp_report`` itself.
     """
-    ok = np.zeros(len(lam), dtype=bool)
+    lam, t = rows[:-1:step], rows[1::step] * t_scale
+    ok = np.zeros(max(len(rows) - 1, 0), dtype=bool)
     kept = np.flatnonzero(_choi_prescreen(t, lam))
     choi = choi_from_ptm(_ptm_from_canonical(t[kept], lam[kept]))
     eig = np.linalg.eigvalsh(choi)[:, 0]
     tp_dev = np.abs(_trace_out_first(choi) - _IDENTITY).max(axis=(1, 2))
-    ok[kept] = (eig >= CHOI_EIG_FLOOR) & (tp_dev <= TP_ATOL)
+    ok[step * kept] = (eig >= CHOI_EIG_FLOOR) & (tp_dev <= TP_ATOL)
     for k in kept[(np.abs(eig - CHOI_EIG_FLOOR) <= SCREEN_MARGIN) | (tp_dev > TP_ATOL / 2)]:
-        ok[k] = QubitChannel.from_canonical(t[k], lam[k]).cptp_report.ok
-    return ok
-
-
-def _cptp_candidates(rows: np.ndarray, t_scale: float) -> np.ndarray:
-    """``cptp_report.ok`` of every candidate ``lam = rows[j]``, ``t = rows[j + 1] * t_scale``.
-
-    Entry ``j`` of the result covers rows ``j`` and ``j + 1``, so both row
-    alignments are decided at once.
-    """
-    return _cptp_ok(rows[1:] * t_scale, rows[:-1])
-
-
-def _even_candidates(rows: np.ndarray, t_scale: float) -> np.ndarray:
-    """``_cptp_candidates`` with the odd entries left False, undecided: a
-    lone rejection loop starts at row 0 and only tries even rows."""
-    ok = np.zeros(max(len(rows) - 1, 0), dtype=bool)
-    ok[::2] = _cptp_ok(rows[1::2] * t_scale, rows[:-1:2])
+        ok[step * k] = QubitChannel.from_canonical(t[k], lam[k]).cptp_report.ok
     return ok
 
 
@@ -495,10 +485,10 @@ def _sample(rng, draw, trials: int, tail: int, t_scale: float, max_tries: int, r
     of ``max_tries``, with the generator just past that loop's last candidate.
     """
     start = rng.bit_generator.state
-    decide = _cptp_candidates if trials > 1 else _even_candidates
+    step = 1 if trials > 1 else 2  # a lone loop starts at row 0 and only tries even rows
     while True:
         block, uniforms = draw(rows)
-        walk = _walk(decide(uniforms, t_scale), rows, trials, tail, max_tries)
+        walk = _walk(_cptp_candidates(uniforms, t_scale, step), rows, trials, tail, max_tries)
         rng.bit_generator.state = start
         if walk is not None:
             break
@@ -523,7 +513,7 @@ def random_cptp_canonical_channel(
     This is the one-trial case of the whole-stream sampler that ``verify``
     runs (``_random_channels_and_states``): ``SAMPLER_BLOCK`` candidates (at
     most ``max_tries``) are drawn in one block, doubled while too few, and
-    decided in one array pass by :func:`_even_candidates`.  The sampling is
+    decided in one array pass by :func:`_cptp_candidates`.  The sampling is
     stream-exact: for every ``numpy.random.Generator`` (any bit generator;
     its state is saved and restored) and every ``max_tries`` the returned
     channel has the same bits, and ``rng`` is left in the same state, as

@@ -230,6 +230,17 @@ class TestStackedPtmFromKraus:
         assert got[0] is NotTracePreservingError
         assert got[1].startswith("sum A^dag A deviates from identity by ")
 
+    @pytest.mark.parametrize(
+        "kraus",
+        [[np.array([1, 0, 0, 1])], [np.eye(2).reshape(1, 4)], [np.eye(2)[None]], [np.eye(3)], [np.eye(2), 1]],
+        ids=["flat", "row", "stacked", "3x3", "scalar"],
+    )
+    def test_rejects_operators_that_are_not_2x2(self, kraus):
+        direct = lambda ops: QubitChannel(t=np.zeros(3), lam=np.ones(3), kraus=ops)
+        for build in (ptm_from_kraus, QubitChannel.from_kraus, direct):
+            with pytest.raises(ValueError, match="2x2|inhomogeneous"):
+                build(kraus)
+
 
 def canonical_from_ptm_cases():
     """Kinds of transfer matrix, each as a list of 20 instances."""
@@ -463,9 +474,9 @@ class TestLoneTrialDecidesEvenRowsOnly:
     def decided_rows(self, sample):
         import grasschan.qubit as qubit
 
-        decided, real = [], qubit._cptp_ok
+        decided, real = [], qubit._choi_prescreen
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(qubit, "_cptp_ok", lambda t, lam: decided.append(len(lam)) or real(t, lam))
+            m.setattr(qubit, "_choi_prescreen", lambda t, lam: decided.append(len(lam)) or real(t, lam))
             sample()
         return decided
 

@@ -322,14 +322,14 @@ class TestWholeStreamSampler:
     @pytest.mark.parametrize("first_rows_per_trial, t_scale", [(1, 0.8), (48, 1.0)])
     def test_block_growth(self, monkeypatch, bit_generator, first_rows_per_trial, t_scale):
         blocks, grown = [], 0
-        real = qubit._cptp_candidates
+        real = qubit._walk
         monkeypatch.setattr(qubit, "_ROWS_PER_TRIAL", first_rows_per_trial)
         for seed in range(10):
             ours, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
             for trials in (1, 5, 40):
                 blocks.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(qubit, "_cptp_candidates", lambda rows, ts: blocks.append(len(rows)) or real(rows, ts))
+                    m.setattr(qubit, "_walk", lambda ok, rows, *rest: blocks.append(rows) or real(ok, rows, *rest))
                     got = draws_and_next(_random_channels_and_states, ours, trials, t_scale=t_scale)
                 assert got == draws_and_next(reference_channels_and_states, ref, trials, t_scale=t_scale)
                 assert blocks == [blocks[0] * 2**k for k in range(len(blocks))]
