@@ -71,7 +71,8 @@ def generalized_amplitude_damping(n, s):
     return expand(a=math.sqrt(n), b=0.0, c=(2 * s - 1) * (1 - n) / 2, extra=0.0)
 
 
-def main():
+def golden_text():
+    """The text of ``src/grasschan/data/golden_green.json``."""
     grid = [round(0.025 + 0.05 * k, 6) for k in range(20)]
     s_grid = [round(0.975 - 0.05 * k, 6) for k in range(20)]
     channels = {
@@ -86,8 +87,12 @@ def main():
         ],
     }
     payload = {"schema_version": 1, "monomials": MONOMIALS, "channels": channels}
+    return json.dumps(payload, indent=1, ensure_ascii=False) + "\n"
+
+
+def main():
     out = pathlib.Path(__file__).resolve().parents[1] / "src" / "grasschan" / "data" / "golden_green.json"
-    out.write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    out.write_text(golden_text(), encoding="utf-8")
     print(f"wrote {out}")
 
 

@@ -35,7 +35,6 @@ from .grassmann import (
     OperatorElement,
     _element,
     _index_map,
-    _product_traces,
 )
 from .qubit import SIGMA_MINUS, SIGMA_PLUS, QubitState, _check_states
 from .tolerances import NORMALIZATION_ATOL, PHYSICALITY_ATOL
@@ -125,12 +124,15 @@ def displacement(sign: int = 1, pair: str = "xi") -> OperatorElement:
 def _char_bodies(rho: np.ndarray) -> np.ndarray:
     """Bodies ``trace(rho D(xi))`` of ``(n, 2, 2)`` density matrices, as ``(n, 16)`` rows.
 
-    Row ``s`` has the bits of ``char_function`` of the state with matrix
-    ``rho[s]``; the rows are not validated.
+    ``rho`` is an ordinary matrix, so the trace is the contraction
+    ``sum_ij rho[i, j] D[j, i]`` of scalars with the cached ``displacement()``
+    entries, summed in trace order ``(rho00 D00 + rho01 D10) + (rho10 D01 +
+    rho11 D11)``: row ``s`` has the bits of the full Grassmann product trace
+    ``(OperatorElement.from_matrix(rho[s]) * displacement()).trace()``.  The
+    rows are not validated.
     """
-    ops = np.zeros(rho.shape + (16,), dtype=complex)
-    ops[..., 0] = rho
-    return _product_traces(ops, displacement()._a)
+    terms = rho[..., None] * displacement()._a.transpose(1, 0, 2)
+    return (terms[:, 0, 0] + terms[:, 0, 1]) + (terms[:, 1, 0] + terms[:, 1, 1])
 
 
 def _check_char_bodies(bodies: np.ndarray) -> None:

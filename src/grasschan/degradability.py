@@ -227,30 +227,19 @@ def certify(
         if not report.ok:
             raise NotCptpError(f"{label} is not CPTP")
     weak = _solve_degrading(n_ch, comp)
-    if weak["residual"] <= residual_tol and weak["cptp"]:
-        anti = _solve_degrading(comp, n_ch) if attempt_both else None
-        return DegradabilityVerdict(
-            kind=WEAKLY_DEGRADABLE,
-            witness=weak["witness"],
-            residual=weak["residual"],
-            min_choi_eigenvalue=weak["min_choi_eigenvalue"],
-            attempts={"weak": weak, "anti": anti},
-        )
-    anti = _solve_degrading(comp, n_ch)
-    if anti["residual"] <= residual_tol and anti["cptp"]:
-        return DegradabilityVerdict(
-            kind=ANTI_DEGRADABLE,
-            witness=anti["witness"],
-            residual=anti["residual"],
-            min_choi_eigenvalue=anti["min_choi_eigenvalue"],
-            attempts={"weak": weak, "anti": anti},
-        )
-    best = weak if weak["residual"] <= anti["residual"] else anti
+    weak_ok = weak["residual"] <= residual_tol and weak["cptp"]
+    anti = _solve_degrading(comp, n_ch) if attempt_both or not weak_ok else None
+    if weak_ok:
+        kind, chosen = WEAKLY_DEGRADABLE, weak
+    elif anti["residual"] <= residual_tol and anti["cptp"]:
+        kind, chosen = ANTI_DEGRADABLE, anti
+    else:
+        kind, chosen = NEITHER_CERTIFIED, weak if weak["residual"] <= anti["residual"] else anti
     return DegradabilityVerdict(
-        kind=NEITHER_CERTIFIED,
-        witness=None,
-        residual=best["residual"],
-        min_choi_eigenvalue=best["min_choi_eigenvalue"],
+        kind=kind,
+        witness=None if kind == NEITHER_CERTIFIED else chosen["witness"],
+        residual=chosen["residual"],
+        min_choi_eigenvalue=chosen["min_choi_eigenvalue"],
         attempts={"weak": weak, "anti": anti},
     )
 

@@ -21,12 +21,12 @@ Storage and arithmetic:
   ``i | j`` and merge sign; the eight entry products of an operator product
   share one pass.  The adjoint, the Berezin integrals and ``integrate_pair``
   are fixed signed maps from source to target monomials.
-* The same tables run over a leading stack axis of many operands at once
-  (``_stacked_products``; the index maps take ``(..., 16)`` arrays): the
-  index tables are offset by row, so each row gets the bits of its own
-  single-operand pass.  The offset tables are kept, largest first, and a
-  pass over fewer rows slices their prefix.  ``verify`` runs its trials
-  this way.
+* Single products also run over a leading stack axis of many operand pairs
+  at once (``_stacked_products`` on ``(n, 16)`` rows; the index maps take
+  ``(..., 16)`` arrays): the single-product tables are offset by row, so
+  each row gets the bits of its own single-pair pass.  One offset table is
+  kept, for the most rows needed so far, and a pass over fewer rows slices
+  its prefix.  ``verify`` builds its kernels and convolutions this way.
 * For finite coefficients, results are bit-identical to the term-by-term
   definition: one scalar product ``sign * x[i] * y[j]`` per pair of nonzero
   coefficients, added to a zero target in pair order.  The complex product
@@ -184,6 +184,13 @@ _PAIR_INTEGRAL_SRC = _ALL_MASKS[(_ALL_MASKS & _ZETA_PAIR) == _ZETA_PAIR]
 _PAIR_INTEGRAL_DST = _PAIR_INTEGRAL_SRC & ~_ZETA_PAIR
 
 
+def _checked_mask(mask) -> int:
+    """``mask`` as an int, if it is an integer naming one of the 16 monomials."""
+    if isinstance(mask, (int, np.integer)) and 0 <= mask < N_MONOMIALS:
+        return int(mask)
+    raise ValueError(f"monomial mask {mask} is not an integer in 0..{N_MONOMIALS - 1}")
+
+
 def _element(c: np.ndarray) -> "GrassmannElement":
     """Wrap a coefficient array that nothing else holds, without copying it."""
     c.flags.writeable = False
@@ -214,10 +221,6 @@ _MATMUL_PRODUCTS = _plan(
     [2 * i + k for i in range(2) for j in range(2) for k in range(2)],
     [2 * k + j for i in range(2) for j in range(2) for k in range(2)],
 )
-#: Diagonal of ``e @ f`` only: products ``e[0, 0] f[0, 0]``, ``e[0, 1] f[1, 0]``,
-#: ``e[1, 0] f[0, 1]`` and ``e[1, 1] f[1, 1]``, the rows of ``_MATMUL_PRODUCTS``
-#: that land on entries ``[0, 0]`` and ``[1, 1]``.
-_DIAGONAL_PRODUCTS = _plan([0, 1, 2, 3], [0, 2, 1, 3])
 #: Entrywise products ``op * x`` and ``x * op`` of an operator and an element.
 _OPERATOR_TIMES_ELEMENT = _plan(range(4), [0] * 4)
 _ELEMENT_TIMES_OPERATOR = _plan([0] * 4, range(4))
@@ -239,45 +242,39 @@ def _products(xc: np.ndarray, yc: np.ndarray, plan) -> np.ndarray:
     return out
 
 
-#: Stacked index tables of ``_stacked_products``, keyed by ``(id(plan), x row
-#: size, y stride)``: the largest built so far, with its plan and row count.
-_STACKED_PLANS = {}
+#: ``(rows, plan)``: ``_SINGLE_PRODUCT`` offset by row for the most rows a
+#: stacked product has needed so far.
+_STACKED_PLAN = (1, _SINGLE_PRODUCT)
 
 
-def _stacked_plan(plan, n: int, x_size: int, y_stride: int):
-    """``plan`` offset by row for ``n`` rows, as a prefix of the largest table built.
+def _stacked_products(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    """Graded products of ``(n, 16)`` coefficient rows: row ``s`` is ``xc[s] * yc[s]``.
 
-    The table for ``n`` rows is the first ``n * len(plan[0])`` entries of the
-    table for any ``m >= n`` rows, so a prefix slice gives the same indices.
+    The single-product tables are offset by row, so every target still sums
+    its own terms in pair order and row ``s`` has the bits of
+    ``_products(xc[s], yc[s], _SINGLE_PRODUCT)``.  The tables for ``n`` rows
+    are the first ``81 n`` entries of the tables for any ``m >= n`` rows, so
+    the largest built is kept and a pass over fewer rows slices its prefix.
     """
-    key = (id(plan), x_size, y_stride)
-    entry = _STACKED_PLANS.get(key)
-    if entry is None or entry[0] is not plan or entry[1] < n:
-        x_index, y_index, sign, target, size = plan
-        row = np.arange(n)[:, None]
-        tables = (
-            (x_index + row * x_size).ravel(),
-            (y_index + row * y_stride).ravel(),
-            np.tile(sign, n),
-            (target + row * size).ravel(),
-        )
-        entry = _STACKED_PLANS[key] = (plan, n, tables)
-    terms = n * len(plan[0])
-    return tuple(table[:terms] for table in entry[2]) + (n * plan[4],)
-
-
-def _stacked_products(xc: np.ndarray, yc: np.ndarray, plan) -> np.ndarray:
-    """``_products`` over a leading stack axis: row ``s`` pairs ``xc[s]`` with ``yc[s]``.
-
-    A ``yc`` with one dimension less than ``xc`` is one operand shared by
-    every row.  The index tables are offset by row, so every target still
-    sums its own terms in pair order and row ``s`` of the ``(n, size)``
-    result has the bits of ``_products(xc[s], yc[s], plan)``.
-    """
+    global _STACKED_PLAN
     n = len(xc)
-    if n != 1:
-        plan = _stacked_plan(plan, n, xc[0].size, yc[0].size if yc.ndim == xc.ndim else 0)
-    return _products(xc, yc, plan).reshape(n, -1)
+    rows, plan = _STACKED_PLAN
+    if rows < n:
+        x_index, y_index, sign, target, _ = _SINGLE_PRODUCT
+        offset = N_MONOMIALS * np.arange(n)[:, None]
+        plan = (
+            (x_index + offset).ravel(),
+            (y_index + offset).ravel(),
+            np.tile(sign, n),
+            (target + offset).ravel(),
+            n * N_MONOMIALS,
+        )
+        _STACKED_PLAN = (n, plan)
+    elif rows > n:
+        terms = n * len(_PAIR_I)
+        x_index, y_index, sign, target, _ = plan
+        plan = (x_index[:terms], y_index[:terms], sign[:terms], target[:terms], n * N_MONOMIALS)
+    return _products(xc, yc, plan).reshape(n, N_MONOMIALS)
 
 
 def _index_map(c: np.ndarray, src, dst, sign=None) -> np.ndarray:
@@ -360,12 +357,12 @@ class GrassmannElement:
         """Coefficient of a monomial given by name, mask, or generator iterable."""
         if isinstance(monomial, str):
             mask = _NAME_TO_MASK[monomial]
-        elif isinstance(monomial, int):
-            mask = monomial
+        elif isinstance(monomial, (int, np.integer)):
+            mask = _checked_mask(monomial)
         else:
             mask = 0
             for g in monomial:
-                bit = 1 << int(g)
+                bit = 1 << Generator(int(g))
                 if mask & bit:
                     raise ValueError("repeated generator in monomial")
                 mask |= bit
@@ -416,7 +413,7 @@ class GrassmannElement:
 
     def __mul__(self, other):
         if isinstance(other, GrassmannElement):
-            return _multiply(self, other)
+            return multiply(self, other)
         if np.isscalar(other):
             return _element(self._c * complex(other))
         return NotImplemented
@@ -446,10 +443,10 @@ class GrassmannElement:
         return bool(np.max(np.abs(self._c - oc)) <= atol)
 
     def adjoint(self) -> "GrassmannElement":
-        return _adjoint(self)
+        return _element(_adjoint_coeffs(self._c))
 
     def integrate(self, v: Generator) -> "GrassmannElement":
-        return _berezin_integrate(self, v)
+        return _element(_index_map(self._c, *_BEREZIN[int(v)]))
 
     # -- formatting ------------------------------------------------------
 
@@ -483,20 +480,8 @@ class GrassmannElement:
         return f"GrassmannElement({self.pretty()})"
 
 
-def _multiply(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
-    return _element(_products(x._c, y._c, _SINGLE_PRODUCT))
-
-
 def _adjoint_coeffs(c: np.ndarray) -> np.ndarray:
     return _index_map(np.conj(c), _ALL_MASKS, _ADJ_MASK, _ADJ_SIGN)
-
-
-def _adjoint(x: GrassmannElement) -> GrassmannElement:
-    return _element(_adjoint_coeffs(x._c))
-
-
-def _berezin_integrate(x: GrassmannElement, v: Generator) -> GrassmannElement:
-    return _element(_index_map(x._c, *_BEREZIN[int(v)]))
 
 
 # Module-level singletons for the four generators.
@@ -508,7 +493,7 @@ XI_STAR = GrassmannElement.generator(Generator.XI_STAR)
 
 def multiply(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
     """Graded product of two elements, in canonical form."""
-    return _multiply(x, y)
+    return _element(_products(x._c, y._c, _SINGLE_PRODUCT))
 
 
 def adjoint(x: GrassmannElement) -> GrassmannElement:
@@ -517,7 +502,7 @@ def adjoint(x: GrassmannElement) -> GrassmannElement:
     A conjugate-linear involution and antihomomorphism:
     ``adjoint(x * y) == adjoint(y) * adjoint(x)``.
     """
-    return _adjoint(x)
+    return _element(_adjoint_coeffs(x._c))
 
 
 def berezin_integrate(x: GrassmannElement, v: Generator) -> GrassmannElement:
@@ -526,7 +511,7 @@ def berezin_integrate(x: GrassmannElement, v: Generator) -> GrassmannElement:
     Annihilates monomials not containing ``v``; otherwise commutes ``v`` to the
     leftmost position (with the permutation sign) and strips it.
     """
-    return _berezin_integrate(x, v)
+    return _element(_index_map(x._c, *_BEREZIN[int(v)]))
 
 
 def _integrate_pair_coeffs(c: np.ndarray) -> np.ndarray:
@@ -550,7 +535,7 @@ def delta_pair(argument: GrassmannElement) -> GrassmannElement:
     if bad:
         names = ", ".join(MONOMIAL_NAMES[m] for m in bad)
         raise ValueError(f"delta argument must be linear in the generators; offending monomials: {names}")
-    return _multiply(argument, _adjoint(argument))
+    return multiply(argument, adjoint(argument))
 
 
 def substitute(x: GrassmannElement, mapping: Mapping[Generator, GrassmannElement]) -> GrassmannElement:
@@ -629,7 +614,7 @@ class OperatorElement:
         """Build from ``{monomial mask: 2x2 complex matrix}``."""
         a = np.zeros((2, 2, N_MONOMIALS), dtype=complex)
         for mask, mat in matrices.items():
-            a[:, :, mask] += np.asarray(mat, dtype=complex)
+            a[:, :, _checked_mask(mask)] += np.asarray(mat, dtype=complex)
         return cls._wrap(a)
 
     @property
@@ -643,7 +628,7 @@ class OperatorElement:
 
     def monomial_matrix(self, mask: int) -> np.ndarray:
         """The 2x2 complex matrix multiplying one monomial (a fresh copy)."""
-        return self._a[:, :, mask].copy()
+        return self._a[:, :, _checked_mask(mask)].copy()
 
     def constant_part(self) -> np.ndarray:
         return self.monomial_matrix(0)
@@ -713,13 +698,3 @@ class OperatorElement:
         )
         return f"OperatorElement([{rows}])"
 
-
-def _product_traces(ea: np.ndarray, fa: np.ndarray) -> np.ndarray:
-    """Coefficients of ``(e * f).trace()`` for stacked ``(n, 2, 2, 16)`` operator arrays.
-
-    ``fa`` is stacked alike or is one ``(2, 2, 16)`` array shared by every
-    row.  Only the two diagonal entries of each product are computed; row
-    ``s`` has the bits of ``(e_s * f_s).trace()``.
-    """
-    p = _stacked_products(ea, fa, _DIAGONAL_PRODUCTS).reshape(-1, 4, N_MONOMIALS)
-    return (p[:, 0] + p[:, 1]) + (p[:, 2] + p[:, 3])

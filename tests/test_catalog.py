@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import json
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -88,6 +90,16 @@ class TestGoldenTables:
         assert set(data["channels"]) == set(catalog.CHANNEL_NAMES)
         for entries in data["channels"].values():
             assert len(entries) == 20
+
+    def test_committed_file_is_the_generator_output(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "make_golden_tables", root / "scripts" / "make_golden_tables.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        committed = (root / "src" / "grasschan" / "data" / "golden_green.json").read_bytes()
+        assert script.golden_text().encode("utf-8") == committed
 
     @pytest.mark.parametrize("name", catalog.CHANNEL_NAMES)
     def test_kernels_match_golden_coefficients(self, name):

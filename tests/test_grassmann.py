@@ -190,6 +190,25 @@ def test_coefficient_table_round_trip():
     assert GrassmannElement.from_table(x.to_table()) == x
 
 
+def test_monomial_masks_must_name_one_of_the_sixteen_monomials():
+    x = GrassmannElement(np.arange(16) + 1.0)
+    op = OperatorElement.from_matrix(np.eye(2)) * x
+    for mask in (0, 3, 15, np.int64(3), np.uint8(15)):
+        assert x.coefficient(mask) == 1.0 + int(mask)
+        assert np.array_equal(op.monomial_matrix(mask), (1.0 + int(mask)) * np.eye(2))
+    for mask in (-1, -16, 16, np.int64(-1), np.int64(16)):
+        with pytest.raises(ValueError, match=f"mask {mask} "):
+            x.coefficient(mask)
+        with pytest.raises(ValueError, match=f"mask {mask} "):
+            op.monomial_matrix(mask)
+        with pytest.raises(ValueError, match=f"mask {mask} "):
+            OperatorElement.from_monomial_matrices({mask: np.eye(2)})
+    assert x.coefficient([Generator.XI, 0]) == 1.0 + 0b0101
+    for generators in ([4], [-1], [0, 7]):
+        with pytest.raises(ValueError, match="not a valid Generator"):
+            x.coefficient(generators)
+
+
 def test_operator_element_matrix_product_and_trace():
     sx = np.array([[0, 1], [1, 0]])
     a = OperatorElement.from_matrix(sx) * XI
@@ -382,27 +401,64 @@ def test_operator_element_bit_identical_to_entrywise_reference():
 
 def test_product_trace_bit_identical_to_full_product_trace():
     from grasschan.charfunc import char_function, displacement
-    from grasschan.grassmann import _product_traces
     from grasschan.qubit import random_state
 
-    xs = list(awkward_elements(251, n=96))
-    pairs = [
-        (OperatorElement((xs[k:k + 2], xs[k + 2:k + 4])), OperatorElement((xs[k + 4:k + 6], xs[k + 6:k + 8])))
-        for k in range(0, len(xs) - 7, 8)
-    ]
-    lefts = np.array([a._a for a, _ in pairs])
-    # one stacked pass over every pair, and one against a shared right operand
-    stacked = _product_traces(lefts, np.array([b._a for _, b in pairs]))
-    shared = _product_traces(lefts, displacement()._a)
-    for s, (a, b) in enumerate(pairs):
-        assert stacked[s].tobytes() == (a * b).trace().coefficients.tobytes()
-        assert shared[s].tobytes() == (a * displacement()).trace().coefficients.tobytes()
-        assert _product_traces(a._a[None], b._a)[0].tobytes() == stacked[s].tobytes()
     rng = np.random.default_rng(257)
     for _ in range(200):
         rho = random_state(rng)
         expected = (OperatorElement.from_matrix(rho.matrix) * displacement()).trace()
         assert same_bits(char_function(rho).body, expected)
+
+
+def awkward_densities():
+    """Density matrices with exact zeros and -0.0 parts, at p in {0, 1/2, 1} and between."""
+    rng = np.random.default_rng(263)
+    zeros = (0.0, -0.0)
+    for p in (0.0, -0.0, 0.5, 1.0, 0.25, 0.8):
+        r = np.sqrt(max(p * (1 - p), 0.0))
+        for gamma in (
+            complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+            complex(r * 0.6, 0.0), complex(-r * 0.6, -0.0), complex(0.0, r * 0.7),
+            complex(-0.0, -r * 0.7), complex(-r * 0.5, r * 0.5),
+        ):
+            for im in zeros:
+                rho = np.array([[p, gamma], [np.conj(gamma), 1 - p]])
+                rho.imag[0, 0] = rho.imag[1, 1] = im
+                yield rho
+    for _ in range(200):
+        p = rng.random()
+        gamma = np.sqrt(p * (1 - p)) * rng.random() * np.exp(2j * np.pi * rng.random())
+        yield np.array([[p, gamma], [np.conj(gamma), 1 - p]])
+
+
+def test_char_bodies_bit_identical_to_full_product_trace_row_by_row():
+    from grasschan.charfunc import _char_bodies, displacement
+
+    rhos = np.array(list(awkward_densities()))
+    assert np.signbit(rhos.real[rhos.real == 0]).any() and np.signbit(rhos.imag[rhos.imag == 0]).any()
+    bodies = _char_bodies(rhos)
+    for s, rho in enumerate(rhos):
+        expected = (OperatorElement.from_matrix(rho) * displacement()).trace()
+        assert bodies[s].tobytes() == expected.coefficients.tobytes()
+        assert _char_bodies(rho[None])[0].tobytes() == bodies[s].tobytes()
+
+
+def test_stacked_products_reuse_the_kept_table_by_prefix(monkeypatch):
+    from grasschan import grassmann
+    from grasschan.grassmann import _SINGLE_PRODUCT, _products, _stacked_products
+
+    monkeypatch.setattr(grassmann, "_STACKED_PLAN", (1, _SINGLE_PRODUCT))
+    xs = np.array([x.coefficients for x in awkward_elements(269, n=300)])
+    ys = np.array([x.coefficients for x in awkward_elements(271, n=300)])
+    built = []
+    for n in (300, 5, 257):
+        out = _stacked_products(xs[:n], ys[-n:])
+        built.append(grassmann._STACKED_PLAN[0])
+        assert out.shape == (n, 16)
+        for s in range(n):
+            assert out[s].tobytes() == _products(xs[s], ys[len(ys) - n + s], _SINGLE_PRODUCT).tobytes()
+    # the 300-row table is kept: the shorter passes slice its prefix
+    assert built == [300, 300, 300]
 
 
 def test_operator_element_data_cannot_be_written():
