@@ -18,15 +18,16 @@ Storage and arithmetic:
 * Every operation applies a fixed index table to these arrays.  A product
   runs over the table of the 81 non-vanishing monomial pairs ``(i, j)``
   (``i & j == 0``), ordered by ``i`` and then by ``j``, each with its target
-  ``i | j`` and merge sign; the eight entry products of an operator product
-  share one pass.  The adjoint, the Berezin integrals and ``integrate_pair``
-  are fixed signed maps from source to target monomials.
-* Single products also run over a leading stack axis of many operand pairs
-  at once (``_stacked_products`` on ``(n, 16)`` rows; the index maps take
-  ``(..., 16)`` arrays): the single-product tables are offset by row, so
-  each row gets the bits of its own single-pair pass.  One offset table is
-  kept, for the most rows needed so far, and a pass over fewer rows slices
-  its prefix.  ``verify`` builds its kernels and convolutions this way.
+  ``i | j`` and merge sign.  The adjoint, the Berezin integrals and
+  ``integrate_pair`` are fixed signed maps from source to target monomials.
+* Every graded product is a row of one stacked pass, ``_products`` on two
+  ``(..., 16)`` arrays of one shape (the index maps also take ``(..., 16)``
+  arrays): the pair tables are offset by row, so each row gets the bits of
+  its own single-pair pass.  ``multiply`` is one row, an operator product
+  eight (``e[i, k] f[k, j]``, summed over ``k``), an operator times an
+  element four; ``verify`` builds its kernels and convolutions as one row
+  per trial.  One offset table is kept, for the most rows needed so far,
+  with its prefix views for fewer rows.
 * For finite coefficients, results are bit-identical to the term-by-term
   definition: one scalar product ``sign * x[i] * y[j]`` per pair of nonzero
   coefficients, added to a zero target in pair order.  The complex product
@@ -191,6 +192,14 @@ def _checked_mask(mask) -> int:
     raise ValueError(f"monomial mask {mask} is not an integer in 0..{N_MONOMIALS - 1}")
 
 
+def _named_mask(name) -> int:
+    """The mask of a canonical monomial name (one of ``MONOMIAL_NAMES``)."""
+    try:
+        return _NAME_TO_MASK[name]
+    except KeyError:
+        raise ValueError(f"monomial name {name!r} is not one of {', '.join(MONOMIAL_NAMES)}") from None
+
+
 def _element(c: np.ndarray) -> "GrassmannElement":
     """Wrap a coefficient array that nothing else holds, without copying it."""
     c.flags.writeable = False
@@ -199,82 +208,52 @@ def _element(c: np.ndarray) -> "GrassmannElement":
     return x
 
 
-def _plan(x_rows, y_rows):
-    """Flat index tables for the products ``x[x_rows[k]] * y[y_rows[k]]``.
+def _row_tables(rows: int) -> tuple:
+    """Entry ``n``, for ``n`` up to ``rows``: the pair tables ``(x_index,
+    y_index, sign, target)`` offset by row for ``n`` rows.
 
-    ``x`` and ``y`` are coefficient arrays flattened to rows of 16; product
-    ``k`` lands in output row ``k``.  Terms keep pair order within a row.
+    The tables for ``n`` rows are the first ``81 n`` entries of the tables for
+    any ``m >= n`` rows, so every entry is a prefix view of the last one.
     """
-    rows = len(x_rows)
-    return (
-        (N_MONOMIALS * np.array(x_rows)[:, None] + _PAIR_I).ravel(),
-        (N_MONOMIALS * np.array(y_rows)[:, None] + _PAIR_J).ravel(),
+    offset = N_MONOMIALS * np.arange(rows)[:, None]
+    tables = (
+        (_PAIR_I + offset).ravel(),
+        (_PAIR_J + offset).ravel(),
         np.tile(_PAIR_SIGN, rows),
-        (N_MONOMIALS * np.arange(rows)[:, None] + _PAIR_TARGET).ravel(),
-        rows * N_MONOMIALS,
+        (_PAIR_TARGET + offset).ravel(),
     )
+    return tuple(tuple(t[:n * len(_PAIR_I)] for t in tables) for n in range(rows + 1))
 
 
-_SINGLE_PRODUCT = _plan([0], [0])
-#: Operator product ``e @ f``: product ``[i, j, k]`` is ``e[i, k] f[k, j]``.
-_MATMUL_PRODUCTS = _plan(
-    [2 * i + k for i in range(2) for j in range(2) for k in range(2)],
-    [2 * k + j for i in range(2) for j in range(2) for k in range(2)],
-)
-#: Entrywise products ``op * x`` and ``x * op`` of an operator and an element.
-_OPERATOR_TIMES_ELEMENT = _plan(range(4), [0] * 4)
-_ELEMENT_TIMES_OPERATOR = _plan([0] * 4, range(4))
+#: ``_row_tables`` for the most rows a product pass has needed so far.
+_KEPT_TABLES = _row_tables(1)
 
 
-def _products(xc: np.ndarray, yc: np.ndarray, plan) -> np.ndarray:
-    """Graded products of coefficient rows as laid out by ``plan``.
+def _products(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    """Graded products of two ``(..., 16)`` coefficient arrays of one shape,
+    row by row: output row ``s`` is ``xc[s] * yc[s]``.
 
-    The complex product is written out in real arithmetic so that every term
-    has the bits of the scalar product ``sign * x[i] * y[j]``, and each target
-    is summed from zero in term order.
+    The 81-pair tables are offset by row, so every target sums its own terms
+    in pair order and each row has the bits of its single-pair pass.  The
+    tables are kept for the most rows needed so far, with their prefixes for
+    fewer rows; a pass that needs more rows rebuilds them.  The complex
+    product is written out in real arithmetic so that every term has the bits
+    of the scalar product ``sign * x[i] * y[j]``, and each target is summed
+    from zero in term order.
     """
-    x_index, y_index, sign, target, size = plan
+    global _KEPT_TABLES
+    size = xc.size
+    n = size // N_MONOMIALS
+    kept = _KEPT_TABLES
+    if n >= len(kept):
+        kept = _KEPT_TABLES = _row_tables(n)
+    x_index, y_index, sign, target = kept[n]
     a, b = xc.reshape(-1)[x_index], yc.reshape(-1)[y_index]
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     out = np.empty(size, dtype=complex)
     out.real = np.bincount(target, sign * (ar * br - ai * bi), size)
     out.imag = np.bincount(target, sign * (ar * bi + ai * br), size)
-    return out
-
-
-#: ``(rows, plan)``: ``_SINGLE_PRODUCT`` offset by row for the most rows a
-#: stacked product has needed so far.
-_STACKED_PLAN = (1, _SINGLE_PRODUCT)
-
-
-def _stacked_products(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    """Graded products of ``(n, 16)`` coefficient rows: row ``s`` is ``xc[s] * yc[s]``.
-
-    The single-product tables are offset by row, so every target still sums
-    its own terms in pair order and row ``s`` has the bits of
-    ``_products(xc[s], yc[s], _SINGLE_PRODUCT)``.  The tables for ``n`` rows
-    are the first ``81 n`` entries of the tables for any ``m >= n`` rows, so
-    the largest built is kept and a pass over fewer rows slices its prefix.
-    """
-    global _STACKED_PLAN
-    n = len(xc)
-    rows, plan = _STACKED_PLAN
-    if rows < n:
-        x_index, y_index, sign, target, _ = _SINGLE_PRODUCT
-        offset = N_MONOMIALS * np.arange(n)[:, None]
-        plan = (
-            (x_index + offset).ravel(),
-            (y_index + offset).ravel(),
-            np.tile(sign, n),
-            (target + offset).ravel(),
-            n * N_MONOMIALS,
-        )
-        _STACKED_PLAN = (n, plan)
-    elif rows > n:
-        terms = n * len(_PAIR_I)
-        x_index, y_index, sign, target, _ = plan
-        plan = (x_index[:terms], y_index[:terms], sign[:terms], target[:terms], n * N_MONOMIALS)
-    return _products(xc, yc, plan).reshape(n, N_MONOMIALS)
+    return out.reshape(xc.shape)
 
 
 def _index_map(c: np.ndarray, src, dst, sign=None) -> np.ndarray:
@@ -343,7 +322,7 @@ class GrassmannElement:
         """Build from a ``{monomial name: coefficient}`` mapping (see MONOMIAL_NAMES)."""
         c = np.zeros(N_MONOMIALS, dtype=complex)
         for name, value in table.items():
-            c[_NAME_TO_MASK[name]] = complex(value)
+            c[_named_mask(name)] = complex(value)
         return cls(c)
 
     # -- accessors -------------------------------------------------------
@@ -356,7 +335,7 @@ class GrassmannElement:
     def coefficient(self, monomial) -> complex:
         """Coefficient of a monomial given by name, mask, or generator iterable."""
         if isinstance(monomial, str):
-            mask = _NAME_TO_MASK[monomial]
+            mask = _named_mask(monomial)
         elif isinstance(monomial, (int, np.integer)):
             mask = _checked_mask(monomial)
         else:
@@ -493,7 +472,7 @@ XI_STAR = GrassmannElement.generator(Generator.XI_STAR)
 
 def multiply(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
     """Graded product of two elements, in canonical form."""
-    return _element(_products(x._c, y._c, _SINGLE_PRODUCT))
+    return _element(_products(x._c, y._c))
 
 
 def adjoint(x: GrassmannElement) -> GrassmannElement:
@@ -650,18 +629,16 @@ class OperatorElement:
         if isinstance(other, OperatorElement):
             return self._matmul(other)
         if isinstance(other, GrassmannElement):
-            return OperatorElement._wrap(
-                _products(self._a, other._c, _OPERATOR_TIMES_ELEMENT).reshape(2, 2, N_MONOMIALS)
-            )
+            entries = np.broadcast_to(other._c, self._a.shape)
+            return OperatorElement._wrap(_products(self._a, entries))
         if np.isscalar(other):
             return OperatorElement._wrap(self._a * complex(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, GrassmannElement):
-            return OperatorElement._wrap(
-                _products(other._c, self._a, _ELEMENT_TIMES_OPERATOR).reshape(2, 2, N_MONOMIALS)
-            )
+            entries = np.broadcast_to(other._c, self._a.shape)
+            return OperatorElement._wrap(_products(entries, self._a))
         if np.isscalar(other):
             return self.__mul__(other)
         return NotImplemented
@@ -672,7 +649,9 @@ class OperatorElement:
         return NotImplemented
 
     def _matmul(self, other: "OperatorElement") -> "OperatorElement":
-        products = _products(self._a, other._a, _MATMUL_PRODUCTS).reshape(2, 2, 2, N_MONOMIALS)
+        # Product ``[i, j, k]`` is ``e[i, k] f[k, j]``; entry ``[i, j]`` sums it over ``k``.
+        e, f = np.broadcast_arrays(self._a[:, None], other._a.transpose(1, 0, 2)[None])
+        products = _products(e, f)
         return OperatorElement._wrap(products[:, :, 0] + products[:, :, 1])
 
     def adjoint(self) -> "OperatorElement":

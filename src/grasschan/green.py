@@ -44,7 +44,7 @@ from .grassmann import (
     _element,
     _index_map,
     _integrate_pair_coeffs,
-    _stacked_products,
+    _products,
 )
 from .qubit import PAULI, NotCptpError, QubitChannel, is_cptp
 from .tolerances import ANGLE_ATOL, ANGLE_RATIO_ATOL, GAUSSIAN_ATOL, ISCLOSE_ATOL
@@ -164,11 +164,11 @@ def _kernel_bodies(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     arg[:, _ZETA] = 1.0
     arg[:, _XI] = -(lam1 + lam2) / 2
     arg[:, _XI_STAR] = -(lam2 - lam1) / 2
-    delta = _stacked_products(arg, _adjoint_coeffs(arg))
+    delta = _products(arg, _adjoint_coeffs(arg))
     factor = np.zeros_like(arg)
     factor[:, 0] = 1.0
     factor[:, _XI_XI_STAR] = t3 / 2
-    body = _stacked_products(delta, factor)
+    body = _products(delta, factor)
     body[:, _XI_XI_STAR] += lam3 - lam1 * lam2
     body[:, _ZETA_ZETA_STAR_XI] += (t1 - 1j * t2) / 2
     body[:, _ZETA_ZETA_STAR_XI_STAR] -= (t1 + 1j * t2) / 2
@@ -199,7 +199,7 @@ def _apply_kernels(kernels: np.ndarray, chis: np.ndarray) -> np.ndarray:
     """Berezin convolutions of ``(n, 16)`` kernel rows with characteristic-function
     rows; row ``s`` has the bits of ``apply_green`` and is not validated."""
     relabeled = _index_map(chis, _XI_MASKS, _ZETA_MASKS)
-    return _integrate_pair_coeffs(_stacked_products(relabeled, kernels))
+    return _integrate_pair_coeffs(_products(relabeled, kernels))
 
 
 def apply_green(green: GreenFunction, chi: CharFunction) -> CharFunction:

@@ -473,31 +473,30 @@ def _walk(ok: np.ndarray, rows: int, trials: int, tail: int, max_tries: int):
     return starts, pos
 
 
-def _sample(rng, draw, trials: int, tail: int, t_scale: float, max_tries: int, rows: int, max_rows: float):
+def _sample(rng, trials: int, tail: int, t_scale: float, max_tries: int, rows: int):
     """Run ``trials`` rejection loops (see ``_walk``) on one block of draws.
 
-    ``draw(m)`` draws ``m`` rows of three doubles and returns ``(block,
-    uniforms)``, with ``uniforms`` the rows as ``rng.uniform(-1, 1)`` gives
-    them.  The generator state is saved; a block of ``rows`` rows (doubled,
-    up to ``max_rows``, until the walk is decided) is drawn and decided in one
-    pass; then the state is restored and exactly the consumed rows are drawn
-    again.  Returns ``(block, starts)``; ``RuntimeError`` when a loop runs out
-    of ``max_tries``, with the generator just past that loop's last candidate.
+    The generator state is saved; a block ``rng.random((rows, 3))`` (doubled
+    until the walk is decided) is drawn and decided in one pass, with ``-1 +
+    2 * raw`` giving the bits of ``rng.uniform(-1, 1)``; then the state is
+    restored and exactly the consumed rows are drawn again.  Returns ``(raw,
+    starts)``; ``RuntimeError`` when a loop runs out of ``max_tries``, with
+    the generator just past that loop's last candidate.
     """
     start = rng.bit_generator.state
     step = 1 if trials > 1 else 2  # a lone loop starts at row 0 and only tries even rows
     while True:
-        block, uniforms = draw(rows)
-        walk = _walk(_cptp_candidates(uniforms, t_scale, step), rows, trials, tail, max_tries)
+        raw = rng.random((rows, 3))
+        walk = _walk(_cptp_candidates(-1 + 2 * raw, t_scale, step), rows, trials, tail, max_tries)
         rng.bit_generator.state = start
         if walk is not None:
             break
-        rows = min(2 * rows, max_rows)
+        rows *= 2
     starts, end = walk
-    draw(end)
+    rng.random((end, 3))
     if len(starts) < trials:
         raise RuntimeError("failed to sample a CPTP channel")
-    return block, starts
+    return raw, starts
 
 
 def random_cptp_canonical_channel(
@@ -519,14 +518,9 @@ def random_cptp_canonical_channel(
     channel has the same bits, and ``rng`` is left in the same state, as
     drawing and checking the attempts one at a time.
     """
-    def draw(m):
-        uniforms = rng.uniform(-1, 1, size=(m, 3))
-        return uniforms, uniforms
-
-    rows, (j,) = _sample(
-        rng, draw, 1, 2, t_scale, max_tries, 2 * min(SAMPLER_BLOCK, max_tries), 2 * max_tries
-    )
-    ch = QubitChannel.from_canonical(rows[j + 1] * t_scale, rows[j])
+    raw, (j,) = _sample(rng, 1, 2, t_scale, max_tries, 2 * min(SAMPLER_BLOCK, max_tries))
+    lam, t = -1 + 2 * raw[j], -1 + 2 * raw[j + 1]
+    ch = QubitChannel.from_canonical(t * t_scale, lam)
     ch.cptp_report  # computed now and cached, for the consumers that check it
     return ch
 
@@ -547,12 +541,6 @@ def _random_channels_and_states(
     rows.  The bits, the generator's final state and any ``RuntimeError``
     are those of the per-round loop.
     """
-    def draw(m):
-        raw = rng.random((m, 3))
-        return raw, -1 + 2 * raw
-
-    raw, starts = _sample(
-        rng, draw, trials, 3, t_scale, max_tries, _ROWS_PER_TRIAL * (trials + 4), math.inf
-    )
+    raw, starts = _sample(rng, trials, 3, t_scale, max_tries, _ROWS_PER_TRIAL * (trials + 4))
     starts = np.array(starts, dtype=np.intp)
     return (-1 + 2 * raw[starts + 1]) * t_scale, -1 + 2 * raw[starts], raw[starts + 2]

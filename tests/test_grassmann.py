@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,18 @@ def test_monomial_masks_must_name_one_of_the_sixteen_monomials():
     for generators in ([4], [-1], [0, 7]):
         with pytest.raises(ValueError, match="not a valid Generator"):
             x.coefficient(generators)
+
+
+def test_monomial_names_must_be_canonical():
+    x = GrassmannElement(np.arange(16) + 1.0)
+    assert x.coefficient("ξξ*") == 1.0 + 0b1100
+    assert GrassmannElement.from_table({"ξξ*": 2}).coefficient(0b1100) == 2
+    for name in ("xi", "ξ*ξ", ""):
+        message = re.escape(f"monomial name {name!r} is not one of {', '.join(MONOMIAL_NAMES)}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            x.coefficient(name)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GrassmannElement.from_table({"ξ": 1, name: 1})
 
 
 def test_operator_element_matrix_product_and_trace():
@@ -443,22 +456,49 @@ def test_char_bodies_bit_identical_to_full_product_trace_row_by_row():
         assert _char_bodies(rho[None])[0].tobytes() == bodies[s].tobytes()
 
 
-def test_stacked_products_reuse_the_kept_table_by_prefix(monkeypatch):
+def fresh_kept_table(monkeypatch):
+    """Restart ``_products`` from its one-row tables; the kept tables are restored afterwards."""
     from grasschan import grassmann
-    from grasschan.grassmann import _SINGLE_PRODUCT, _products, _stacked_products
 
-    monkeypatch.setattr(grassmann, "_STACKED_PLAN", (1, _SINGLE_PRODUCT))
-    xs = np.array([x.coefficients for x in awkward_elements(269, n=300)])
-    ys = np.array([x.coefficients for x in awkward_elements(271, n=300)])
+    monkeypatch.setattr(grassmann, "_KEPT_TABLES", grassmann._row_tables(1))
+    return grassmann
+
+
+def test_stacked_products_reuse_the_kept_table_by_prefix(monkeypatch):
+    grassmann = fresh_kept_table(monkeypatch)
+    xs = list(awkward_elements(269, n=300))
+    ys = list(awkward_elements(271, n=300))
+    xc, yc = (np.array([x.coefficients for x in e]) for e in (xs, ys))
     built = []
     for n in (300, 5, 257):
-        out = _stacked_products(xs[:n], ys[-n:])
-        built.append(grassmann._STACKED_PLAN[0])
+        out = grassmann._products(xc[:n], yc[-n:])
+        built.append(len(grassmann._KEPT_TABLES) - 1)
         assert out.shape == (n, 16)
         for s in range(n):
-            assert out[s].tobytes() == _products(xs[s], ys[len(ys) - n + s], _SINGLE_PRODUCT).tobytes()
-    # the 300-row table is kept: the shorter passes slice its prefix
+            assert out[s].tobytes() == ref_multiply(xs[s], ys[len(ys) - n + s]).coefficients.tobytes()
+    # the 300-row table is kept: the shorter passes use its prefixes
     assert built == [300, 300, 300]
+    assert np.shares_memory(grassmann._KEPT_TABLES[5][0], grassmann._KEPT_TABLES[300][0])
+
+
+def test_operator_products_on_a_prefix_of_a_grown_table(monkeypatch):
+    grassmann = fresh_kept_table(monkeypatch)
+    rows = np.array([x.coefficients for x in awkward_elements(277, n=300)])
+    grassmann._products(rows, rows[::-1])
+    xs = list(awkward_elements(281, n=90))
+    for k in range(0, len(xs), 9):
+        a = OperatorElement((xs[k:k + 2], xs[k + 2:k + 4]))
+        b = OperatorElement((xs[k + 4:k + 6], xs[k + 6:k + 8]))
+        g = xs[k + 8]
+        e, f = a.entries, b.entries
+        for got, expected in (
+            (a * b, ref_operator_product(e, f)),
+            (a * g, [[ref_multiply(e[i][j], g) for j in range(2)] for i in range(2)]),
+            (g * a, [[ref_multiply(g, e[i][j]) for j in range(2)] for i in range(2)]),
+        ):
+            assert all(same_bits(got.entry(i, j), expected[i][j]) for i in range(2) for j in range(2))
+        assert same_bits(multiply(g, xs[k]), ref_multiply(g, xs[k]))
+    assert len(grassmann._KEPT_TABLES) - 1 == 300
 
 
 def test_operator_element_data_cannot_be_written():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scripted_stream import ScriptedStream
 
 from grasschan.degradability import dilation_from_angles
 from grasschan.green import AngleParams
@@ -444,30 +445,6 @@ def sample_and_next_draw(sampler, rng, **kwargs):
     return out, rng.uniform()
 
 
-class ScriptedGenerator:
-    """Serves a fixed list of numbers as the draws of ``uniform``; the state is the position."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        self.position = 0
-        self.bit_generator = self
-
-    @property
-    def state(self):
-        return self.position
-
-    @state.setter
-    def state(self, position):
-        self.position = position
-
-    def uniform(self, low, high, size):
-        n = int(np.prod(size))
-        out = self.values[self.position:self.position + n]
-        assert len(out) == n, "script exhausted"
-        self.position += n
-        return out.reshape(size)
-
-
 class TestLoneTrialDecidesEvenRowsOnly:
     """A lone rejection loop starts at row 0 and tries rows 0, 2, 4, ...; the odd candidates are never decided."""
 
@@ -535,21 +512,20 @@ class TestSamplerStreamExact:
 
     def test_exact_check_decides_inside_the_screen_margin(self):
         # Depolarizing lam = (l, l, l) has smallest Choi eigenvalue (1 + 3l)/2.
-        def lam_at(eig):
-            return (2 * eig - 1) / 3
+        def raw_at(eig):
+            return ((2 * eig - 1) / 3 + 1) / 2
 
-        below = lam_at(CHOI_EIG_FLOOR - SCREEN_MARGIN / 2)
-        above = lam_at(CHOI_EIG_FLOOR + SCREEN_MARGIN / 2)
-        eig_below = np.linalg.eigvalsh(QubitChannel.from_canonical([0, 0, 0], [below] * 3).choi)[0]
+        below, above = raw_at(CHOI_EIG_FLOOR - SCREEN_MARGIN / 2), raw_at(CHOI_EIG_FLOOR + SCREEN_MARGIN / 2)
+        lam_below, lam_above = -1 + 2 * below, -1 + 2 * above
+        eig_below = np.linalg.eigvalsh(QubitChannel.from_canonical([0, 0, 0], [lam_below] * 3).choi)[0]
         assert CHOI_EIG_FLOOR - SCREEN_MARGIN < eig_below < CHOI_EIG_FLOOR
         # the screen keeps the first candidate; the exact check rejects it
-        draws = [below] * 3 + [0.0] * 3 + [above] * 3 + [0.0] * 3 + [0.5] * 6
-        ours, ref = ScriptedGenerator(draws), ScriptedGenerator(draws)
+        script = [below] * 3 + [0.5] * 3 + [above] * 3 + [0.5] * 3 + [0.75] * 6
+        ours, ref = ScriptedStream(script), ScriptedStream(script)
         ch = random_cptp_canonical_channel(ours, max_tries=3)
-        assert ch.lam.tolist() == [above] * 3
+        assert ch.lam.tolist() == [lam_above] * 3
         assert ch.cptp_report == reference_sampler(ref, max_tries=3).cptp_report
         assert ours.position == ref.position == 12
-
 
 
 def accepted_rows_the_prescreen_drops(t, lam, exact_rows=None):
