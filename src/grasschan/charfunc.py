@@ -34,7 +34,6 @@ from .grassmann import (
     GrassmannElement,
     OperatorElement,
     _element,
-    _index_map,
 )
 from .qubit import SIGMA_MINUS, SIGMA_PLUS, QubitState, _check_states
 from .tolerances import NORMALIZATION_ATOL, PHYSICALITY_ATOL
@@ -46,7 +45,6 @@ __all__ = [
     "displacement",
     "char_function",
     "state_from_char",
-    "negate_generators",
 ]
 
 _PAIRS = {
@@ -60,8 +58,6 @@ _XI, _XI_STAR, _XI_XI_STAR = (MONOMIAL_NAMES.index(name) for name in ("ξ", "ξ*
 _MASKS = np.arange(16)
 # Monomials that hold zeta or zeta*.
 _OFF_XI_MASKS = _MASKS[(_MASKS & ~_XI_MASK) != 0]
-# (-1)^(degree of the monomial): the sign that g -> -g puts on each monomial.
-_PARITY_SIGN = np.array([-1.0 if bin(m).count("1") & 1 else 1.0 for m in range(16)])
 
 
 class NotNormalizedError(ValueError):
@@ -85,9 +81,6 @@ class CharFunction:
             raise NotNormalizedError(
                 f"constant coefficient {self.body.constant} differs from 1"
             )
-
-    def pretty(self) -> str:
-        return self.body.pretty()
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,8 +184,3 @@ def _states_from_bodies(bodies: np.ndarray):
     p = np.minimum(np.maximum(p, 0.0), 1.0)
     _check_states(p, gamma)
     return p, gamma
-
-
-def negate_generators(x: GrassmannElement) -> GrassmannElement:
-    """Map every generator g to -g (identity on even monomials)."""
-    return _element(_index_map(x.coefficients, _MASKS, _MASKS, _PARITY_SIGN))

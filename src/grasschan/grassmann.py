@@ -7,7 +7,20 @@ The algebra is generated by two conjugate pairs of Grassmann variables,
 
 An element is a complex polynomial over the 16 canonical monomials (one per
 subset of the generator set, factors written in ascending order), so two
-elements are equal iff all 16 coefficients agree.
+elements are equal iff all 16 coefficients agree (``-0.0 == 0.0``, and the
+hash agrees with ``==``).
+
+Each operation has one home:
+
+* the module functions ``multiply``, ``adjoint``, ``berezin_integrate``,
+  ``integrate_pair``, ``delta_pair`` and ``substitute``;
+* the operators of ``GrassmannElement``: ``+``, ``-``, ``==`` and
+  ``isclose`` take two elements; ``*`` is ``multiply`` on two elements and
+  scales by a scalar on either side; unary ``-`` negates;
+* the operators of ``OperatorElement``: ``+``, ``-``, ``==`` and
+  ``isclose`` take two operators; ``*`` is the matrix product of two
+  operators, multiplies every entry by an element on either side, and
+  scales by a scalar on the right; ``adjoint()`` and ``trace()``.
 
 Storage and arithmetic:
 
@@ -43,9 +56,9 @@ Storage and arithmetic:
 
 Conventions frozen by the calibration tests:
 
-* Berezin integration: ``integrate(1) = 0``, ``integrate(g) = 1`` for a bare
-  generator ``g``; a generator is commuted to the leftmost position of its
-  monomial before being stripped.
+* Berezin integration: ``berezin_integrate(1, g) = 0`` and
+  ``berezin_integrate(g, g) = 1`` for a bare generator ``g``; a generator is
+  commuted to the leftmost position of its monomial before being stripped.
 * ``integrate_pair`` integrates zeta first, then zeta* (measure
   ``dzeta* dzeta`` with the innermost differential acting first).
 * ``delta_pair(a) = a * adjoint(a)``.  With the pair-integral order above
@@ -102,15 +115,6 @@ class Generator(enum.IntEnum):
     ZETA_STAR = 1
     XI = 2
     XI_STAR = 3
-
-    @property
-    def conjugate(self) -> "Generator":
-        """The conjugate partner (zeta <-> zeta*, xi <-> xi*)."""
-        return Generator(self.value ^ 1)
-
-    @property
-    def glyph(self) -> str:
-        return _GLYPHS[self.value]
 
 
 _GLYPHS = ("ζ", "ζ*", "ξ", "ξ*")
@@ -270,16 +274,6 @@ def _index_map(c: np.ndarray, src, dst, sign=None) -> np.ndarray:
     return out
 
 
-def _as_coeffs(value) -> np.ndarray:
-    if isinstance(value, GrassmannElement):
-        return value._c
-    if np.isscalar(value):
-        c = np.zeros(N_MONOMIALS, dtype=complex)
-        c[0] = complex(value)
-        return c
-    raise TypeError(f"cannot interpret {value!r} as a Grassmann element")
-
-
 class GrassmannElement:
     """Immutable complex polynomial over the 16 canonical monomials."""
 
@@ -365,27 +359,14 @@ class GrassmannElement:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other):
-        try:
-            oc = _as_coeffs(other)
-        except TypeError:
+        if not isinstance(other, GrassmannElement):
             return NotImplemented
-        return _element(self._c + oc)
-
-    __radd__ = __add__
+        return _element(self._c + other._c)
 
     def __sub__(self, other):
-        try:
-            oc = _as_coeffs(other)
-        except TypeError:
+        if not isinstance(other, GrassmannElement):
             return NotImplemented
-        return _element(self._c - oc)
-
-    def __rsub__(self, other):
-        try:
-            oc = _as_coeffs(other)
-        except TypeError:
-            return NotImplemented
-        return _element(oc - self._c)
+        return _element(self._c - other._c)
 
     def __neg__(self):
         return _element(-self._c)
@@ -402,30 +383,17 @@ class GrassmannElement:
             return _element(self._c * complex(other))
         return NotImplemented
 
-    def __truediv__(self, other):
-        if np.isscalar(other):
-            return _element(self._c / complex(other))
-        return NotImplemented
-
     def __eq__(self, other):
-        try:
-            oc = _as_coeffs(other)
-        except TypeError:
+        if not isinstance(other, GrassmannElement):
             return NotImplemented
-        return bool(np.array_equal(self._c, oc))
+        return bool(np.array_equal(self._c, other._c))
 
     def __hash__(self):
-        return hash(self._c.tobytes())
+        # ``+ 0.0`` turns -0.0 into +0.0 in both parts, as ``==`` does.
+        return hash((self._c + 0.0).tobytes())
 
-    def isclose(self, other, atol: float = ISCLOSE_ATOL) -> bool:
-        oc = _as_coeffs(other)
-        return bool(np.max(np.abs(self._c - oc)) <= atol)
-
-    def adjoint(self) -> "GrassmannElement":
-        return _element(_adjoint_coeffs(self._c))
-
-    def integrate(self, v: Generator) -> "GrassmannElement":
-        return _element(_index_map(self._c, *_BEREZIN[int(v)]))
+    def isclose(self, other: "GrassmannElement", atol: float = ISCLOSE_ATOL) -> bool:
+        return bool(np.max(np.abs(self._c - other._c)) <= atol)
 
     # -- formatting ------------------------------------------------------
 
@@ -572,10 +540,6 @@ class OperatorElement:
         return op
 
     @classmethod
-    def zero(cls) -> "OperatorElement":
-        return cls._wrap(np.zeros((2, 2, N_MONOMIALS), dtype=complex))
-
-    @classmethod
     def identity(cls) -> "OperatorElement":
         return cls.from_matrix(np.eye(2))
 
@@ -609,9 +573,6 @@ class OperatorElement:
         """The 2x2 complex matrix multiplying one monomial (a fresh copy)."""
         return self._a[:, :, _checked_mask(mask)].copy()
 
-    def constant_part(self) -> np.ndarray:
-        return self.monomial_matrix(0)
-
     def __add__(self, other):
         if not isinstance(other, OperatorElement):
             return NotImplemented
@@ -622,12 +583,12 @@ class OperatorElement:
             return NotImplemented
         return OperatorElement._wrap(self._a - other._a)
 
-    def __neg__(self):
-        return OperatorElement._wrap(-self._a)
-
     def __mul__(self, other):
         if isinstance(other, OperatorElement):
-            return self._matmul(other)
+            # Product ``[i, j, k]`` is ``e[i, k] f[k, j]``; entry ``[i, j]`` sums it over ``k``.
+            e, f = np.broadcast_arrays(self._a[:, None], other._a.transpose(1, 0, 2)[None])
+            products = _products(e, f)
+            return OperatorElement._wrap(products[:, :, 0] + products[:, :, 1])
         if isinstance(other, GrassmannElement):
             entries = np.broadcast_to(other._c, self._a.shape)
             return OperatorElement._wrap(_products(self._a, entries))
@@ -639,20 +600,7 @@ class OperatorElement:
         if isinstance(other, GrassmannElement):
             entries = np.broadcast_to(other._c, self._a.shape)
             return OperatorElement._wrap(_products(entries, self._a))
-        if np.isscalar(other):
-            return self.__mul__(other)
         return NotImplemented
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorElement):
-            return self._matmul(other)
-        return NotImplemented
-
-    def _matmul(self, other: "OperatorElement") -> "OperatorElement":
-        # Product ``[i, j, k]`` is ``e[i, k] f[k, j]``; entry ``[i, j]`` sums it over ``k``.
-        e, f = np.broadcast_arrays(self._a[:, None], other._a.transpose(1, 0, 2)[None])
-        products = _products(e, f)
-        return OperatorElement._wrap(products[:, :, 0] + products[:, :, 1])
 
     def adjoint(self) -> "OperatorElement":
         return OperatorElement._wrap(_adjoint_coeffs(self._a.transpose(1, 0, 2)))
@@ -669,7 +617,7 @@ class OperatorElement:
         return bool(np.array_equal(self._a, other._a))
 
     def __hash__(self):
-        return hash(self._a.tobytes())
+        return hash((self._a + 0.0).tobytes())
 
     def __repr__(self):
         rows = "; ".join(

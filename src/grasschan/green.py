@@ -47,7 +47,7 @@ from .grassmann import (
     _products,
 )
 from .qubit import PAULI, NotCptpError, QubitChannel, is_cptp
-from .tolerances import ANGLE_ATOL, ANGLE_RATIO_ATOL, GAUSSIAN_ATOL, ISCLOSE_ATOL
+from .tolerances import ANGLE_ATOL, ANGLE_RATIO_ATOL, GAUSSIAN_ATOL
 
 __all__ = [
     "GreenFunction",
@@ -83,9 +83,6 @@ class GreenFunction:
     def to_table(self) -> dict:
         return self.body.to_table()
 
-    def isclose(self, other: "GreenFunction", atol: float = ISCLOSE_ATOL) -> bool:
-        return self.body.isclose(other.body, atol=atol)
-
 
 @dataclass(frozen=True)
 class GaussianParams:
@@ -109,12 +106,12 @@ class AngleParams:
 class GaussianEquivalent:
     """An axis relabelling (lambda permutation) that lands on a Gaussian channel.
 
-    ``signs`` is always ``(1, 1, 1)``: no lambda sign flip is ever applied.
+    ``signs`` is a class constant: no lambda sign flip is ever applied.
     """
 
     perm: tuple
-    signs: tuple
     channel: QubitChannel
+    signs = (1, 1, 1)
 
 
 # Monomial masks of the kernel's coefficients.
@@ -352,5 +349,5 @@ def gaussian_equivalent(ch: QubitChannel) -> Optional[GaussianEquivalent]:
         residuals = (new_t[0], new_t[1], new_lam[2] - new_lam[0] * new_lam[1])
         if all(abs(r) <= GAUSSIAN_ATOL for r in residuals):
             channel = QubitChannel.from_canonical([0.0, 0.0, float(new_t[2])], new_lam)
-            return GaussianEquivalent(perm=perm, signs=(1, 1, 1), channel=channel)
+            return GaussianEquivalent(perm=perm, channel=channel)
     return None

@@ -68,6 +68,12 @@ class TestChannelCodec:
             io.channel_from_json({"type": "named", "name": "nope", "params": {}})
         with pytest.raises(io.SpecError):
             io.channel_from_json({"type": "canonical", "t": [0, 0, 0], "lambda": [1, 1, 1], "schema_version": 99})
+        with pytest.raises(io.SpecError, match=r"2x2 array of \[re, im\] pairs"):
+            io.channel_from_json({"type": "kraus", "matrices": [[[1, 0], [0, 1]]]})
+
+    def test_missing_spec_file(self, tmp_path):
+        with pytest.raises(io.SpecError, match="cannot read"):
+            io.load_channel_spec(str(tmp_path / "missing.json"))
 
     def test_validation_errors_not_masked(self):
         with pytest.raises(NotTracePreservingError):
@@ -202,6 +208,26 @@ class TestAnalyzeCommand:
         code, *_ = run_cli(capsys, "analyze", "--named", "bit_flip", "--param", "s=2.0")
         assert code == 2
 
+    @pytest.mark.parametrize("as_json", [True, False])
+    @pytest.mark.parametrize(
+        "param, message",
+        [
+            ("s", "--param expects KEY=VALUE, got 's'"),
+            ("=1", "--param expects KEY=VALUE, got '=1'"),
+            ("s=abc", "--param s: 'abc' is not a number"),
+            ("s=", "--param s: '' is not a number"),
+        ],
+    )
+    def test_malformed_param_exit_2(self, capsys, param, message, as_json):
+        code, out, err = run_cli(
+            capsys, "analyze", "--named", "bit_flip", "--param", param, *(["--json"] if as_json else [])
+        )
+        assert code == 2
+        if as_json:
+            assert strict_loads(out)["error"] == {"kind": "parse", "message": message}
+        else:
+            assert err == f"error (parse): {message}\n"
+
     def test_requires_exactly_one_source(self, capsys):
         code, *_ = run_cli(capsys, "analyze")
         assert code == 2
@@ -250,6 +276,21 @@ class TestNoTraceback:
         code, out, _ = run_cli(capsys, "analyze", str(spec), "--json")
         assert code == 0
         assert strict_loads(out)["gaussian"] is not None
+
+    def test_no_angle_form_spec_exits_0(self, capsys, tmp_path):
+        # CPTP within CHOI_EIG_FLOOR, but t3 lies just past the exact bound
+        # t3^2 <= (1 - lam1^2)(1 - lam2^2) that an angle form needs.
+        lam = [0.999, 0.999, 0.999**2]
+        t3 = 1.000001 * (1 - 0.999**2)
+        assert t3**2 > (1 - lam[0] ** 2) * (1 - lam[1] ** 2)
+        spec = tmp_path / "no_angles.json"
+        spec.write_text(json.dumps({"type": "canonical", "t": [0, 0, t3], "lambda": lam}))
+        code, out, _ = run_cli(capsys, "analyze", str(spec), "--json")
+        assert code == 0
+        report = strict_loads(out)
+        assert report["cptp"]["ok"] and report["gaussian"] is not None
+        assert report["angles"] is None and report["dilation"] is None and report["degradability"] is None
+        assert [note for note in report["notes"] if note.startswith("no angle form: ")]
 
     @pytest.mark.parametrize(
         "spec",

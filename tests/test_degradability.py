@@ -6,6 +6,7 @@ from grasschan.degradability import (
     NEITHER_CERTIFIED,
     NULL_CAPACITY_CLAIMED,
     WEAKLY_DEGRADABLE,
+    Dilation,
     certify,
     classify_by_angles,
     dilation_from_angles,
@@ -18,7 +19,15 @@ from grasschan.green import (
     detect_gaussian,
     green_from_channel,
 )
-from grasschan.qubit import QubitChannel, apply_channel, compose, is_cptp, random_state
+from grasschan.qubit import (
+    NotCptpError,
+    QubitChannel,
+    QubitState,
+    apply_channel,
+    compose,
+    is_cptp,
+    random_state,
+)
 
 
 def amplitude_damping(n):
@@ -60,6 +69,14 @@ class TestDilation:
             ap = AngleParams(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 1))
             u = dilation_from_angles(ap).unitary
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+
+    def test_rejects_bad_unitary_environment_and_weight(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            Dilation(2 * np.eye(4), QubitState(p=1.0))
+        with pytest.raises(ValueError, match="diagonal"):
+            Dilation(np.eye(4), QubitState(p=0.5, gamma=0.3))
+        with pytest.raises(ValueError, match="outside"):
+            dilation_from_angles(AngleParams(0.0, 0.0, 1.5))
 
     def test_soundness_200_random_angle_triples(self):
         rng = np.random.default_rng(7)
@@ -195,6 +212,26 @@ class TestCertify:
         assert verdict.witness is None
         assert verdict.attempts["weak"] is not None
         assert verdict.attempts["anti"] is not None
+
+    def test_rejects_non_cptp_channels(self):
+        bad = QubitChannel.from_canonical([0, 0, 0], [1, 1, -1])
+        good = amplitude_damping(0.5)
+        for n_ch, comp, label in ((bad, good, "channel"), (good, bad, "complement")):
+            with pytest.raises(NotCptpError, match=f"{label} is not CPTP"):
+                certify(n_ch, comp)
+
+    def test_non_diagonal_weak_solve_falls_back_to_no_witness(self):
+        # A subnormal lambda survives lstsq's relative rcond, so the weak solve
+        # overflows to NaN, canonical_from_ptm finds no diagonal block, and the
+        # anti-degrading direction still certifies.
+        ch = QubitChannel.from_canonical([0, 0, 0], [5e-324] * 3)
+        comp = QubitChannel.from_canonical([0, 0, 0], [0.5] * 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            verdict = certify(ch, comp)
+        assert verdict.kind == ANTI_DEGRADABLE
+        weak = verdict.attempts["weak"]
+        assert weak["witness"] is None and weak["cptp"] is False
+        assert weak["min_choi_eigenvalue"] == float("-inf")
 
     def test_attempt_both_runs_anti_even_on_weak_success(self):
         ch = amplitude_damping(0.75)

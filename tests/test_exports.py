@@ -1,0 +1,16 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import grasschan
+
+MODULES = [grasschan] + [
+    importlib.import_module(f"grasschan.{info.name}") for info in pkgutil.iter_modules(grasschan.__path__)
+]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing

@@ -6,6 +6,7 @@ from grasschan.grassmann import XI, XI_STAR, ZETA, GrassmannElement, delta_pair
 from grasschan.green import (
     AngleParams,
     GaussianParams,
+    GreenFunction,
     NoSolutionError,
     angles_from_gaussian,
     apply_green,
@@ -149,6 +150,12 @@ class TestDetectGaussian:
         gp = detect_gaussian(green_from_canonical([0, 0, 0], [1, 1, 1]))
         assert (gp.a, gp.b, gp.c) == (1, 0, 0)
 
+    @pytest.mark.parametrize("monomial, shift", [("ζζ*", 0.5), ("ζζ*ξξ*", 0.1j)])
+    def test_none_when_a_fixed_coefficient_is_off(self, monomial, shift):
+        table = green_from_channel(amplitude_damping(0.64)).to_table()
+        table[monomial] += shift
+        assert detect_gaussian(GreenFunction(GrassmannElement.from_table(table))) is None
+
     def test_matches_closed_condition_on_random_channels(self):
         rng = np.random.default_rng(83)
         for _ in range(1000):
@@ -237,6 +244,8 @@ class TestAngles:
         with pytest.raises(NoSolutionError):
             # theta = phi forces c = 0
             angles_from_gaussian(GaussianParams(0.5, -0.5, 0.3))
+        with pytest.raises(NoSolutionError, match="exceed the cosine range"):
+            angles_from_gaussian(GaussianParams(0.6, 0.6, 0.0))
 
     def test_round_trip_through_channel(self):
         rng = np.random.default_rng(97)

@@ -65,6 +65,8 @@ class TestQubitState:
             QubitState.from_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
         with pytest.raises(ValueError):
             QubitState.from_matrix(np.diag([0.9, 0.3]))
+        with pytest.raises(ValueError, match="2x2"):
+            QubitState.from_matrix(np.eye(3) / 3)
 
 
 class TestPtmAndCanonical:
@@ -301,6 +303,7 @@ class TestLeanCanonicalFromPtm:
 class TestCptp:
     def test_identity(self):
         assert is_cptp(QubitChannel.identity()).ok
+        assert is_cptp(QubitChannel.identity())
 
     def test_amplitude_damping_any_n(self):
         for n in np.linspace(0, 1, 11):
@@ -309,7 +312,7 @@ class TestCptp:
 
     def test_universal_not_like_map_fails(self):
         report = is_cptp(QubitChannel.from_canonical([0, 0, 0], [1, 1, -1]))
-        assert not report.ok
+        assert not report.ok and not report
         assert report.min_choi_eigenvalue < -1e-9
 
     def test_choi_normalization(self):
@@ -381,6 +384,16 @@ class TestApplyAndCompose:
     def test_apply_rejects_non_cptp(self):
         with pytest.raises(NotCptpError):
             apply_channel(QubitChannel.from_canonical([0, 0, 0], [1, 1, -1]), QubitState(p=1.0))
+
+    def test_compose_rejects_non_cptp(self):
+        bad = QubitChannel.from_canonical([0, 0, 0], [1, 1, -1])
+        for pair in ((bad, QubitChannel.identity()), (QubitChannel.identity(), bad)):
+            with pytest.raises(NotCptpError, match="compose requires CPTP"):
+                compose(*pair)
+
+    def test_repr(self):
+        ch = QubitChannel.from_canonical([0, 0, 0.5], [0.5, 0.5, 0.25])
+        assert repr(ch) == "QubitChannel(t=(0, 0, 0.5), lam=(0.5, 0.5, 0.25))"
 
     def test_compose_identity_neutral(self):
         rng = np.random.default_rng(23)
