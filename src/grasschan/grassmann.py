@@ -81,6 +81,7 @@ the constant monomial prints as a bare number, every other monomial as
 from __future__ import annotations
 
 import enum
+import numbers
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -210,6 +211,11 @@ def _element(c: np.ndarray) -> "GrassmannElement":
     x = object.__new__(GrassmannElement)
     object.__setattr__(x, "_c", c)
     return x
+
+
+def _is_number(x) -> bool:
+    """A Python or numpy numeric scalar (``np.isscalar`` also admits ``str`` and ``bytes``)."""
+    return isinstance(x, (numbers.Number, np.bool_))
 
 
 def _row_tables(rows: int) -> tuple:
@@ -374,12 +380,12 @@ class GrassmannElement:
     def __mul__(self, other):
         if isinstance(other, GrassmannElement):
             return multiply(self, other)
-        if np.isscalar(other):
+        if _is_number(other):
             return _element(self._c * complex(other))
         return NotImplemented
 
     def __rmul__(self, other):
-        if np.isscalar(other):
+        if _is_number(other):
             return _element(self._c * complex(other))
         return NotImplemented
 
@@ -592,7 +598,7 @@ class OperatorElement:
         if isinstance(other, GrassmannElement):
             entries = np.broadcast_to(other._c, self._a.shape)
             return OperatorElement._wrap(_products(self._a, entries))
-        if np.isscalar(other):
+        if _is_number(other):
             return OperatorElement._wrap(self._a * complex(other))
         return NotImplemented
 

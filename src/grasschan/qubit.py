@@ -420,28 +420,120 @@ def _choi_prescreen(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (d[:, _BELL_A] * d[:, _BELL_B] >= (t * t)[:, _BELL_AXIS] / 4).all(axis=1)
 
 
+#: Shifts ``s`` of ``_choi_decision``: it rejects when ``C - (f - M) I`` is
+#: not positive semidefinite and accepts when ``C - (f + M) I`` is positive
+#: definite, with ``f = CHOI_EIG_FLOOR`` and ``M = SCREEN_MARGIN``.
+_DECISION_SHIFTS = np.array([CHOI_EIG_FLOOR - SCREEN_MARGIN, CHOI_EIG_FLOOR + SCREEN_MARGIN])
+#: Rounding bound of every ``_choi_invariants`` value of a pre-screen
+#: survivor, derived in ``_choi_decision``.
+_INVARIANT_ROUNDING = 11 * np.finfo(float).eps
+
+
+def _choi_invariants(t: np.ndarray, lam: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``(e2, e3, e4)`` of ``C - s I`` for every shift ``s`` and row ``(t, lam)``, shape ``(3, len(shifts), n)``.
+
+    ``e_k`` is the k-th elementary symmetric function of the eigenvalues of
+    ``C - s I``, ``C`` the Choi operator.  In the Bell basis ``C - s I`` has
+    diagonal ``delta_a = d_a - s``, and ``t_k`` puts entries of squared
+    modulus ``w_k = t_k^2 / 4`` on the two edges of axis ``k``: edges ``2k``
+    and ``2k + 1`` of ``(_BELL_A, _BELL_B)`` are a perfect matching of the
+    four states.  Expanding the principal minors, with ``p_m = delta_a
+    delta_b`` on edge ``m``, ``P_k = p_2k + p_2k+1`` and ``W = w_0 + w_1 +
+    w_2``::
+
+        e1 = delta_0 + delta_1 + delta_2 + delta_3 = 2 - 4 s
+        e2 = P_0 + P_1 + P_2 - 2 W
+        e3 = p_0 (delta_2 + delta_3) + p_1 (delta_0 + delta_1) - W e1
+        e4 = p_0 p_1 - (w_0 P_0 + w_1 P_1 + w_2 P_2) + W^2
+
+    In ``e3``, ``W e1`` is ``sum_m w_m (delta_c + delta_d)`` over the edges,
+    ``(c, d)`` the other edge of the same axis.  No 3-cycle term appears:
+    ``sigma_x sigma_y sigma_z = iI`` makes each 3-cycle product imaginary,
+    so it cancels against its reverse.  The three 4-cycles (``2 w_k w_l``)
+    and the three perfect matchings (``w_k^2``) add up to ``W^2``.
+    """
+    delta = (1 + lam @ _BELL_SIGNS.T) / 2 - shifts[:, None, None]
+    w = t * t / 4
+    p = delta[..., _BELL_A] * delta[..., _BELL_B]
+    matchings = p[..., 0::2] + p[..., 1::2]
+    pair_sums = delta[..., _BELL_A[:2]] + delta[..., _BELL_B[:2]]
+    W = w.sum(axis=-1)
+    e1 = pair_sums[..., 0] + pair_sums[..., 1]
+    p0, p1 = p[..., 0], p[..., 1]
+    return np.stack(
+        [
+            matchings.sum(axis=-1) - 2 * W,
+            p0 * pair_sums[..., 1] + p1 * pair_sums[..., 0] - W * e1,
+            p0 * p1 - (w * matchings).sum(axis=-1) + W * W,
+        ]
+    )
+
+
+def _choi_decision(t: np.ndarray, lam: np.ndarray):
+    """``(accept, reject)``: the pre-screen survivors ``(t, lam)`` that ``cptp_report`` surely accepts or rejects.
+
+    A Hermitian matrix is positive definite iff every ``e_k`` of its
+    eigenvalues is positive, and positive semidefinite iff none is negative.
+    With ``r = _INVARIANT_ROUNDING``, a row is accepted when every ``e_k`` of
+    ``C - (f + M) I`` exceeds ``r``, and rejected when some ``e_k`` of ``C -
+    (f - M) I`` is below ``-r`` (``e1 = 2 - 4s`` is positive at both shifts).
+    A row that is neither is left to the single-channel check.
+
+    Rounding, with ``u = eps / 2`` and ``eps = np.finfo(float).eps``.  The
+    computed ``delta_a`` and ``w_k`` are the exact data of a Hermitian ``C'``
+    within ``8.7u`` of ``C - s I`` in norm: each ``delta_a`` is off by at
+    most ``7.1u`` (a three-term sum of ``|lam_i| <= 1``, the ``1 +`` and the
+    shift), each coupling modulus ``|t_k| / 2`` by at most ``0.51u``.  The
+    formulas take at most 7 roundings along any term, so each computed
+    ``e_k`` is within ``gamma_7 E_k`` of the exact ``e_k`` of ``C'``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    section 3.1), where ``E_k`` is the same expansion in ``|delta_a|`` and
+    ``w_k`` with every minus made a plus.  On a survivor every ``delta_a >=
+    -2.01M``, so ``sigma = sum_a |delta_a| <= 2.0001``, and ``w_k`` is at
+    most ``p_m`` at ``s = f - M`` (up to a few ulps) on both edges of its
+    axis, so ``W <= 3 sigma^2 / 16``: Maclaurin's inequality bounds ``sum_m
+    p_m``, the sum of the 3-products and ``prod_a |delta_a|`` by ``3
+    sigma^2 / 8``, ``sigma^3 / 16`` and ``sigma^4 / 256``.  Hence ``E_2 <= 3
+    sigma^2 / 8 + 2W <= 3.01``, ``E_3 <= sigma^3 / 16 + W sigma <= 2.01`` and
+    ``E_4 <= sigma^4 / 256 + 3 W sigma^2 / 8 + W^2 <= 1.76``, and ``gamma_7
+    * 3.01 < 10.6 eps < r = 11 eps``.  An accepted row thus has ``C' > 0``
+    at ``s = f + M``, so the smallest eigenvalue of ``C`` exceeds ``f + M -
+    8.7u``; a rejected one has it below ``f - M + 8.7u``.  The
+    single-channel ``eigvalsh`` of ``choi_from_ptm`` is within about 1e-13
+    of it (see ``_cptp_candidates`` for the rounding of ``choi_from_ptm``),
+    far inside ``M``, so it lands on the same side of ``f``.
+    """
+    e = _choi_invariants(t, lam, _DECISION_SHIFTS)
+    return (e[:, 1] > _INVARIANT_ROUNDING).all(axis=0), (e[:, 0] < -_INVARIANT_ROUNDING).any(axis=0)
+
+
 def _cptp_candidates(rows: np.ndarray, t_scale: float, step: int) -> np.ndarray:
     """``cptp_report.ok`` of every ``step``-th candidate ``lam = rows[j]``, ``t = rows[j + 1] * t_scale``.
 
     Entry ``j`` of the result covers rows ``j`` and ``j + 1``.  With ``step``
     1 both row alignments are decided at once; with ``step`` 2 only the
     entries at even ``j`` are, and the others stay False.  The closed-form
-    pre-screen drops candidates the exact check rejects; the survivors' Choi
-    operators go through one batched ``eigvalsh`` and the batched TP
-    deviation.  These are within rounding (about 1e-15) of the single-channel
-    values, so they decide as ``cptp_report`` does except near a threshold: a
-    survivor whose smallest eigenvalue lies within ``SCREEN_MARGIN`` of
-    ``CHOI_EIG_FLOOR``, or whose deviation exceeds ``TP_ATOL / 2``, is
-    decided by ``cptp_report`` itself.
+    pre-screen drops candidates the exact check rejects, and
+    ``_choi_decision`` decides the survivors in real arithmetic, with no
+    Choi matrix and no eigenvalue; a survivor within about ``SCREEN_MARGIN``
+    of the floor is decided by ``cptp_report`` itself.
+
+    Trace preservation needs no test here.  ``Tr_out C = I`` holds exactly
+    for every ``(t, lam)``, and a survivor has ``|lam_k| <= 1`` and ``|t_k|
+    <= 2.0001``.  Each entry of ``choi_from_ptm`` is half a sum of 16
+    products of transfer-matrix entries with ``0``, ``+-1`` or ``+-i``, each
+    exact, whose moduli add up to less than ``1 + 3 * 2.0001 + 3 < 10.01``;
+    so each part of an entry is off by at most ``gamma_15 * 5.01 < 75.2u``,
+    and ``cptp_report.tp_deviation``, two entries added and ``I`` taken off
+    exactly, is below ``sqrt(2) (2 * 75.2u + u) < 250u``, about 2.8e-14, far
+    below ``TP_ATOL``.  Dropping the test changes no decision.
     """
     lam, t = rows[:-1:step], rows[1::step] * t_scale
     ok = np.zeros(max(len(rows) - 1, 0), dtype=bool)
     kept = np.flatnonzero(_choi_prescreen(t, lam))
-    choi = choi_from_ptm(_ptm_from_canonical(t[kept], lam[kept]))
-    eig = np.linalg.eigvalsh(choi)[:, 0]
-    tp_dev = np.abs(_trace_out_first(choi) - _IDENTITY).max(axis=(1, 2))
-    ok[step * kept] = (eig >= CHOI_EIG_FLOOR) & (tp_dev <= TP_ATOL)
-    for k in kept[(np.abs(eig - CHOI_EIG_FLOOR) <= SCREEN_MARGIN) | (tp_dev > TP_ATOL / 2)]:
+    accept, reject = _choi_decision(t[kept], lam[kept])
+    ok[step * kept] = accept
+    for k in kept[~(accept | reject)]:
         ok[step * k] = QubitChannel.from_canonical(t[k], lam[k]).cptp_report.ok
     return ok
 
@@ -477,9 +569,11 @@ def _sample(rng, trials: int, tail: int, t_scale: float, max_tries: int, rows: i
     """Run ``trials`` rejection loops (see ``_walk``) on one block of draws.
 
     The generator state is saved; a block ``rng.random((rows, 3))`` (doubled
-    until the walk is decided) is drawn and decided in one pass, with ``-1 +
-    2 * raw`` giving the bits of ``rng.uniform(-1, 1)``; then the state is
-    restored and exactly the consumed rows are drawn again.  Returns ``(raw,
+    until the walk is decided) is drawn and decided in one pass by
+    ``_cptp_candidates``, which makes only accept/reject decisions, so the
+    drawn bits are those of the per-trial loop; ``-1 + 2 * raw`` gives the
+    bits of ``rng.uniform(-1, 1)``.  Then the state is restored and exactly
+    the consumed rows are drawn again.  Returns ``(raw,
     starts)``; ``RuntimeError`` when a loop runs out of ``max_tries``, with
     the generator just past that loop's last candidate.
     """
@@ -512,7 +606,10 @@ def random_cptp_canonical_channel(
     This is the one-trial case of the whole-stream sampler that ``verify``
     runs (``_random_channels_and_states``): ``SAMPLER_BLOCK`` candidates (at
     most ``max_tries``) are drawn in one block, doubled while too few, and
-    decided in one array pass by :func:`_cptp_candidates`.  The sampling is
+    decided in one array pass by :func:`_cptp_candidates`: a closed-form
+    pre-screen and a closed-form Choi positivity decision in real
+    arithmetic, with :func:`is_cptp` itself only for a candidate within
+    about ``SCREEN_MARGIN`` of ``CHOI_EIG_FLOOR``.  The sampling is
     stream-exact: for every ``numpy.random.Generator`` (any bit generator;
     its state is saved and restored) and every ``max_tries`` the returned
     channel has the same bits, and ``rng`` is left in the same state, as

@@ -19,11 +19,14 @@ name                        value    what it bounds                             
                                      dropped by ``canonical_from_ptm``
 ``CHOI_EIG_FLOOR``          -1e-9    smallest Choi eigenvalue of a CPTP channel  ``cptp.ok``, ``cptp.min_choi_eigenvalue``
 ``TP_ATOL``                 1e-12    ``max |Tr_out Choi - I|`` of a CPTP channel ``cptp.ok``, ``cptp.tp_deviation``
-``SCREEN_MARGIN``           1e-12    slack of the sampler's closed-form Choi     (none: the screen only skips candidates)
-                                     pre-screen below ``CHOI_EIG_FLOOR``; band
+``SCREEN_MARGIN``           1e-12    slack of the sampler's closed-form Choi     (none: the sampler only skips candidates
+                                     pre-screen below ``CHOI_EIG_FLOOR``; band   that ``cptp.ok`` would reject)
                                      around the floor in which the sampler's
-                                     batched eigenvalue defers to the
-                                     single-channel check
+                                     closed-form decision (positivity of
+                                     ``C - (floor +- margin) I`` from the
+                                     invariants of the Bell-basis Choi
+                                     operator) defers to the single-channel
+                                     check
 ``NORMALIZATION_ATOL``      1e-10    ``|chi(0) - 1|`` of a characteristic        (raises ``NotNormalizedError``)
                                      function
 ``PHYSICALITY_ATOL``        1e-9     realness, conjugate symmetry and state      (raises ``NotPhysicalError``)
@@ -61,10 +64,13 @@ DIAG_ATOL = 1e-10
 CHOI_EIG_FLOOR = -1e-9
 TP_ATOL = 1e-12
 # The sampler's pre-screen tests Choi positivity against CHOI_EIG_FLOOR -
-# SCREEN_MARGIN.  The margin is far above the rounding of the pre-screen's
-# few products of O(1) numbers, so the pre-screen never drops a candidate
-# the exact check accepts; for the same reason a batched eigenvalue within
-# SCREEN_MARGIN of the floor is re-decided by the single-channel check.
+# SCREEN_MARGIN, and its closed-form decision accepts a survivor whose Choi
+# operator is positive definite above CHOI_EIG_FLOOR + SCREEN_MARGIN and
+# rejects one that is not positive semidefinite above CHOI_EIG_FLOOR -
+# SCREEN_MARGIN.  The margin is far above the rounding of these few products
+# of O(1) numbers and of the single-channel eigenvalue (about 1e-15), so
+# both decide as the exact check does; a survivor in between is re-decided
+# by the single-channel check.
 SCREEN_MARGIN = 1e-12
 
 # Characteristic functions (charfunc.py).

@@ -251,6 +251,32 @@ def test_operators_take_elements_and_scale_by_scalars_only():
         assert not hasattr(cls, name), name
 
 
+@pytest.mark.parametrize("text", ["a", "1", b"a", b"1", np.str_("1"), np.bytes_(b"1")])
+def test_strings_are_unsupported_operands(text):
+    # np.isscalar admits str and bytes; a product with one must be Python's operand TypeError.
+    x = GrassmannElement.one()
+    op = OperatorElement.identity()
+    for make in (lambda: x * text, lambda: text * x, lambda: op * text):
+        with pytest.raises(TypeError, match="unsupported operand|can't multiply sequence"):
+            make()
+
+
+@pytest.mark.parametrize(
+    "scalar",
+    [2, 2.5, 1 - 2j, True, np.float64(2.5), np.float32(0.1), np.int64(-3), np.uint8(7),
+     np.complex128(1 - 2j), np.complex64(0.5j), np.bool_(True), np.longdouble(0.1)],
+    ids=lambda s: type(s).__name__,
+)
+def test_numeric_scalars_scale_as_complex(scalar):
+    x = GrassmannElement.from_table({"1": 1, "ξ": 0.5 - 1j, "ζζ*ξξ*": 3})
+    op = OperatorElement.from_matrix([[1, 2j], [0.5, -1]]) * XI
+    expected = x.coefficients * complex(scalar)
+    assert (x * scalar).coefficients.tobytes() == expected.tobytes()
+    assert (scalar * x).coefficients.tobytes() == expected.tobytes()
+    scaled = (op * scalar).entry(0, 1).coefficients
+    assert scaled.tobytes() == (op.entry(0, 1).coefficients * complex(scalar)).tobytes()
+
+
 def test_hash_agrees_with_equality_on_negative_zeros():
     negative = GrassmannElement(np.full(16, complex(-0.0, -0.0)))
     assert np.signbit(negative.coefficients.real).all() and np.signbit(negative.coefficients.imag).all()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scripted_stream import ScriptedStream
@@ -24,6 +26,9 @@ from grasschan.qubit import (
     ptm_from_kraus,
     random_cptp_canonical_channel,
     random_state,
+    _DECISION_SHIFTS,
+    _choi_decision,
+    _choi_invariants,
     _choi_prescreen,
     _ptm_from_canonical,
     _random_channels_and_states,
@@ -552,6 +557,9 @@ def accepted_rows_the_prescreen_drops(t, lam, exact_rows=None):
     return [k for k in np.flatnonzero(dropped) if QubitChannel.from_canonical(t[k], lam[k]).cptp_report.ok]
 
 
+BELL_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+
+
 def ulp_neighbourhood(x, steps):
     out = [x]
     for direction in (np.inf, -np.inf):
@@ -560,6 +568,91 @@ def ulp_neighbourhood(x, steps):
             y = np.nextafter(y, direction)
             out.append(y)
     return np.array(out)
+
+
+def ulp_neighbourhood_rows(v):
+    """``v`` and the rows that move one entry by one ulp either way."""
+    rows = [v]
+    for i in range(len(v)):
+        for direction in (np.inf, -np.inf):
+            w = v.copy()
+            w[i] = np.nextafter(w[i], direction)
+            rows.append(w)
+    return rows
+
+
+def depolarizing_scan(targets):
+    """``lam = l * s_a`` puts the smallest Choi eigenvalue ``(1 + 3l)/2`` on Bell
+    state ``a``; for each ``(eig, steps)`` of ``targets``, ``l`` is scanned
+    ``steps`` ulps either way of where that eigenvalue is ``eig``."""
+    ls = np.concatenate([ulp_neighbourhood((2 * eig - 1) / 3, steps) for eig, steps in targets])
+    lam = (BELL_SIGNS[:, None, :] * ls[None, :, None]).reshape(-1, 3)
+    return np.zeros_like(lam), lam
+
+
+def depolarizing_floor_scan():
+    """The depolarizing scan across the floor and at the floor +- ``SCREEN_MARGIN / 2``."""
+    return depolarizing_scan(
+        [(CHOI_EIG_FLOOR, 400), (CHOI_EIG_FLOOR + SCREEN_MARGIN / 2, 8), (CHOI_EIG_FLOOR - SCREEN_MARGIN / 2, 8)]
+    )
+
+
+def generic_scan(target, count=20):
+    """Channels with every ``t_k`` nonzero, so that no 2x2 block of the Choi
+    operator decouples: ``t`` is scaled by ``c``, set by bisection where the
+    smallest Choi eigenvalue meets ``target`` (it is concave in ``c``), and
+    ``c`` is scanned 40 ulps either way and in 100 steps of ``2**-46 c``
+    either way (the eigenvalue moves by a few 1e-15 per step)."""
+    rng = np.random.default_rng(78)
+    lam = rng.uniform(-0.3, 0.3, (count, 3))
+    t = rng.uniform(0.2, 1, (count, 3)) * rng.choice([-1.0, 1.0], (count, 3))
+    lo, hi = np.zeros(count), np.full(count, 10.0)
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        above = np.linalg.eigvalsh(choi_from_ptm(_ptm_from_canonical(mid[:, None] * t, lam)))[:, 0] > target
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    steps = 1 + np.arange(-100, 101) * 2.0**-46
+    scales = [np.concatenate([ulp_neighbourhood(c, 40), c * steps]) for c in lo]
+    return (
+        np.concatenate([c[:, None] * row for c, row in zip(scales, t)]),
+        np.repeat(lam, len(scales[0]), axis=0),
+    )
+
+
+def shifted_floor_scan():
+    """A shift ``t_k`` along one axis couples the Bell states in pairs; ``t_k``
+    is set where a coupled pair's smallest eigenvalue meets the floor, ``(d_a -
+    f)(d_b - f) = t_k^2 / 4``, and scanned ulp by ulp across it."""
+    rng = np.random.default_rng(77)
+    coupled = {0: [(0, 1), (2, 3)], 1: [(0, 2), (1, 3)], 2: [(0, 3), (1, 2)]}
+    rows = []
+    for i in range(60):
+        lam = rng.uniform(-0.3, 0.3, 3)
+        axis = i % 3
+        d = (1 + BELL_SIGNS @ lam) / 2 - CHOI_EIG_FLOOR
+        edge = min(2 * np.sqrt(d[a] * d[b]) for a, b in coupled[axis])
+        for x in ulp_neighbourhood(edge, 40):
+            t = np.zeros(3)
+            t[axis] = x if i % 2 else -x
+            rows.append((t, lam))
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+def amplitude_damping_edge_scan():
+    """Amplitude damping has a zero Choi eigenvalue for every ``n``; its shift
+    is put on each axis in turn, so every coupling is exercised."""
+    rows = []
+    for n in np.linspace(0, 1, 201):
+        for ulps in ulp_neighbourhood(np.sqrt(n), 2):
+            t, lam = [0.0, 0.0, 1 - n], [ulps, ulps, n]
+            for axis in range(3):
+                perm = [(axis + 1) % 3, (axis + 2) % 3, axis]
+                rows.append((np.array(t)[perm], np.array(lam)[perm]))
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+def exact_ok(t, lam):
+    return np.array([QubitChannel.from_canonical(a, b).cptp_report.ok for a, b in zip(t, lam)])
 
 
 class TestPrescreenSoundness:
@@ -578,57 +671,110 @@ class TestPrescreenSoundness:
         assert near.sum() > 1000 and kept.sum() < 0.2 * len(kept)
 
     def test_depolarizing_at_the_floor(self):
-        # lam = l * s_a puts the smallest Choi eigenvalue (1 + 3l)/2 on Bell
-        # state a; l is scanned ulp by ulp across the floor and at the floor
-        # +- SCREEN_MARGIN / 2.
-        def l_at(eig):
-            return (2 * eig - 1) / 3
-
-        ls = np.concatenate(
-            [ulp_neighbourhood(l_at(CHOI_EIG_FLOOR), 400)]
-            + [ulp_neighbourhood(l_at(CHOI_EIG_FLOOR + d * SCREEN_MARGIN / 2), 8) for d in (1, -1)]
-        )
-        signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-        lam = (signs[:, None, :] * ls[None, :, None]).reshape(-1, 3)
-        t = np.zeros_like(lam)
-        ok = np.array([QubitChannel.from_canonical(z, l).cptp_report.ok for z, l in zip(t, lam)])
+        t, lam = depolarizing_floor_scan()
+        ok = exact_ok(t, lam)
         assert ok.any() and not ok.all()
         assert accepted_rows_the_prescreen_drops(t, lam) == []
 
     def test_shifted_channels_at_the_floor(self):
-        # A shift t_k along one axis couples the Bell states in pairs; t_k is
-        # set where a coupled pair's smallest eigenvalue meets the floor,
-        # (d_a - f)(d_b - f) = t_k^2 / 4, and scanned ulp by ulp across it.
-        rng = np.random.default_rng(77)
-        coupled = {0: [(0, 1), (2, 3)], 1: [(0, 2), (1, 3)], 2: [(0, 3), (1, 2)]}
-        signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-        rows = []
-        for i in range(60):
-            lam = rng.uniform(-0.3, 0.3, 3)
-            axis = i % 3
-            d = (1 + signs @ lam) / 2 - CHOI_EIG_FLOOR
-            edge = min(2 * np.sqrt(d[a] * d[b]) for a, b in coupled[axis])
-            for x in ulp_neighbourhood(edge, 40):
-                t = np.zeros(3)
-                t[axis] = x if i % 2 else -x
-                rows.append((t, lam))
-        t = np.array([r[0] for r in rows])
-        lam = np.array([r[1] for r in rows])
-        ok = [QubitChannel.from_canonical(a, b).cptp_report.ok for a, b in rows]
-        assert any(ok) and not all(ok)
+        t, lam = shifted_floor_scan()
+        ok = exact_ok(t, lam)
+        assert ok.any() and not ok.all()
         assert accepted_rows_the_prescreen_drops(t, lam) == []
 
     def test_amplitude_damping_at_the_cp_edge(self):
-        # Amplitude damping has a zero Choi eigenvalue for every n; its shift
-        # is put on each axis in turn, so every coupling is exercised.
-        rows = []
-        for n in np.linspace(0, 1, 201):
-            for ulps in ulp_neighbourhood(np.sqrt(n), 2):
-                t, lam = [0.0, 0.0, 1 - n], [ulps, ulps, n]
-                for axis in range(3):
-                    perm = [(axis + 1) % 3, (axis + 2) % 3, axis]
-                    rows.append((np.array(t)[perm], np.array(lam)[perm]))
-        t = np.array([r[0] for r in rows])
-        lam = np.array([r[1] for r in rows])
-        assert all(QubitChannel.from_canonical(a, b).cptp_report.ok for a, b in rows[::15])
+        t, lam = amplitude_damping_edge_scan()
+        assert exact_ok(t[::15], lam[::15]).all()
         assert accepted_rows_the_prescreen_drops(t, lam) == []
+
+
+#: ``cptp_report.tp_deviation`` of a pre-screen survivor is below ``250 u``
+#: (see ``qubit._cptp_candidates``), far below ``TP_ATOL / 2``.
+TP_ROUNDING = 250 * np.finfo(float).eps / 2
+
+
+def closed_form_outcomes(t, lam):
+    """The closed-form decision on the pre-screen survivors of ``(t, lam)``, refereed by ``cptp_report``.
+
+    Returns ``(wrong, counts, worst_tp)``: the rows whose decision the exact
+    check contradicts, the numbers of accepted, rejected and deferred
+    survivors, and the largest ``tp_deviation`` of an accepted row.
+    """
+    kept = np.flatnonzero(_choi_prescreen(t, lam))
+    accept, reject = _choi_decision(t[kept], lam[kept])
+    decided = accept | reject
+    wrong, worst_tp = [], 0.0
+    for k, accepted in zip(kept[decided], accept[decided]):
+        report = QubitChannel.from_canonical(t[k], lam[k]).cptp_report
+        if report.ok != accepted:
+            wrong.append(k)
+        if accepted:
+            worst_tp = max(worst_tp, report.tp_deviation)
+    counts = (int(accept.sum()), int(reject.sum()), int((~decided).sum()))
+    return wrong, counts, worst_tp
+
+
+class TestClosedFormDecision:
+    """The sampler decides pre-screen survivors from the invariants of ``C - s I`` in real arithmetic."""
+
+    def test_invariants_are_the_elementary_symmetric_functions_of_the_eigenvalues(self):
+        draws = np.random.default_rng(405).uniform(-1, 1, size=(20_000, 2, 3))
+        lam, t = draws[:, 0], draws[:, 1]
+        shifts = np.array([0.0, *_DECISION_SHIFTS, 0.3])
+        eigs = np.linalg.eigvalsh(choi_from_ptm(_ptm_from_canonical(t, lam)))
+        for got, shift in zip(_choi_invariants(t, lam, shifts).swapaxes(0, 1), shifts):
+            x = eigs - shift
+            expected = [
+                sum(x[:, a] * x[:, b] for a, b in itertools.combinations(range(4), 2)),
+                sum(x[:, a] * x[:, b] * x[:, c] for a, b, c in itertools.combinations(range(4), 3)),
+                x.prod(axis=1),
+            ]
+            assert np.abs(got - expected).max() < 1e-13
+
+    @pytest.mark.parametrize("t_scale", [0.8, 1.0])
+    def test_random_candidates(self, t_scale):
+        draws = np.random.default_rng(406).uniform(-1, 1, size=(200_000, 2, 3))
+        lam, t = draws[:, 0], draws[:, 1] * t_scale
+        wrong, (accepted, rejected, deferred), worst_tp = closed_form_outcomes(t, lam)
+        assert wrong == [] and worst_tp <= TP_ROUNDING
+        # every random survivor is decided in closed form
+        assert deferred == 0 and accepted > 5000 and rejected > 1000
+
+    @pytest.mark.parametrize(
+        "scan",
+        [depolarizing_floor_scan, shifted_floor_scan, amplitude_damping_edge_scan, lambda: generic_scan(CHOI_EIG_FLOOR)],
+        ids=["depolarizing", "shifted", "amplitude_damping", "generic"],
+    )
+    def test_ulp_scans_across_the_floor_are_left_to_the_exact_check(self, scan):
+        # Every row is within SCREEN_MARGIN of the floor, or (amplitude
+        # damping) has a double zero eigenvalue, so e4 at either shift is
+        # below the rounding bound.
+        t, lam = scan()
+        assert closed_form_outcomes(t, lam) == ([], (0, 0, len(t)), 0.0)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_ulp_scans_across_the_decision_thresholds(self, side):
+        threshold = CHOI_EIG_FLOOR + side * SCREEN_MARGIN
+        scans = [generic_scan(threshold), depolarizing_scan([(threshold, 400)])]
+        t, lam = (np.concatenate(parts) for parts in zip(*scans))
+        wrong, (accepted, rejected, deferred), worst_tp = closed_form_outcomes(t, lam)
+        assert wrong == [] and worst_tp <= TP_ROUNDING and deferred > 0
+        # the decision switches on at the threshold: accept above f + M, reject below f - M
+        assert (accepted, rejected)[side < 0] > 0 and (accepted, rejected)[side > 0] == 0
+
+    def test_rank_deficient_choi_families(self):
+        # Unitary channels lam = s_a have Choi rank 1, amplitude damping at
+        # n = 0 rank 2 (n = 1 is the identity): with shifts of about 1e-9,
+        # e4 is 1e-27 to 1e-18, far inside the rounding bound.  Amplitude
+        # damping is put on every axis, and every row has its ulp neighbours.
+        rows = [(np.zeros(3), lam) for s in BELL_SIGNS for lam in ulp_neighbourhood_rows(s.astype(float))]
+        for n in (0.0, 1.0):
+            for axis in range(3):
+                perm = [(axis + 1) % 3, (axis + 2) % 3, axis]
+                t, lam = np.array([0.0, 0.0, 1 - n])[perm], np.array([np.sqrt(n), np.sqrt(n), n])[perm]
+                rows += [(t, l) for l in ulp_neighbourhood_rows(lam)]
+        t, lam = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        assert _choi_prescreen(t, lam).all()
+        wrong, _, worst_tp = closed_form_outcomes(t, lam)
+        assert wrong == [] and worst_tp <= TP_ROUNDING
+

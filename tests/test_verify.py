@@ -361,3 +361,16 @@ class TestWholeStreamSampler:
         assert (t.tobytes(), lam.tobytes(), u.tobytes()) == (ref_t.tobytes(), ref_lam.tobytes(), ref_u.tobytes())
         assert lam[0].tolist() == [lam_above] * 3 and u[0].tolist() == [0.25, 0.5, 0.75]
         assert ours.position == ref.position == 24
+
+    def test_closed_form_decides_every_candidate_of_the_default_run(self, monkeypatch):
+        survivors, checked, dense = [], [], []
+        decide, report = qubit._choi_decision, QubitChannel.__dict__["cptp_report"].func
+        monkeypatch.setattr(qubit, "_choi_decision", lambda t, lam: survivors.append(len(t)) or decide(t, lam))
+        monkeypatch.setattr(QubitChannel, "cptp_report", property(lambda ch: checked.append(ch) or report(ch)))
+        for module, name in ((qubit, "choi_from_ptm"), (np.linalg, "eigvalsh")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name: dense.append(name) or real(*args))
+        assert run_verification(1000, seed=42).passed
+        # no survivor of the pre-screen is left to the single-channel check,
+        # and no Choi matrix or eigenvalue is computed
+        assert checked == [] and dense == [] and sum(survivors) > 1000
