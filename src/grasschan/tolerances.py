@@ -19,8 +19,8 @@ name                        value    what it bounds                             
                                      dropped by ``canonical_from_ptm``
 ``CHOI_EIG_FLOOR``          -1e-9    smallest Choi eigenvalue of a CPTP channel  ``cptp.ok``, ``cptp.min_choi_eigenvalue``
 ``TP_ATOL``                 1e-12    ``max |Tr_out Choi - I|`` of a CPTP channel ``cptp.ok``, ``cptp.tp_deviation``
-``SCREEN_MARGIN``           1e-12    slack of the sampler's closed-form Choi     (none: the sampler only skips candidates
-                                     pre-screen below ``CHOI_EIG_FLOOR``; band   that ``cptp.ok`` would reject)
+``SCREEN_MARGIN``           1e-12    slack of the sampler's closed-form Choi     (none: the sampler decides each candidate
+                                     pre-screen below ``CHOI_EIG_FLOOR``; band   as ``cptp.ok`` would)
                                      around the floor in which the sampler's
                                      closed-form decision (positivity of
                                      ``C - (floor +- margin) I`` from the

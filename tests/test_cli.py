@@ -60,6 +60,9 @@ class TestChannelCodec:
         assert np.allclose(ch.lam, [np.sqrt(0.3), np.sqrt(0.3), 0.3])
 
     def test_bad_specs(self):
+        for not_an_object in ([], "canonical", None):
+            with pytest.raises(io.SpecError, match="must be a JSON object"):
+                io.channel_from_json(not_an_object)
         with pytest.raises(io.SpecError):
             io.channel_from_json({"type": "mystery"})
         with pytest.raises(io.SpecError):
