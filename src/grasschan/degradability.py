@@ -18,8 +18,9 @@ soundness tests verify this numerically rather than trusting the structure.
 A channel N with weakly complementary channel N~ is *weakly degradable* when
 ``D o N = N~`` for some channel D, and *anti-degradable* when
 ``D' o N~ = N`` for some D'; anti-degradability forces zero quantum
-capacity.  Certificates are produced by a least-squares solve on transfer
-matrices followed by honest re-verification (residual and Choi positivity);
+capacity.  Certificates are produced by a least-squares solve on the
+diagonal transfer blocks, whose solution is itself a canonical ``(t, lam)``
+channel, followed by honest re-verification (residual and Choi positivity);
 a failed search is reported as "neither certified", an unknown rather than a
 proof.  For a pure environment (q in {0, 1}) the sign test
 ``cos(2 theta)/cos(2 phi) >= 0`` predicts weak degradability, and
@@ -35,21 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .green import AngleParams
-from .qubit import (
-    NonDiagonalBlockError,
-    NotCptpError,
-    QubitChannel,
-    QubitState,
-    canonical_from_ptm,
-    is_cptp,
-)
-from .tolerances import (
-    BOUNDARY_ATOL,
-    CERT_RESIDUAL_TOL,
-    ENV_ATOL,
-    UNITARITY_ATOL,
-    WITNESS_DIAG_ATOL,
-)
+from .qubit import NotCptpError, QubitChannel, QubitState, is_cptp
+from .tolerances import BOUNDARY_ATOL, CERT_RESIDUAL_TOL, ENV_ATOL, UNITARITY_ATOL
 
 __all__ = [
     "Dilation",
@@ -64,6 +52,9 @@ __all__ = [
     "certify",
     "classify_by_angles",
 ]
+
+#: The smallest normal double; ``_solve_degrading`` reads smaller source entries as zero.
+_TINY = np.finfo(float).tiny
 
 WEAKLY_DEGRADABLE = "weakly_degradable"
 ANTI_DEGRADABLE = "anti_degradable"
@@ -174,29 +165,20 @@ def _solve_degrading(source: QubitChannel, target: QubitChannel):
 
     The solve is restricted to the transfer-matrix block form
     ``[[1, 0], [d, Delta]]``, which keeps trace preservation exact; the
-    minimum-norm solution is used where ``source`` is singular.  The result
-    is only trusted after residual and Choi re-verification by the caller.
+    minimum-norm solution is used where ``source`` is singular.  Both
+    transfer blocks are diagonal, so the ``lstsq`` solution is diagonal too
+    (its off-diagonal entries come out as exact zeros) and D is the
+    canonical channel ``(d, diag(Delta))``.  A subnormal entry of the source
+    block is read as zero: ``lstsq``'s relative cutoff would keep it and
+    overflow the solve.  The result is only trusted after residual and Choi
+    re-verification by the caller.
     """
     t_src = source.ptm[1:, 1:]
-    t_tgt = target.ptm[1:, 1:]
-    delta_t, *_ = np.linalg.lstsq(t_src.T, t_tgt.T, rcond=None)
-    delta = delta_t.T
-    shift = target.ptm[1:, 0] - delta @ source.ptm[1:, 0]
-    ptm = np.zeros((4, 4))
-    ptm[0, 0] = 1.0
-    ptm[1:, 0] = shift
-    ptm[1:, 1:] = delta
-    residual = float(np.max(np.abs(ptm @ source.ptm - target.ptm)))
-    try:
-        t, lam = canonical_from_ptm(ptm, atol=WITNESS_DIAG_ATOL)
-    except NonDiagonalBlockError:
-        return {
-            "witness": None,
-            "residual": residual,
-            "min_choi_eigenvalue": float("-inf"),
-            "cptp": False,
-        }
-    witness = QubitChannel.from_canonical(t, lam)
+    t_src = t_src * (np.abs(t_src) >= _TINY)
+    delta_t, *_ = np.linalg.lstsq(t_src.T, target.ptm[1:, 1:].T, rcond=None)
+    shift = target.ptm[1:, 0] - delta_t.T @ source.ptm[1:, 0]
+    witness = QubitChannel.from_canonical(shift, np.diagonal(delta_t))
+    residual = float(np.max(np.abs(witness.ptm @ source.ptm - target.ptm)))
     report = is_cptp(witness)
     return {
         "witness": witness,

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .tolerances import (
     CHOI_EIG_FLOOR,
     DIAG_ATOL,
     ISCLOSE_ATOL,
-    KRAUS_CONSISTENCY_ATOL,
     KRAUS_TP_ATOL,
     SCREEN_MARGIN,
     STATE_ATOL,
@@ -66,13 +65,11 @@ PAULI = (
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 
-#: Candidates in the first block that ``random_cptp_canonical_channel`` decides.
-SAMPLER_BLOCK = 32
-#: First block of ``_random_channels_and_states``, in rows of three doubles per
-#: trial: a trial takes ``2k + 1`` rows for ``k`` candidates, about 42 at
-#: ``t_scale = 0.8`` (5% of candidates are accepted).  The block holds
-#: ``trials + 4`` such shares, so that a five-trial chunk needs a second,
-#: doubled block in about 2% of calls.
+#: First block of ``_sample``, in rows of three doubles per trial: a trial
+#: takes ``2k + 1`` rows for ``k`` candidates, about 42 at ``t_scale = 0.8``
+#: (5% of candidates are accepted).  The block holds ``trials + 4`` such
+#: shares, so that a five-trial chunk needs a second, doubled block in about
+#: 2% of calls.
 _ROWS_PER_TRIAL = 48
 
 
@@ -122,17 +119,6 @@ class QubitState:
         r = np.asarray(r, dtype=float)
         return cls(p=(1 + r[2]) / 2, gamma=(r[0] - 1j * r[1]) / 2)
 
-    @classmethod
-    def from_matrix(cls, m) -> "QubitState":
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if not abs(np.trace(m) - 1) <= STATE_ATOL:
-            raise ValueError(f"trace {np.trace(m)} differs from 1")
-        if not np.max(np.abs(m - m.conj().T)) <= STATE_ATOL:
-            raise ValueError("matrix is not Hermitian")
-        return cls(p=m[0, 0].real, gamma=m[0, 1])
-
     def isclose(self, other: "QubitState", atol: float = ISCLOSE_ATOL) -> bool:
         return abs(self.p - other.p) <= atol and abs(self.gamma - other.gamma) <= atol
 
@@ -177,15 +163,15 @@ _FIRST_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 _OFF_DIAGONAL = 1.0 - np.eye(3)
 
 
-def canonical_from_ptm(ptm: np.ndarray, atol: float = DIAG_ATOL):
-    """Read ``(t, lam)`` off a transfer matrix with a diagonal 3x3 block."""
+def canonical_from_ptm(ptm: np.ndarray):
+    """Read ``(t, lam)`` off a transfer matrix with a diagonal 3x3 block (to ``DIAG_ATOL``)."""
     ptm = np.asarray(ptm, dtype=float)
     if ptm.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if not np.abs(ptm[0] - _FIRST_ROW).max() <= atol:
+    if not np.abs(ptm[0] - _FIRST_ROW).max() <= DIAG_ATOL:
         raise NonDiagonalBlockError("first row is not (1, 0, 0, 0)")
     worst = np.abs(ptm[1:, 1:] * _OFF_DIAGONAL).max()
-    if not worst <= atol:
+    if not worst <= DIAG_ATOL:
         raise NonDiagonalBlockError(
             f"transfer block has off-diagonal entry {worst:.3e}; canonicalize externally"
         )
@@ -240,25 +226,18 @@ class CptpReport:
 class QubitChannel:
     """Canonical-form qubit channel ``r -> t + diag(lam) r``.
 
-    ``kraus`` optionally carries an operator-sum form; when present it was
-    validated to generate the same transfer matrix.
+    ``(t, lam)`` is the whole state: a Kraus list is read into it once by
+    :meth:`from_kraus` and not kept.
     """
 
     t: np.ndarray
     lam: np.ndarray
-    kraus: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(3).copy())
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(3).copy())
         self.t.flags.writeable = False
         self.lam.flags.writeable = False
-        if self.kraus is not None:
-            ops = tuple(np.asarray(a, dtype=complex) for a in self.kraus)
-            object.__setattr__(self, "kraus", ops)
-            derived = ptm_from_kraus(ops)
-            if not np.max(np.abs(derived - self.ptm)) <= KRAUS_CONSISTENCY_ATOL:
-                raise ValueError("Kraus list is inconsistent with the canonical parameters")
 
     @classmethod
     def from_canonical(cls, t, lam) -> "QubitChannel":
@@ -270,14 +249,7 @@ class QubitChannel:
 
     @classmethod
     def from_kraus(cls, kraus: Sequence[np.ndarray]) -> "QubitChannel":
-        ops = tuple(np.asarray(a, dtype=complex) for a in kraus)
-        t, lam = canonical_from_ptm(ptm_from_kraus(ops))
-        # The transfer matrix is derived once: canonical_from_ptm bounded the
-        # dropped entries by DIAG_ATOL, below the KRAUS_CONSISTENCY_ATOL bound
-        # that __post_init__ would re-check.
-        ch = cls(t=t, lam=lam)
-        object.__setattr__(ch, "kraus", ops)
-        return ch
+        return cls.from_ptm(ptm_from_kraus(kraus))
 
     @classmethod
     def from_ptm(cls, ptm: np.ndarray) -> "QubitChannel":
@@ -334,24 +306,19 @@ def is_cptp(ch: QubitChannel) -> CptpReport:
 
 
 def apply_channel(ch: QubitChannel, rho: QubitState) -> QubitState:
-    """Apply a CPTP channel to a state (Kraus sum when available, Bloch map otherwise)."""
+    """Apply a CPTP channel to a state: the Bloch map ``r -> t + lam * r``."""
     report = ch.cptp_report
     if not report.ok:
         raise NotCptpError(
             f"channel is not CPTP (min Choi eigenvalue {report.min_choi_eigenvalue:.3e}, "
             f"TP deviation {report.tp_deviation:.3e})"
         )
-    if ch.kraus is not None:
-        out = sum(a @ rho.matrix @ a.conj().T for a in ch.kraus)
-        return QubitState.from_matrix(out)
-    r = rho.bloch
-    r_out = ch.t + ch.lam * r
-    return QubitState.from_bloch(r_out)
+    return QubitState.from_bloch(ch.t + ch.lam * rho.bloch)
 
 
 def _bloch_map(t: np.ndarray, lam: np.ndarray, p: np.ndarray, gamma: np.ndarray):
-    """``apply_channel`` of canonical rows ``(t[s], lam[s])`` without Kraus lists
-    to the states ``(p[s], gamma[s])``: arrays ``p`` and ``gamma``, checked like
+    """``apply_channel`` of canonical rows ``(t[s], lam[s])`` to the states
+    ``(p[s], gamma[s])``: arrays ``p`` and ``gamma``, checked like
     ``QubitState``.  The channels must be CPTP.
     """
     r = np.stack([2 * gamma.real, -2 * gamma.imag, 2 * p - 1], axis=1)
@@ -507,13 +474,12 @@ def _choi_decision(t: np.ndarray, lam: np.ndarray):
     return (e[:, 1] > _INVARIANT_ROUNDING).all(axis=0), (e[:, 0] < -_INVARIANT_ROUNDING).any(axis=0)
 
 
-def _cptp_candidates(rows: np.ndarray, t_scale: float, step: int) -> np.ndarray:
-    """``cptp_report.ok`` of every ``step``-th candidate ``lam = rows[j]``, ``t = rows[j + 1] * t_scale``.
+def _cptp_candidates(rows: np.ndarray, t_scale: float) -> np.ndarray:
+    """``cptp_report.ok`` of every candidate ``lam = rows[j]``, ``t = rows[j + 1] * t_scale``.
 
-    Entry ``j`` of the result covers rows ``j`` and ``j + 1``.  With ``step``
-    1 both row alignments are decided at once; with ``step`` 2 only the
-    entries at even ``j`` are, and the others stay False.  The closed-form
-    pre-screen drops candidates the exact check rejects, and
+    Entry ``j`` of the result covers rows ``j`` and ``j + 1``, so both row
+    alignments are decided at once.  The closed-form pre-screen drops
+    candidates the exact check rejects, and
     ``_choi_decision`` decides the survivors in real arithmetic, with no
     Choi matrix and no eigenvalue; a survivor within about ``SCREEN_MARGIN``
     of the floor is decided by ``cptp_report`` itself.
@@ -528,13 +494,13 @@ def _cptp_candidates(rows: np.ndarray, t_scale: float, step: int) -> np.ndarray:
     exactly, is below ``sqrt(2) (2 * 75.2u + u) < 250u``, about 2.8e-14, far
     below ``TP_ATOL``.  Dropping the test changes no decision.
     """
-    lam, t = rows[:-1:step], rows[1::step] * t_scale
-    ok = np.zeros(max(len(rows) - 1, 0), dtype=bool)
+    lam, t = rows[:-1], rows[1:] * t_scale
+    ok = np.zeros(len(lam), dtype=bool)
     kept = np.flatnonzero(_choi_prescreen(t, lam))
     accept, reject = _choi_decision(t[kept], lam[kept])
-    ok[step * kept] = accept
+    ok[kept] = accept
     for k in kept[~(accept | reject)]:
-        ok[step * k] = QubitChannel.from_canonical(t[k], lam[k]).cptp_report.ok
+        ok[k] = QubitChannel.from_canonical(t[k], lam[k]).cptp_report.ok
     return ok
 
 
@@ -565,23 +531,26 @@ def _walk(ok: np.ndarray, rows: int, trials: int, tail: int, max_tries: int):
     return starts, pos
 
 
-def _sample(rng, trials: int, tail: int, t_scale: float, max_tries: int, rows: int):
+def _sample(rng, trials: int, tail: int, t_scale: float, max_tries: int):
     """Run ``trials`` rejection loops (see ``_walk``) on one block of draws.
 
-    The generator state is saved; a block ``rng.random((rows, 3))`` (doubled
-    until the walk is decided) is drawn and decided in one pass by
+    The generator state is saved; a block ``rng.random((rows, 3))`` is drawn
+    and decided in one pass by
     ``_cptp_candidates``, which makes only accept/reject decisions, so the
     drawn bits are those of the per-trial loop; ``-1 + 2 * raw`` gives the
     bits of ``rng.uniform(-1, 1)``.  Then the state is restored and exactly
-    the consumed rows are drawn again.  Returns ``(raw,
-    starts)``; ``RuntimeError`` when a loop runs out of ``max_tries``, with
-    the generator just past that loop's last candidate.
+    the consumed rows are drawn again.  The first block has
+    ``_ROWS_PER_TRIAL`` rows per trial plus four spare shares, but never more
+    than the ``2 * max_tries + tail - 2`` rows a loop can consume; it is
+    doubled until the walk is decided.  Returns ``(raw, starts)``;
+    ``RuntimeError`` when a loop runs out of ``max_tries``, with the
+    generator just past that loop's last candidate.
     """
     start = rng.bit_generator.state
-    step = 1 if trials > 1 else 2  # a lone loop starts at row 0 and only tries even rows
+    rows = min(_ROWS_PER_TRIAL * (trials + 4), trials * (2 * max_tries + tail - 2))
     while True:
         raw = rng.random((rows, 3))
-        walk = _walk(_cptp_candidates(-1 + 2 * raw, t_scale, step), rows, trials, tail, max_tries)
+        walk = _walk(_cptp_candidates(-1 + 2 * raw, t_scale), rows, trials, tail, max_tries)
         rng.bit_generator.state = start
         if walk is not None:
             break
@@ -604,9 +573,9 @@ def random_cptp_canonical_channel(
     ``RuntimeError`` is raised after ``max_tries`` failures.
 
     This is the one-trial case of the whole-stream sampler that ``verify``
-    runs (``_random_channels_and_states``): ``SAMPLER_BLOCK`` candidates (at
-    most ``max_tries``) are drawn in one block, doubled while too few, and
-    decided in one array pass by :func:`_cptp_candidates`: a closed-form
+    runs (``_random_channels_and_states``): a block of candidates (at most
+    ``max_tries``) is drawn at once, doubled while too few, and decided in
+    one array pass by :func:`_cptp_candidates`: a closed-form
     pre-screen and a closed-form Choi positivity decision in real
     arithmetic, with :func:`is_cptp` itself only for a candidate within
     about ``SCREEN_MARGIN`` of ``CHOI_EIG_FLOOR``.  The sampling is
@@ -615,7 +584,7 @@ def random_cptp_canonical_channel(
     channel has the same bits, and ``rng`` is left in the same state, as
     drawing and checking the attempts one at a time.
     """
-    raw, (j,) = _sample(rng, 1, 2, t_scale, max_tries, 2 * min(SAMPLER_BLOCK, max_tries))
+    raw, (j,) = _sample(rng, 1, 2, t_scale, max_tries)
     lam, t = -1 + 2 * raw[j], -1 + 2 * raw[j + 1]
     ch = QubitChannel.from_canonical(t * t_scale, lam)
     ch.cptp_report  # computed now and cached, for the consumers that check it
@@ -633,11 +602,10 @@ def _random_channels_and_states(
     candidates consumes ``6k + 3`` doubles, ``2k + 1`` rows of three, so
     rounds start on rows of either parity.  One block ``rng.random((m,
     3))`` is drawn, ``-1 + 2 * raw`` gives the bits of ``rng.uniform(-1,
-    1)``, every candidate of both parities (of the even rows only, for one
-    round) is decided at once, and the rounds are walked over the accepted
-    rows.  The bits, the generator's final state and any ``RuntimeError``
-    are those of the per-round loop.
+    1)``, every candidate of both parities is decided at once, and the
+    rounds are walked over the accepted rows.  The bits, the generator's
+    final state and any ``RuntimeError`` are those of the per-round loop.
     """
-    raw, starts = _sample(rng, trials, 3, t_scale, max_tries, _ROWS_PER_TRIAL * (trials + 4))
+    raw, starts = _sample(rng, trials, 3, t_scale, max_tries)
     starts = np.array(starts, dtype=np.intp)
     return (-1 + 2 * raw[starts + 1]) * t_scale, -1 + 2 * raw[starts], raw[starts + 2]

@@ -10,11 +10,9 @@ within its tolerance (``if not x <= TOL: raise``), so NaN fails every rule.
 name                        value    what it bounds                              where a report shows it
 ==========================  =======  ==========================================  ===============================================
 ``ISCLOSE_ATOL``            1e-12    default of every ``isclose`` method         (not in reports)
-``STATE_ATOL``              1e-9     ``p`` range, ``|gamma|^2 <= p(1-p)``,       (raises ``ValueError``)
-                                     trace and Hermiticity of a state matrix
+``STATE_ATOL``              1e-9     ``p`` range and ``|gamma|^2 <= p(1-p)``     (raises ``ValueError``)
+                                     of a state
 ``KRAUS_TP_ATOL``           1e-10    ``max |sum A^dag A - I|`` of a Kraus list   (raises ``NotTracePreservingError``)
-``KRAUS_CONSISTENCY_ATOL``  1e-9     Kraus transfer matrix vs ``(t, lam)``       (raises ``ValueError``)
-                                     when both are given
 ``DIAG_ATOL``               1e-10    first row and off-diagonal block entries    (raises ``NonDiagonalBlockError``)
                                      dropped by ``canonical_from_ptm``
 ``CHOI_EIG_FLOOR``          -1e-9    smallest Choi eigenvalue of a CPTP channel  ``cptp.ok``, ``cptp.min_choi_eigenvalue``
@@ -43,8 +41,6 @@ name                        value    what it bounds                             
 ``UNITARITY_ATOL``          1e-12    ``max |U^dag U - I|`` of a dilation         (raises ``ValueError``)
 ``ENV_ATOL``                1e-12    off-diagonal ``gamma`` and range of ``q``   ``dilation.env_state.q``
                                      of a dilation's environment state
-``WITNESS_DIAG_ATOL``       1e-9     off-diagonal entries of a solved            ``degradability.attempts.*.cptp`` (false when
-                                     degrading map, read as canonical            the map is not canonical)
 ``CERT_RESIDUAL_TOL``       1e-9     recomposition residual of an accepted       ``degradability.kind``, ``degradability.residual``
                                      witness (``analyze --tol``)
 ``BOUNDARY_ATOL``           1e-12    ``|cos 2phi|`` at the classification pole;  ``degradability.prediction.boundary``,
@@ -59,7 +55,6 @@ ISCLOSE_ATOL = 1e-12
 # Qubit states and channels (qubit.py).
 STATE_ATOL = 1e-9
 KRAUS_TP_ATOL = 1e-10
-KRAUS_CONSISTENCY_ATOL = 1e-9
 DIAG_ATOL = 1e-10
 CHOI_EIG_FLOOR = -1e-9
 TP_ATOL = 1e-12
@@ -85,7 +80,6 @@ ANGLE_RATIO_ATOL = 1e-7
 # Dilations and degradability certificates (degradability.py).
 UNITARITY_ATOL = 1e-12
 ENV_ATOL = 1e-12
-WITNESS_DIAG_ATOL = 1e-9
 CERT_RESIDUAL_TOL = 1e-9
 BOUNDARY_ATOL = 1e-12
 

@@ -295,6 +295,20 @@ class TestNoTraceback:
         assert report["angles"] is None and report["dilation"] is None and report["degradability"] is None
         assert [note for note in report["notes"] if note.startswith("no angle form: ")]
 
+    def test_subnormal_lambda_spec_exits_0(self, capsys, tmp_path):
+        # A subnormal source block is read as zero by the weak solve, which
+        # would otherwise overflow lstsq to NaN.
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"type": "canonical", "t": [0, 0, 0], "lambda": [5e-324] * 3}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "analyze", str(path), "--json")
+        assert code == 0
+        block = strict_loads(out)["degradability"]
+        assert block["kind"] == "anti_degradable"
+        assert block["attempts"]["weak"] == {"residual": 1.0000000000000002, "min_choi_eigenvalue": 0.5, "cptp": True}
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize(
         "spec",
         [

@@ -80,6 +80,7 @@ MARGIN_SPEC = {
     "lambda": [0.6961333826538778, -0.8027344603746971, -0.5588102551734733],
 }
 OVERFLOW_SPEC = {"type": "canonical", "t": [1e308, 1e308, 1e308], "lambda": [1e308, -1e308, 1e308]}
+SUBNORMAL_SPEC = {"type": "canonical", "t": [0, 0, 0], "lambda": [5e-324, 5e-324, 5e-324]}
 
 
 def _reject_constant(name):
@@ -95,6 +96,7 @@ def spec_path(tmp_path_factory):
 @given(spec=SPECS, as_json=st.booleans())
 @example(spec=MARGIN_SPEC, as_json=True)
 @example(spec=OVERFLOW_SPEC, as_json=True)
+@example(spec=SUBNORMAL_SPEC, as_json=True)
 def test_analyze_exits_with_a_code_and_strict_json(spec_path, spec, as_json):
     spec_path.write_text(json.dumps(spec))
     out, err = io.StringIO(), io.StringIO()

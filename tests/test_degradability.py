@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from grasschan import catalog
 from grasschan.degradability import (
     ANTI_DEGRADABLE,
     NEITHER_CERTIFIED,
     NULL_CAPACITY_CLAIMED,
     WEAKLY_DEGRADABLE,
     Dilation,
+    _solve_degrading,
     certify,
     classify_by_angles,
     dilation_from_angles,
@@ -19,6 +21,7 @@ from grasschan.green import (
     detect_gaussian,
     green_from_channel,
 )
+from grasschan.io import channel_from_json
 from grasschan.qubit import (
     NotCptpError,
     QubitChannel,
@@ -220,18 +223,18 @@ class TestCertify:
             with pytest.raises(NotCptpError, match=f"{label} is not CPTP"):
                 certify(n_ch, comp)
 
-    def test_non_diagonal_weak_solve_falls_back_to_no_witness(self):
-        # A subnormal lambda survives lstsq's relative rcond, so the weak solve
-        # overflows to NaN, canonical_from_ptm finds no diagonal block, and the
+    def test_subnormal_source_gives_a_finite_weak_attempt(self):
+        # A subnormal lambda would survive lstsq's relative rcond and overflow
+        # the weak solve; read as zero, it leaves a finite attempt, and the
         # anti-degrading direction still certifies.
         ch = QubitChannel.from_canonical([0, 0, 0], [5e-324] * 3)
         comp = QubitChannel.from_canonical([0, 0, 0], [0.5] * 3)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="raise"):
             verdict = certify(ch, comp)
         assert verdict.kind == ANTI_DEGRADABLE
         weak = verdict.attempts["weak"]
-        assert weak["witness"] is None and weak["cptp"] is False
-        assert weak["min_choi_eigenvalue"] == float("-inf")
+        assert weak["witness"].lam.tolist() == [0.0, 0.0, 0.0] and weak["cptp"] is True
+        assert weak["residual"] == 0.5 and weak["min_choi_eigenvalue"] == 0.5
 
     def test_attempt_both_runs_anti_even_on_weak_success(self):
         ch = amplitude_damping(0.75)
@@ -247,6 +250,77 @@ class TestCertify:
         assert payload["witness"]["type"] == "canonical"
         assert set(payload["attempts"]) == {"weak", "anti"}
         assert payload["attempts"]["anti"] is None
+
+
+def solved_map(source, target):
+    """The solved degrading map as a full transfer matrix, off-diagonal entries
+    included, and its residual: the map that ``_solve_degrading`` reads as a
+    canonical witness."""
+    t_src = source.ptm[1:, 1:]
+    t_src = t_src * (np.abs(t_src) >= np.finfo(float).tiny)
+    delta_t, *_ = np.linalg.lstsq(t_src.T, target.ptm[1:, 1:].T, rcond=None)
+    ptm = np.zeros((4, 4))
+    ptm[0, 0] = 1.0
+    ptm[1:, 0] = target.ptm[1:, 0] - delta_t.T @ source.ptm[1:, 0]
+    ptm[1:, 1:] = delta_t.T
+    return ptm, float(np.max(np.abs(ptm @ source.ptm - target.ptm)))
+
+
+def catalog_grid_pairs():
+    """Every named channel on a grid, paired with its weak complement (both
+    directions) when it has one, and with the next channel of the grid."""
+    grid = np.linspace(0.0, 1.0, 9)
+    channels, pairs = [], []
+    for name in catalog.CHANNEL_NAMES:
+        info = catalog.channel_info(name)
+        if len(info.params) == 1:
+            samples = [{info.params[0]: v} for v in grid]
+        else:
+            samples = [{"n": a, "s": b} for a in grid[::2] for b in grid[::2]]
+        for params in samples:
+            ch = catalog.build(name, params)
+            channels.append(ch)
+            block = catalog.analyze(name, params)["degradability"]
+            if block is not None:
+                comp = channel_from_json(block["complement"])
+                pairs += [(ch, comp), (comp, ch)]
+    return pairs + list(zip(channels, channels[1:] + channels[:1]))
+
+
+def canonical_pairs(rows):
+    """``(t, lam, t', lam')`` rows of shape ``(n, 4, 3)`` as channel pairs."""
+    return [(QubitChannel.from_canonical(a, b), QubitChannel.from_canonical(c, d)) for a, b, c, d in rows]
+
+
+def edge_value_pairs():
+    """Canonical pairs whose entries are drawn from zeros of either sign,
+    subnormals and a few normals."""
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.3e-308, 1e-300, 0.5, -0.75, 1.0])
+    return canonical_pairs(np.random.default_rng(606).choice(values, size=(2000, 4, 3)))
+
+
+def random_canonical_pairs():
+    return canonical_pairs(np.random.default_rng(607).uniform(-1, 1, size=(2000, 4, 3)))
+
+
+class TestWitnessIsTheSolvedMap:
+    """Diagonal transfer blocks give a diagonal ``lstsq`` solution, so the
+    canonical witness loses nothing of the solved map."""
+
+    @pytest.mark.parametrize(
+        "pairs", [random_canonical_pairs, catalog_grid_pairs, edge_value_pairs], ids=lambda f: f.__name__
+    )
+    def test_off_diagonals_are_zero_and_residuals_agree(self, pairs):
+        off_diagonal = ~np.eye(3, dtype=bool)
+        for source, target in pairs():
+            with np.errstate(over="raise", invalid="raise"):  # subnormal results may underflow
+                ptm, residual = solved_map(source, target)
+                attempt = _solve_degrading(source, target)
+            assert (ptm[1:, 1:][off_diagonal] == 0).all()
+            witness = attempt["witness"]
+            assert witness.t.tobytes() == ptm[1:, 0].tobytes()
+            assert witness.lam.tobytes() == np.diagonal(ptm[1:, 1:]).tobytes()
+            assert float.hex(attempt["residual"]) == float.hex(residual)
 
 
 class TestClassifyByAngles:

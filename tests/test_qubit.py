@@ -11,7 +11,6 @@ from grasschan.qubit import (
     DIAG_ATOL,
     KRAUS_TP_ATOL,
     PAULI,
-    SAMPLER_BLOCK,
     SCREEN_MARGIN,
     NonDiagonalBlockError,
     NotCptpError,
@@ -27,6 +26,7 @@ from grasschan.qubit import (
     random_cptp_canonical_channel,
     random_state,
     _DECISION_SHIFTS,
+    _ROWS_PER_TRIAL,
     _choi_decision,
     _choi_invariants,
     _choi_prescreen,
@@ -64,14 +64,6 @@ class TestQubitState:
             QubitState(p=1.4)
         with pytest.raises(ValueError):
             QubitState(p=0.5, gamma=0.6)
-
-    def test_from_matrix_validates(self):
-        with pytest.raises(ValueError):
-            QubitState.from_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
-        with pytest.raises(ValueError):
-            QubitState.from_matrix(np.diag([0.9, 0.3]))
-        with pytest.raises(ValueError, match="2x2"):
-            QubitState.from_matrix(np.eye(3) / 3)
 
 
 class TestPtmAndCanonical:
@@ -132,18 +124,18 @@ def reference_ptm_from_kraus(kraus):
     return ptm
 
 
-def reference_canonical_from_ptm(ptm, atol=DIAG_ATOL):
+def reference_canonical_from_ptm(ptm):
     """``canonical_from_ptm`` as written with per-call temporaries, the reference for the lean one."""
     ptm = np.asarray(ptm, dtype=float)
     if ptm.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if not np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0]))) <= atol:
+    if not np.max(np.abs(ptm[0] - np.array([1.0, 0, 0, 0]))) <= DIAG_ATOL:
         raise NonDiagonalBlockError("first row is not (1, 0, 0, 0)")
     block = ptm[1:, 1:]
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
         off = block - np.diag(np.diag(block))
     worst = np.max(np.abs(off))
-    if not worst <= atol:
+    if not worst <= DIAG_ATOL:
         raise NonDiagonalBlockError(
             f"transfer block has off-diagonal entry {worst:.3e}; canonicalize externally"
         )
@@ -244,8 +236,7 @@ class TestStackedPtmFromKraus:
         ids=["flat", "row", "stacked", "3x3", "scalar"],
     )
     def test_rejects_operators_that_are_not_2x2(self, kraus):
-        direct = lambda ops: QubitChannel(t=np.zeros(3), lam=np.ones(3), kraus=ops)
-        for build in (ptm_from_kraus, QubitChannel.from_kraus, direct):
+        for build in (ptm_from_kraus, QubitChannel.from_kraus):
             with pytest.raises(ValueError, match="2x2|inhomogeneous"):
                 build(kraus)
 
@@ -292,12 +283,6 @@ class TestLeanCanonicalFromPtm:
                 non_finite[1:, 0] = False
                 assert got[0] is NonDiagonalBlockError or not non_finite.any()
 
-    def test_wider_witness_tolerance(self):
-        ptm = np.eye(4)
-        ptm[2, 3] = 1e-8
-        for atol in (1e-9, 1e-7):
-            assert outcome(canonical_from_ptm, ptm, atol) == outcome(reference_canonical_from_ptm, ptm, atol)
-
     def test_results_are_fresh_arrays(self):
         ptm = np.eye(4)
         t, lam = canonical_from_ptm(ptm)
@@ -337,14 +322,8 @@ class TestFromKraus:
         calls = []
         original = qubit.ptm_from_kraus
         monkeypatch.setattr(qubit, "ptm_from_kraus", lambda ops: calls.append(1) or original(ops))
-        ch = QubitChannel.from_kraus(gad_kraus(0.4, 0.7))
+        QubitChannel.from_kraus(gad_kraus(0.4, 0.7))
         assert len(calls) == 1
-        assert len(ch.kraus) == 4
-        assert np.max(np.abs(original(ch.kraus) - ch.ptm)) < 1e-12
-
-    def test_direct_construction_keeps_consistency_check(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            QubitChannel(t=[0, 0, 0], lam=[1, 1, 1], kraus=tuple(ad_kraus(0.3)))
 
 
 class TestApplyAndCompose:
@@ -374,17 +353,18 @@ class TestApplyAndCompose:
         assert out.gamma == 0
 
     def test_kraus_and_bloch_paths_agree(self):
-        # 1000 (channel, state) pairs across the two-parameter damping family
+        # 1000 (channel, state) pairs across the two-parameter damping family:
+        # the Bloch map of the channel read from a Kraus list is the Kraus sum
         rng = np.random.default_rng(19)
         for _ in range(250):
             n, s = rng.uniform(0, 1), rng.uniform(0, 1)
-            with_kraus = QubitChannel.from_kraus(gad_kraus(n, s))
-            bloch_only = QubitChannel.from_canonical(with_kraus.t, with_kraus.lam)
+            ops = gad_kraus(n, s)
+            ch = QubitChannel.from_kraus(ops)
             for _ in range(4):
                 rho = random_state(rng)
-                a = apply_channel(with_kraus, rho)
-                b = apply_channel(bloch_only, rho)
-                assert abs(a.p - b.p) < 1e-12 and abs(a.gamma - b.gamma) < 1e-12
+                out = apply_channel(ch, rho).matrix
+                kraus_sum = sum(a @ rho.matrix @ a.conj().T for a in ops)
+                assert np.max(np.abs(out - kraus_sum)) < 1e-12
 
     def test_apply_rejects_non_cptp(self):
         with pytest.raises(NotCptpError):
@@ -463,47 +443,18 @@ def sample_and_next_draw(sampler, rng, **kwargs):
     return out, rng.uniform()
 
 
-class TestLoneTrialDecidesEvenRowsOnly:
-    """A lone rejection loop starts at row 0 and tries rows 0, 2, 4, ...; the odd candidates are never decided."""
-
-    def decided_rows(self, sample):
-        import grasschan.qubit as qubit
-
-        decided, real = [], qubit._choi_prescreen
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(qubit, "_choi_prescreen", lambda t, lam: decided.append(len(lam)) or real(t, lam))
-            sample()
-        return decided
-
-    def test_channel_sampler(self):
-        grown = 0
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            decided = self.decided_rows(lambda: random_cptp_canonical_channel(rng, t_scale=1.0))
-            # blocks of 2 SAMPLER_BLOCK rows, doubled: one candidate per row pair
-            assert decided == [SAMPLER_BLOCK * 2**k for k in range(len(decided))]
-            grown += len(decided) > 1
-        assert grown > 0
-
-    @pytest.mark.parametrize("rows_per_trial", [1, 48])
-    def test_one_trial_of_the_whole_stream_sampler(self, monkeypatch, rows_per_trial):
-        import grasschan.qubit as qubit
-
-        monkeypatch.setattr(qubit, "_ROWS_PER_TRIAL", rows_per_trial)
-        grown = 0
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            decided = self.decided_rows(lambda: _random_channels_and_states(rng, 1))
-            # blocks of 5 rows_per_trial rows, doubled: one candidate per row pair
-            assert decided == [5 * rows_per_trial * 2**k // 2 for k in range(len(decided))]
-            grown += len(decided) > 1
-        assert grown == 10 if rows_per_trial == 1 else grown < 10
+#: Candidates in the lone loop's first block when ``max_tries`` does not cut
+#: it: ``_ROWS_PER_TRIAL * 5`` rows, one candidate per row pair.
+FIRST_BLOCK = _ROWS_PER_TRIAL * 5 // 2
 
 
 class TestSamplerStreamExact:
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+    # 1 and 31-33 cut the first block to the 2 * max_tries rows a loop can
+    # consume (at 31-33 the loop runs out inside it about one time in five);
+    # FIRST_BLOCK - 1 to FIRST_BLOCK + 1 straddle the uncut block.
     @pytest.mark.parametrize(
-        "max_tries", [0, 1, SAMPLER_BLOCK - 1, SAMPLER_BLOCK, SAMPLER_BLOCK + 1, 10_000]
+        "max_tries", [0, 1, 31, 32, 33, FIRST_BLOCK - 1, FIRST_BLOCK, FIRST_BLOCK + 1, 10_000]
     )
     def test_matches_one_at_a_time_loop(self, bit_generator, max_tries):
         outcomes = set()

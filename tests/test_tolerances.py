@@ -89,7 +89,6 @@ def test_policy_values():
         "ISCLOSE_ATOL": 1e-12,
         "STATE_ATOL": 1e-9,
         "KRAUS_TP_ATOL": 1e-10,
-        "KRAUS_CONSISTENCY_ATOL": 1e-9,
         "DIAG_ATOL": 1e-10,
         "CHOI_EIG_FLOOR": -1e-9,
         "TP_ATOL": 1e-12,
@@ -101,7 +100,6 @@ def test_policy_values():
         "ANGLE_RATIO_ATOL": 1e-7,
         "UNITARITY_ATOL": 1e-12,
         "ENV_ATOL": 1e-12,
-        "WITNESS_DIAG_ATOL": 1e-9,
         "CERT_RESIDUAL_TOL": 1e-9,
         "BOUNDARY_ATOL": 1e-12,
         "CALIBRATION_TOL": 1e-14,
