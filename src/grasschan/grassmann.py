@@ -38,9 +38,11 @@ Storage and arithmetic:
   arrays): the pair tables are offset by row, so each row gets the bits of
   its own single-pair pass.  ``multiply`` is one row, an operator product
   eight (``e[i, k] f[k, j]``, summed over ``k``), an operator times an
-  element four; ``verify`` builds its kernels and convolutions as one row
-  per trial.  One offset table is kept, for the most rows needed so far,
-  with its prefix views for fewer rows.
+  element four; ``verify`` builds its kernels as one row per trial.
+  ``_products`` runs any table of signed terms (``_PairTable``): the Berezin
+  convolution of ``green`` is one pass of the 81-pair table cut to 16 terms,
+  one row per kernel.  Each table keeps its offset tables for the most rows
+  needed so far, with their prefix views for fewer rows.
 * For finite coefficients, results are bit-identical to the term-by-term
   definition: one scalar product ``sign * x[i] * y[j]`` per pair of nonzero
   coefficients, added to a zero target in pair order.  The complex product
@@ -218,45 +220,57 @@ def _is_number(x) -> bool:
     return isinstance(x, (numbers.Number, np.bool_))
 
 
-def _row_tables(rows: int) -> tuple:
-    """Entry ``n``, for ``n`` up to ``rows``: the pair tables ``(x_index,
-    y_index, sign, target)`` offset by row for ``n`` rows.
+class _PairTable:
+    """The terms of a product pass on one row, ``(x_index, y_index, sign,
+    target)``: term ``k`` adds ``sign[k] * x[x_index[k]] * y[y_index[k]]`` to
+    ``out[target[k]]``.
 
-    The tables for ``n`` rows are the first ``81 n`` entries of the tables for
-    any ``m >= n`` rows, so every entry is a prefix view of the last one.
+    ``kept[n]`` holds these tables offset by row for ``n`` rows, for every
+    ``n`` up to the most rows a pass has needed so far.  The tables for ``n``
+    rows are the first ``n`` row blocks of the tables for any ``m >= n`` rows,
+    so every entry is a prefix view of the last one.
     """
-    offset = N_MONOMIALS * np.arange(rows)[:, None]
-    tables = (
-        (_PAIR_I + offset).ravel(),
-        (_PAIR_J + offset).ravel(),
-        np.tile(_PAIR_SIGN, rows),
-        (_PAIR_TARGET + offset).ravel(),
-    )
-    return tuple(tuple(t[:n * len(_PAIR_I)] for t in tables) for n in range(rows + 1))
+
+    __slots__ = ("pairs", "kept")
+
+    def __init__(self, x_index, y_index, sign, target):
+        self.pairs = (x_index, y_index, sign, target)
+        self.kept = self.row_tables(1)
+
+    def row_tables(self, rows: int) -> tuple:
+        """``kept`` for passes of up to ``rows`` rows."""
+        offset = N_MONOMIALS * np.arange(rows)[:, None]
+        x_index, y_index, sign, target = self.pairs
+        tables = (
+            (x_index + offset).ravel(),
+            (y_index + offset).ravel(),
+            np.tile(sign, rows),
+            (target + offset).ravel(),
+        )
+        return tuple(tuple(t[:n * len(sign)] for t in tables) for n in range(rows + 1))
 
 
-#: ``_row_tables`` for the most rows a product pass has needed so far.
-_KEPT_TABLES = _row_tables(1)
+#: The graded product: every pair of ``_PAIR_I``, ``_PAIR_J`` in order.
+_PRODUCT = _PairTable(_PAIR_I, _PAIR_J, _PAIR_SIGN, _PAIR_TARGET)
 
 
-def _products(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    """Graded products of two ``(..., 16)`` coefficient arrays of one shape,
-    row by row: output row ``s`` is ``xc[s] * yc[s]``.
+def _products(xc: np.ndarray, yc: np.ndarray, table: _PairTable = _PRODUCT) -> np.ndarray:
+    """The pass of ``table`` on two ``(..., 16)`` coefficient arrays of one
+    shape, row by row: by default output row ``s`` is ``xc[s] * yc[s]``.
 
-    The 81-pair tables are offset by row, so every target sums its own terms
-    in pair order and each row has the bits of its single-pair pass.  The
-    tables are kept for the most rows needed so far, with their prefixes for
-    fewer rows; a pass that needs more rows rebuilds them.  The complex
-    product is written out in real arithmetic so that every term has the bits
-    of the scalar product ``sign * x[i] * y[j]``, and each target is summed
-    from zero in term order.
+    The tables are offset by row, so every target sums its own terms in
+    table order and each row has the bits of its one-row pass.  They are kept
+    for the most rows needed so far, with their prefixes for fewer rows; a
+    pass that needs more rows rebuilds them.  The complex product is written
+    out in real arithmetic so that every term has the bits of the scalar
+    product ``sign * x[i] * y[j]``, and each target is summed from zero in
+    term order.
     """
-    global _KEPT_TABLES
     size = xc.size
     n = size // N_MONOMIALS
-    kept = _KEPT_TABLES
+    kept = table.kept
     if n >= len(kept):
-        kept = _KEPT_TABLES = _row_tables(n)
+        kept = table.kept = table.row_tables(n)
     x_index, y_index, sign, target = kept[n]
     a, b = xc.reshape(-1)[x_index], yc.reshape(-1)[y_index]
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
@@ -467,13 +481,9 @@ def berezin_integrate(x: GrassmannElement, v: Generator) -> GrassmannElement:
     return _element(_index_map(x._c, *_BEREZIN[int(v)]))
 
 
-def _integrate_pair_coeffs(c: np.ndarray) -> np.ndarray:
-    return _index_map(c, _PAIR_INTEGRAL_SRC, _PAIR_INTEGRAL_DST)
-
-
 def integrate_pair(x: GrassmannElement) -> GrassmannElement:
     """Berezin integral over the zeta pair: zeta first, then zeta*."""
-    return _element(_integrate_pair_coeffs(x._c))
+    return _element(_index_map(x._c, _PAIR_INTEGRAL_SRC, _PAIR_INTEGRAL_DST))
 
 
 def delta_pair(argument: GrassmannElement) -> GrassmannElement:

@@ -20,6 +20,10 @@ kernel also falls out of the trace construction
 :func:`green_from_channel_trace`, and the convolution path agrees with the
 dense Bloch map on random channels and states.
 
+The convolution is one product pass over the 16 of its 81 terms that can
+count, with the relabelling ``chi(xi) -> chi(zeta)`` and the pair integral
+folded into the pass's index table (``_convolution_table``).
+
 A kernel is Gaussian when it matches ``delta_pair(zeta - a xi - b xi*)
 * (1 + c xi xi*)`` exactly; for canonical provenance this happens iff
 ``t1 = t2 = 0`` and ``lam3 = lam1 lam2``.  Gaussian kernels admit the angle
@@ -38,12 +42,14 @@ import numpy as np
 
 from .charfunc import CharFunction, displacement
 from .grassmann import (
+    MONOMIAL_NAMES,
+    _PRODUCT,
+    _ZETA_PAIR,
     GrassmannElement,
     OperatorElement,
+    _PairTable,
     _adjoint_coeffs,
     _element,
-    _index_map,
-    _integrate_pair_coeffs,
     _products,
 )
 from .qubit import PAULI, NotCptpError, QubitChannel, is_cptp
@@ -76,6 +82,17 @@ class GreenFunction:
 
     body: GrassmannElement
     provenance: Optional[tuple] = None
+
+    def __post_init__(self):
+        # A convolution skips the kernel's products with the exact zeros of
+        # chi, which is exact only for a finite kernel (0 * inf is NaN).
+        bad = np.flatnonzero(~np.isfinite(self.body.coefficients))
+        if bad.size:
+            m = bad[0]
+            raise ValueError(
+                f"kernel coefficient of {MONOMIAL_NAMES[m]} is not finite: "
+                f"{complex(self.body.coefficients[m])}"
+            )
 
     def pretty(self) -> str:
         return self.body.pretty()
@@ -122,11 +139,28 @@ _XI_XI_STAR = 0b1100
 _ZETA_ZETA_STAR_XI = 0b0111
 _ZETA_ZETA_STAR_XI_STAR = 0b1011
 
-# The xi subalgebra (1, xi, xi*, xi xi*) and its zeta-pair image (1, zeta,
-# zeta*, zeta zeta*): both pairs sit in the same relative order, so the
-# relabelling is a signless shift of the monomial mask.
-_XI_MASKS = np.array([0b0000, 0b0100, 0b1000, 0b1100])
-_ZETA_MASKS = _XI_MASKS >> 2
+
+def _convolution_table() -> _PairTable:
+    """The terms of ``integrate_pair(relabel(chi) * kernel)`` that can count.
+
+    Of the product's 81 pairs ``(i, j)`` only those with ``i`` in the zeta
+    pair (``i`` in {1, zeta, zeta*, zeta zeta*}: ``chi`` lives on the xi
+    subalgebra, so every other coefficient of ``relabel(chi)`` is zero) and
+    with ``i | j`` holding both zeta and zeta* (the pair integral discards
+    every other target) are kept: 16 of 81, in the product's order and with
+    its signs.  The relabelling xi -> zeta, xi* -> zeta* keeps the relative
+    order, so it is the signless shift ``i << 2`` into ``chi``'s own masks;
+    the zeta pair leads every kept target, so the integral strips it with
+    sign +1.  The 65 dropped terms are a finite kernel coefficient times an
+    exact zero, or land on a discarded target; a +-0 term never changes a sum
+    taken from +0.0, so the kept terms give the same bits.
+    """
+    i, j, sign, target = _PRODUCT.pairs
+    keep = ((i & ~_ZETA_PAIR) == 0) & ((target & _ZETA_PAIR) == _ZETA_PAIR)
+    return _PairTable(i[keep] << 2, j[keep], sign[keep], target[keep] & ~_ZETA_PAIR)
+
+
+_CONVOLUTION = _convolution_table()
 
 
 def green_from_canonical(t, lam) -> GreenFunction:
@@ -194,9 +228,9 @@ def green_from_channel_trace(ch: QubitChannel) -> GreenFunction:
 
 def _apply_kernels(kernels: np.ndarray, chis: np.ndarray) -> np.ndarray:
     """Berezin convolutions of ``(n, 16)`` kernel rows with characteristic-function
-    rows; row ``s`` has the bits of ``apply_green`` and is not validated."""
-    relabeled = _index_map(chis, _XI_MASKS, _ZETA_MASKS)
-    return _integrate_pair_coeffs(_products(relabeled, kernels))
+    rows, as one pass of the convolution's 16-pair table; row ``s`` has the
+    bits of ``apply_green`` and is not validated."""
+    return _products(chis, kernels, _CONVOLUTION)
 
 
 def apply_green(green: GreenFunction, chi: CharFunction) -> CharFunction:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -407,6 +408,33 @@ class TestNoTraceback:
             os.close(write_end)
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+
+class TestPackageEntryPoint:
+    @pytest.mark.parametrize(
+        "argv, code", [(("catalog", "--name", "bit_flip"), 0), (("catalog", "--name", "nope"), 2)]
+    )
+    def test_runs_the_cli(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["grasschan", *argv])
+        # run as a fresh ``__main__``, not beside an imported copy of the module
+        monkeypatch.delitem(sys.modules, "grasschan.__main__", raising=False)
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("grasschan", run_name="__main__")
+        out = capsys.readouterr().out
+        assert exit_.value.code == code
+        assert (code, out) == run_cli(capsys, *argv)[:2]
+
+    def test_a_fresh_process_matches_the_cli_module(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(grasschan.__file__).parents[1]))
+        for argv, code in ((("catalog", "--json"), 0), (("verify", "--trials", "-1", "--json"), 2)):
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+                )
+                for module in ("grasschan", "grasschan.cli")
+            ]
+            assert [run.returncode for run in runs] == [code, code]
+            assert runs[0].stdout == runs[1].stdout != ""
 
 
 class TestCatalogCommand:

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from grasschan import catalog, grassmann, verify
+from grasschan import catalog, grassmann, green, verify
 from grasschan.charfunc import char_function, state_from_char
 from grasschan.green import apply_green, green_from_channel, green_from_channel_trace
 from grasschan.qubit import apply_channel, random_cptp_canonical_channel, random_state
@@ -36,9 +36,10 @@ def test_parallel_convolutions_match_dense_path():
 
 
 def test_product_passes_of_mixed_row_counts_match_serial(monkeypatch):
-    # One kept product table serves every pass: verify's chunk passes, the
-    # eight-row operator products of the trace kernel and one-row convolutions
-    # grow it and read its prefixes from many threads at once.
+    # The product and convolution tables are kept for every pass: verify's
+    # chunk passes, the eight-row operator products of the trace kernel and
+    # one-row convolutions grow them and read their prefixes from many
+    # threads at once.
     rng = np.random.default_rng(5)
     cases = [(random_cptp_canonical_channel(rng), random_state(rng)) for _ in range(6)]
 
@@ -53,7 +54,9 @@ def test_product_passes_of_mixed_row_counts_match_serial(monkeypatch):
 
     jobs = [(kind, k) for k in range(len(cases)) for kind in ("verify", "trace", "convolve")]
     serial = [run(job) for job in jobs]
-    monkeypatch.setattr(grassmann, "_KEPT_TABLES", grassmann._row_tables(1))
+    tables = (grassmann._PRODUCT, green._CONVOLUTION)
+    for table in tables:
+        monkeypatch.setattr(table, "kept", table.row_tables(1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -62,4 +65,4 @@ def test_product_passes_of_mixed_row_counts_match_serial(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial * 4
-    assert len(grassmann._KEPT_TABLES) - 1 > 1
+    assert all(len(table.kept) - 1 > 1 for table in tables)

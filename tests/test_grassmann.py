@@ -522,10 +522,12 @@ def test_char_bodies_bit_identical_to_full_product_trace_row_by_row():
 
 
 def fresh_kept_table(monkeypatch):
-    """Restart ``_products`` from its one-row tables; the kept tables are restored afterwards."""
-    from grasschan import grassmann
+    """Restart the product and convolution passes from their one-row tables;
+    the kept tables are restored afterwards."""
+    from grasschan import grassmann, green
 
-    monkeypatch.setattr(grassmann, "_KEPT_TABLES", grassmann._row_tables(1))
+    for table in (grassmann._PRODUCT, green._CONVOLUTION):
+        monkeypatch.setattr(table, "kept", table.row_tables(1))
     return grassmann
 
 
@@ -537,13 +539,13 @@ def test_stacked_products_reuse_the_kept_table_by_prefix(monkeypatch):
     built = []
     for n in (300, 5, 257):
         out = grassmann._products(xc[:n], yc[-n:])
-        built.append(len(grassmann._KEPT_TABLES) - 1)
+        built.append(len(grassmann._PRODUCT.kept) - 1)
         assert out.shape == (n, 16)
         for s in range(n):
             assert out[s].tobytes() == ref_multiply(xs[s], ys[len(ys) - n + s]).coefficients.tobytes()
     # the 300-row table is kept: the shorter passes use its prefixes
     assert built == [300, 300, 300]
-    assert np.shares_memory(grassmann._KEPT_TABLES[5][0], grassmann._KEPT_TABLES[300][0])
+    assert np.shares_memory(grassmann._PRODUCT.kept[5][0], grassmann._PRODUCT.kept[300][0])
 
 
 def test_operator_products_on_a_prefix_of_a_grown_table(monkeypatch):
@@ -563,7 +565,7 @@ def test_operator_products_on_a_prefix_of_a_grown_table(monkeypatch):
         ):
             assert all(same_bits(got.entry(i, j), expected[i][j]) for i in range(2) for j in range(2))
         assert same_bits(multiply(g, xs[k]), ref_multiply(g, xs[k]))
-    assert len(grassmann._KEPT_TABLES) - 1 == 300
+    assert len(grassmann._PRODUCT.kept) - 1 == 300
 
 
 def test_operator_element_data_cannot_be_written():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,28 @@ class TestApplyGreen:
             ch = random_cptp_canonical_channel(rng)
             chi_out = apply_green(green_from_channel(ch), char_function(random_state(rng)))
             assert chi_out.body.constant == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFiniteKernel:
+    @pytest.mark.parametrize(
+        "first, later",
+        [
+            (("ζξ", np.inf), ("ζζ*ξξ*", np.nan)),
+            (("1", complex(0, np.nan)), ("ξ", np.inf)),
+            (("ζζ*ξξ*", -np.inf), None),
+        ],
+    )
+    def test_non_finite_body_is_rejected_naming_its_first_monomial(self, first, later):
+        table = green_from_channel(amplitude_damping(0.64)).to_table()
+        for name, value in filter(None, (later, first)):
+            table[name] = value
+        with pytest.raises(ValueError, match=f"kernel coefficient of {re.escape(first[0])} is not finite"):
+            GreenFunction(GrassmannElement.from_table(table))
+
+    @pytest.mark.parametrize("t, lam", [([np.inf, 0, 0], [1, 1, 1]), ([0, 0, 0], [np.nan, 1, 1])])
+    def test_trace_kernel_of_a_non_finite_channel_is_rejected(self, t, lam):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="is not finite"):
+            green_from_channel_trace(QubitChannel.from_canonical(t, lam))
 
 
 class TestDetectGaussian:

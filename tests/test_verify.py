@@ -10,8 +10,9 @@ bits, raise the same exceptions and leave the generator in the same state.
 import numpy as np
 import pytest
 from scripted_stream import ScriptedStream
+from test_grassmann import awkward_element, fresh_kept_table
 
-from grasschan import qubit, verify
+from grasschan import grassmann, green, qubit, verify
 from grasschan.charfunc import (
     CharFunction,
     NotNormalizedError,
@@ -68,9 +69,14 @@ def reference_kernel(ch):
     return body
 
 
+def reference_convolution(kernel, chi_body):
+    """``integrate_pair(relabel(chi) * kernel)`` on elements, not validated."""
+    relabeled = substitute(chi_body, {Generator.XI: ZETA, Generator.XI_STAR: ZETA_STAR})
+    return integrate_pair(relabeled * kernel)
+
+
 def reference_apply(kernel, chi):
-    relabeled = substitute(chi.body, {Generator.XI: ZETA, Generator.XI_STAR: ZETA_STAR})
-    return CharFunction(integrate_pair(relabeled * kernel))
+    return CharFunction(reference_convolution(kernel, chi.body))
 
 
 def reference_calibration_suite(rng, trials, tol):
@@ -174,6 +180,64 @@ class TestArrayPassesMatchSingleObjects:
             rho = random_state(rng_b)
             assert (p[s], gamma[s]) == (rho.p, rho.gamma)
         assert rng_a.random() == rng_b.random()
+
+
+XI_SUBALGEBRA = [0b0000, 0b0100, 0b1000, 0b1100]
+
+
+def awkward_convolution_inputs(seed, n):
+    """``n`` finite kernel rows and ``n`` chi rows, with exact zeros and -0.0 in both.
+
+    The kernels are random elements, not CPTP kernels.  A chi row holds random
+    values on the xi subalgebra, its constant included, and a signed zero on
+    every other monomial, which ``_check_char_bodies`` lets through.  The last
+    three rows are an all +0.0 pair, an all -0.0 pair, and a pair whose terms
+    cancel to an exact zero in every target.
+    """
+    rng = np.random.default_rng(seed)
+    kernels = np.array(
+        [awkward_element(rng, (0.3, 1.0)[k % 2], small_integers=k % 3 == 1).coefficients for k in range(n)]
+    )
+    chis = np.array([awkward_element(rng, density=0.0).coefficients for _ in range(n)])
+    chis[:, XI_SUBALGEBRA] = [awkward_element(rng, k % 3 / 2).coefficients[:4] for k in range(n)]
+    signed_zero = complex(-0.0, -0.0)
+    kernels[-3:] = np.array([0.0, signed_zero, -2.0])[:, None]
+    chis[-3:] = np.array([0.0, signed_zero, 0.0])[:, None]
+    chis[-1, XI_SUBALGEBRA] = [1.0, 1.0, 2.0, -0.0]  # every target sums 1 + 1 - 2 - 0 times -2
+    return kernels, chis
+
+
+class TestConvolutionTable:
+    def test_is_the_product_table_filtered_to_the_terms_that_count(self):
+        product = (grassmann._PAIR_I, grassmann._PAIR_J, grassmann._PAIR_SIGN, grassmann._PAIR_TARGET)
+        expected = [
+            (i << 2, j, sign, target & ~0b0011)
+            for i, j, sign, target in zip(*(a.tolist() for a in product))
+            if i & ~0b0011 == 0 and target & 0b0011 == 0b0011
+        ]
+        assert len(expected) == 16
+        assert list(zip(*(a.tolist() for a in green._CONVOLUTION.pairs))) == expected
+
+    def test_rows_match_the_reference_and_grow_the_kept_tables_by_prefix(self, monkeypatch):
+        fresh_kept_table(monkeypatch)
+        kernels, chis = awkward_convolution_inputs(283, 300)
+        for side in (kernels, chis):
+            zeros = side[side == 0]
+            assert np.signbit(zeros.real).any() and np.signbit(zeros.imag).any()
+        expected = [
+            reference_convolution(GrassmannElement(k), GrassmannElement(c)).coefficients.tobytes()
+            for k, c in zip(kernels, chis)
+        ]
+        conv, product = green._CONVOLUTION, grassmann._PRODUCT
+        grown = []
+        for n in (1, 5, 257, 300, 5):
+            outs = _apply_kernels(kernels[-n:], chis[-n:])
+            grown.append(len(conv.kept) - 1)
+            assert [row.tobytes() for row in outs] == expected[-n:]
+        assert grown == [1, 5, 257, 300, 300]
+        assert np.shares_memory(conv.kept[5][0], conv.kept[300][0])
+        # the reference's one-row products are the only product passes
+        assert len(product.kept) - 1 == 1
 
 
 def valid_bodies(n=4):
