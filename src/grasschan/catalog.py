@@ -36,6 +36,7 @@ import numpy as np
 
 from . import degradability as deg
 from .green import (
+    GaussianParams,
     NoSolutionError,
     _gaussian_params,
     angles_from_gaussian,
@@ -255,14 +256,16 @@ def analyze_channel(
         gp = _gaussian_params(ch)
         report["gaussian"] = {"a": [gp.a.real, gp.a.imag], "b": [gp.b.real, gp.b.imag], "c": gp.c}
         report["gaussian_equivalent"] = {"perm": [0, 1, 2], "signs": [1, 1, 1], "channel": report["channel"]}
-        angles, dilation, degradability = _degradability_block(ch, residual_tol, notes)
+        angles, dilation, degradability = _degradability_block(ch, gp, residual_tol, notes)
     else:
         notes.append(
             "kernel is not Gaussian; degradability is reported through the "
             "unitarily equivalent Gaussian channel given by the permutation"
         )
         block = {"perm": list(eq.perm), "signs": list(eq.signs), "channel": eq.channel.to_json()}
-        eq_angles, _, eq_degradability = _degradability_block(eq.channel, residual_tol, notes)
+        eq_angles, _, eq_degradability = _degradability_block(
+            eq.channel, _gaussian_params(eq.channel), residual_tol, notes
+        )
         block["degradability"], block["angles"] = eq_degradability, eq_angles
         report["gaussian_equivalent"] = block
     report["angles"] = angles
@@ -272,11 +275,11 @@ def analyze_channel(
     return report
 
 
-def _degradability_block(ch: QubitChannel, residual_tol: float, notes: list) -> tuple:
-    """``(angles block, Dilation, degradability block)`` of a Gaussian channel;
-    three Nones when no angle form exists."""
+def _degradability_block(ch: QubitChannel, gp: GaussianParams, residual_tol: float, notes: list) -> tuple:
+    """``(angles block, Dilation, degradability block)`` of a Gaussian channel
+    with kernel parameters ``gp``; three Nones when no angle form exists."""
     try:
-        ap = angles_from_gaussian(_gaussian_params(ch))
+        ap = angles_from_gaussian(gp)
     except NoSolutionError as exc:
         notes.append(f"no angle form: {exc}")
         return None, None, None
@@ -307,10 +310,10 @@ def _dilation_block(ch: QubitChannel, dilation: deg.Dilation) -> dict:
     """The report's ``dilation`` block, with the marginal's deviation from ``ch``."""
     marginal = dilation.channel()
     return {
-        "unitary": [[[v.real, v.imag] for v in row] for row in dilation.unitary],
+        "unitary": [[[v.real, v.imag] for v in row] for row in dilation.unitary.tolist()],
         "env_state": {"q": dilation.q},
         "env_purity": dilation.q ** 2 + (1 - dilation.q) ** 2,
-        "marginal_ptm_deviation": float(np.max(np.abs(marginal.ptm - ch.ptm))),
+        "marginal_ptm_deviation": float(np.abs(marginal.ptm - ch.ptm).max()),
     }
 
 

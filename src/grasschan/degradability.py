@@ -31,12 +31,13 @@ the test claims null quantum capacity (claimed, never computed here).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .green import AngleParams
-from .qubit import NotCptpError, QubitChannel, QubitState, is_cptp
+from .qubit import NotCptpError, QubitChannel, QubitState, _ptms_from_kraus, is_cptp
 from .tolerances import BOUNDARY_ATOL, CERT_RESIDUAL_TOL, ENV_ATOL, UNITARITY_ATOL
 
 __all__ = [
@@ -53,6 +54,12 @@ __all__ = [
     "classify_by_angles",
 ]
 
+_EYE4 = np.eye(4)
+_UNITARY_INDEX = np.arange(16).reshape(2, 2, 2, 2)  # [s_out, e_out, s_in, e_in]
+#: Flat unitary indices of the Kraus blocks: the system list (row 0) is
+#: ``[e_in, e_out, s_out, s_in]``, the environment list (row 1)
+#: ``[e_in, s_out, e_out, s_in]``; the second index numbers the operators.
+_KRAUS_BLOCKS = np.array([_UNITARY_INDEX.transpose(3, 1, 0, 2), _UNITARY_INDEX.transpose(3, 0, 1, 2)])
 #: The smallest normal double; ``_solve_degrading`` reads smaller source entries as zero.
 _TINY = np.finfo(float).tiny
 
@@ -73,7 +80,7 @@ class Dilation:
         u = np.asarray(self.unitary, dtype=complex).reshape(4, 4).copy()
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
-        dev = np.max(np.abs(u.conj().T @ u - np.eye(4)))
+        dev = np.abs(u.conj().T @ u - _EYE4).max()
         if not dev <= UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         if not abs(self.env_state.gamma) <= ENV_ATOL:
@@ -83,25 +90,33 @@ class Dilation:
     def q(self) -> float:
         return self.env_state.p
 
-    def _kraus(self, blocks: np.ndarray) -> list:
-        """``sqrt(w_j) blocks[j, k]`` for the environment inputs ``j`` of
-        nonzero weight ``w_j``, ``j`` then ``k`` ascending, as a list."""
+    def _kraus_stack(self) -> np.ndarray:
+        """The system (row 0) and environment (row 1) Kraus lists as one
+        ``(2, K, 2, 2)`` stack: ``sqrt(w_j) blocks[j, k]`` for the environment
+        inputs ``j`` of nonzero weight ``w_j``, ``j`` then ``k`` ascending
+        (``blocks`` as in ``_KRAUS_BLOCKS``)."""
         weights = np.array([self.q, 1 - self.q])
         kept = np.flatnonzero(weights)
-        return list((np.sqrt(weights[kept])[:, None, None, None] * blocks[kept]).reshape(-1, 2, 2))
+        blocks = self.unitary.reshape(-1)[_KRAUS_BLOCKS[:, kept]]
+        return (np.sqrt(weights[kept])[:, None, None, None] * blocks).reshape(2, -1, 2, 2)
+
+    @cached_property
+    def _ptms(self) -> np.ndarray:
+        """Transfer matrices of the system and environment channels, from one
+        pass over both Kraus lists; each is read into a channel on request, so
+        a non-diagonal block on one side does not stop the other."""
+        return _ptms_from_kraus(self._kraus_stack())
 
     def system_kraus(self) -> list:
         """Kraus list of the system-output channel Tr_E[U (rho (x) rho_E) U^dag]."""
-        u = self.unitary.reshape(2, 2, 2, 2)  # [s_out, e_out, s_in, e_in]
-        return self._kraus(u.transpose(3, 1, 0, 2))  # [e_in, e_out, s_out, s_in]
+        return list(self._kraus_stack()[0])
 
     def env_kraus(self) -> list:
         """Kraus list of the environment-output channel Tr_S[U (rho (x) rho_E) U^dag]."""
-        u = self.unitary.reshape(2, 2, 2, 2)
-        return self._kraus(u.transpose(3, 0, 1, 2))  # [e_in, s_out, e_out, s_in]
+        return list(self._kraus_stack()[1])
 
     def channel(self) -> QubitChannel:
-        return QubitChannel.from_kraus(self.system_kraus())
+        return QubitChannel.from_ptm(self._ptms[0])
 
 
 def dilation_from_angles(ap: AngleParams) -> Dilation:
@@ -110,19 +125,18 @@ def dilation_from_angles(ap: AngleParams) -> Dilation:
         raise ValueError(f"q={ap.q} outside [0, 1]")
     ct, st = np.cos(ap.theta), np.sin(ap.theta)
     cp, sp = np.cos(ap.phi), np.sin(ap.phi)
-    u = np.zeros((4, 4), dtype=complex)
-    # basis order |s e>: 00, 01, 10, 11; columns are images of basis kets
-    u[:, 0] = [ct, 0, 0, st]       # |0 0>
-    u[:, 2] = [0, sp, cp, 0]       # |1 0>
-    u[:, 1] = [0, cp, -sp, 0]      # |0 1>
-    u[:, 3] = [-st, 0, 0, ct]      # |1 1>
+    # basis order |s e>: 00, 01, 10, 11; column k is the image of basis ket k
+    # (see the module docstring)
+    u = np.array(
+        [[ct, 0, 0, -st], [0, cp, sp, 0], [0, -sp, cp, 0], [st, 0, 0, ct]], dtype=complex
+    )
     q = min(max(float(ap.q), 0.0), 1.0)
     return Dilation(unitary=u, env_state=QubitState(p=q))
 
 
 def weakly_complementary(d: Dilation) -> QubitChannel:
     """Environment-output channel of a dilation, as a canonical-form channel."""
-    return QubitChannel.from_kraus(d.env_kraus())
+    return QubitChannel.from_ptm(d._ptms[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +192,7 @@ def _solve_degrading(source: QubitChannel, target: QubitChannel):
     delta_t, *_ = np.linalg.lstsq(t_src.T, target.ptm[1:, 1:].T, rcond=None)
     shift = target.ptm[1:, 0] - delta_t.T @ source.ptm[1:, 0]
     witness = QubitChannel.from_canonical(shift, np.diagonal(delta_t))
-    residual = float(np.max(np.abs(witness.ptm @ source.ptm - target.ptm)))
+    residual = float(np.abs(witness.ptm @ source.ptm - target.ptm).max())
     report = is_cptp(witness)
     return {
         "witness": witness,

@@ -185,6 +185,8 @@ def _build_tables():
 _PAIR_I, _PAIR_J, _PAIR_SIGN, _ADJ_MASK, _ADJ_SIGN, _BEREZIN = _build_tables()
 _PAIR_TARGET = _PAIR_I | _PAIR_J
 _ALL_MASKS = np.arange(N_MONOMIALS)
+#: The adjoint's sign of the source of each target: ``_ADJ_SIGN[_ADJ_MASK]``.
+_ADJ_GATHER_SIGN = _ADJ_SIGN[_ADJ_MASK]
 #: ``integrate_pair`` keeps the monomials that hold both zeta and zeta*; the
 #: pair leads every such monomial, so stripping it never permutes (sign +1).
 _ZETA_PAIR = 0b0011
@@ -363,7 +365,7 @@ class GrassmannElement:
 
     def to_table(self) -> dict:
         """All 16 coefficients keyed by canonical monomial name."""
-        return {MONOMIAL_NAMES[m]: complex(self._c[m]) for m in range(N_MONOMIALS)}
+        return dict(zip(MONOMIAL_NAMES, self._c.tolist()))
 
     @property
     def constant(self) -> complex:
@@ -419,12 +421,7 @@ class GrassmannElement:
 
     def pretty(self) -> str:
         """Stable human-readable form; see the module docstring."""
-        parts = []
-        for mask in range(N_MONOMIALS):
-            coeff = self._c[mask]
-            if coeff == 0:
-                continue
-            parts.append((mask, coeff))
+        parts = [(mask, coeff) for mask, coeff in enumerate(self._c.tolist()) if coeff != 0]
         if not parts:
             return "0"
         out = []
@@ -448,7 +445,10 @@ class GrassmannElement:
 
 
 def _adjoint_coeffs(c: np.ndarray) -> np.ndarray:
-    return _index_map(np.conj(c), _ALL_MASKS, _ADJ_MASK, _ADJ_SIGN)
+    """``out[..., _ADJ_MASK[m]] = _ADJ_SIGN[m] * conj(c[..., m])`` as one signed
+    gather (``_ADJ_MASK`` is an involution); ``+ 0.0`` turns a -0.0 into +0.0,
+    as adding each term to a zero coefficient does."""
+    return _ADJ_GATHER_SIGN * np.conj(c)[..., _ADJ_MASK] + 0.0
 
 
 # Module-level singletons for the four generators.

@@ -86,9 +86,9 @@ class GreenFunction:
     def __post_init__(self):
         # A convolution skips the kernel's products with the exact zeros of
         # chi, which is exact only for a finite kernel (0 * inf is NaN).
-        bad = np.flatnonzero(~np.isfinite(self.body.coefficients))
-        if bad.size:
-            m = bad[0]
+        finite = np.isfinite(self.body.coefficients)
+        if not finite.all():
+            m = np.flatnonzero(~finite)[0]
             raise ValueError(
                 f"kernel coefficient of {MONOMIAL_NAMES[m]} is not finite: "
                 f"{complex(self.body.coefficients[m])}"
@@ -277,10 +277,9 @@ def _gaussian_params(ch: QubitChannel) -> GaussianParams:
     These are the bits :func:`detect_gaussian` reads off the frame's kernel,
     which sums each coefficient from +0.0 (so ``+ 0.0``: a -0.0 reads as +0.0).
     """
-    (lam1, lam2, _), t3 = ch.lam, ch.t[2]
-    return GaussianParams(
-        complex((lam1 + lam2) / 2 + 0.0), complex((lam2 - lam1) / 2 + 0.0), float(t3 / 2 + 0.0)
-    )
+    lam1, lam2, _ = ch.lam.tolist()
+    t3 = ch.t.tolist()[2]
+    return GaussianParams(complex((lam1 + lam2) / 2 + 0.0), complex((lam2 - lam1) / 2 + 0.0), t3 / 2 + 0.0)
 
 
 def _candidate_angles(u: float, v: float) -> list:
@@ -288,7 +287,8 @@ def _candidate_angles(u: float, v: float) -> list:
 
     Each candidate is normalized by the joint symmetries
     ``(theta, phi) -> (-theta, -phi)`` and ``-> (theta + pi, phi + pi)`` so
-    that ``theta`` lands in [0, pi/2]; phi then lies in (-pi, pi].
+    that ``theta`` lands in [0, pi/2]; phi then lies in (-pi, pi].  The
+    arithmetic is on Python floats: ``%`` has the bits of ``np.mod``.
     """
     seen = set()
     out = []
@@ -299,13 +299,13 @@ def _candidate_angles(u: float, v: float) -> list:
             theta, phi = -theta, -phi
         if theta > np.pi / 2:
             theta, phi = np.pi - theta, np.pi - phi
-        phi = float(np.mod(phi + np.pi, 2 * np.pi) - np.pi)
+        phi = (phi + np.pi) % (2 * np.pi) - np.pi
         if phi == -np.pi:
             phi = np.pi
         key = (round(theta, 12), round(phi, 12))
         if key not in seen:
             seen.add(key)
-            out.append((float(theta), float(phi)))
+            out.append((theta, phi))
     return out
 
 
@@ -317,6 +317,10 @@ def angles_from_gaussian(gp: GaussianParams) -> AngleParams:
     candidates the smallest theta wins, ties broken toward q = 1.  When
     ``cos 2theta = cos 2phi`` the exponent constrains nothing, ``c`` must
     vanish and q defaults to 1.
+
+    Clipping is ``min(max(x, lo), hi)`` on Python floats, with the bits of
+    ``np.clip``; the cosines stay numpy calls, whose bits ``math`` does not
+    always share.
     """
     a, b, c = complex(gp.a), complex(gp.b), float(gp.c)
     if not (abs(a.imag) <= ANGLE_ATOL and abs(b.imag) <= ANGLE_ATOL):
@@ -327,11 +331,11 @@ def angles_from_gaussian(gp: GaussianParams) -> AngleParams:
     lam2 = a.real + b.real
     if not (abs(lam1) <= 1 + ANGLE_ATOL and abs(lam2) <= 1 + ANGLE_ATOL):
         raise NoSolutionError("difference/sum of a and b exceed the cosine range")
-    u = float(np.arccos(np.clip(lam1, -1.0, 1.0)))
-    v = float(np.arccos(np.clip(lam2, -1.0, 1.0)))
+    u = float(np.arccos(min(max(lam1, -1.0), 1.0)))
+    v = float(np.arccos(min(max(lam2, -1.0), 1.0)))
     valid = []
     for theta, phi in _candidate_angles(u, v):
-        denom = (np.cos(2 * theta) - np.cos(2 * phi)) / 4
+        denom = (float(np.cos(2 * theta)) - float(np.cos(2 * phi))) / 4
         if abs(denom) <= ANGLE_ATOL:
             if not abs(c) <= ANGLE_ATOL:
                 continue
@@ -340,7 +344,7 @@ def angles_from_gaussian(gp: GaussianParams) -> AngleParams:
             ratio = c / denom
             if not -1 - ANGLE_RATIO_ATOL <= ratio <= 1 + ANGLE_RATIO_ATOL:
                 continue
-            q = float(np.clip((1 + ratio) / 2, 0.0, 1.0))
+            q = min(max((1 + ratio) / 2, 0.0), 1.0)
         valid.append(AngleParams(theta=theta, phi=phi, q=q))
     if not valid:
         raise NoSolutionError(
@@ -366,6 +370,8 @@ def channel_from_angles(ap: AngleParams) -> QubitChannel:
 # lam1 lam2 exactly (IEEE products commute), and that swap turns every odd
 # permutation into an even one.
 _PERMUTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+#: ``(perm, inverse)``: the relabelled axis ``k`` is the original axis ``inverse[k]``.
+_RELABELLINGS = tuple((perm, tuple(perm.index(i) for i in range(3))) for perm in _PERMUTATIONS)
 
 
 def gaussian_equivalent(ch: QubitChannel) -> Optional[GaussianEquivalent]:
@@ -375,13 +381,14 @@ def gaussian_equivalent(ch: QubitChannel) -> Optional[GaussianEquivalent]:
     when ``|t1|``, ``|t2|`` and ``|lam3 - lam1 lam2|`` are within
     ``GAUSSIAN_ATOL``.  Returns the first hit in the fixed order of
     ``_PERMUTATIONS`` (the three even permutations; an odd one never matches
-    first), or None.
+    first), or None.  The residuals are Python float arithmetic, with the
+    bits of the same operations on numpy scalars.
     """
-    for perm in _PERMUTATIONS:
-        inv = [perm.index(i) for i in range(3)]
-        new_t, new_lam = ch.t[inv], ch.lam[inv]
+    t, lam = ch.t.tolist(), ch.lam.tolist()
+    for perm, inv in _RELABELLINGS:
+        new_t, new_lam = [t[k] for k in inv], [lam[k] for k in inv]
         residuals = (new_t[0], new_t[1], new_lam[2] - new_lam[0] * new_lam[1])
         if all(abs(r) <= GAUSSIAN_ATOL for r in residuals):
-            channel = QubitChannel.from_canonical([0.0, 0.0, float(new_t[2])], new_lam)
+            channel = QubitChannel.from_canonical([0.0, 0.0, new_t[2]], new_lam)
             return GaussianEquivalent(perm=perm, channel=channel)
     return None

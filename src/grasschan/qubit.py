@@ -136,23 +136,35 @@ _PAULI_STACK = np.array(PAULI)
 def ptm_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """Transfer matrix ``Tr[sigma_i sum_k A_k sigma_j A_k^dag] / 2`` of a Kraus list.
 
-    One stacked pass: the list becomes a ``(K, 2, 2)`` array, one batched
-    product forms every ``(A_k sigma_j) A_k^dag`` as ``(K, 4, 2, 2)``, the
-    ``K`` terms are summed in list order starting from +0.0, and one batched
-    product gives every ``sigma_i mapped_j``, whose trace is summed from +0.0
-    (``(0.0 + m00) + m11``, as ``np.trace`` does; without the start a -0.0
-    would survive).  Each entry thus has the bits of the per-entry loop.
+    The list becomes a ``(K, 2, 2)`` array and is one row of
+    ``_ptms_from_kraus``, so each entry has the bits of the per-entry loop.
     Operators that are not 2x2 raise ``ValueError``.
     """
     ops = np.asarray(kraus, dtype=complex) if len(kraus) else np.empty((0, 2, 2), dtype=complex)
     if ops.shape[1:] != (2, 2):
         raise ValueError(f"expected 2x2 Kraus operators, got shape {ops.shape[1:]}")
+    return _ptms_from_kraus(ops[None])[0]
+
+
+def _ptms_from_kraus(ops: np.ndarray) -> np.ndarray:
+    """Transfer matrices of the Kraus lists ``ops[l]`` of an ``(L, K, 2, 2)`` stack, as ``(L, 4, 4)``.
+
+    One stacked pass: one batched product forms every ``(A_k sigma_j)
+    A_k^dag`` as ``(L, K, 4, 2, 2)``, the ``K`` terms of a list are summed in
+    list order starting from +0.0, and one batched product gives every
+    ``sigma_i mapped_j``, whose trace is summed from +0.0 (``(0.0 + m00) +
+    m11``, as ``np.trace`` does; without the start a -0.0 would survive).
+    Each 2x2 product of the stack has the bits of the same product made
+    alone, so every list gets the bits of its own one-list pass.  Raises
+    ``NotTracePreservingError`` with the largest ``max |sum A^dag A - I|``
+    of the lists when one exceeds ``KRAUS_TP_ATOL``.
+    """
     adjoints = ops.conj().swapaxes(-1, -2)
-    deviation = np.abs(np.add.reduce(adjoints @ ops, initial=0.0) - _IDENTITY).max()
+    deviation = np.abs(np.add.reduce(adjoints @ ops, axis=1, initial=0.0) - _IDENTITY).max()
     if not deviation <= KRAUS_TP_ATOL:
         raise NotTracePreservingError(f"sum A^dag A deviates from identity by {deviation:.3e}")
-    mapped = np.add.reduce((ops[:, None] @ _PAULI_STACK) @ adjoints[:, None], initial=0.0)
-    traced = (_PAULI_STACK[:, None] @ mapped).real
+    mapped = np.add.reduce((ops[:, :, None] @ _PAULI_STACK) @ adjoints[:, :, None], axis=1, initial=0.0)
+    traced = (_PAULI_STACK[:, None] @ mapped[:, None]).real
     return ((0.0 + traced[..., 0, 0]) + traced[..., 1, 1]) / 2
 
 
@@ -198,6 +210,11 @@ def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
 
     Expanding the basis maps gives the closed form
     ``choi = (1/2) sum_kl ptm[k, l] sigma_k (x) sigma_l^T``.
+
+    Caution: on a stack of transfer matrices this is one GEMM, whose bits
+    can differ from the one-matrix product (513 of the Choi matrices of
+    2,000 ``random_cptp_canonical_channel`` draws differed), so
+    ``cptp_report`` builds its Choi matrix one channel at a time.
     """
     ptm = np.asarray(ptm, dtype=float)
     return 0.5 * np.dot(ptm.reshape(-1, 16), _CHOI_BASIS).reshape(ptm.shape[:-2] + (4, 4))
@@ -290,8 +307,8 @@ class QubitChannel:
         """
         return {
             "type": "canonical",
-            "t": [float(v) for v in self.t],
-            "lambda": [float(v) for v in self.lam],
+            "t": self.t.tolist(),
+            "lambda": self.lam.tolist(),
         }
 
     def __repr__(self):
@@ -396,8 +413,8 @@ _DECISION_SHIFTS = np.array([CHOI_EIG_FLOOR - SCREEN_MARGIN, CHOI_EIG_FLOOR + SC
 _INVARIANT_ROUNDING = 11 * np.finfo(float).eps
 
 
-def _choi_invariants(t: np.ndarray, lam: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """``(e2, e3, e4)`` of ``C - s I`` for every shift ``s`` and row ``(t, lam)``, shape ``(3, len(shifts), n)``.
+def _choi_invariants(t: np.ndarray, lam: np.ndarray, shifts: np.ndarray) -> tuple:
+    """``(e2, e3, e4)`` of ``C - s I`` for every shift ``s`` and row ``(t, lam)``, each of shape ``(len(shifts), n)``.
 
     ``e_k`` is the k-th elementary symmetric function of the eigenvalues of
     ``C - s I``, ``C`` the Choi operator.  In the Bell basis ``C - s I`` has
@@ -427,12 +444,10 @@ def _choi_invariants(t: np.ndarray, lam: np.ndarray, shifts: np.ndarray) -> np.n
     W = w.sum(axis=-1)
     e1 = pair_sums[..., 0] + pair_sums[..., 1]
     p0, p1 = p[..., 0], p[..., 1]
-    return np.stack(
-        [
-            matchings.sum(axis=-1) - 2 * W,
-            p0 * pair_sums[..., 1] + p1 * pair_sums[..., 0] - W * e1,
-            p0 * p1 - (w * matchings).sum(axis=-1) + W * W,
-        ]
+    return (
+        matchings.sum(axis=-1) - 2 * W,
+        p0 * pair_sums[..., 1] + p1 * pair_sums[..., 0] - W * e1,
+        p0 * p1 - (w * matchings).sum(axis=-1) + W * W,
     )
 
 
@@ -470,8 +485,11 @@ def _choi_decision(t: np.ndarray, lam: np.ndarray):
     of it (see ``_cptp_candidates`` for the rounding of ``choi_from_ptm``),
     far inside ``M``, so it lands on the same side of ``f``.
     """
-    e = _choi_invariants(t, lam, _DECISION_SHIFTS)
-    return (e[:, 1] > _INVARIANT_ROUNDING).all(axis=0), (e[:, 0] < -_INVARIANT_ROUNDING).any(axis=0)
+    (e2_lo, e2_hi), (e3_lo, e3_hi), (e4_lo, e4_hi) = _choi_invariants(t, lam, _DECISION_SHIFTS)
+    r = _INVARIANT_ROUNDING
+    accept = (e2_hi > r) & (e3_hi > r) & (e4_hi > r)
+    reject = (e2_lo < -r) | (e3_lo < -r) | (e4_lo < -r)
+    return accept, reject
 
 
 def _cptp_candidates(rows: np.ndarray, t_scale: float) -> np.ndarray:

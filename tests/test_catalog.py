@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from test_snapshot import CANONICAL_CASES, KRAUS_SPECS, NAMED_POINTS
 
-from grasschan import catalog, degradability, green, io
+from grasschan import catalog, degradability, green, io, qubit
 from grasschan.degradability import NULL_CAPACITY_CLAIMED, WEAKLY_DEGRADABLE
 from grasschan.green import (
     AngleParams,
@@ -292,6 +292,31 @@ class TestOneGaussianDecision:
             assert counts["marginal"] == int(report.get("dilation") is not None), ch
             paths[(report.get("gaussian") is not None, report.get("gaussian_equivalent") is not None)] += 1
         assert paths[(True, True)] and paths[(False, True)] and paths[(False, False)], paths
+
+
+    def test_one_stacked_kraus_pass_per_dilation(self, monkeypatch):
+        passes = []
+        original = qubit._ptms_from_kraus
+
+        def counting(ops):
+            passes.append(ops.shape)
+            return original(ops)
+
+        monkeypatch.setattr(qubit, "_ptms_from_kraus", counting)
+        monkeypatch.setattr(degradability, "_ptms_from_kraus", counting)
+        channels = [catalog.build(name, p) for name, points in NAMED_POINTS.items() for p in points]
+        channels += [QubitChannel.from_canonical(*case) for case in CANONICAL_CASES.values()]
+        channels += [io.channel_from_json(spec) for spec in KRAUS_SPECS.values()]
+        dilations = Counter()
+        for ch in channels:
+            passes.clear()
+            report = catalog.analyze_channel(ch)
+            blocks = [report, report["gaussian_equivalent"] or {}]
+            count = sum(block.get("angles") is not None for block in blocks)
+            assert len(passes) == count, ch
+            assert all(shape[0] == 2 and shape[2:] == (2, 2) for shape in passes), passes
+            dilations[count] += 1
+        assert dilations[1] and dilations[0], dilations
 
 
 class TestClosedFormGaussianParams:

@@ -23,12 +23,14 @@ from grasschan.green import (
 )
 from grasschan.io import channel_from_json
 from grasschan.qubit import (
+    NonDiagonalBlockError,
     NotCptpError,
     QubitChannel,
     QubitState,
     apply_channel,
     compose,
     is_cptp,
+    ptm_from_kraus,
     random_state,
 )
 
@@ -123,6 +125,42 @@ def test_stacked_kraus_lists_match_the_loop(q):
             expected = reference_kraus(d, system)
             assert isinstance(got, list) and len(got) == len(expected)
             assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in expected]
+
+
+def channel_bits(ch):
+    return ch.t.tobytes(), ch.lam.tobytes()
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 0.5, "random"])
+def test_one_pass_over_both_kraus_lists_matches_two_separate_passes(q):
+    """The stacked system/environment pass of a dilation has the bits of two
+    ``from_kraus`` calls, one per list, on angles with exact and signed zeros."""
+    rng = np.random.default_rng(61)
+    angles = [
+        (theta, phi)
+        for theta in (0.0, -0.0, np.pi / 4, np.pi / 2)
+        for phi in (-np.pi, -np.pi / 2, -0.0, 0.0, np.pi / 2, np.pi)
+    ]
+    angles += [(rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi)) for _ in range(300)]
+    for theta, phi in angles:
+        d = dilation_from_angles(AngleParams(theta, phi, rng.uniform(0, 1) if q == "random" else q))
+        system, env = d.system_kraus(), d.env_kraus()
+        assert d._ptms.tobytes() == np.array([ptm_from_kraus(system), ptm_from_kraus(env)]).tobytes()
+        assert channel_bits(d.channel()) == channel_bits(QubitChannel.from_kraus(system))
+        assert channel_bits(weakly_complementary(d)) == channel_bits(QubitChannel.from_kraus(env))
+
+
+def test_a_non_diagonal_system_block_leaves_the_complement_readable():
+    # Hadamard on the system, identity on the environment: the system channel
+    # swaps the x and z axes, the environment channel is the constant |0><0|.
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    d = Dilation(np.kron(hadamard, np.eye(2)), QubitState(p=1.0))
+    with pytest.raises(NonDiagonalBlockError):
+        d.channel()
+    comp = weakly_complementary(d)
+    assert np.allclose(comp.t, [0, 0, 1]) and np.allclose(comp.lam, 0)
+    with pytest.raises(NonDiagonalBlockError):
+        d.channel()
 
 
 class TestWeaklyComplementary:

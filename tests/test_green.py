@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from grasschan.green import (
     green_from_canonical,
     green_from_channel,
     green_from_channel_trace,
+    _gaussian_params,
 )
 from grasschan.qubit import (
     NotCptpError,
@@ -28,7 +30,7 @@ from grasschan.qubit import (
     random_cptp_canonical_channel,
     random_state,
 )
-from grasschan.tolerances import GAUSSIAN_ATOL
+from grasschan.tolerances import ANGLE_ATOL, ANGLE_RATIO_ATOL, GAUSSIAN_ATOL
 
 
 def bit_flip(s):
@@ -283,6 +285,132 @@ class TestAngles:
             ap = angles_from_gaussian(gp)
             rebuilt = channel_from_angles(ap)
             assert np.max(np.abs(rebuilt.ptm - ch.ptm)) < 1e-10
+
+
+def _reference_candidate_angles(u, v):
+    seen = set()
+    out = []
+    for s_u, s_v in itertools.product((1, -1), repeat=2):
+        theta = (s_v * v + s_u * u) / 2
+        phi = (s_v * v - s_u * u) / 2
+        if theta < 0:
+            theta, phi = -theta, -phi
+        if theta > np.pi / 2:
+            theta, phi = np.pi - theta, np.pi - phi
+        phi = float(np.mod(phi + np.pi, 2 * np.pi) - np.pi)
+        if phi == -np.pi:
+            phi = np.pi
+        key = (round(theta, 12), round(phi, 12))
+        if key not in seen:
+            seen.add(key)
+            out.append((float(theta), float(phi)))
+    return out
+
+
+def _reference_angles_from_gaussian(gp):
+    """``angles_from_gaussian`` as written with ``np.clip`` and ``np.mod``: the
+    reference the Python-float version must reproduce bit for bit."""
+    a, b, c = complex(gp.a), complex(gp.b), float(gp.c)
+    if not (abs(a.imag) <= ANGLE_ATOL and abs(b.imag) <= ANGLE_ATOL):
+        raise NoSolutionError("a and b must be real for the angle parametrization")
+    if not (abs(a) <= 1 + ANGLE_ATOL and abs(b) <= 1 + ANGLE_ATOL):
+        raise NoSolutionError(f"|a|={abs(a):.6g} or |b|={abs(b):.6g} exceeds 1")
+    lam1 = a.real - b.real
+    lam2 = a.real + b.real
+    if not (abs(lam1) <= 1 + ANGLE_ATOL and abs(lam2) <= 1 + ANGLE_ATOL):
+        raise NoSolutionError("difference/sum of a and b exceed the cosine range")
+    u = float(np.arccos(np.clip(lam1, -1.0, 1.0)))
+    v = float(np.arccos(np.clip(lam2, -1.0, 1.0)))
+    valid = []
+    for theta, phi in _reference_candidate_angles(u, v):
+        denom = (np.cos(2 * theta) - np.cos(2 * phi)) / 4
+        if abs(denom) <= ANGLE_ATOL:
+            if not abs(c) <= ANGLE_ATOL:
+                continue
+            q = 1.0
+        else:
+            ratio = c / denom
+            if not -1 - ANGLE_RATIO_ATOL <= ratio <= 1 + ANGLE_RATIO_ATOL:
+                continue
+            q = float(np.clip((1 + ratio) / 2, 0.0, 1.0))
+        valid.append(AngleParams(theta=theta, phi=phi, q=q))
+    if not valid:
+        raise NoSolutionError(
+            f"no (theta, phi, q) reproduces a={a.real:.6g}, b={b.real:.6g}, c={c:.6g}"
+        )
+    valid.sort(key=lambda ap: (round(ap.theta, 12), round(abs(ap.q - 1), 12), round(abs(ap.phi), 12), -ap.phi))
+    return valid[0]
+
+
+def _angle_outcome(solve, gp):
+    """The result's types and ``float.hex`` bits, or the error's type and message."""
+    try:
+        ap = solve(gp)
+    except NoSolutionError as exc:
+        return type(exc), str(exc)
+    return tuple((type(x), float(x).hex()) for x in (ap.theta, ap.phi, ap.q))
+
+
+def _angle_edge_params():
+    """Kernel parameters at the edges of the angle solve.
+
+    ``lam1 = a - b`` and ``lam2 = a + b`` run over +-1, +-(1 + ANGLE_ATOL/2),
+    +-0.0 and interior values; ``c`` over +-0.0, the degeneracy tolerance and
+    the ratios +-1 and +-(1 + ANGLE_RATIO_ATOL/2) of every branch candidate;
+    a and b also get imaginary parts and moduli around 1 + ANGLE_ATOL.
+    """
+    edge = 1 + ANGLE_ATOL / 2
+    lams = [1.0, -1.0, edge, -edge, 1 + 2 * ANGLE_ATOL, 0.0, -0.0, 0.5, -0.3, np.nextafter(1.0, 0.0)]
+    out = []
+    for lam1, lam2 in itertools.product(lams, repeat=2):
+        a, b = (lam1 + lam2) / 2, (lam2 - lam1) / 2
+        cs = [0.0, -0.0, ANGLE_ATOL / 2, -2 * ANGLE_ATOL, 0.1, -0.25]
+        u = float(np.arccos(np.clip(a - b, -1.0, 1.0)))
+        v = float(np.arccos(np.clip(a + b, -1.0, 1.0)))
+        for theta, phi in _reference_candidate_angles(u, v):
+            denom = (np.cos(2 * theta) - np.cos(2 * phi)) / 4
+            for ratio in (1.0, -1.0, 1 + ANGLE_RATIO_ATOL / 2, -1 - ANGLE_RATIO_ATOL / 2, 1 + 2 * ANGLE_RATIO_ATOL):
+                cs.append(float(ratio * denom))
+        out += [GaussianParams(a, b, c) for c in cs]
+    for imag in (ANGLE_ATOL / 2, -2 * ANGLE_ATOL):
+        out += [GaussianParams(complex(0.5, imag), 0.1, 0.0), GaussianParams(0.5, complex(-0.1, imag), 0.0)]
+    out += [GaussianParams(a, b, 0.0) for a, b in itertools.product([edge, 1 + 2 * ANGLE_ATOL, -edge], [0.0, edge])]
+    return out
+
+
+def _angle_form_params():
+    """``_gaussian_params`` of angle-form channels: theta in {0, -0.0, pi/2},
+    phi in {-pi, +-0.0, pi}, q in {0, 1}, then random angles and weights."""
+    angles = [
+        AngleParams(theta, phi, q)
+        for theta in (0.0, -0.0, np.pi / 2, 0.3)
+        for phi in (-np.pi, -0.0, 0.0, np.pi, 1.1)
+        for q in (0.0, 1.0, 0.35)
+    ]
+    rng = np.random.default_rng(1729)
+    angles += [AngleParams(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi), rng.uniform(0, 1)) for _ in range(2000)]
+    return [_gaussian_params(channel_from_angles(ap)) for ap in angles]
+
+
+class TestAnglesMatchReference:
+    """``angles_from_gaussian`` on Python floats has the bits of the numpy version."""
+
+    def test_edges_and_no_solution_cases(self):
+        outcomes = [_angle_outcome(_reference_angles_from_gaussian, gp) for gp in _angle_edge_params()]
+        assert outcomes == [_angle_outcome(angles_from_gaussian, gp) for gp in _angle_edge_params()]
+        errors = {o[1].split("=")[0] for o in outcomes if o[0] is NoSolutionError}
+        assert errors == {
+            "a and b must be real for the angle parametrization",
+            "|a|",
+            "difference/sum of a and b exceed the cosine range",
+            "no (theta, phi, q) reproduces a",
+        }
+        q_bits = {o[2][1] for o in outcomes if o[0] is not NoSolutionError}
+        assert {float(0.0).hex(), float(1.0).hex()} <= q_bits
+
+    def test_angle_form_channels(self):
+        for gp in _angle_form_params():
+            assert _angle_outcome(angles_from_gaussian, gp) == _angle_outcome(_reference_angles_from_gaussian, gp)
 
 
 class TestGaussianEquivalent:

@@ -673,7 +673,7 @@ class TestClosedFormDecision:
         lam, t = draws[:, 0], draws[:, 1]
         shifts = np.array([0.0, *_DECISION_SHIFTS, 0.3])
         eigs = np.linalg.eigvalsh(choi_from_ptm(_ptm_from_canonical(t, lam)))
-        for got, shift in zip(_choi_invariants(t, lam, shifts).swapaxes(0, 1), shifts):
+        for got, shift in zip(np.stack(_choi_invariants(t, lam, shifts), axis=1), shifts):
             x = eigs - shift
             expected = [
                 sum(x[:, a] * x[:, b] for a, b in itertools.combinations(range(4), 2)),
