@@ -23,7 +23,10 @@ Grassmann analogue of ``chi(xi)* = chi(-xi)``.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +61,25 @@ _XI, _XI_STAR, _XI_XI_STAR = (MONOMIAL_NAMES.index(name) for name in ("ξ", "ξ*
 _MASKS = np.arange(16)
 # Monomials that hold zeta or zeta*.
 _OFF_XI_MASKS = _MASKS[(_MASKS & ~_XI_MASK) != 0]
+# The off-xi coefficients of a ``tolist()`` row, as a tuple.
+_off_xi = operator.itemgetter(*_OFF_XI_MASKS.tolist())
+_XI_MONOMIALS = (_XI, _XI_STAR, _XI_XI_STAR)
+
+
+def _modulus(z: complex) -> float:
+    """``abs(z)``, or inf where it overflows (Python's complex ``abs`` raises there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _square(x: float) -> float:
+    """``x ** 2``, or inf where it overflows (Python's float ``**`` raises there)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 class NotNormalizedError(ValueError):
@@ -65,22 +87,27 @@ class NotNormalizedError(ValueError):
 
 
 class NotPhysicalError(ValueError):
-    """Recovered (p, gamma) violates state positivity."""
+    """A coefficient is not finite, or the recovered (p, gamma) violates state positivity."""
 
 
 @dataclass(frozen=True)
 class CharFunction:
-    """Characteristic function supported on the xi subalgebra, constant term 1."""
+    """Characteristic function supported on the xi subalgebra, constant term 1,
+    with finite coefficients."""
 
     body: GrassmannElement
 
     def __post_init__(self):
-        if self.body.coefficients[_OFF_XI_MASKS].any():
+        c = self.body.coefficients.tolist()
+        if any(_off_xi(c)):
             raise ValueError("characteristic function must live on the xi subalgebra")
-        if not abs(self.body.constant - 1) <= NORMALIZATION_ATOL:
-            raise NotNormalizedError(
-                f"constant coefficient {self.body.constant} differs from 1"
-            )
+        if not _modulus(c[0] - 1) <= NORMALIZATION_ATOL:
+            raise NotNormalizedError(f"constant coefficient {c[0]} differs from 1")
+        for m in _XI_MONOMIALS:
+            if not cmath.isfinite(c[m]):
+                raise NotPhysicalError(
+                    f"characteristic function coefficient of {MONOMIAL_NAMES[m]} is not finite: {c[m]}"
+                )
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,50 +141,59 @@ def displacement(sign: int = 1, pair: str = "xi") -> OperatorElement:
     return result
 
 
-def _char_bodies(rho: np.ndarray) -> np.ndarray:
-    """Bodies ``trace(rho D(xi))`` of ``(n, 2, 2)`` density matrices, as ``(n, 16)`` rows.
+#: ``displacement()`` read for ``_char_bodies``: row ``2i + j`` holds ``D[j, i]``.
+_TRACE_OPERAND = displacement()._a.transpose(1, 0, 2).reshape(4, 16)
 
-    ``rho`` is an ordinary matrix, so the trace is the contraction
-    ``sum_ij rho[i, j] D[j, i]`` of scalars with the cached ``displacement()``
-    entries, summed in trace order ``(rho00 D00 + rho01 D10) + (rho10 D01 +
-    rho11 D11)``: row ``s`` has the bits of the full Grassmann product trace
+
+def _char_bodies(rho: np.ndarray) -> np.ndarray:
+    """Bodies ``trace(rho D(xi))`` of density matrices, as ``(n, 16)`` rows.
+
+    ``rho`` holds ``(n, 2, 2)`` matrices or ``(n, 4)`` rows of their entries
+    ``[rho00, rho01, rho10, rho11]``.  It is an ordinary matrix, so the trace
+    is the contraction ``sum_ij rho[i, j] D[j, i]`` of scalars with the cached
+    ``displacement()`` entries (``_TRACE_OPERAND``), summed in trace order
+    ``(rho00 D00 + rho01 D10) + (rho10 D01 + rho11 D11)``: row ``s`` has the
+    bits of the full Grassmann product trace
     ``(OperatorElement.from_matrix(rho[s]) * displacement()).trace()``.  The
     rows are not validated.
     """
-    terms = rho[..., None] * displacement()._a.transpose(1, 0, 2)
-    return (terms[:, 0, 0] + terms[:, 0, 1]) + (terms[:, 1, 0] + terms[:, 1, 1])
+    terms = rho.reshape(-1, 4, 1) * _TRACE_OPERAND
+    return (terms[:, 0] + terms[:, 1]) + (terms[:, 2] + terms[:, 3])
 
 
 def _check_char_bodies(bodies: np.ndarray) -> None:
     """Raise what ``CharFunction`` raises for the first invalid row of ``bodies``."""
     bad = bodies[:, _OFF_XI_MASKS].any(axis=1) | ~(np.abs(bodies[:, 0] - 1) <= NORMALIZATION_ATOL)
+    finite = np.isfinite(bodies)
+    if not finite.all():  # one whole-block test first: the rows of valid states are finite
+        bad |= ~finite.all(axis=1)
     for s in np.flatnonzero(bad):
         CharFunction(_element(bodies[s].copy()))
 
 
 def char_function(rho: QubitState) -> CharFunction:
     """``trace(rho D(xi))`` as a Grassmann element of the xi subalgebra."""
-    return CharFunction(_element(_char_bodies(rho.matrix[None])[0]))
+    p, gamma = rho.p, rho.gamma
+    return CharFunction(_element(_char_bodies(np.array([p, gamma, gamma.conjugate(), 1 - p]))[0]))
 
 
 def state_from_char(chi: CharFunction) -> QubitState:
     """Invert the closed form of a normalized ``chi``: p from xi xi*, gamma from xi."""
-    body = chi.body
-    pair_coeff = body.coefficient("ξξ*")
+    c = chi.body.coefficients.tolist()
+    pair_coeff, gamma, mirror = c[_XI_XI_STAR], c[_XI], c[_XI_STAR]
     if not abs(pair_coeff.imag) <= PHYSICALITY_ATOL:
         raise NotPhysicalError(f"xi xi* coefficient {pair_coeff} is not real")
     p = pair_coeff.real + 0.5
-    gamma = body.coefficient("ξ")
-    mirror = body.coefficient("ξ*")
-    if not abs(mirror + np.conj(gamma)) <= PHYSICALITY_ATOL:
+    if not _modulus(mirror + gamma.conjugate()) <= PHYSICALITY_ATOL:
         raise NotPhysicalError(
             f"xi* coefficient {mirror} is inconsistent with -conj(xi coefficient)"
         )
     if not -PHYSICALITY_ATOL <= p <= 1 + PHYSICALITY_ATOL:
         raise NotPhysicalError(f"recovered p={p} outside [0, 1]")
-    if not abs(gamma) ** 2 <= p * (1 - p) + PHYSICALITY_ATOL:
+    gamma_sq = _square(_modulus(gamma))
+    if not gamma_sq <= p * (1 - p) + PHYSICALITY_ATOL:
         raise NotPhysicalError(
-            f"recovered |gamma|^2={abs(gamma)**2:.3e} exceeds p(1-p)={p*(1-p):.3e}"
+            f"recovered |gamma|^2={gamma_sq:.3e} exceeds p(1-p)={p*(1-p):.3e}"
         )
     return QubitState(p=min(max(p, 0.0), 1.0), gamma=gamma)
 

@@ -71,7 +71,12 @@ NULL_CAPACITY_CLAIMED = "null_capacity_claimed"
 
 @dataclass(frozen=True, eq=False)
 class Dilation:
-    """Two-qubit unitary plus environment state realizing a channel by partial trace."""
+    """Two-qubit unitary plus environment state realizing a channel by partial trace.
+
+    An environment weight ``p`` that ``QubitState`` lets through outside
+    [0, 1] (by at most ``STATE_ATOL``) is clamped into it, so ``q``, the
+    reported purity and the Kraus weights ``sqrt(q)``, ``sqrt(1 - q)`` agree.
+    """
 
     unitary: np.ndarray
     env_state: QubitState
@@ -85,6 +90,10 @@ class Dilation:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         if not abs(self.env_state.gamma) <= ENV_ATOL:
             raise ValueError("environment state must be diagonal diag(q, 1-q)")
+        q = self.env_state.p
+        if not 0.0 <= q <= 1.0:
+            clamped = QubitState(p=min(max(q, 0.0), 1.0), gamma=self.env_state.gamma)
+            object.__setattr__(self, "env_state", clamped)
 
     @property
     def q(self) -> float:
@@ -130,8 +139,7 @@ def dilation_from_angles(ap: AngleParams) -> Dilation:
     u = np.array(
         [[ct, 0, 0, -st], [0, cp, sp, 0], [0, -sp, cp, 0], [st, 0, 0, ct]], dtype=complex
     )
-    q = min(max(float(ap.q), 0.0), 1.0)
-    return Dilation(unitary=u, env_state=QubitState(p=q))
+    return Dilation(unitary=u, env_state=QubitState(p=ap.q))
 
 
 def weakly_complementary(d: Dilation) -> QubitChannel:

@@ -41,8 +41,10 @@ Storage and arithmetic:
   element four; ``verify`` builds its kernels as one row per trial.
   ``_products`` runs any table of signed terms (``_PairTable``): the Berezin
   convolution of ``green`` is one pass of the 81-pair table cut to 16 terms,
-  one row per kernel.  Each table keeps its offset tables for the most rows
-  needed so far, with their prefix views for fewer rows.
+  one row per kernel, and ``apply_green`` evaluates the same 16 terms for one
+  characteristic function on Python floats, in table order and with the same
+  bits.  Each table keeps its offset tables for the most rows needed so far,
+  with their prefix views for fewer rows.
 * For finite coefficients, results are bit-identical to the term-by-term
   definition: one scalar product ``sign * x[i] * y[j]`` per pair of nonzero
   coefficients, added to a zero target in pair order.  The complex product

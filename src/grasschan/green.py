@@ -22,7 +22,9 @@ dense Bloch map on random channels and states.
 
 The convolution is one product pass over the 16 of its 81 terms that can
 count, with the relabelling ``chi(xi) -> chi(zeta)`` and the pair integral
-folded into the pass's index table (``_convolution_table``).
+folded into the pass's index table (``_convolution_table``).  A stack of
+kernels and characteristic functions runs that table as one array pass; one
+chi is evaluated on Python floats from the same table, with the same bits.
 
 A kernel is Gaussian when it matches ``delta_pair(zeta - a xi - b xi*)
 * (1 + c xi xi*)`` exactly; for canonical provenance this happens iff
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -93,6 +96,22 @@ class GreenFunction:
                 f"kernel coefficient of {MONOMIAL_NAMES[m]} is not finite: "
                 f"{complex(self.body.coefficients[m])}"
             )
+
+    @cached_property
+    def _convolution_operand(self) -> tuple:
+        """``_CONVOLUTION`` with this kernel read in, for :func:`apply_green`.
+
+        One ``(target, terms)`` entry per target (masks 0, xi, xi*, xi xi*), in
+        mask order; ``terms`` are the target's 4 table terms in table order,
+        each ``(chi index, sign, kernel re, kernel im)`` on Python floats.
+        The body is read-only, so the operand never goes stale.
+        """
+        chi_index, kernel_index, sign, target = (a.tolist() for a in _CONVOLUTION.pairs)
+        kernel = self.body.coefficients.tolist()
+        terms = {}
+        for i, j, s, t in zip(chi_index, kernel_index, sign, target):
+            terms.setdefault(t, []).append((i, s, kernel[j].real, kernel[j].imag))
+        return tuple((t, tuple(terms[t])) for t in sorted(terms))
 
     def pretty(self) -> str:
         return self.body.pretty()
@@ -229,14 +248,41 @@ def green_from_channel_trace(ch: QubitChannel) -> GreenFunction:
 def _apply_kernels(kernels: np.ndarray, chis: np.ndarray) -> np.ndarray:
     """Berezin convolutions of ``(n, 16)`` kernel rows with characteristic-function
     rows, as one pass of the convolution's 16-pair table; row ``s`` has the
-    bits of ``apply_green`` and is not validated."""
+    bits of ``_apply_operand`` (and so of ``apply_green``) and is not validated."""
     return _products(chis, kernels, _CONVOLUTION)
+
+
+def _apply_operand(operand: tuple, chi: np.ndarray) -> np.ndarray:
+    """The Berezin convolution of one kernel, as its ``_convolution_operand``,
+    with one characteristic-function row ``chi``; not validated.
+
+    The terms of ``_CONVOLUTION`` on Python floats: each target is summed from
+    +0.0 in table order, each term is ``ar*br - ai*bi`` and ``ar*bi + ai*br``
+    as separate float operations, and a sign of -1 subtracts the term.  Every
+    operation rounds once, as in the array pass, so the row has the bits of
+    ``_apply_kernels``.  Python's complex ``*`` is not used: it is one C
+    function, which a build may compile with fused multiply-adds.
+    """
+    c = chi.tolist()
+    out = np.zeros(16, dtype=complex)
+    for target, terms in operand:
+        re = im = 0.0
+        for i, sign, br, bi in terms:
+            a = c[i]
+            ar, ai = a.real, a.imag
+            if sign > 0:
+                re += ar * br - ai * bi
+                im += ar * bi + ai * br
+            else:
+                re -= ar * br - ai * bi
+                im -= ar * bi + ai * br
+        out[target] = complex(re, im)
+    return out
 
 
 def apply_green(green: GreenFunction, chi: CharFunction) -> CharFunction:
     """Berezin convolution of a kernel with an input characteristic function."""
-    out = _apply_kernels(green.body.coefficients[None], chi.body.coefficients[None])
-    return CharFunction(_element(out[0]))
+    return CharFunction(_element(_apply_operand(green._convolution_operand, chi.body.coefficients)))
 
 
 _GAUSSIAN_ZERO_MONOMIALS = (

@@ -81,16 +81,16 @@ def _chunks(trials: int):
         yield min(CHUNK_TRIALS, trials - done)
 
 
-def _matrices(p: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Density matrices ``[[p, gamma], [gamma*, 1 - p]]`` of the rows, as ``QubitState.matrix``."""
-    return np.stack([p, gamma, np.conj(gamma), 1 - p], axis=1).reshape(-1, 2, 2)
+def _density_rows(p: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Entries ``[p, gamma, gamma*, 1 - p]`` of the density matrices, one row per state."""
+    return np.stack([p, gamma, np.conj(gamma), 1 - p], axis=1)
 
 
 def _calibration_suite(rng: np.random.Generator, trials: int, tol: float) -> CheckResult:
     worst = 0.0
     for n in _chunks(trials):
         p, gamma = _states_from_uniforms(rng.random((n, 3)))
-        chi = _char_bodies(_matrices(p, gamma))
+        chi = _char_bodies(_density_rows(p, gamma))
         _check_char_bodies(chi)
         expected = np.zeros_like(chi)
         for name, value in (("1", 1.0), ("ξξ*", (2 * p - 1) / 2), ("ξ", gamma), ("ξ*", -np.conj(gamma))):
@@ -110,7 +110,7 @@ def _oracle_suite(rng: np.random.Generator, trials: int, tol: float) -> CheckRes
     for n in _chunks(trials):
         t, lam, u = _random_channels_and_states(rng, n)
         p, gamma = _states_from_uniforms(u)
-        chi = _char_bodies(_matrices(p, gamma))
+        chi = _char_bodies(_density_rows(p, gamma))
         _check_char_bodies(chi)
         chi_out = _apply_kernels(_kernel_bodies(t, lam), chi)
         _check_char_bodies(chi_out)

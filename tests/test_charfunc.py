@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,13 @@ class TestCharFunction:
 
         with pytest.raises(ValueError):
             CharFunction(GrassmannElement.one() + 0.1 * ZETA)
+
+    def test_rejects_an_infinite_coherence_at_construction(self):
+        inf = float("inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPhysicalError, match=r"coefficient of ξ is not finite: \(inf\+0j\)"):
+                CharFunction(GrassmannElement.from_table({"1": 1, "ξ": inf, "ξ*": -inf}))
 
 
 class TestStateFromChar:

@@ -98,6 +98,22 @@ class TestDilation:
         env = dilation_from_angles(AngleParams(0.3, 0.9, 0.4)).env_state
         assert np.trace(env.matrix @ env.matrix).real < 1 - 1e-3
 
+    @pytest.mark.parametrize("p, q", [(1 + 5e-10, 1.0), (-5e-10, 0.0), (1 + 9e-10, 1.0), (-9e-10, 0.0)])
+    @pytest.mark.parametrize("angles", [None, (0.3, 0.9)])
+    def test_env_weight_within_the_state_tolerance_is_clamped(self, p, q, angles):
+        """A weight that ``QubitState`` lets through outside [0, 1] is clamped,
+        so ``q``, the purity and the Kraus weights agree and the channels are
+        those of the clamped weight (no sqrt of a negative weight)."""
+        u = np.eye(4) if angles is None else dilation_from_angles(AngleParams(*angles, q)).unitary
+        d = Dilation(u, QubitState(p=p))
+        exact = Dilation(u, QubitState(p=q))
+        assert d.q == q and d.env_state.p == q
+        assert d.q ** 2 + (1 - d.q) ** 2 == 1.0
+        assert len(d.system_kraus()) == len(d.env_kraus()) == 2
+        for got, expected in ((d.channel(), exact.channel()), (weakly_complementary(d), weakly_complementary(exact))):
+            assert np.isfinite(got.ptm).all()
+            assert channel_bits(got) == channel_bits(expected)
+
 
 def reference_kraus(d, system):
     """The per-operator loop that the stacked ``system_kraus``/``env_kraus`` must reproduce."""

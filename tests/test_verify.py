@@ -181,6 +181,29 @@ class TestArrayPassesMatchSingleObjects:
             assert (p[s], gamma[s]) == (rho.p, rho.gamma)
         assert rng_a.random() == rng_b.random()
 
+    def test_char_function_on_edge_states_has_the_bits_of_the_reference(self):
+        """Weights at and just outside [0, 1], a subnormal weight, and
+        signed-zero and subnormal coherences: ``char_function``, verify's rows
+        and ``state_from_char`` against the operator-product trace."""
+        edge_p = [0.0, -0.0, -5e-10, 1 + 5e-10, 5e-324, 1.0, 0.5, 0.3]
+        edge_gamma = [
+            0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+            5e-324, complex(-0.0, -5e-324), complex(1e-310, -2.3e-308), complex(-1e-5, 1e-5),
+        ]
+        states = [QubitState(p=p, gamma=g) for p in edge_p for g in edge_gamma]
+        rows = verify._density_rows(np.array([rho.p for rho in states]), np.array([rho.gamma for rho in states]))
+        bodies = _char_bodies(rows)
+        assert bodies.tobytes() == _char_bodies(np.array([rho.matrix for rho in states])).tobytes()
+        p, gamma = _states_from_bodies(bodies)
+        for s, rho in enumerate(states):
+            expected = reference_char_function(rho).body.coefficients.tobytes()
+            chi = char_function(rho)
+            assert chi.body.coefficients.tobytes() == bodies[s].tobytes() == expected
+            back = state_from_char(chi)
+            assert (back.p.hex(), back.gamma.real.hex(), back.gamma.imag.hex()) == (
+                float(p[s]).hex(), gamma[s].real.hex(), gamma[s].imag.hex()
+            )
+
 
 XI_SUBALGEBRA = [0b0000, 0b0100, 0b1000, 0b1100]
 
@@ -204,6 +227,30 @@ def awkward_convolution_inputs(seed, n):
     kernels[-3:] = np.array([0.0, signed_zero, -2.0])[:, None]
     chis[-3:] = np.array([0.0, signed_zero, 0.0])[:, None]
     chis[-1, XI_SUBALGEBRA] = [1.0, 1.0, 2.0, -0.0]  # every target sums 1 + 1 - 2 - 0 times -2
+    return kernels, chis
+
+
+EXTREME_PARTS = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.3e-308, 1e-160, 1.0, -1.0, 1e154, -1.3e154, 1e300, 1.7e308, -1.7e308]
+)
+
+
+def extreme_convolution_inputs(seed, n):
+    """``n`` finite kernel rows and ``n`` chi rows whose parts are subnormal,
+    tiny, unit or near overflow, so that products underflow or overflow and
+    sums reach inf or cancel inf - inf to NaN.  Off the xi subalgebra a chi row
+    holds signed zeros, as in ``awkward_convolution_inputs``."""
+    rng = np.random.default_rng(seed)
+
+    def rows():
+        c = np.empty((n, 16), dtype=complex)
+        c.real, c.imag = rng.choice(EXTREME_PARTS, size=(2, n, 16))
+        return c
+
+    kernels, chis = rows(), rows()
+    off_xi = [m for m in range(16) if m not in XI_SUBALGEBRA]
+    for part in (chis.real, chis.imag):
+        part[:, off_xi] = rng.choice([0.0, -0.0], size=(n, len(off_xi)))
     return kernels, chis
 
 
@@ -239,6 +286,65 @@ class TestConvolutionTable:
         # the reference's one-row products are the only product passes
         assert len(product.kept) - 1 == 1
 
+    def test_the_kernel_operand_is_the_table_read_per_target(self):
+        kernel = green_from_channel(random_cptp_canonical_channel(np.random.default_rng(3)))
+        operand = kernel._convolution_operand
+        assert kernel._convolution_operand is operand
+        assert [target for target, _ in operand] == XI_SUBALGEBRA
+        coefficients = kernel.body.coefficients.tolist()
+        rows = list(zip(*(a.tolist() for a in green._CONVOLUTION.pairs)))
+        for target, terms in operand:
+            assert [i for i, _, _, _ in terms] == XI_SUBALGEBRA
+            expected = [row for row in rows if row[3] == target]
+            assert [(i, sign) for i, sign, _, _ in terms] == [(i, sign) for i, _, sign, _ in expected]
+            for (_, _, re, im), (_, j, _, _) in zip(terms, expected):
+                assert (type(re), type(im)) == (float, float)
+                assert complex(re, im) == coefficients[j]
+
+    @pytest.mark.parametrize("inputs", ["awkward", "extreme"])
+    def test_one_chi_rows_have_the_bits_of_the_stacked_pass_and_the_reference(self, inputs):
+        if inputs == "awkward":
+            kernels, chis = awkward_convolution_inputs(293, 300)
+        else:
+            kernels, chis = extreme_convolution_inputs(307, 300)
+        with np.errstate(all="ignore"):
+            stacked = _apply_kernels(kernels, chis)
+            expected = [
+                reference_convolution(GrassmannElement(k), GrassmannElement(c)).coefficients.tobytes()
+                for k, c in zip(kernels, chis)
+            ]
+        if inputs == "extreme":
+            values = np.concatenate([stacked.real, stacked.imag]).ravel()
+            assert np.isinf(values).any() and np.isnan(values).any()
+            assert ((values != 0) & (np.abs(values) < np.finfo(float).tiny)).any()
+        for k, c, row, ref in zip(kernels, chis, stacked, expected):
+            one = green._apply_operand(green.GreenFunction(GrassmannElement(k))._convolution_operand, c)
+            assert one.tobytes() == row.tobytes() == ref
+
+    def test_apply_green_builds_the_operand_once_per_kernel_and_runs_no_product_pass(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        kernels = [green_from_channel(random_cptp_canonical_channel(rng)) for _ in range(3)]
+        chis = [char_function(random_state(rng)) for _ in range(50)]
+        table = green._CONVOLUTION
+        reads, passes = [], []
+
+        class CountedTable:
+            @property
+            def pairs(self):
+                reads.append(1)
+                return table.pairs
+
+        def counted_products(*args, **kwargs):
+            passes.append(1)
+            return grassmann._products(*args, **kwargs)
+
+        monkeypatch.setattr(green, "_CONVOLUTION", CountedTable())
+        monkeypatch.setattr(green, "_products", counted_products)
+        for kernel in kernels:
+            for chi in chis:
+                apply_green(kernel, chi)
+        assert len(reads) == len(kernels) and passes == []
+
 
 def valid_bodies(n=4):
     rng = np.random.default_rng(5)
@@ -264,6 +370,19 @@ class TestPerTrialChecks:
         with pytest.raises(NotNormalizedError) as single:
             CharFunction(GrassmannElement(bodies[2]))
         assert str(batched.value) == str(single.value)
+
+    @pytest.mark.parametrize("mask", [0b0100, 0b1000, 0b1100])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0, np.inf), np.nan])
+    def test_a_non_finite_coefficient_is_rejected_by_name(self, mask, value):
+        bodies = valid_bodies()
+        bodies[1, mask] = value
+        bodies[3, 0] = 2.0  # a later row fails another check
+        with pytest.raises(NotPhysicalError) as batched:
+            _check_char_bodies(bodies)
+        with pytest.raises(NotPhysicalError) as single:
+            CharFunction(GrassmannElement(bodies[1]))
+        assert str(batched.value) == str(single.value)
+        assert f"coefficient of {grassmann.MONOMIAL_NAMES[mask]} is not finite" in str(single.value)
 
     @pytest.mark.parametrize(
         "mask, value, error",
