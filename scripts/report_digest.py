@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Print SHA-256 digests of the ``analyze`` and ``verify`` outputs over a fixed corpus.
+"""Print SHA-256 digests of the ``analyze``, ``verify`` and sweep outputs over a fixed corpus.
 
-Two lines, each ``<name> <hex digest>``:
+Three lines, each ``<name> <hex digest>``:
 
 * ``reports``: one hash over the text ``json.dumps(report, indent=2)`` of
   6,056 reports, in this order:
@@ -11,8 +11,13 @@ Two lines, each ``<name> <hex digest>``:
   - ``catalog.analyze`` on a 41-point grid of every catalog parameter
     (41 x 11 for generalized amplitude damping; 656 reports).
 * ``verify``: the hash of ``json.dumps(run_verification(1000, seed=42).to_json())``.
+* ``sweep``: one hash over the benchmark's ``sweep`` input chunks 0-3 of the
+  same seeds (12 kernels, 12,000 states): for each state ``rho`` of a chunk,
+  the coefficient bytes of ``chi = char_function(rho)`` and of
+  ``apply_green(kernel, chi)``, then ``(p, gamma.real, gamma.imag)`` of
+  ``state_from_char`` of that, as little-endian doubles.
 
-A change that keeps every report byte-identical prints the same two lines.
+A change that keeps every output byte-identical prints the same three lines.
 Run from the repository root (about ten seconds):
 
     python scripts/report_digest.py
@@ -22,6 +27,7 @@ import hashlib
 import itertools
 import json
 import pathlib
+import struct
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -31,10 +37,13 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from grasschan import catalog, io  # noqa: E402
+from grasschan.charfunc import char_function, state_from_char  # noqa: E402
+from grasschan.green import apply_green  # noqa: E402
 from grasschan.verify import run_verification  # noqa: E402
 
 SEEDS = (3, 424242, 11)
 CHUNKS = range(15)
+SWEEP_CHUNKS = range(4)
 
 
 def reports():
@@ -50,6 +59,20 @@ def reports():
             yield catalog.analyze(name, {p: float(v) for p, v in zip(names, values)})
 
 
+def sweep_outputs():
+    sweep = workloads.Sweep()
+    for seed, k in itertools.product(SEEDS, SWEEP_CHUNKS):
+        channel, states = sweep.chunk(seed, k)
+        _, kernel = sweep.prepare(channel)
+        for rho in states:
+            chi = char_function(rho)
+            out = apply_green(kernel, chi)
+            state = state_from_char(out)
+            yield chi.body.coefficients.tobytes()
+            yield out.body.coefficients.tobytes()
+            yield struct.pack("<3d", state.p, state.gamma.real, state.gamma.imag)
+
+
 def main():
     digest, count = hashlib.sha256(), 0
     for report in reports():
@@ -58,6 +81,10 @@ def main():
     print(f"reports {digest.hexdigest()} ({count} reports)")
     verify = json.dumps(run_verification(1000, seed=42).to_json())
     print(f"verify {hashlib.sha256(verify.encode()).hexdigest()}")
+    sweep = hashlib.sha256()
+    for chunk in sweep_outputs():
+        sweep.update(chunk)
+    print(f"sweep {sweep.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -19,13 +19,17 @@ breaks it.
 For a Hermitian source state the adjoint of the body equals the body with
 both generators negated (even part fixed, odd part sign-flipped), the
 Grassmann analogue of ``chi(xi)* = chi(-xi)``.
+
+One state's ``char_function`` computes on Python floats only the columns 1,
+xi, xi* and xi xi* of the trace, and skips the other 12: every displacement
+entry there is +0.0, so for a finite state each of their sums holds a +0.0
+term and is +0.0, the bits the array pass ``_char_bodies`` gives.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -38,7 +42,7 @@ from .grassmann import (
     OperatorElement,
     _element,
 )
-from .qubit import SIGMA_MINUS, SIGMA_PLUS, QubitState, _check_states
+from .qubit import SIGMA_MINUS, SIGMA_PLUS, QubitState, _check_states, _modulus, _square
 from .tolerances import NORMALIZATION_ATOL, PHYSICALITY_ATOL
 
 __all__ = [
@@ -64,22 +68,6 @@ _OFF_XI_MASKS = _MASKS[(_MASKS & ~_XI_MASK) != 0]
 # The off-xi coefficients of a ``tolist()`` row, as a tuple.
 _off_xi = operator.itemgetter(*_OFF_XI_MASKS.tolist())
 _XI_MONOMIALS = (_XI, _XI_STAR, _XI_XI_STAR)
-
-
-def _modulus(z: complex) -> float:
-    """``abs(z)``, or inf where it overflows (Python's complex ``abs`` raises there)."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
-
-
-def _square(x: float) -> float:
-    """``x ** 2``, or inf where it overflows (Python's float ``**`` raises there)."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
 
 
 class NotNormalizedError(ValueError):
@@ -171,10 +159,48 @@ def _check_char_bodies(bodies: np.ndarray) -> None:
         CharFunction(_element(bodies[s].copy()))
 
 
+#: The columns of ``_TRACE_OPERAND`` that can be nonzero: 1, xi, xi*, xi xi*.
+_TRACE_COLUMNS = (0, _XI, _XI_STAR, _XI_XI_STAR)
+
+
+def _trace_columns() -> tuple:
+    """The real parts ``(d0, d1, d2, d3)`` of the ``_TRACE_COLUMNS`` of
+    ``_TRACE_OPERAND``, after checking that every other part is exactly +0.0."""
+    d = _TRACE_OPERAND.real[:, _TRACE_COLUMNS]
+    layout = np.zeros_like(_TRACE_OPERAND)
+    layout[:, _TRACE_COLUMNS] = d
+    if layout.tobytes() != _TRACE_OPERAND.tobytes():
+        raise AssertionError("a part of displacement() that char_function skips is not +0.0")
+    return tuple(map(tuple, d.T.tolist()))
+
+
+_TRACE_REAL = _trace_columns()
+
+
 def char_function(rho: QubitState) -> CharFunction:
-    """``trace(rho D(xi))`` as a Grassmann element of the xi subalgebra."""
+    """``trace(rho D(xi))`` as a Grassmann element of the xi subalgebra.
+
+    Row 0 of ``_char_bodies`` on Python floats.  Each term of a column is the
+    complex product ``a * (d + 0.0j)`` as the separate float operations
+    ``(a.re*d - a.im*0.0, a.re*0.0 + a.im*d)``, summed in trace order
+    ``(t00 + t01) + (t10 + t11)``; every operation rounds once, as in the
+    array pass.  A fused multiply-add in numpy's complex loop could not
+    change a bit there, since one product of each pair is an exact signed
+    zero.  The other 12 columns are left at +0.0: every entry there is
+    +0.0, so the ``p`` and ``1 - p`` terms are ``(p*0.0 - 0.0*0.0, ...)``,
+    and one of ``p`` and ``1 - p`` is non-negative for a finite state, so
+    each of those sums has a +0.0 term and is +0.0.
+    """
     p, gamma = rho.p, rho.gamma
-    return CharFunction(_element(_char_bodies(np.array([p, gamma, gamma.conjugate(), 1 - p]))[0]))
+    q = 1 - p
+    gr, gi = gamma.real, gamma.imag
+    ci = -gi  # gamma.conjugate().imag
+    body = np.zeros(16, dtype=complex)
+    for m, (d0, d1, d2, d3) in zip(_TRACE_COLUMNS, _TRACE_REAL):
+        re = ((p * d0 - 0.0 * 0.0) + (gr * d1 - gi * 0.0)) + ((gr * d2 - ci * 0.0) + (q * d3 - 0.0 * 0.0))
+        im = ((p * 0.0 + 0.0 * d0) + (gr * 0.0 + gi * d1)) + ((gr * 0.0 + ci * d2) + (q * 0.0 + 0.0 * d3))
+        body[m] = complex(re, im)
+    return CharFunction(_element(body))
 
 
 def state_from_char(chi: CharFunction) -> QubitState:

@@ -25,6 +25,10 @@ count, with the relabelling ``chi(xi) -> chi(zeta)`` and the pair integral
 folded into the pass's index table (``_convolution_table``).  A stack of
 kernels and characteristic functions runs that table as one array pass; one
 chi is evaluated on Python floats from the same table, with the same bits.
+That path skips the terms whose kernel coefficient is an exact zero, and the
+products with the +-0 imaginary part of a real coefficient: with a finite
+kernel and chi those products are signed zeros, and a signed zero never
+changes a sum taken from +0.0.
 
 A kernel is Gaussian when it matches ``delta_pair(zeta - a xi - b xi*)
 * (1 + c xi xi*)`` exactly; for canonical provenance this happens iff
@@ -101,16 +105,22 @@ class GreenFunction:
     def _convolution_operand(self) -> tuple:
         """``_CONVOLUTION`` with this kernel read in, for :func:`apply_green`.
 
-        One ``(target, terms)`` entry per target (masks 0, xi, xi*, xi xi*), in
-        mask order; ``terms`` are the target's 4 table terms in table order,
-        each ``(chi index, sign, kernel re, kernel im)`` on Python floats.
+        One ``(target, terms)`` entry per target (masks 0, xi, xi*, xi xi*)
+        that keeps a term, in mask order; ``terms`` are the target's table
+        terms in table order, each ``(chi index, sign, kernel re, kernel im)``
+        on Python floats, with ``kernel im`` None where the coefficient is
+        real (its imaginary part is +-0).  A term whose kernel coefficient is
+        an exact zero in both parts is dropped: with finite operands its
+        product is a signed zero, which never changes a sum taken from +0.0.
         The body is read-only, so the operand never goes stale.
         """
         chi_index, kernel_index, sign, target = (a.tolist() for a in _CONVOLUTION.pairs)
         kernel = self.body.coefficients.tolist()
         terms = {}
         for i, j, s, t in zip(chi_index, kernel_index, sign, target):
-            terms.setdefault(t, []).append((i, s, kernel[j].real, kernel[j].imag))
+            k = kernel[j]
+            if k:
+                terms.setdefault(t, []).append((i, s, k.real, k.imag if k.imag else None))
         return tuple((t, tuple(terms[t])) for t in sorted(terms))
 
     def pretty(self) -> str:
@@ -254,12 +264,16 @@ def _apply_kernels(kernels: np.ndarray, chis: np.ndarray) -> np.ndarray:
 
 def _apply_operand(operand: tuple, chi: np.ndarray) -> np.ndarray:
     """The Berezin convolution of one kernel, as its ``_convolution_operand``,
-    with one characteristic-function row ``chi``; not validated.
+    with one finite characteristic-function row ``chi``; not validated.
 
-    The terms of ``_CONVOLUTION`` on Python floats: each target is summed from
-    +0.0 in table order, each term is ``ar*br - ai*bi`` and ``ar*bi + ai*br``
-    as separate float operations, and a sign of -1 subtracts the term.  Every
-    operation rounds once, as in the array pass, so the row has the bits of
+    The kept terms of ``_CONVOLUTION`` on Python floats: each target is summed
+    from +0.0 in table order, each term is ``ar*br - ai*bi`` and
+    ``ar*bi + ai*br`` as separate float operations, and a sign of -1
+    subtracts the term.  A real kernel coefficient (``bi`` +-0) adds only
+    ``ar*br`` and ``ai*br``: ``ai*bi`` and ``ar*bi`` are signed zeros, and
+    ``x - (+-0)`` and ``x + (+-0)`` are ``x`` for every nonzero ``x``, while a
+    zero term leaves the sum, which is never -0.0, as it is.  Every operation
+    rounds once, as in the array pass, so the row has the bits of
     ``_apply_kernels``.  Python's complex ``*`` is not used: it is one C
     function, which a build may compile with fused multiply-adds.
     """
@@ -270,7 +284,14 @@ def _apply_operand(operand: tuple, chi: np.ndarray) -> np.ndarray:
         for i, sign, br, bi in terms:
             a = c[i]
             ar, ai = a.real, a.imag
-            if sign > 0:
+            if bi is None:
+                if sign > 0:
+                    re += ar * br
+                    im += ai * br
+                else:
+                    re -= ar * br
+                    im -= ai * br
+            elif sign > 0:
                 re += ar * br - ai * bi
                 im += ar * bi + ai * br
             else:

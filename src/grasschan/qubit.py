@@ -73,6 +73,22 @@ SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 _ROWS_PER_TRIAL = 48
 
 
+def _modulus(z: complex) -> float:
+    """``abs(z)``, or inf where it overflows (Python's complex ``abs`` raises there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _square(x: float) -> float:
+    """``x ** 2``, or inf where it overflows (Python's float ``**`` raises there)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 class NonDiagonalBlockError(ValueError):
     """The 3x3 transfer block is not diagonal; canonicalize externally."""
 
@@ -97,9 +113,10 @@ class QubitState:
         object.__setattr__(self, "gamma", complex(self.gamma))
         if not -STATE_ATOL <= self.p <= 1 + STATE_ATOL:
             raise ValueError(f"p={self.p} outside [0, 1]")
-        if not abs(self.gamma) ** 2 <= self.p * (1 - self.p) + STATE_ATOL:
+        gamma_sq = _square(_modulus(self.gamma))
+        if not gamma_sq <= self.p * (1 - self.p) + STATE_ATOL:
             raise ValueError(
-                f"|gamma|^2={abs(self.gamma)**2:.3e} exceeds p(1-p)={self.p*(1-self.p):.3e}"
+                f"|gamma|^2={gamma_sq:.3e} exceeds p(1-p)={self.p*(1-self.p):.3e}"
             )
 
     @property

@@ -97,6 +97,8 @@ def spec_path(tmp_path_factory):
 @example(spec=MARGIN_SPEC, as_json=True)
 @example(spec=OVERFLOW_SPEC, as_json=True)
 @example(spec=SUBNORMAL_SPEC, as_json=True)
+@example(spec={"type": "kraus", "matrices": []}, as_json=True)
+@example(spec={"type": "named", "name": 1, "params": {}}, as_json=True)
 def test_analyze_exits_with_a_code_and_strict_json(spec_path, spec, as_json):
     spec_path.write_text(json.dumps(spec))
     out, err = io.StringIO(), io.StringIO()
@@ -134,6 +136,7 @@ def _run(argv, as_json):
 @settings(max_examples=60, deadline=None)
 @given(options=VERIFY_ARGV, as_json=st.booleans())
 @example(options=(2, -1, None), as_json=True)
+@example(options=(-1, None, None), as_json=True)
 @example(options=(3, None, math.inf), as_json=True)
 def test_verify_exits_with_a_code_and_strict_json(options, as_json):
     trials, seed, tol = options

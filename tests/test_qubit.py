@@ -65,6 +65,13 @@ class TestQubitState:
         with pytest.raises(ValueError):
             QubitState(p=0.5, gamma=0.6)
 
+    @pytest.mark.parametrize("gamma", [1e200, complex(1.5e308, 1.5e308)])
+    def test_an_overflowing_coherence_is_rejected_by_name(self, gamma):
+        """Python's complex ``abs`` and float ``**`` raise ``OverflowError`` here;
+        the check reads the modulus as inf instead."""
+        with pytest.raises(ValueError, match=r"\|gamma\|\^2=inf exceeds p\(1-p\)=2\.500e-01"):
+            QubitState(p=0.5, gamma=gamma)
+
 
 class TestPtmAndCanonical:
     def test_identity_kraus(self):

@@ -10,10 +10,19 @@ coefficient of their input, for ``apply_green`` a coefficient of the
 convolution that overflowed.  The kernels are CPTP kernels, some with one
 finite, possibly huge, coefficient added.  No other exception and no warning
 may escape.
+
+The sweep's entry constructors get the same parts: ``QubitState`` returns a
+finite state or names ``p`` or ``|gamma|^2``, and ``char_function`` of every
+state it accepts has the bits of the array pass ``_char_bodies``;
+``GrassmannElement.from_table`` keeps each coefficient as given (it is the
+algebra's constructor, so a non-finite one is kept too), and
+``GreenFunction`` returns such an element when it is finite and otherwise
+names its first non-finite coefficient.
 """
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,8 +30,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grasschan.charfunc import CharFunction, state_from_char
-from grasschan.grassmann import GrassmannElement
+from grasschan.charfunc import CharFunction, _char_bodies, char_function, state_from_char
+from grasschan.grassmann import MONOMIAL_NAMES, GrassmannElement
 from grasschan.green import GreenFunction, apply_green, green_from_canonical
 from grasschan.qubit import QubitState
 
@@ -142,3 +151,56 @@ def test_overflowing_moduli_are_named_errors(table, message):
     with pytest.raises(ValueError) as raised:
         state_from_char(CharFunction(GrassmannElement.from_table(table)))
     assert message in str(raised.value)
+
+
+# p near and off [0, 1], by about STATE_ATOL, and the extreme parts.
+P_PARTS = st.one_of(
+    st.floats(0, 1),
+    st.sampled_from([-5e-10, -2e-9, 1 + 5e-10, 1 + 2e-9, 1.0, 0.5]),
+    PARTS,
+)
+GAMMA_PARTS = st.one_of(st.floats(-0.5, 0.5), PARTS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=P_PARTS, gamma_re=GAMMA_PARTS, gamma_im=GAMMA_PARTS)
+@example(p=0.5, gamma_re=1e200, gamma_im=0.0)
+@example(p=0.5, gamma_re=1.5e308, gamma_im=1.5e308)
+@example(p=-0.0, gamma_re=-0.0, gamma_im=-0.0)
+@example(p=5e-324, gamma_re=-5e-324, gamma_im=0.0)
+@example(p=-5e-10, gamma_re=0.0, gamma_im=-0.0)
+@example(p=1 + 5e-10, gamma_re=-0.0, gamma_im=5e-324)
+@example(p=NAN, gamma_re=0.0, gamma_im=0.0)
+@example(p=0.5, gamma_re=INF, gamma_im=NAN)
+def test_qubit_state_and_its_char_function(p, gamma_re, gamma_im):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rho = QubitState(p=p, gamma=complex(gamma_re, gamma_im))
+        except ValueError as exc:
+            assert "p=" in str(exc) or "|gamma|^2=" in str(exc), str(exc)
+            return
+        assert finite_state(rho)
+        chi = char_function(rho).body.coefficients
+        assert chi.tobytes() == _char_bodies(rho.matrix[None])[0].tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=st.dictionaries(st.sampled_from(MONOMIAL_NAMES), COEFFICIENTS, max_size=6))
+@example(table={"ζζ*": 1.0, "ξ": complex(-0.0, 5e-324), "ζξξ*": 1e308})
+@example(table={"1": complex(INF, 0.0), "ξξ*": NAN})
+@example(table={"ζ*": complex(0.0, INF)})
+def test_from_table_and_green_function(table):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        body = GrassmannElement.from_table(table)
+        expected = np.zeros(16, dtype=complex)
+        for name, value in table.items():
+            expected[MONOMIAL_NAMES.index(name)] = value
+        assert body.coefficients.tobytes() == expected.tobytes()
+        bad = [m for m in range(16) if not cmath.isfinite(expected[m])]
+        if not bad:
+            assert GreenFunction(body).body is body
+            return
+        with pytest.raises(ValueError, match=re.escape(f"kernel coefficient of {MONOMIAL_NAMES[bad[0]]} is not finite")):
+            GreenFunction(body)

@@ -254,6 +254,40 @@ def extreme_convolution_inputs(seed, n):
     return kernels, chis
 
 
+def exact_zero_convolution_inputs(seed, n):
+    """``n`` CPTP-derived kernel rows with exact zeros where the table reads
+    them, and ``n`` chi rows.
+
+    The kernels cycle through Gaussian kernels (``t1 = t2 = 0``: the
+    ``zeta zeta* xi`` and ``zeta zeta* xi*`` coefficients are exact zeros),
+    the identity channel's kernel, and random CPTP kernels with three of the
+    coefficients the table reads set to a signed zero pair, ``complex(x, -0.0)``
+    or ``complex(+-0.0, y)``.  The chi rows alternate the awkward rows of
+    ``awkward_convolution_inputs`` and characteristic functions of random states.
+    """
+    rng = np.random.default_rng(seed)
+    read = sorted(set(green._CONVOLUTION.pairs[1].tolist()))
+    _, awkward_chis = awkward_convolution_inputs(seed, n)
+    kernels, chis = [], []
+    for k in range(n):
+        if k % 3 == 0:
+            angles = green.AngleParams(theta=rng.uniform(0, np.pi / 2), phi=rng.uniform(-np.pi, np.pi), q=rng.random())
+            channel = green.channel_from_angles(angles)
+        elif k % 3 == 1:
+            channel = QubitChannel.from_canonical([0, 0, 0], [1, 1, 1])
+        else:
+            channel = random_cptp_canonical_channel(rng)
+        body = green_from_channel(channel).body.coefficients.copy()
+        if k % 3 == 2:
+            x, y = rng.normal(size=2)
+            zeros = [complex(0.0, -0.0), complex(-0.0, -0.0), complex(x, -0.0), complex(0.0, y), complex(-0.0, y)]
+            for j in rng.choice(read, size=3, replace=False):
+                body[j] = zeros[rng.integers(len(zeros))]
+        kernels.append(body)
+        chis.append(char_function(random_state(rng)).body.coefficients if k % 2 else awkward_chis[k])
+    return np.array(kernels), np.array(chis)
+
+
 class TestConvolutionTable:
     def test_is_the_product_table_filtered_to_the_terms_that_count(self):
         product = (grassmann._PAIR_I, grassmann._PAIR_J, grassmann._PAIR_SIGN, grassmann._PAIR_TARGET)
@@ -287,26 +321,41 @@ class TestConvolutionTable:
         assert len(product.kept) - 1 == 1
 
     def test_the_kernel_operand_is_the_table_read_per_target(self):
-        kernel = green_from_channel(random_cptp_canonical_channel(np.random.default_rng(3)))
-        operand = kernel._convolution_operand
-        assert kernel._convolution_operand is operand
-        assert [target for target, _ in operand] == XI_SUBALGEBRA
-        coefficients = kernel.body.coefficients.tolist()
+        """The operand is ``_CONVOLUTION`` read per target, without the terms whose
+        kernel coefficient is an exact zero, and each kept term marks a real
+        coefficient (imaginary part +-0) with ``im`` None."""
+        kernels, _ = exact_zero_convolution_inputs(3, 30)
         rows = list(zip(*(a.tolist() for a in green._CONVOLUTION.pairs)))
-        for target, terms in operand:
-            assert [i for i, _, _, _ in terms] == XI_SUBALGEBRA
-            expected = [row for row in rows if row[3] == target]
-            assert [(i, sign) for i, sign, _, _ in terms] == [(i, sign) for i, _, sign, _ in expected]
-            for (_, _, re, im), (_, j, _, _) in zip(terms, expected):
-                assert (type(re), type(im)) == (float, float)
-                assert complex(re, im) == coefficients[j]
+        kinds = set()
+        for body in kernels:
+            kernel = green.GreenFunction(GrassmannElement(body))
+            operand = kernel._convolution_operand
+            assert kernel._convolution_operand is operand
+            coefficients = body.tolist()
+            kept = [row for row in rows if coefficients[row[1]] != 0]
+            assert len(kept) < len(rows)
+            assert [target for target, _ in operand] == sorted({row[3] for row in kept})
+            for target, terms in operand:
+                expected = [row for row in kept if row[3] == target]
+                assert [(i, sign) for i, sign, _, _ in terms] == [(i, sign) for i, _, sign, _ in expected]
+                for (_, sign, re, im), (_, j, _, _) in zip(terms, expected):
+                    k = coefficients[j]
+                    assert type(re) is float and np.array(re).tobytes() == np.array(k.real).tobytes()
+                    if k.imag == 0:
+                        assert im is None
+                    else:
+                        assert type(im) is float and im == k.imag
+                    kinds.add((im is None, sign))
+        assert kinds == {(True, 1.0), (True, -1.0), (False, 1.0), (False, -1.0)}
 
-    @pytest.mark.parametrize("inputs", ["awkward", "extreme"])
+    @pytest.mark.parametrize("inputs", ["awkward", "extreme", "exact_zeros"])
     def test_one_chi_rows_have_the_bits_of_the_stacked_pass_and_the_reference(self, inputs):
         if inputs == "awkward":
             kernels, chis = awkward_convolution_inputs(293, 300)
-        else:
+        elif inputs == "extreme":
             kernels, chis = extreme_convolution_inputs(307, 300)
+        else:
+            kernels, chis = exact_zero_convolution_inputs(311, 300)
         with np.errstate(all="ignore"):
             stacked = _apply_kernels(kernels, chis)
             expected = [
