@@ -20,10 +20,10 @@ For a Hermitian source state the adjoint of the body equals the body with
 both generators negated (even part fixed, odd part sign-flipped), the
 Grassmann analogue of ``chi(xi)* = chi(-xi)``.
 
-One state's ``char_function`` computes on Python floats only the columns 1,
-xi, xi* and xi xi* of the trace, and skips the other 12: every displacement
-entry there is +0.0, so for a finite state each of their sums holds a +0.0
-term and is +0.0, the bits the array pass ``_char_bodies`` gives.
+The array pass ``_char_bodies`` is that trace, contracted with the cached
+displacement entries; one state's ``char_function`` is the closed form on
+Python floats, spelled to have the same bits.  ``verify``'s calibration suite
+holds the trace to the closed form, so the array pass stays the trace.
 """
 
 from __future__ import annotations
@@ -159,47 +159,22 @@ def _check_char_bodies(bodies: np.ndarray) -> None:
         CharFunction(_element(bodies[s].copy()))
 
 
-#: The columns of ``_TRACE_OPERAND`` that can be nonzero: 1, xi, xi*, xi xi*.
-_TRACE_COLUMNS = (0, _XI, _XI_STAR, _XI_XI_STAR)
-
-
-def _trace_columns() -> tuple:
-    """The real parts ``(d0, d1, d2, d3)`` of the ``_TRACE_COLUMNS`` of
-    ``_TRACE_OPERAND``, after checking that every other part is exactly +0.0."""
-    d = _TRACE_OPERAND.real[:, _TRACE_COLUMNS]
-    layout = np.zeros_like(_TRACE_OPERAND)
-    layout[:, _TRACE_COLUMNS] = d
-    if layout.tobytes() != _TRACE_OPERAND.tobytes():
-        raise AssertionError("a part of displacement() that char_function skips is not +0.0")
-    return tuple(map(tuple, d.T.tolist()))
-
-
-_TRACE_REAL = _trace_columns()
-
-
 def char_function(rho: QubitState) -> CharFunction:
     """``trace(rho D(xi))`` as a Grassmann element of the xi subalgebra.
 
-    Row 0 of ``_char_bodies`` on Python floats.  Each term of a column is the
-    complex product ``a * (d + 0.0j)`` as the separate float operations
-    ``(a.re*d - a.im*0.0, a.re*0.0 + a.im*d)``, summed in trace order
-    ``(t00 + t01) + (t10 + t11)``; every operation rounds once, as in the
-    array pass.  A fused multiply-add in numpy's complex loop could not
-    change a bit there, since one product of each pair is an exact signed
-    zero.  The other 12 columns are left at +0.0: every entry there is
-    +0.0, so the ``p`` and ``1 - p`` terms are ``(p*0.0 - 0.0*0.0, ...)``,
-    and one of ``p`` and ``1 - p`` is non-negative for a finite state, so
-    each of those sums has a +0.0 term and is +0.0.
+    The closed form, spelled to have the bits of row 0 of ``_char_bodies``:
+    each entry of ``displacement()`` is 0, +-1 or +-1/2, so a column of the
+    trace sums at most two nonzero products, and its signed zeros include
+    ``p*0.0`` or ``(1 - p)*0.0``, which is +0.0 for a finite state (hence
+    ``+ 0.0`` on gamma's parts, and +0.0 in the other 12 columns).
     """
     p, gamma = rho.p, rho.gamma
     q = 1 - p
-    gr, gi = gamma.real, gamma.imag
-    ci = -gi  # gamma.conjugate().imag
     body = np.zeros(16, dtype=complex)
-    for m, (d0, d1, d2, d3) in zip(_TRACE_COLUMNS, _TRACE_REAL):
-        re = ((p * d0 - 0.0 * 0.0) + (gr * d1 - gi * 0.0)) + ((gr * d2 - ci * 0.0) + (q * d3 - 0.0 * 0.0))
-        im = ((p * 0.0 + 0.0 * d0) + (gr * 0.0 + gi * d1)) + ((gr * 0.0 + ci * d2) + (q * 0.0 + 0.0 * d3))
-        body[m] = complex(re, im)
+    body[0] = p + q
+    body[_XI] = complex(gamma.real + 0.0, gamma.imag + 0.0)
+    body[_XI_STAR] = complex(-gamma.real + 0.0, gamma.imag + 0.0)
+    body[_XI_XI_STAR] = 0.5 * p - 0.5 * q
     return CharFunction(_element(body))
 
 

@@ -85,9 +85,9 @@ def _emit(text: str, out_path: Optional[str] = None) -> None:
         return
     try:
         print(text, flush=True)
-    except BrokenPipeError:
+    except BrokenPipeError:  # unrun-ok: the closed-pipe test runs the CLI in a subprocess
         # The reader closed stdout; send what is left, and the exit flush, to devnull.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # unrun-ok
 
 
 def _error(kind: str, message: str, as_json: bool, code: int) -> int:
@@ -289,4 +289,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # unrun-ok: only ``python -m grasschan.cli`` runs this

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .green import AngleParams
-from .qubit import NotCptpError, QubitChannel, QubitState, _ptms_from_kraus, is_cptp
+from .qubit import NotCptpError, QubitChannel, QubitState, _finite_array, _ptms_from_kraus, is_cptp
 from .tolerances import BOUNDARY_ATOL, CERT_RESIDUAL_TOL, ENV_ATOL, UNITARITY_ATOL
 
 __all__ = [
@@ -82,9 +82,11 @@ class Dilation:
     env_state: QubitState
 
     def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex).reshape(4, 4).copy()
-        u.flags.writeable = False
+        u = _finite_array("unitary", self.unitary, complex, (4, 4))
         object.__setattr__(self, "unitary", u)
+        largest = np.abs(u.view(float)).max()  # at most 1 for a unitary; then U^dag U cannot overflow
+        if not largest <= 1 + UNITARITY_ATOL:
+            raise ValueError(f"matrix is not unitary (an entry has a part of modulus {largest:.3e})")
         dev = np.abs(u.conj().T @ u - _EYE4).max()
         if not dev <= UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
@@ -130,8 +132,6 @@ class Dilation:
 
 def dilation_from_angles(ap: AngleParams) -> Dilation:
     """Construct the dilation of the Gaussian channel with angle form ``ap``."""
-    if not -ENV_ATOL <= ap.q <= 1 + ENV_ATOL:
-        raise ValueError(f"q={ap.q} outside [0, 1]")
     ct, st = np.cos(ap.theta), np.sin(ap.theta)
     cp, sp = np.cos(ap.phi), np.sin(ap.phi)
     # basis order |s e>: 00, 01, 10, 11; column k is the image of basis ket k

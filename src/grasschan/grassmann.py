@@ -41,10 +41,10 @@ Storage and arithmetic:
   element four; ``verify`` builds its kernels as one row per trial.
   ``_products`` runs any table of signed terms (``_PairTable``): the Berezin
   convolution of ``green`` is one pass of the 81-pair table cut to 16 terms,
-  one row per kernel, and ``apply_green`` evaluates the same 16 terms for one
-  characteristic function on Python floats, in table order and with the same
-  bits.  Each table keeps its offset tables for the most rows needed so far,
-  with their prefix views for fewer rows.
+  one row per kernel, and ``apply_green`` runs its terms that can be nonzero
+  for one characteristic function on Python floats, with the same bits.
+  Each table keeps its offset tables for the most rows needed so far, with
+  their prefix views for fewer rows.
 * For finite coefficients, results are bit-identical to the term-by-term
   definition: one scalar product ``sign * x[i] * y[j]`` per pair of nonzero
   coefficients, added to a zero target in pair order.  The complex product
@@ -213,7 +213,7 @@ def _named_mask(name) -> int:
 
 def _element(c: np.ndarray) -> "GrassmannElement":
     """Wrap a coefficient array that nothing else holds, without copying it."""
-    c.flags.writeable = False
+    c.setflags(write=False)
     x = object.__new__(GrassmannElement)
     object.__setattr__(x, "_c", c)
     return x
@@ -310,7 +310,7 @@ class GrassmannElement:
             if arr.shape != (N_MONOMIALS,):
                 raise ValueError(f"expected {N_MONOMIALS} coefficients, got shape {arr.shape}")
             c[:] = arr
-        c.flags.writeable = False
+        c.setflags(write=False)
         object.__setattr__(self, "_c", c)
 
     # -- constructors ----------------------------------------------------
@@ -340,7 +340,10 @@ class GrassmannElement:
         """Build from a ``{monomial name: coefficient}`` mapping (see MONOMIAL_NAMES)."""
         c = np.zeros(N_MONOMIALS, dtype=complex)
         for name, value in table.items():
-            c[_named_mask(name)] = complex(value)
+            try:
+                c[_named_mask(name)] = complex(value)
+            except OverflowError:
+                raise ValueError(f"coefficient of {name} is too large for a float") from None
         return cls(c)
 
     # -- accessors -------------------------------------------------------
@@ -546,13 +549,13 @@ class OperatorElement:
                 if not isinstance(e, GrassmannElement):
                     raise TypeError("entries must be GrassmannElement instances")
         a = np.array([[e._c for e in row] for row in rows], dtype=complex)
-        a.flags.writeable = False
+        a.setflags(write=False)
         object.__setattr__(self, "_a", a)
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "OperatorElement":
         """Wrap a ``(2, 2, 16)`` array that nothing else holds, without copying it."""
-        a.flags.writeable = False
+        a.setflags(write=False)
         op = object.__new__(cls)
         object.__setattr__(op, "_a", a)
         return op

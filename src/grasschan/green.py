@@ -24,10 +24,9 @@ The convolution is one product pass over the 16 of its 81 terms that can
 count, with the relabelling ``chi(xi) -> chi(zeta)`` and the pair integral
 folded into the pass's index table (``_convolution_table``).  A stack of
 kernels and characteristic functions runs that table as one array pass; one
-chi is evaluated on Python floats from the same table, with the same bits.
-That path skips the terms whose kernel coefficient is an exact zero, and the
-products with the +-0 imaginary part of a real coefficient: with a finite
-kernel and chi those products are signed zeros, and a signed zero never
+chi runs the same terms on Python floats with the same bits, except those
+whose product is a signed zero for a finite kernel and chi (an exact-zero
+kernel coefficient, the +-0 imaginary part of a real one), which never
 changes a sum taken from +0.0.
 
 A kernel is Gaussian when it matches ``delta_pair(zeta - a xi - b xi*)
@@ -59,8 +58,8 @@ from .grassmann import (
     _element,
     _products,
 )
-from .qubit import PAULI, NotCptpError, QubitChannel, is_cptp
-from .tolerances import ANGLE_ATOL, ANGLE_RATIO_ATOL, GAUSSIAN_ATOL
+from .qubit import PAULI, NotCptpError, QubitChannel, _fitted, is_cptp
+from .tolerances import ANGLE_ATOL, ANGLE_RATIO_ATOL, ENV_ATOL, GAUSSIAN_ATOL
 
 __all__ = [
     "GreenFunction",
@@ -77,6 +76,10 @@ __all__ = [
     "channel_from_angles",
     "gaussian_equivalent",
 ]
+
+
+#: The largest angle ``AngleParams`` takes: ``2 theta`` and ``theta +- phi`` stay finite.
+_ANGLE_MAX = np.finfo(float).max / 4
 
 
 class NoSolutionError(ValueError):
@@ -105,14 +108,12 @@ class GreenFunction:
     def _convolution_operand(self) -> tuple:
         """``_CONVOLUTION`` with this kernel read in, for :func:`apply_green`.
 
-        One ``(target, terms)`` entry per target (masks 0, xi, xi*, xi xi*)
-        that keeps a term, in mask order; ``terms`` are the target's table
-        terms in table order, each ``(chi index, sign, kernel re, kernel im)``
-        on Python floats, with ``kernel im`` None where the coefficient is
-        real (its imaginary part is +-0).  A term whose kernel coefficient is
-        an exact zero in both parts is dropped: with finite operands its
-        product is a signed zero, which never changes a sum taken from +0.0.
-        The body is read-only, so the operand never goes stale.
+        One ``(target, terms)`` entry per target that keeps a term, in mask
+        order; ``terms`` are its table terms in table order, each ``(chi
+        index, re, im)``: the kernel coefficient times the term's sign (an
+        exact negation), with ``im`` None where the coefficient is real.
+        Terms whose kernel coefficient is an exact zero are dropped.  The
+        body is read-only, so the operand never goes stale.
         """
         chi_index, kernel_index, sign, target = (a.tolist() for a in _CONVOLUTION.pairs)
         kernel = self.body.coefficients.tolist()
@@ -120,7 +121,7 @@ class GreenFunction:
         for i, j, s, t in zip(chi_index, kernel_index, sign, target):
             k = kernel[j]
             if k:
-                terms.setdefault(t, []).append((i, s, k.real, k.imag if k.imag else None))
+                terms.setdefault(t, []).append((i, s * k.real, s * k.imag if k.imag else None))
         return tuple((t, tuple(terms[t])) for t in sorted(terms))
 
     def pretty(self) -> str:
@@ -141,11 +142,23 @@ class GaussianParams:
 
 @dataclass(frozen=True)
 class AngleParams:
-    """Angle form of a Gaussian channel with environment weight ``q``."""
+    """Angle form of a Gaussian channel with environment weight ``q``, as
+    floats: ``|theta|, |phi| <= _ANGLE_MAX`` and ``q`` in [0, 1] (to
+    ``ENV_ATOL``), or a ``ValueError`` naming the field."""
 
     theta: float
     phi: float
     q: float
+
+    def __post_init__(self):
+        for name in ("theta", "phi", "q"):
+            object.__setattr__(self, name, _fitted(float, getattr(self, name), name))
+        for name in ("theta", "phi"):
+            angle = getattr(self, name)
+            if not abs(angle) <= _ANGLE_MAX:
+                raise ValueError(f"{name}={angle} is not an angle in [-{_ANGLE_MAX:.3e}, {_ANGLE_MAX:.3e}]")
+        if not -ENV_ATOL <= self.q <= 1 + ENV_ATOL:
+            raise ValueError(f"q={self.q} outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,37 +279,27 @@ def _apply_operand(operand: tuple, chi: np.ndarray) -> np.ndarray:
     """The Berezin convolution of one kernel, as its ``_convolution_operand``,
     with one finite characteristic-function row ``chi``; not validated.
 
-    The kept terms of ``_CONVOLUTION`` on Python floats: each target is summed
-    from +0.0 in table order, each term is ``ar*br - ai*bi`` and
-    ``ar*bi + ai*br`` as separate float operations, and a sign of -1
-    subtracts the term.  A real kernel coefficient (``bi`` +-0) adds only
-    ``ar*br`` and ``ai*br``: ``ai*bi`` and ``ar*bi`` are signed zeros, and
-    ``x - (+-0)`` and ``x + (+-0)`` are ``x`` for every nonzero ``x``, while a
-    zero term leaves the sum, which is never -0.0, as it is.  Every operation
-    rounds once, as in the array pass, so the row has the bits of
-    ``_apply_kernels``.  Python's complex ``*`` is not used: it is one C
-    function, which a build may compile with fused multiply-adds.
+    Each target is summed from +0.0 in table order, and each term is
+    ``ar*br - ai*bi`` and ``ar*bi + ai*br`` as separate float operations on
+    the signed coefficient, so every operation rounds once, as in the array
+    pass, and the row has the bits of ``_apply_kernels``: rounding is
+    symmetric and ``x + (-y)`` is ``x - y``, and a zero term leaves the sum,
+    never -0.0, as it is.  Python's complex ``*`` is not used: a build may
+    compile that one C function with fused multiply-adds.
     """
     c = chi.tolist()
     out = np.zeros(16, dtype=complex)
     for target, terms in operand:
         re = im = 0.0
-        for i, sign, br, bi in terms:
+        for i, br, bi in terms:
             a = c[i]
             ar, ai = a.real, a.imag
             if bi is None:
-                if sign > 0:
-                    re += ar * br
-                    im += ai * br
-                else:
-                    re -= ar * br
-                    im -= ai * br
-            elif sign > 0:
+                re += ar * br
+                im += ai * br
+            else:
                 re += ar * br - ai * bi
                 im += ar * bi + ai * br
-            else:
-                re -= ar * br - ai * bi
-                im -= ar * bi + ai * br
         out[target] = complex(re, im)
     return out
 

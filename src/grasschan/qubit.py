@@ -17,6 +17,7 @@ matrix has a diagonal block.
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -89,6 +90,24 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def _fitted(convert, value, name: str):
+    """``convert(value)``; a part too large for a float raises ``ValueError`` naming ``name``."""
+    try:
+        return convert(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
+def _finite_array(name: str, value, dtype, shape) -> np.ndarray:
+    """``value`` as a fresh read-only array; ``ValueError`` names ``name`` or its first non-finite entry."""
+    a = _fitted(lambda v: np.asarray(v, dtype=dtype).reshape(shape).copy(), value, name)
+    if not all(map(cmath.isfinite, a.ravel().tolist())):  # a third of np.isfinite(a).all()'s time
+        index = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"{name}{index.tolist()} is not finite: {a[tuple(index)]}")
+    a.setflags(write=False)
+    return a
+
+
 class NonDiagonalBlockError(ValueError):
     """The 3x3 transfer block is not diagonal; canonicalize externally."""
 
@@ -109,8 +128,8 @@ class QubitState:
     gamma: complex = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "gamma", complex(self.gamma))
+        object.__setattr__(self, "p", _fitted(float, self.p, "p"))
+        object.__setattr__(self, "gamma", _fitted(complex, self.gamma, "gamma"))
         if not -STATE_ATOL <= self.p <= 1 + STATE_ATOL:
             raise ValueError(f"p={self.p} outside [0, 1]")
         gamma_sq = _square(_modulus(self.gamma))
@@ -261,21 +280,19 @@ class QubitChannel:
     """Canonical-form qubit channel ``r -> t + diag(lam) r``.
 
     ``(t, lam)`` is the whole state: a Kraus list is read into it once by
-    :meth:`from_kraus` and not kept.
+    :meth:`from_kraus` and not kept.  A non-finite entry raises ``ValueError``.
     """
 
     t: np.ndarray
     lam: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(3).copy())
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(3).copy())
-        self.t.flags.writeable = False
-        self.lam.flags.writeable = False
+        for name in ("t", "lam"):
+            object.__setattr__(self, name, _finite_array(name, getattr(self, name), float, 3))
 
     @classmethod
     def from_canonical(cls, t, lam) -> "QubitChannel":
-        return cls(t=np.asarray(t, dtype=float), lam=np.asarray(lam, dtype=float))
+        return cls(t=t, lam=lam)
 
     @classmethod
     def identity(cls) -> "QubitChannel":
@@ -293,13 +310,13 @@ class QubitChannel:
     @cached_property
     def ptm(self) -> np.ndarray:
         ptm = _ptm_from_canonical(self.t, self.lam)
-        ptm.flags.writeable = False
+        ptm.setflags(write=False)
         return ptm
 
     @cached_property
     def choi(self) -> np.ndarray:
         choi = choi_from_ptm(self.ptm)
-        choi.flags.writeable = False
+        choi.setflags(write=False)
         return choi
 
     @cached_property

@@ -39,8 +39,9 @@ name                        value    what it bounds                             
 ``ANGLE_RATIO_ATOL``        1e-7     ``c / ((cos 2theta - cos 2phi)/4)``         ``angles.q``
                                      outside ``[-1, 1]``
 ``UNITARITY_ATOL``          1e-12    ``max |U^dag U - I|`` of a dilation         (raises ``ValueError``)
-``ENV_ATOL``                1e-12    off-diagonal ``gamma`` and range of ``q``   ``dilation.env_state.q``
-                                     of a dilation's environment state
+``ENV_ATOL``                1e-12    off-diagonal ``gamma`` of a dilation's      ``dilation.env_state.q``
+                                     environment state, and the range of
+                                     ``AngleParams.q``
 ``CERT_RESIDUAL_TOL``       1e-9     recomposition residual of an accepted       ``degradability.kind``, ``degradability.residual``
                                      witness (``analyze --tol``)
 ``BOUNDARY_ATOL``           1e-12    ``|cos 2phi|`` at the classification pole;  ``degradability.prediction.boundary``,

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from grasschan import charfunc
 from grasschan.charfunc import (
     CharFunction,
     NotNormalizedError,
@@ -33,21 +32,6 @@ class TestDisplacement:
     def test_constant_part_is_identity(self):
         assert np.allclose(displacement().monomial_matrix(0), np.eye(2))
         assert np.allclose(displacement(sign=-1, pair="zeta").monomial_matrix(0), np.eye(2))
-
-    def test_char_function_reads_the_only_columns_the_trace_fills(self):
-        """``char_function`` leaves 12 columns at +0.0 and drops the imaginary
-        parts of the other 4; the import-time check refuses any other layout."""
-        assert charfunc._trace_columns() == charfunc._TRACE_REAL == (
-            (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0), (0.5, 0.0, 0.0, -0.5)
-        )
-        for index, value in [((1, 1), complex(-0.0, 0.0)), ((2, 3), complex(0.0, -0.0)),
-                             ((0, 2), 1e-300), ((0, 0), complex(1.0, -0.0))]:
-            operand = charfunc._TRACE_OPERAND.copy()
-            operand[index] = value
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(charfunc, "_TRACE_OPERAND", operand)
-                with pytest.raises(AssertionError, match="is not \\+0.0"):
-                    charfunc._trace_columns()
 
     def test_unitary(self):
         d = displacement()

@@ -184,8 +184,10 @@ class TestArrayPassesMatchSingleObjects:
     def test_char_function_on_edge_states_has_the_bits_of_the_reference(self):
         """Weights at and just outside [0, 1], a subnormal weight, and
         signed-zero and subnormal coherences: ``char_function``, verify's rows
-        and ``state_from_char`` against the operator-product trace."""
-        edge_p = [0.0, -0.0, -5e-10, 1 + 5e-10, 5e-324, 1.0, 0.5, 0.3]
+        and ``state_from_char`` against the operator-product trace.  At
+        ``p = -2**-53`` the constant ``p + (1 - p)`` is not 1.0, and at
+        ``p = 2**-54`` and 0.3 the xi xi* coefficient is not ``(2p - 1)/2``."""
+        edge_p = [0.0, -0.0, -5e-10, 1 + 5e-10, 5e-324, 1.0, 0.5, 0.3, -2**-53, 2**-54]
         edge_gamma = [
             0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
             5e-324, complex(-0.0, -5e-324), complex(1e-310, -2.3e-308), complex(-1e-5, 1e-5),
@@ -322,8 +324,9 @@ class TestConvolutionTable:
 
     def test_the_kernel_operand_is_the_table_read_per_target(self):
         """The operand is ``_CONVOLUTION`` read per target, without the terms whose
-        kernel coefficient is an exact zero, and each kept term marks a real
-        coefficient (imaginary part +-0) with ``im`` None."""
+        kernel coefficient is an exact zero; each kept term holds its kernel
+        coefficient times its sign, and marks a real coefficient (imaginary
+        part +-0) with ``im`` None."""
         kernels, _ = exact_zero_convolution_inputs(3, 30)
         rows = list(zip(*(a.tolist() for a in green._CONVOLUTION.pairs)))
         kinds = set()
@@ -337,14 +340,14 @@ class TestConvolutionTable:
             assert [target for target, _ in operand] == sorted({row[3] for row in kept})
             for target, terms in operand:
                 expected = [row for row in kept if row[3] == target]
-                assert [(i, sign) for i, sign, _, _ in terms] == [(i, sign) for i, _, sign, _ in expected]
-                for (_, sign, re, im), (_, j, _, _) in zip(terms, expected):
+                assert [i for i, _, _ in terms] == [i for i, _, _, _ in expected]
+                for (_, re, im), (_, j, sign, _) in zip(terms, expected):
                     k = coefficients[j]
-                    assert type(re) is float and np.array(re).tobytes() == np.array(k.real).tobytes()
+                    assert type(re) is float and np.array(re).tobytes() == np.array(sign * k.real).tobytes()
                     if k.imag == 0:
                         assert im is None
                     else:
-                        assert type(im) is float and im == k.imag
+                        assert type(im) is float and im == sign * k.imag
                     kinds.add((im is None, sign))
         assert kinds == {(True, 1.0), (True, -1.0), (False, 1.0), (False, -1.0)}
 
