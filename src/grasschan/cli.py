@@ -26,8 +26,6 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import catalog, io, verify
 from .qubit import NonDiagonalBlockError, NotCptpError, NotTracePreservingError
 from .tolerances import CERT_RESIDUAL_TOL
@@ -193,18 +191,16 @@ def _cmd_analyze(args) -> int:
     if not 0 < args.tol < math.inf:  # NaN fails too
         return _error("parse", "--tol must be positive and finite", args.json, EXIT_PARSE)
     try:
-        # An overflowing spec is reported as invalid (exit 3); numpy's warnings would only repeat it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if args.named:
-                params = _parse_params(args.param)
-                try:
-                    report = catalog.analyze(args.named, params, residual_tol=args.tol)
-                except (KeyError, catalog.OutOfRangeError) as exc:
-                    raise io.SpecError(str(exc)) from exc
-            else:
-                spec = io.load_channel_spec(args.spec)
-                ch = io.channel_from_json(spec)
-                report = catalog.analyze_channel(ch, residual_tol=args.tol)
+        if args.named:
+            params = _parse_params(args.param)
+            try:
+                report = catalog.analyze(args.named, params, residual_tol=args.tol)
+            except (KeyError, catalog.OutOfRangeError) as exc:
+                raise io.SpecError(str(exc)) from exc
+        else:
+            spec = io.load_channel_spec(args.spec)
+            ch = io.channel_from_json(spec)
+            report = catalog.analyze_channel(ch, residual_tol=args.tol)
     except io.SpecError as exc:
         return _error("parse", str(exc), args.json, EXIT_PARSE)
     except (NotCptpError, NotTracePreservingError, NonDiagonalBlockError) as exc:

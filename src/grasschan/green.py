@@ -20,6 +20,13 @@ kernel also falls out of the trace construction
 :func:`green_from_channel_trace`, and the convolution path agrees with the
 dense Bloch map on random channels and states.
 
+One channel's kernel is written straight from this closed form on Python
+floats (``_kernel_body``), with the bits of the Grassmann algebra pass
+``_kernel_bodies``: that pass multiplies the delta's argument by its
+adjoint and the result by the factor, one row per channel; ``verify`` builds
+its kernels with it, one row per trial, and the tests hold the closed form
+to it.
+
 The convolution is one product pass over the 16 of its 81 terms that can
 count, with the relabelling ``chi(xi) -> chi(zeta)`` and the pair integral
 folded into the pass's index table (``_convolution_table``).  A stack of
@@ -218,8 +225,45 @@ def green_from_channel(ch: QubitChannel) -> GreenFunction:
             f"canonical parameters are not CPTP (min Choi eigenvalue "
             f"{report.min_choi_eigenvalue:.3e})"
         )
-    body = _kernel_bodies(ch.t[None], ch.lam[None])[0]
+    body = _kernel_body(ch.t.tolist(), ch.lam.tolist())
     return GreenFunction(body=_element(body), provenance=(ch.t, ch.lam))
+
+
+def _kernel_body(t: list, lam: list) -> np.ndarray:
+    """The kernel body of one finite canonical ``(t, lam)``, written from its
+    closed form on Python floats with the bits of row 0 of ``_kernel_bodies``.
+
+    With ``a = -(lam1 + lam2)/2`` and ``b = -(lam2 - lam1)/2`` the delta
+    argument's xi and xi* coefficients, and ``a' = a + 0.0``, ``b' = b +
+    0.0`` the adjoint's (its sign-multiply and ``+ 0.0`` turn a -0.0 into
+    +0.0), ``delta_pair`` has zeta zeta* 1, zeta xi ``b'``, zeta xi* ``a'``,
+    zeta* xi ``-a``, zeta* xi* ``-b`` and xi xi* ``a a' - b b'``; the factor
+    adds zeta zeta* xi xi* ``t3/2``.  Each product pass sums a target from
+    +0.0 in table order, and its other terms are signed zeros, so each
+    coefficient is its one term with a -0.0 made +0.0 (``0.0 - a``, ``t3/2
+    + 0.0``), and xi xi* is ``(0.0 + a a') - b b'``, with ``lam3 - lam1
+    lam2`` added after it.  The array code forms ``(t1 -+ i t2)/2`` in
+    complex arithmetic (the quotient's parts are ``(x + y*0.0) * 0.5`` and
+    ``(y - x*0.0) * 0.5``) and adds it to an exact +0.0 coefficient, which
+    leaves ``t1/2`` and ``-+t2/2`` with a -0.0 made +0.0.  Every imaginary
+    part not written here is +0.0.
+    """
+    t1, t2, t3 = t
+    lam1, lam2, lam3 = lam
+    a = -(lam1 + lam2) / 2
+    b = -(lam2 - lam1) / 2
+    a_adj, b_adj = a + 0.0, b + 0.0
+    h1, h2 = t1 / 2, t2 / 2
+    return np.array(
+        [
+            0j, 0j, 0j, 1 + 0j,                                  # 1, ζ, ζ*, ζζ*
+            0j, b_adj, 0.0 - a, complex(h1 + 0.0, 0.0 - h2),     # ξ, ζξ, ζ*ξ, ζζ*ξ
+            0j, a_adj, 0.0 - b, complex(0.0 - h1, 0.0 - h2),     # ξ*, ζξ*, ζ*ξ*, ζζ*ξ*
+            (0.0 + a * a_adj) - b * b_adj + (lam3 - lam1 * lam2),  # ξξ*
+            0j, 0j, t3 / 2 + 0.0,                                # ζξξ*, ζ*ξξ*, ζζ*ξξ*
+        ],
+        dtype=complex,
+    )
 
 
 def _kernel_bodies(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -229,7 +273,10 @@ def _kernel_bodies(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     delta argument ``zeta - a xi - b xi*`` and the factor ``1 + (t3/2) xi xi*``
     are set directly, and the three additive terms land on their monomials
     (``xi xi*``, ``zeta zeta* xi``, ``zeta zeta* xi*``, each with coefficient
-    +1 in the product basis).  Rows do not depend on each other.
+    +1 in the product basis).  Rows do not depend on each other.  This is the
+    Grassmann algebra pass: ``verify`` builds its kernels with it, one row
+    per trial, and the tests hold the one-channel closed form of
+    :func:`_kernel_body` to its rows.
     """
     t1, t2, t3 = t.T
     lam1, lam2, lam3 = lam.T

@@ -176,7 +176,7 @@ def ptm_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     ``_ptms_from_kraus``, so each entry has the bits of the per-entry loop.
     Operators that are not 2x2 raise ``ValueError``.
     """
-    ops = np.asarray(kraus, dtype=complex) if len(kraus) else np.empty((0, 2, 2), dtype=complex)
+    ops = np.ascontiguousarray(kraus, dtype=complex) if len(kraus) else np.empty((0, 2, 2), dtype=complex)
     if ops.shape[1:] != (2, 2):
         raise ValueError(f"expected 2x2 Kraus operators, got shape {ops.shape[1:]}")
     return _ptms_from_kraus(ops[None])[0]
@@ -192,9 +192,19 @@ def _ptms_from_kraus(ops: np.ndarray) -> np.ndarray:
     m11``, as ``np.trace`` does; without the start a -0.0 would survive).
     Each 2x2 product of the stack has the bits of the same product made
     alone, so every list gets the bits of its own one-list pass.  Raises
-    ``NotTracePreservingError`` with the largest ``max |sum A^dag A - I|``
-    of the lists when one exceeds ``KRAUS_TP_ATOL``.
+    ``NotTracePreservingError`` naming the first entry with a part above
+    ``1 + KRAUS_TP_ATOL`` (``sum A^dag A = I`` to ``KRAUS_TP_ATOL`` bounds
+    every part by ``sqrt(1 + KRAUS_TP_ATOL)``, and below the bound ``A^dag
+    A`` cannot overflow), and else with the largest ``max |sum A^dag A -
+    I|`` of the lists when one exceeds ``KRAUS_TP_ATOL``.
     """
+    parts = np.abs(ops.view(float))
+    if parts.max(initial=0.0) > 1 + KRAUS_TP_ATOL:
+        l, k, i, j = np.argwhere(parts > 1 + KRAUS_TP_ATOL)[0]
+        raise NotTracePreservingError(
+            f"Kraus operator {k} entry [{i}, {j // 2}] has a part of modulus {parts[l, k, i, j]:.3e}; "
+            "sum A^dag A cannot be the identity"
+        )
     adjoints = ops.conj().swapaxes(-1, -2)
     deviation = np.abs(np.add.reduce(adjoints @ ops, axis=1, initial=0.0) - _IDENTITY).max()
     if not deviation <= KRAUS_TP_ATOL:
@@ -257,6 +267,10 @@ def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
 
 
 _IDENTITY = np.eye(2)
+#: Each part of a ``choi_from_ptm`` entry is half a sum of transfer-matrix
+#: entries times 0 or +-1: at most 1 and the six entries of ``(t, lam)``.
+#: With each of these at most ``max_float / 8``, no partial sum can overflow.
+_CHOI_SAFE = np.finfo(float).max / 8
 
 
 def _trace_out_first(op4: np.ndarray) -> np.ndarray:
@@ -321,11 +335,29 @@ class QubitChannel:
 
     @cached_property
     def cptp_report(self) -> CptpReport:
-        try:
+        """The CPTP check of :func:`is_cptp`.  A channel whose Choi matrix,
+        its eigenvalues or its partial trace overflow (only an entry above
+        ``_CHOI_SAFE`` can make them) is not CPTP and has no float report:
+        ``NotCptpError`` names its largest entry."""
+        entries = self.t.tolist() + self.lam.tolist()
+        largest = max(map(abs, entries))
+        if largest <= _CHOI_SAFE:
             eigs = np.linalg.eigvalsh(self.choi)
-        except np.linalg.LinAlgError:  # a Choi matrix that overflowed to inf or NaN
-            eigs = np.array([np.nan])
-        tp_dev = float(np.abs(_trace_out_first(self.choi) - _IDENTITY).max())
+            tp_dev = float(np.abs(_trace_out_first(self.choi) - _IDENTITY).max())
+        else:
+            overflow = None
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(self.choi).all():
+                    overflow = "the Choi matrix overflows"
+                else:
+                    eigs = np.linalg.eigvalsh(self.choi)
+                    tp_dev = float(np.abs(_trace_out_first(self.choi) - _IDENTITY).max())
+                    if not (np.isfinite(eigs).all() and math.isfinite(tp_dev)):
+                        overflow = "the Choi matrix's eigenvalues or partial trace overflow"
+            if overflow:
+                k = [abs(x) for x in entries].index(largest)
+                name = f"t[{k}]" if k < 3 else f"lam[{k - 3}]"
+                raise NotCptpError(f"{name}={entries[k]:.3e} is too large: {overflow}, so the channel is not CPTP")
         ok = bool(eigs[0] >= CHOI_EIG_FLOOR and tp_dev <= TP_ATOL)
         return CptpReport(ok=ok, min_choi_eigenvalue=float(eigs[0]), tp_deviation=tp_dev)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from test_snapshot import CANONICAL_CASES, KRAUS_SPECS, NAMED_POINTS
 
-from grasschan import catalog, degradability, green, io, qubit
+from grasschan import catalog, degradability, grassmann, green, io, qubit
 from grasschan.degradability import NULL_CAPACITY_CLAIMED, WEAKLY_DEGRADABLE
 from grasschan.green import (
     AngleParams,
@@ -273,7 +273,9 @@ class TestOneGaussianDecision:
 
             return wrapper
 
-        monkeypatch.setattr(green, "_kernel_bodies", counting("kernel", green._kernel_bodies))
+        monkeypatch.setattr(green, "_kernel_body", counting("kernel", green._kernel_body))
+        monkeypatch.setattr(grassmann, "_products", counting("products", grassmann._products))
+        monkeypatch.setattr(green, "_products", counting("products", grassmann._products))
         monkeypatch.setattr(green, "detect_gaussian", counting("detect", green.detect_gaussian))
         monkeypatch.setattr(catalog, "detect_gaussian", counting("detect", green.detect_gaussian), raising=False)
         monkeypatch.setattr(
@@ -288,6 +290,7 @@ class TestOneGaussianDecision:
             counts.clear()
             report = catalog.analyze_channel(ch)
             assert counts["kernel"] == int(report["cptp"]["ok"]), ch
+            assert counts["products"] == 0, ch
             assert counts["detect"] == 0, ch
             assert counts["marginal"] == int(report.get("dilation") is not None), ch
             paths[(report.get("gaussian") is not None, report.get("gaussian_equivalent") is not None)] += 1

@@ -311,26 +311,35 @@ class TestNoTraceback:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, named",
         [
-            {"type": "canonical", "t": [1e308, 1e308, 1e308], "lambda": [1e308, -1e308, 1e308]},
-            {"type": "canonical", "t": [0, 0, 0], "lambda": [1.7e308, 1.7e308, 1.7e308]},
-            # Finite entries whose sum A^dag A overflows to inf - inf = NaN.
-            {"type": "kraus", "matrices": [
-                [[[1e200, 0], [1e200, 0]], [[0, 0], [0, 0]]],
-                [[[1e200, 0], [-1e200, 0]], [[0, 0], [0, 0]]],
-            ]},
+            (
+                {"type": "canonical", "t": [1e308, 1e308, 1e308], "lambda": [1e308, -1e308, 1e308]},
+                "t[0]=1.000e+308 is too large",
+            ),
+            ({"type": "canonical", "t": [0, 0, 0], "lambda": [1.7e308, 1.7e308, 1.7e308]}, "lam[0]=1.700e+308 is too large"),
+            ({"type": "canonical", "t": [0, 0, 1.7e308], "lambda": [1, 1, 1.7e308]}, "t[2]=1.700e+308 is too large"),
+            # Finite entries whose sum A^dag A would overflow to inf - inf = NaN.
+            (
+                {"type": "kraus", "matrices": [
+                    [[[1e200, 0], [1e200, 0]], [[0, 0], [0, 0]]],
+                    [[[1e200, 0], [-1e200, 0]], [[0, 0], [0, 0]]],
+                ]},
+                "Kraus operator 0 entry [0, 0] has a part of modulus 1.000e+200",
+            ),
         ],
-        ids=["choi-overflow", "choi-overflow-lambda", "kraus-overflow"],
+        ids=["choi-overflow", "choi-overflow-lambda", "choi-overflow-t3", "kraus-overflow"],
     )
-    def test_overflowing_spec_exits_3(self, capsys, tmp_path, spec):
+    def test_overflowing_spec_exits_3(self, capsys, tmp_path, spec, named):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "analyze", str(path), "--json")
         assert code == 3
-        assert strict_loads(out)["error"]["kind"] == "validation"
+        error = strict_loads(out)["error"]
+        assert error["kind"] == "validation"
+        assert error["message"].startswith(named) and "nan" not in error["message"]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in err
 

@@ -1,7 +1,10 @@
-"""Every graded product is a row of one pass: ``grassmann._products``.
+"""No second ``bincount`` product pass: ``grassmann._products`` is the only one.
 
 A lint over the source: ``np.bincount`` sums the product terms into their
-targets, so a call to it anywhere else would be a second product path.
+targets, so a call to it anywhere else would be a second array product path.
+The scalar closed forms on Python floats (one kernel, one characteristic
+function, one convolution) are not passes; the bit tests hold each of them
+to ``_products``.
 """
 
 import ast

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from grasschan.qubit import (
     ptm_from_kraus,
     random_cptp_canonical_channel,
     random_state,
+    _CHOI_SAFE,
     _DECISION_SHIFTS,
     _ROWS_PER_TRIAL,
     _choi_decision,
@@ -312,6 +314,39 @@ class TestCptp:
         assert not report.ok and not report
         assert report.min_choi_eigenvalue < -1e-9
 
+    @pytest.mark.parametrize(
+        "t, lam, name",
+        [
+            ([0, 0, 1.7e308], [1, 1, 1.7e308], "t[2]=1.700e+308"),
+            ([0, 0, 0], [1.7e308, 1.7e308, 1.7e308], "lam[0]=1.700e+308"),
+            ([1e308, 1e308, 1e308], [1e308, -1e308, 1e308], "t[0]=1.000e+308"),
+        ],
+    )
+    def test_an_overflowing_choi_matrix_names_the_largest_entry(self, t, lam, name):
+        self.check_names(t, lam, f"{name} is too large: the Choi matrix overflows")
+
+    def test_a_finite_choi_matrix_with_overflowing_eigenvalues_names_the_largest_entry(self):
+        t, lam = [0.0, 1.7e308, 8.9884656743115795e307], [0.0, np.finfo(float).max, 0.0]
+        assert np.isfinite(choi_from_ptm(QubitChannel.from_canonical(t, lam).ptm)).all()
+        self.check_names(t, lam, "lam[1]=1.798e+308 is too large: the Choi matrix's eigenvalues or partial trace overflow")
+
+    @staticmethod
+    def check_names(t, lam, start):
+        ch = QubitChannel.from_canonical(t, lam)
+        message = re.escape(f"{start}, so the channel is not CPTP")
+        for check in (lambda: ch.cptp_report, lambda: is_cptp(ch), lambda: apply_channel(ch, QubitState(p=1.0))):
+            with pytest.raises(NotCptpError, match=message):
+                check()
+
+    def test_a_finite_choi_matrix_of_huge_entries_keeps_the_plain_check(self):
+        ch = QubitChannel.from_canonical([0, 0, 5e307], [1, 1, 5e307])
+        assert max(np.abs(ch.lam)) > _CHOI_SAFE
+        report = is_cptp(ch)
+        choi = choi_from_ptm(ch.ptm)
+        assert np.isfinite(choi).all() and not report.ok
+        assert report.min_choi_eigenvalue == np.linalg.eigvalsh(choi)[0]
+        assert report.tp_deviation == np.abs(choi[:2, :2] + choi[2:, 2:] - np.eye(2)).max()
+
     def test_choi_normalization(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
@@ -323,6 +358,18 @@ class TestCptp:
 
 
 class TestFromKraus:
+    @pytest.mark.parametrize(
+        "kraus, where",
+        [
+            ([[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]], "Kraus operator 0 entry [0, 0] has a part of modulus 1.000e+200"),
+            ([np.zeros((2, 2)), [[0, 1j * (1 + 2 * KRAUS_TP_ATOL)], [0, 0]]], "Kraus operator 1 entry [0, 1] has a part"),
+        ],
+        ids=["overflowing", "just-above"],
+    )
+    def test_an_entry_part_above_the_bound_is_named_before_the_product(self, kraus, where):
+        with pytest.raises(NotTracePreservingError, match=re.escape(where)):
+            QubitChannel.from_kraus(kraus)
+
     def test_derives_transfer_matrix_once(self, monkeypatch):
         import grasschan.qubit as qubit
 

@@ -23,7 +23,10 @@ some too large for a float; the error then names the input that held one.
 The channel-side constructors get the same parts: ``QubitChannel.from_canonical``,
 ``AngleParams`` (with ``channel_from_angles``, ``classify_by_angles`` and
 ``dilation_from_angles`` on every one it accepts) and ``Dilation`` return
-finite values or name the field that failed.
+finite values or name the field that failed.  ``cptp_report`` of every
+channel ``QubitChannel`` accepts gives finite numbers, or ``NotCptpError``
+naming an entry too large for its Choi matrix, and ``green_from_channel`` of
+every CPTP one has the bits of the algebra pass ``_kernel_bodies``.
 """
 
 import cmath
@@ -47,8 +50,17 @@ from grasschan.degradability import (
     weakly_complementary,
 )
 from grasschan.grassmann import MONOMIAL_NAMES, GrassmannElement
-from grasschan.green import _ANGLE_MAX, AngleParams, GreenFunction, apply_green, channel_from_angles, green_from_canonical
-from grasschan.qubit import QubitChannel, QubitState
+from grasschan.green import (
+    _ANGLE_MAX,
+    AngleParams,
+    GreenFunction,
+    _kernel_bodies,
+    apply_green,
+    channel_from_angles,
+    green_from_canonical,
+    green_from_channel,
+)
+from grasschan.qubit import _CHOI_SAFE, NotCptpError, QubitChannel, QubitState
 
 INF, NAN = math.inf, math.nan
 PARTS = st.one_of(
@@ -259,6 +271,11 @@ CANONICAL = st.lists(st.one_of(st.floats(-1, 1), PARTS, INTS), min_size=3, max_s
 @example(t=[10**400, 0, 0], lam=[1, 1, 1])
 @example(t=[INF, 0, 0], lam=[1, 1, 1])
 @example(t=[0.0, 0.0, 0.0], lam=[1.0, NAN, 1.0])
+@example(t=[0, 0, 1.7e308], lam=[1, 1, 1.7e308])
+@example(t=[0, 0, 1e200], lam=[1, 1, 1e200])
+@example(t=[0.0, 1.7e308, 2.0**1023], lam=[0.0, 1.7976931348623157e308, 0.0])
+@example(t=[0.0, -0.0, 5e-324], lam=[5e-324, 0.0, -0.0])
+@example(t=[-0.0, 0.0, 0.5], lam=[-0.5, 0.5, -0.0])
 def test_canonical_channel(t, lam):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -271,6 +288,21 @@ def test_canonical_channel(t, lam):
         assert ch.t.tobytes() == np.array(t, dtype=float).tobytes()
         assert ch.lam.tobytes() == np.array(lam, dtype=float).tobytes()
         assert np.isfinite(ch.ptm).all()
+        try:
+            report = ch.cptp_report
+        except NotCptpError as exc:
+            named(str(exc), "t", "lam")
+            assert max(map(abs, ch.t.tolist() + ch.lam.tolist())) > _CHOI_SAFE
+            with pytest.raises(NotCptpError, match="is too large: the Choi matrix"):
+                green_from_channel(ch)
+            return
+        assert math.isfinite(report.min_choi_eigenvalue) and math.isfinite(report.tp_deviation)
+        if not report.ok:
+            with pytest.raises(NotCptpError, match=re.escape("not CPTP (min Choi eigenvalue ")):
+                green_from_channel(ch)
+            return
+        body = green_from_channel(ch).body.coefficients
+        assert body.tobytes() == _kernel_bodies(ch.t[None], ch.lam[None])[0].tobytes()
 
 
 ANGLES = st.one_of(

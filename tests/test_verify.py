@@ -7,6 +7,8 @@ convolution through ``substitute``.  The array passes must give the same
 bits, raise the same exceptions and leave the generator in the same state.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from scripted_stream import ScriptedStream
@@ -55,6 +57,9 @@ from grasschan.verify import CHUNK_TRIALS, CheckResult, run_verification
 
 def reference_char_function(rho):
     return CharFunction((OperatorElement.from_matrix(rho.matrix) * displacement()).trace())
+
+
+EDGE_ENTRIES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 5e-324, -5e-324, 3 * 5e-324, 1e-310, -1e-310, 2.2e-308, 1e-300, 0.3, -0.7]
 
 
 def reference_kernel(ch):
@@ -180,6 +185,39 @@ class TestArrayPassesMatchSingleObjects:
             rho = random_state(rng_b)
             assert (p[s], gamma[s]) == (rho.p, rho.gamma)
         assert rng_a.random() == rng_b.random()
+
+    def test_the_closed_form_kernel_has_the_bits_of_the_pass_on_edge_rows(self):
+        """``green._kernel_body`` against the rows of ``_kernel_bodies``, CPTP
+        or not: half the entries uniform, half signed zeros, subnormals, tiny
+        and unit values.  ``lam = (5e-324, 0.0, -0.0)`` makes ``a`` an
+        underflowed -0.0 and ``lam3 - lam1 lam2`` a -0.0, where xi xi* needs
+        its sum started from +0.0."""
+        rng = np.random.default_rng(19)
+        n = 20_000
+        rows = np.where(rng.random((n, 6)) < 0.5, rng.uniform(-1, 1, (n, 6)), rng.choice(EDGE_ENTRIES, (n, 6)))
+        rows[:2] = [[0.0, -0.0, 0.5, 5e-324, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0, -0.0, -0.0]]
+        kernels = _kernel_bodies(rows[:, :3], rows[:, 3:])
+        assert kernels[0, 0b1100] == 0 and not np.signbit(kernels[0, 0b1100].real)
+        for s, row in enumerate(rows.tolist()):
+            assert green._kernel_body(row[:3], row[3:]).tobytes() == kernels[s].tobytes(), row
+
+    def test_one_channel_kernel_has_the_bits_of_the_pass_and_the_reference(self):
+        """``green_from_channel`` on CPTP channels with ``lam1 = -lam2`` (``a``
+        is +-0.0), ``lam1 = lam2`` (``b`` is +-0.0), ``t1`` and ``t2`` at
+        +-0.0 and subnormal entries, and on random CPTP channels, against row 0
+        of ``_kernel_bodies`` and the element-algebra reference."""
+        zeros = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]
+        lams = [(x, y, z) for x in zeros + [0.5, -0.5] for y in (x, -x) for z in zeros + [0.25]]
+        ts = list(itertools.product([0.0, -0.0], [0.0, -0.0, 5e-324], [0.0, -0.0, -1e-310, 0.25]))
+        channels = [QubitChannel.from_canonical(ts[k % len(ts)], lam) for k, lam in enumerate(lams + lams[::-1])]
+        rng = np.random.default_rng(190)
+        channels = [ch for ch in channels if ch.cptp_report.ok]
+        assert len(channels) > 200
+        channels += [random_cptp_canonical_channel(rng) for _ in range(100)]
+        for ch in channels:
+            body = green_from_channel(ch).body.coefficients.tobytes()
+            assert body == _kernel_bodies(ch.t[None], ch.lam[None])[0].tobytes(), ch
+            assert body == reference_kernel(ch).coefficients.tobytes(), ch
 
     def test_char_function_on_edge_states_has_the_bits_of_the_reference(self):
         """Weights at and just outside [0, 1], a subnormal weight, and
