@@ -248,10 +248,7 @@ def _cmd_verify(args) -> int:
         return _error("parse", "--seed must be >= 0", args.json, EXIT_PARSE)
     if args.tol is not None and not 0 < args.tol < math.inf:
         return _error("parse", "--tol must be positive and finite", args.json, EXIT_PARSE)
-    kwargs = {}
-    if args.tol is not None:
-        kwargs = {"calibration_tol": args.tol, "oracle_tol": args.tol}
-    result = verify.run_verification(trials=args.trials, seed=args.seed, **kwargs)
+    result = verify.run_verification(trials=args.trials, seed=args.seed, tol=args.tol)
     if args.json:
         payload = result.to_json()
         if args.trials == 0:

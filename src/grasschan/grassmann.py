@@ -38,9 +38,9 @@ Storage and arithmetic:
   arrays): the pair tables are offset by row, so each row gets the bits of
   its own single-pair pass.  ``multiply`` is one row, an operator product
   eight (``e[i, k] f[k, j]``, summed over ``k``), an operator times an
-  element four; ``verify`` builds its kernels as one row per trial, and
-  ``green_from_channel`` writes one kernel from its closed form on Python
-  floats, with the bits of that row.
+  element four.  ``green`` writes each kernel from its closed form on Python
+  floats, with the bits of the same kernel built here from ``delta_pair``
+  and ``multiply``.
   ``_products`` runs any table of signed terms (``_PairTable``): the Berezin
   convolution of ``green`` is one pass of the 81-pair table cut to 16 terms,
   one row per kernel, and ``apply_green`` runs its terms that can be nonzero

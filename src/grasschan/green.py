@@ -20,12 +20,10 @@ kernel also falls out of the trace construction
 :func:`green_from_channel_trace`, and the convolution path agrees with the
 dense Bloch map on random channels and states.
 
-One channel's kernel is written straight from this closed form on Python
-floats (``_kernel_body``), with the bits of the Grassmann algebra pass
-``_kernel_bodies``: that pass multiplies the delta's argument by its
-adjoint and the result by the factor, one row per channel; ``verify`` builds
-its kernels with it, one row per trial, and the tests hold the closed form
-to it.
+Each kernel is written straight from this closed form on Python floats
+(``_kernel_body``): ``green_from_channel`` builds one, and ``verify`` one per
+trial.  Its bits are those of the formula evaluated in the element algebra
+(``delta_pair``, ``multiply`` and element sums), to which the tests hold it.
 
 The convolution is one product pass over the 16 of its 81 terms that can
 count, with the relabelling ``chi(xi) -> chi(zeta)`` and the pair integral
@@ -61,7 +59,6 @@ from .grassmann import (
     GrassmannElement,
     OperatorElement,
     _PairTable,
-    _adjoint_coeffs,
     _element,
     _products,
 )
@@ -180,15 +177,6 @@ class GaussianEquivalent:
     signs = (1, 1, 1)
 
 
-# Monomial masks of the kernel's coefficients.
-_ZETA = 0b0001
-_XI = 0b0100
-_XI_STAR = 0b1000
-_XI_XI_STAR = 0b1100
-_ZETA_ZETA_STAR_XI = 0b0111
-_ZETA_ZETA_STAR_XI_STAR = 0b1011
-
-
 def _convolution_table() -> _PairTable:
     """The terms of ``integrate_pair(relabel(chi) * kernel)`` that can count.
 
@@ -231,18 +219,21 @@ def green_from_channel(ch: QubitChannel) -> GreenFunction:
 
 def _kernel_body(t: list, lam: list) -> np.ndarray:
     """The kernel body of one finite canonical ``(t, lam)``, written from its
-    closed form on Python floats with the bits of row 0 of ``_kernel_bodies``.
+    closed form on Python floats with the bits of the module docstring's
+    formula evaluated in the element algebra: ``delta_pair`` (the argument
+    times its adjoint), ``multiply`` by the factor, and the three additive
+    terms added as elements.
 
     With ``a = -(lam1 + lam2)/2`` and ``b = -(lam2 - lam1)/2`` the delta
     argument's xi and xi* coefficients, and ``a' = a + 0.0``, ``b' = b +
     0.0`` the adjoint's (its sign-multiply and ``+ 0.0`` turn a -0.0 into
     +0.0), ``delta_pair`` has zeta zeta* 1, zeta xi ``b'``, zeta xi* ``a'``,
     zeta* xi ``-a``, zeta* xi* ``-b`` and xi xi* ``a a' - b b'``; the factor
-    adds zeta zeta* xi xi* ``t3/2``.  Each product pass sums a target from
+    adds zeta zeta* xi xi* ``t3/2``.  Each product sums a target from
     +0.0 in table order, and its other terms are signed zeros, so each
     coefficient is its one term with a -0.0 made +0.0 (``0.0 - a``, ``t3/2
     + 0.0``), and xi xi* is ``(0.0 + a a') - b b'``, with ``lam3 - lam1
-    lam2`` added after it.  The array code forms ``(t1 -+ i t2)/2`` in
+    lam2`` added after it.  The formula forms ``(t1 -+ i t2)/2`` in
     complex arithmetic (the quotient's parts are ``(x + y*0.0) * 0.5`` and
     ``(y - x*0.0) * 0.5``) and adds it to an exact +0.0 coefficient, which
     leaves ``t1/2`` and ``-+t2/2`` with a -0.0 made +0.0.  Every imaginary
@@ -264,35 +255,6 @@ def _kernel_body(t: list, lam: list) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def _kernel_bodies(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Kernel bodies of the canonical rows ``(t[s], lam[s])``, as ``(n, 16)`` rows.
-
-    The module docstring's kernel, assembled coefficient by coefficient: the
-    delta argument ``zeta - a xi - b xi*`` and the factor ``1 + (t3/2) xi xi*``
-    are set directly, and the three additive terms land on their monomials
-    (``xi xi*``, ``zeta zeta* xi``, ``zeta zeta* xi*``, each with coefficient
-    +1 in the product basis).  Rows do not depend on each other.  This is the
-    Grassmann algebra pass: ``verify`` builds its kernels with it, one row
-    per trial, and the tests hold the one-channel closed form of
-    :func:`_kernel_body` to its rows.
-    """
-    t1, t2, t3 = t.T
-    lam1, lam2, lam3 = lam.T
-    arg = np.zeros((len(t), 16), dtype=complex)
-    arg[:, _ZETA] = 1.0
-    arg[:, _XI] = -(lam1 + lam2) / 2
-    arg[:, _XI_STAR] = -(lam2 - lam1) / 2
-    delta = _products(arg, _adjoint_coeffs(arg))
-    factor = np.zeros_like(arg)
-    factor[:, 0] = 1.0
-    factor[:, _XI_XI_STAR] = t3 / 2
-    body = _products(delta, factor)
-    body[:, _XI_XI_STAR] += lam3 - lam1 * lam2
-    body[:, _ZETA_ZETA_STAR_XI] += (t1 - 1j * t2) / 2
-    body[:, _ZETA_ZETA_STAR_XI_STAR] -= (t1 + 1j * t2) / 2
-    return body
 
 
 def green_from_channel_trace(ch: QubitChannel) -> GreenFunction:

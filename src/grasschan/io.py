@@ -7,6 +7,10 @@ Input schema, ``schema_version`` 1.  Three forms::
                                     [ [re, im], [re, im] ]], ...]}
     {"type": "named", "name": "amplitude_damping", "params": {"n": 0.3}}
 
+Every number of a spec, ``schema_version`` included, is a finite JSON number
+(an int or a float); a bool, string, object or array in its place is a
+``SpecError`` naming the field.
+
 ``channel_to_json`` is ``QubitChannel.to_json``, the package's one writer of
 the canonical form, which re-ingests bit-exactly; every channel block of a
 report (``channel``, the equivalent's ``channel``, ``complement`` and
@@ -35,45 +39,63 @@ class SpecError(ValueError):
 channel_to_json = QubitChannel.to_json
 
 
-def _parse_matrix(entry) -> np.ndarray:
-    try:
-        m = np.asarray(entry, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"bad Kraus matrix entry: {exc}") from exc
-    if m.shape != (2, 2, 2):
+def _number(value, field: str, *index) -> float:
+    """A JSON number (an int or a float, not a bool) as a finite float.
+
+    A bool, string, object or array, an int too large for a float, NaN and
+    the infinities (which Python's json accepts) raise a ``SpecError``
+    naming ``field`` and its ``index``, written out only then.
+    """
+    if isinstance(value, float) or isinstance(value, int) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            problem = "is too large for a float"
+        else:
+            if math.isfinite(x):
+                return x
+            problem = "is a non-finite number"
+    else:
+        problem = f"must be a number, not {type(value).__name__}"
+    raise SpecError(f"{field}{''.join(f'[{k}]' for k in index)} {problem}")
+
+
+def _numbers(values, field: str, n: int) -> list:
+    if not isinstance(values, list) or len(values) != n:
+        raise SpecError(f"{field} must be an array of {n} numbers")
+    return [_number(v, field, k) for k, v in enumerate(values)]
+
+
+def _pairs(x) -> bool:
+    return isinstance(x, list) and len(x) == 2
+
+
+def _parse_matrix(entry, k: int) -> np.ndarray:
+    if not (_pairs(entry) and all(_pairs(row) and all(map(_pairs, row)) for row in entry)):
         raise SpecError("each Kraus matrix must be a 2x2 array of [re, im] pairs")
-    _require_finite("Kraus matrix", m.flat)
+    m = np.array(
+        [
+            [[_number(x, "matrices", k, i, j, part) for part, x in enumerate(z)] for j, z in enumerate(row)]
+            for i, row in enumerate(entry)
+        ]
+    )
     return m[..., 0] + 1j * m[..., 1]
-
-
-def _require_finite(what: str, values) -> None:
-    # Python's json accepts NaN and Infinity, which no channel has.
-    if not all(map(math.isfinite, values)):
-        raise SpecError(f"non-finite number in {what}")
 
 
 def channel_from_json(obj: dict) -> QubitChannel:
     if not isinstance(obj, dict):
         raise SpecError("channel spec must be a JSON object")
     version = obj.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if _number(version, "schema_version") != SCHEMA_VERSION:
         raise SpecError(f"unsupported schema_version {version!r}")
     kind = obj.get("type")
     if kind == "canonical":
-        try:
-            t = [float(v) for v in obj["t"]]
-            lam = [float(v) for v in obj["lambda"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SpecError(f"bad canonical spec: {exc}") from exc
-        if len(t) != 3 or len(lam) != 3:
-            raise SpecError("canonical spec needs 3-vectors 't' and 'lambda'")
-        _require_finite("canonical spec", t + lam)
-        return QubitChannel.from_canonical(t, lam)
+        return QubitChannel.from_canonical(_numbers(obj.get("t"), "t", 3), _numbers(obj.get("lambda"), "lambda", 3))
     if kind == "kraus":
         matrices = obj.get("matrices")
         if not isinstance(matrices, list) or not matrices:
             raise SpecError("kraus spec needs a non-empty 'matrices' list")
-        ops = [_parse_matrix(m) for m in matrices]
+        ops = [_parse_matrix(m, k) for k, m in enumerate(matrices)]
         # trace-preservation / diagonality failures are validation errors and
         # propagate as their own types
         return QubitChannel.from_kraus(ops)
@@ -82,11 +104,7 @@ def channel_from_json(obj: dict) -> QubitChannel:
         params = obj.get("params", {})
         if not isinstance(name, str) or not isinstance(params, dict):
             raise SpecError("named spec needs a 'name' string and a 'params' object")
-        try:
-            params = {key: float(value) for key, value in params.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SpecError(f"bad named parameters: {exc}") from exc
-        _require_finite("named parameters", params.values())
+        params = {key: _number(value, "params", repr(key)) for key, value in params.items()}
         try:
             return catalog.build(name, params)
         except (KeyError, catalog.OutOfRangeError) as exc:

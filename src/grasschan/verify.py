@@ -14,8 +14,10 @@ The suites run as array passes over chunks of up to ``CHUNK_TRIALS``
 trials.  The oracle suite samples a chunk's channels and states in one
 stream-exact pass (``qubit._random_channels_and_states``): the bits and the
 generator's final state are those of drawing each trial's channel, then its
-state, one at a time.  The chunk then runs both paths as ``(n, 16)``
-coefficient arrays.  Every row has the bits of the single-object path
+state, one at a time.  Each trial's kernel is the closed form of
+``green_from_channel`` (``green._kernel_body``, one call per trial); the
+chunk then runs both paths as ``(n, 16)`` coefficient arrays, with one
+convolution pass.  Every row has the bits of the single-object path
 (``char_function``, ``green_from_channel``, ``apply_green``,
 ``state_from_char``, ``apply_channel``), every per-trial check runs on every
 row and raises that check's exception, and a NaN residual makes its suite
@@ -25,12 +27,13 @@ fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .charfunc import _char_bodies, _check_char_bodies, _states_from_bodies
 from .grassmann import MONOMIAL_NAMES
-from .green import _apply_kernels, _kernel_bodies
+from .green import _apply_kernels, _kernel_body
 from .qubit import _bloch_map, _random_channels_and_states, _states_from_uniforms
 from .tolerances import CALIBRATION_TOL, ORACLE_TOL
 
@@ -112,7 +115,8 @@ def _oracle_suite(rng: np.random.Generator, trials: int, tol: float) -> CheckRes
         p, gamma = _states_from_uniforms(u)
         chi = _char_bodies(_density_rows(p, gamma))
         _check_char_bodies(chi)
-        chi_out = _apply_kernels(_kernel_bodies(t, lam), chi)
+        kernels = np.array([_kernel_body(t_row, lam_row) for t_row, lam_row in zip(t.tolist(), lam.tolist())])
+        chi_out = _apply_kernels(kernels, chi)
         _check_char_bodies(chi_out)
         symbolic_p, symbolic_gamma = _states_from_bodies(chi_out)
         dense_p, dense_gamma = _bloch_map(t, lam, p, gamma)
@@ -133,14 +137,17 @@ def _oracle_suite(rng: np.random.Generator, trials: int, tol: float) -> CheckRes
 def run_verification(
     trials: int = 1000,
     seed: int = DEFAULT_SEED,
-    calibration_tol: float = CALIBRATION_TOL,
-    oracle_tol: float = ORACLE_TOL,
+    tol: Optional[float] = None,
 ) -> VerificationResult:
-    """Run both suites with a fixed seed; ``trials=0`` passes vacuously."""
+    """Run both suites with a fixed seed; ``trials=0`` passes vacuously.
+
+    ``tol`` overrides both suites' tolerances; None keeps each suite's own
+    (``CALIBRATION_TOL``, ``ORACLE_TOL``).
+    """
     rng = np.random.default_rng(seed)
     checks = (
-        _calibration_suite(rng, trials, calibration_tol),
-        _oracle_suite(rng, trials, oracle_tol),
+        _calibration_suite(rng, trials, CALIBRATION_TOL if tol is None else tol),
+        _oracle_suite(rng, trials, ORACLE_TOL if tol is None else tol),
     )
     return VerificationResult(
         passed=all(c.passed for c in checks),

@@ -14,7 +14,6 @@ from grasschan.green import (
     AngleParams,
     GreenFunction,
     _gaussian_params,
-    _kernel_bodies,
     channel_from_angles,
     detect_gaussian,
     gaussian_equivalent,
@@ -338,7 +337,7 @@ class TestClosedFormGaussianParams:
                 if eq is not None:
                     frames.append(relabelled if eq.perm == (0, 1, 2) else eq.channel)
         assert len(frames) >= 20_000
-        kernels = _kernel_bodies(np.array([f.t for f in frames]), np.array([f.lam for f in frames]))
+        kernels = [green._kernel_body(f.t.tolist(), f.lam.tolist()) for f in frames]
 
         def bits(gp):
             return [float(x).hex() for x in (gp.a.real, gp.a.imag, gp.b.real, gp.b.imag, gp.c)]

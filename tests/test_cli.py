@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from grasschan.qubit import (
     NotTracePreservingError,
     QubitChannel,
 )
-from grasschan.tolerances import CERT_RESIDUAL_TOL
+from grasschan.tolerances import CALIBRATION_TOL, CERT_RESIDUAL_TOL, ORACLE_TOL
 
 
 def run_cli(capsys, *argv):
@@ -134,7 +135,7 @@ class TestAnalyzeCommand:
 
     def test_identity_spec_file(self, capsys, tmp_path):
         spec = tmp_path / "identity.json"
-        spec.write_text(json.dumps({"type": "canonical", "t": [0, 0, 0], "lambda": [1, 1, 1]}))
+        spec.write_text(json.dumps({"type": "canonical", "t": [0, 0, 0], "lambda": [1, 1, 1], "schema_version": 1}))
         code, out, _ = run_cli(capsys, "analyze", str(spec), "--json")
         assert code == 0
         report = json.loads(out)
@@ -181,6 +182,18 @@ class TestAnalyzeCommand:
             {"type": "kraus", "matrices": [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]]},
             {"type": "named", "name": "amplitude_damping", "params": {"n": float("-inf")}},
             {"type": "named", "name": "amplitude_damping", "params": {"n": "half"}},
+            {"type": "canonical", "t": "000", "lambda": "111"},
+            {"type": "canonical", "t": [0, 0, 0], "lambda": [True, True, True]},
+            {"type": "canonical", "t": {"1": 0, "2": 0, "3": 0}, "lambda": [1, 1, 1]},
+            {"type": "canonical", "t": [0, 0, [0]], "lambda": [1, 1, 1]},
+            {"type": "canonical", "t": [0, 0, {}], "lambda": [1, 1, 1]},
+            {"type": "canonical", "t": [0, 0, 0], "lambda": [1, 1, 1], "schema_version": True},
+            {"type": "canonical", "t": [0, 0, 0], "lambda": [1, 1, 1], "schema_version": "1"},
+            {"type": "kraus", "matrices": [[[["1", 0], [0, 0]], [[0, 0], ["1", 0]]]]},
+            {"type": "kraus", "matrices": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+            {"type": "named", "name": "amplitude_damping", "params": {"n": "0_5"}},
+            {"type": "named", "name": "amplitude_damping", "params": {"n": False}},
+            {"type": "named", "name": "amplitude_damping", "params": {"n": [0.5]}},
         ],
     )
     def test_non_finite_or_non_numeric_spec_exit_2(self, capsys, tmp_path, spec):
@@ -189,6 +202,26 @@ class TestAnalyzeCommand:
         code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"type": "canonical", "t": [0, 0, "0"], "lambda": [1, 1, 1]}, "t[2] must be a number, not str"),
+            ({"type": "canonical", "t": [0, 0, 0], "lambda": [1, True, 1]}, "lambda[1] must be a number, not bool"),
+            ({"type": "canonical", "t": {"1": 0, "2": 0, "3": 0}, "lambda": [1, 1, 1]}, "t must be an array of 3"),
+            ({"type": "canonical", "t": [0, 0, 0]}, "lambda must be an array of 3"),
+            ({"type": "canonical", "t": [0, 0, 10**400], "lambda": [1, 1, 1]}, "t[2] is too large for a float"),
+            ({"type": "canonical", "t": [0, 0, 0], "lambda": [1, 1, 1], "schema_version": True}, "schema_version must"),
+            (
+                {"type": "kraus", "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, "0"]]]]},
+                "matrices[0][1][1][1] must be a number, not str",
+            ),
+            ({"type": "named", "name": "bit_flip", "params": {"s": "0_5"}}, "params['s'] must be a number, not str"),
+        ],
+    )
+    def test_a_spec_number_that_is_not_a_json_number_is_named(self, spec, message):
+        with pytest.raises(io.SpecError, match=re.escape(message)):
+            io.channel_from_json(spec)
 
     def test_nan_spec_exits_2_without_traceback_in_a_fresh_process(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -506,6 +539,9 @@ class TestVerifyCommand:
             "characteristic_function_closed_form",
             "convolution_vs_dense_oracle",
         }
+        assert [c["tolerance"] for c in payload["checks"]] == [CALIBRATION_TOL, ORACLE_TOL]
+        _, out, _ = run_cli(capsys, "verify", "--trials", "10", "--json", "--tol", "1e-3")
+        assert [c["tolerance"] for c in json.loads(out)["checks"]] == [1e-3, 1e-3]
 
 
 def _reject_constant(name):

@@ -26,7 +26,7 @@ The channel-side constructors get the same parts: ``QubitChannel.from_canonical`
 finite values or name the field that failed.  ``cptp_report`` of every
 channel ``QubitChannel`` accepts gives finite numbers, or ``NotCptpError``
 naming an entry too large for its Choi matrix, and ``green_from_channel`` of
-every CPTP one has the bits of the algebra pass ``_kernel_bodies``.
+every CPTP one has the bits of the element-algebra reference kernel.
 """
 
 import cmath
@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_verify import reference_kernel
 
 from grasschan.charfunc import CharFunction, _char_bodies, char_function, state_from_char
 from grasschan.degradability import (
@@ -54,7 +55,6 @@ from grasschan.green import (
     _ANGLE_MAX,
     AngleParams,
     GreenFunction,
-    _kernel_bodies,
     apply_green,
     channel_from_angles,
     green_from_canonical,
@@ -302,7 +302,7 @@ def test_canonical_channel(t, lam):
                 green_from_channel(ch)
             return
         body = green_from_channel(ch).body.coefficients
-        assert body.tobytes() == _kernel_bodies(ch.t[None], ch.lam[None])[0].tobytes()
+        assert body.tobytes() == reference_kernel(ch.t, ch.lam).coefficients.tobytes()
 
 
 ANGLES = st.one_of(

@@ -38,7 +38,7 @@ from grasschan.grassmann import (
     integrate_pair,
     substitute,
 )
-from grasschan.green import _apply_kernels, _kernel_bodies, apply_green, green_from_channel
+from grasschan.green import _apply_kernels, apply_green, green_from_channel
 from grasschan.qubit import (
     QubitChannel,
     QubitState,
@@ -62,9 +62,10 @@ def reference_char_function(rho):
 EDGE_ENTRIES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 5e-324, -5e-324, 3 * 5e-324, 1e-310, -1e-310, 2.2e-308, 1e-300, 0.3, -0.7]
 
 
-def reference_kernel(ch):
-    t1, t2, t3 = (float(v) for v in ch.t)
-    lam1, lam2, lam3 = (float(v) for v in ch.lam)
+def reference_kernel(t, lam):
+    """The kernel of canonical ``(t, lam)``, CPTP or not, as products of elements."""
+    t1, t2, t3 = (float(v) for v in t)
+    lam1, lam2, lam3 = (float(v) for v in lam)
     a = (lam1 + lam2) / 2
     b = (lam2 - lam1) / 2
     body = delta_pair(ZETA - a * XI - b * XI_STAR) * (GrassmannElement.one() + (t3 / 2) * (XI * XI_STAR))
@@ -101,7 +102,7 @@ def reference_oracle_suite(rng, trials, tol):
     for _ in range(trials):
         ch = random_cptp_canonical_channel(rng)
         rho = random_state(rng)
-        symbolic = state_from_char(reference_apply(reference_kernel(ch), reference_char_function(rho)))
+        symbolic = state_from_char(reference_apply(reference_kernel(ch.t, ch.lam), reference_char_function(rho)))
         dense = apply_channel(ch, rho)
         worst = max(worst, abs(symbolic.p - dense.p), abs(symbolic.gamma - dense.gamma))
     return CheckResult("convolution_vs_dense_oracle", worst <= tol, worst, trials, tol)
@@ -157,13 +158,13 @@ class TestArrayPassesMatchSingleObjects:
         p = np.array([rho.p for rho in states])
         gamma = np.array([rho.gamma for rho in states])
 
-        kernels = _kernel_bodies(t, lam)
+        kernels = np.array([green._kernel_body(t_row, lam_row) for t_row, lam_row in zip(t.tolist(), lam.tolist())])
         chis = _char_bodies(np.array([rho.matrix for rho in states]))
         outs = _apply_kernels(kernels, chis)
         symbolic_p, symbolic_gamma = _states_from_bodies(outs)
         dense_p, dense_gamma = _bloch_map(t, lam, p, gamma)
         for s, (ch, rho) in enumerate(zip(channels, states)):
-            kernel = reference_kernel(ch)
+            kernel = reference_kernel(ch.t, ch.lam)
             chi = reference_char_function(rho)
             out = reference_apply(kernel, chi)
             assert kernels[s].tobytes() == kernel.coefficients.tobytes()
@@ -186,8 +187,8 @@ class TestArrayPassesMatchSingleObjects:
             assert (p[s], gamma[s]) == (rho.p, rho.gamma)
         assert rng_a.random() == rng_b.random()
 
-    def test_the_closed_form_kernel_has_the_bits_of_the_pass_on_edge_rows(self):
-        """``green._kernel_body`` against the rows of ``_kernel_bodies``, CPTP
+    def test_the_closed_form_kernel_has_the_bits_of_the_reference_on_edge_rows(self):
+        """``green._kernel_body`` against the element-algebra reference, CPTP
         or not: half the entries uniform, half signed zeros, subnormals, tiny
         and unit values.  ``lam = (5e-324, 0.0, -0.0)`` makes ``a`` an
         underflowed -0.0 and ``lam3 - lam1 lam2`` a -0.0, where xi xi* needs
@@ -196,16 +197,17 @@ class TestArrayPassesMatchSingleObjects:
         n = 20_000
         rows = np.where(rng.random((n, 6)) < 0.5, rng.uniform(-1, 1, (n, 6)), rng.choice(EDGE_ENTRIES, (n, 6)))
         rows[:2] = [[0.0, -0.0, 0.5, 5e-324, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0, -0.0, -0.0]]
-        kernels = _kernel_bodies(rows[:, :3], rows[:, 3:])
-        assert kernels[0, 0b1100] == 0 and not np.signbit(kernels[0, 0b1100].real)
         for s, row in enumerate(rows.tolist()):
-            assert green._kernel_body(row[:3], row[3:]).tobytes() == kernels[s].tobytes(), row
+            kernel = reference_kernel(row[:3], row[3:]).coefficients
+            if s == 0:
+                assert kernel[0b1100] == 0 and not np.signbit(kernel[0b1100].real)
+            assert green._kernel_body(row[:3], row[3:]).tobytes() == kernel.tobytes(), row
 
-    def test_one_channel_kernel_has_the_bits_of_the_pass_and_the_reference(self):
+    def test_one_channel_kernel_has_the_bits_of_the_reference(self):
         """``green_from_channel`` on CPTP channels with ``lam1 = -lam2`` (``a``
         is +-0.0), ``lam1 = lam2`` (``b`` is +-0.0), ``t1`` and ``t2`` at
-        +-0.0 and subnormal entries, and on random CPTP channels, against row 0
-        of ``_kernel_bodies`` and the element-algebra reference."""
+        +-0.0 and subnormal entries, and on random CPTP channels, against the
+        element-algebra reference."""
         zeros = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]
         lams = [(x, y, z) for x in zeros + [0.5, -0.5] for y in (x, -x) for z in zeros + [0.25]]
         ts = list(itertools.product([0.0, -0.0], [0.0, -0.0, 5e-324], [0.0, -0.0, -1e-310, 0.25]))
@@ -216,8 +218,7 @@ class TestArrayPassesMatchSingleObjects:
         channels += [random_cptp_canonical_channel(rng) for _ in range(100)]
         for ch in channels:
             body = green_from_channel(ch).body.coefficients.tobytes()
-            assert body == _kernel_bodies(ch.t[None], ch.lam[None])[0].tobytes(), ch
-            assert body == reference_kernel(ch).coefficients.tobytes(), ch
+            assert body == reference_kernel(ch.t, ch.lam).coefficients.tobytes(), ch
 
     def test_char_function_on_edge_states_has_the_bits_of_the_reference(self):
         """Weights at and just outside [0, 1], a subnormal weight, and
@@ -508,12 +509,14 @@ class TestPerTrialChecks:
             assert str(batched.value) == str(single.value)
 
     def test_a_failing_trial_fails_the_run(self, monkeypatch):
-        def doubled_kernel(t, lam):
-            kernels = _kernel_bodies(t, lam)
-            kernels[-1] *= 2
-            return kernels
+        calls = []
 
-        monkeypatch.setattr(verify, "_kernel_bodies", doubled_kernel)
+        def doubled_last_kernel(t, lam):
+            calls.append(1)
+            body = green._kernel_body(t, lam)
+            return body * 2 if len(calls) == 5 else body
+
+        monkeypatch.setattr(verify, "_kernel_body", doubled_last_kernel)
         with pytest.raises(NotNormalizedError):
             run_verification(trials=5, seed=1)
 
@@ -528,6 +531,28 @@ class TestPerTrialChecks:
         assert result.checks[0].passed
         assert not result.checks[1].passed and np.isnan(result.checks[1].max_residual)
         assert not result.passed
+
+    def test_one_convolution_pass_per_chunk_and_one_kernel_per_trial(self, monkeypatch):
+        """A run's only product passes are the oracle chunks' convolutions, one
+        per chunk; each trial's kernel is one closed-form call."""
+        products, kernel_body = grassmann._products, green._kernel_body
+        passes, kernels = [], []
+
+        def counted_products(xc, yc, table=grassmann._PRODUCT):
+            passes.append((table, len(xc)))
+            return products(xc, yc, table)
+
+        def counted_kernel_body(t, lam):
+            kernels.append((t, lam))
+            return kernel_body(t, lam)
+
+        monkeypatch.setattr(grassmann, "_products", counted_products)
+        monkeypatch.setattr(green, "_products", counted_products)
+        monkeypatch.setattr(verify, "_kernel_body", counted_kernel_body)
+        trials = 2 * CHUNK_TRIALS + 3
+        assert run_verification(trials=trials, seed=4).passed
+        assert passes == [(green._CONVOLUTION, n) for n in (CHUNK_TRIALS, CHUNK_TRIALS, 3)]
+        assert len(kernels) == trials
 
 
 def reference_channels_and_states(rng, trials, t_scale=0.8, max_tries=10_000):
