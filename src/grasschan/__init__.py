@@ -5,134 +5,18 @@ functions over a four-generator Grassmann algebra, detects the Gaussian
 channels, constructs their qubit-qubit dilations, and certifies weak
 degradability / anti-degradability — with every symbolic result
 cross-checked against a dense density-matrix path.
+
+The package exports exactly the union of its five library modules'
+``__all__``; each module's ``__all__`` is the one declaration of its API.
 """
 
-from .charfunc import (
-    CharFunction,
-    NotNormalizedError,
-    NotPhysicalError,
-    char_function,
-    displacement,
-    state_from_char,
-)
-from .degradability import (
-    ANTI_DEGRADABLE,
-    NEITHER_CERTIFIED,
-    NULL_CAPACITY_CLAIMED,
-    WEAKLY_DEGRADABLE,
-    DegradabilityVerdict,
-    Dilation,
-    Prediction,
-    certify,
-    classify_by_angles,
-    dilation_from_angles,
-    weakly_complementary,
-)
-from .grassmann import (
-    XI,
-    XI_STAR,
-    ZETA,
-    ZETA_STAR,
-    Generator,
-    GrassmannElement,
-    OperatorElement,
-    adjoint,
-    berezin_integrate,
-    delta_pair,
-    integrate_pair,
-    multiply,
-    substitute,
-)
-from .green import (
-    AngleParams,
-    GaussianEquivalent,
-    GaussianParams,
-    GreenFunction,
-    NoSolutionError,
-    angles_from_gaussian,
-    apply_green,
-    channel_from_angles,
-    detect_gaussian,
-    gaussian_equivalent,
-    green_from_canonical,
-    green_from_channel,
-    green_from_channel_trace,
-)
-from .qubit import (
-    CptpReport,
-    NonDiagonalBlockError,
-    NotCptpError,
-    NotTracePreservingError,
-    QubitChannel,
-    QubitState,
-    apply_channel,
-    canonical_from_ptm,
-    choi_from_ptm,
-    compose,
-    is_cptp,
-    ptm_from_kraus,
-    random_cptp_canonical_channel,
-    random_state,
-)
+from . import charfunc, degradability, grassmann, green, qubit
+from .charfunc import *  # noqa: F403
+from .degradability import *  # noqa: F403
+from .grassmann import *  # noqa: F403
+from .green import *  # noqa: F403
+from .qubit import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleParams",
-    "ANTI_DEGRADABLE",
-    "CharFunction",
-    "CptpReport",
-    "DegradabilityVerdict",
-    "Dilation",
-    "GaussianEquivalent",
-    "GaussianParams",
-    "Generator",
-    "GrassmannElement",
-    "GreenFunction",
-    "NEITHER_CERTIFIED",
-    "NonDiagonalBlockError",
-    "NoSolutionError",
-    "NotCptpError",
-    "NotNormalizedError",
-    "NotPhysicalError",
-    "NotTracePreservingError",
-    "NULL_CAPACITY_CLAIMED",
-    "OperatorElement",
-    "Prediction",
-    "QubitChannel",
-    "QubitState",
-    "WEAKLY_DEGRADABLE",
-    "XI",
-    "XI_STAR",
-    "ZETA",
-    "ZETA_STAR",
-    "adjoint",
-    "angles_from_gaussian",
-    "apply_channel",
-    "apply_green",
-    "berezin_integrate",
-    "canonical_from_ptm",
-    "certify",
-    "channel_from_angles",
-    "char_function",
-    "choi_from_ptm",
-    "classify_by_angles",
-    "compose",
-    "delta_pair",
-    "detect_gaussian",
-    "dilation_from_angles",
-    "displacement",
-    "gaussian_equivalent",
-    "green_from_canonical",
-    "green_from_channel",
-    "green_from_channel_trace",
-    "integrate_pair",
-    "is_cptp",
-    "multiply",
-    "ptm_from_kraus",
-    "random_cptp_canonical_channel",
-    "random_state",
-    "state_from_char",
-    "substitute",
-    "weakly_complementary",
-]
+__all__ = charfunc.__all__ + degradability.__all__ + grassmann.__all__ + green.__all__ + qubit.__all__

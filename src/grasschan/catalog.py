@@ -182,7 +182,10 @@ def build(name: str, params: dict) -> QubitChannel:
         )
     values = {}
     for p in info.params:
-        v = float(params[p])
+        try:
+            v = float(params[p])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise OutOfRangeError(f"{name}: parameter {p} is not a number ({exc})") from None
         if not 0.0 <= v <= 1.0:
             raise OutOfRangeError(f"{name}: parameter {p}={v} outside [0, 1]")
         values[p] = v

@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import Optional
 
@@ -36,6 +37,11 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SUITE = 4
+
+# One JSON number token (RFC 8259): no "+", no leading zero, digits on both
+# sides of a ".", no "_" and no whitespace.  ``[0-9]``, not ``\d``, which
+# also matches other Unicode digits.
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="named-channel parameter (repeatable)",
+        help="named-channel parameter, VALUE a JSON number (repeatable)",
     )
     p_an.add_argument(
         "--tol",
@@ -111,15 +117,16 @@ def _non_finite_json() -> int:
 
 
 def _parse_params(pairs: list) -> dict:
+    """``--param KEY=VALUE`` pairs; each value is one JSON number token, held
+    to the rules of a spec file's numbers (finite, fits a float)."""
     params = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise io.SpecError(f"--param expects KEY=VALUE, got {pair!r}")
-        try:
-            params[key] = float(value)
-        except ValueError:
-            raise io.SpecError(f"--param {key}: {value!r} is not a number") from None
+        if not _JSON_NUMBER.fullmatch(value):
+            raise io.SpecError(f"--param {key}: {value!r} is not a number")
+        params[key] = io._number(float(value), f"--param {key}")
     return params
 
 

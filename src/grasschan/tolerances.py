@@ -1,10 +1,10 @@
 """The tolerance policy: every numeric tolerance of the package, in one place.
 
-Every other module imports its tolerances from here; none defines its own
-(``tests/test_tolerances.py`` enforces this on the source).  The modules
-that used to define a name re-export it, so ``grasschan.qubit.TP_ATOL`` and
-the like still resolve.  A validity rule accepts a value only when it lies
-within its tolerance (``if not x <= TOL: raise``), so NaN fails every rule.
+Every other module imports its tolerances from here, and none defines its
+own (``tests/test_tolerances.py`` enforces this on the source), so names
+like ``grasschan.qubit.TP_ATOL`` are the policy's own values.
+A validity rule accepts a value only when it lies within its tolerance
+(``if not x <= TOL: raise``), so NaN fails every rule.
 
 ==========================  =======  ==========================================  ===============================================
 name                        value    what it bounds                              where a report shows it

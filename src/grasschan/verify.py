@@ -26,7 +26,7 @@ fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,13 +54,7 @@ class CheckResult:
     tolerance: float
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "trials": self.trials,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -70,12 +64,9 @@ class VerificationResult:
     checks: tuple
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "passed": self.passed,
-            "seed": self.seed,
-            "checks": [c.to_json() for c in self.checks],
-        }
+        report = {"schema_version": 1, **asdict(self)}
+        report["checks"] = list(report["checks"])
+        return report
 
 
 def _chunks(trials: int):

@@ -71,6 +71,16 @@ class TestBuild:
         with pytest.raises(KeyError):
             catalog.build("unknown_channel", {})
 
+    @pytest.mark.parametrize("value", [10**400, None, "abc", [0.5], {}], ids=["huge_int", "none", "str", "list", "dict"])
+    def test_a_parameter_that_is_not_a_number_is_named(self, value):
+        with pytest.raises(catalog.OutOfRangeError, match=r"^bit_flip: parameter s is not a number \("):
+            catalog.build("bit_flip", {"s": value})
+
+    @pytest.mark.parametrize("value", ["0.25", " 0.25 ", np.float32(0.25), 0.25, 1, True, False])
+    def test_a_parameter_that_float_reads_is_accepted(self, value):
+        ch = catalog.build("bit_flip", {"s": value})
+        assert ch.ptm.tobytes() == catalog.build("bit_flip", {"s": float(value)}).ptm.tobytes()
+
     @pytest.mark.parametrize("name", catalog.CHANNEL_NAMES)
     def test_cptp_across_parameter_range(self, name):
         info = catalog.channel_info(name)

@@ -265,6 +265,63 @@ class TestAnalyzeCommand:
         else:
             assert err == f"error (parse): {message}\n"
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0.0_5", "--param n: '0.0_5' is not a number"),
+            (" 0.5 ", "--param n: ' 0.5 ' is not a number"),
+            ("+0.5", "--param n: '+0.5' is not a number"),
+            (".5", "--param n: '.5' is not a number"),
+            ("5.", "--param n: '5.' is not a number"),
+            ("05", "--param n: '05' is not a number"),
+            ("0x1", "--param n: '0x1' is not a number"),
+            ("٠.5", "--param n: '٠.5' is not a number"),
+            ("true", "--param n: 'true' is not a number"),
+            ('"0.5"', "--param n: '\"0.5\"' is not a number"),
+            ("NaN", "--param n: 'NaN' is not a number"),
+            ("Infinity", "--param n: 'Infinity' is not a number"),
+            ("1e999", "--param n is a non-finite number"),
+            ("-1e999", "--param n is a non-finite number"),
+        ],
+    )
+    def test_a_param_value_is_one_json_number_token(self, capsys, value, message):
+        code, out, _ = run_cli(capsys, "analyze", "--named", "amplitude_damping", "--param", f"n={value}", "--json")
+        assert code == 2
+        assert strict_loads(out)["error"] == {"kind": "parse", "message": message}
+
+    @pytest.mark.parametrize("value", ["0.05", "5e-2", "1", "-0", "-0.0", "0", "1E0", "2.5E-1"])
+    def test_a_param_json_number_is_read_as_its_float(self, capsys, value):
+        code, out, _ = run_cli(capsys, "analyze", "--named", "amplitude_damping", "--param", f"n={value}", "--json")
+        assert code == 0
+        expected = catalog.analyze("amplitude_damping", {"n": float(value)})
+        assert out == json.dumps(expected, indent=2, allow_nan=False) + "\n"
+
+    # "-0" is left out of the spec-file side: Python's json reads it as the int 0.
+    @pytest.mark.parametrize("n", ["0", "0.05", "5e-2", "0.3", "1", "1E0", "-0.0", "0.999999999999"])
+    @pytest.mark.parametrize("s", [None, "0", "0.5", "7e-1", "1"])
+    def test_a_named_report_matches_its_named_spec_file(self, capsys, tmp_path, n, s):
+        name, params = ("amplitude_damping", {"n": n}) if s is None else (
+            "generalized_amplitude_damping", {"n": n, "s": s}
+        )
+        spec = tmp_path / "named.json"
+        spec.write_text(
+            f'{{"type": "named", "name": "{name}", "params": {{'
+            + ", ".join(f'"{k}": {v}' for k, v in params.items())
+            + "}}"
+        )
+        code, out_spec, _ = run_cli(capsys, "analyze", str(spec), "--json")
+        assert code == 0
+        argv = [arg for k, v in params.items() for arg in ("--param", f"{k}={v}")]
+        code, out_named, _ = run_cli(capsys, "analyze", "--named", name, *argv, "--json")
+        assert code == 0
+        named, from_spec = json.loads(out_named), json.loads(out_spec)
+        assert (named.pop("name"), named.pop("params")) == (name, json.loads(spec.read_text())["params"])
+        del named["expected"]
+        catalog_notes = named["notes"][len(from_spec["notes"]):]
+        named["notes"] = named["notes"][: len(from_spec["notes"])]
+        assert all("depolarizing" in note or "s = 1" in note for note in catalog_notes)
+        assert json.dumps(named, indent=2) + "\n" == out_spec
+
     def test_requires_exactly_one_source(self, capsys):
         code, *_ = run_cli(capsys, "analyze")
         assert code == 2

@@ -127,6 +127,18 @@ def assert_same_checks(got, expected):
         assert g.max_residual.hex() == e.max_residual.hex()
 
 
+def test_result_json_is_the_fields_in_order():
+    result = run_verification(trials=3, seed=5)
+    report = result.to_json()
+    assert list(report) == ["schema_version", "passed", "seed", "checks"]
+    assert report["schema_version"] == 1 and (report["passed"], report["seed"]) == (result.passed, 5)
+    assert isinstance(report["checks"], list)
+    assert report["checks"] == [check.to_json() for check in result.checks]
+    for check, entry in zip(result.checks, report["checks"]):
+        assert list(entry) == ["name", "passed", "max_residual", "trials", "tolerance"]
+        assert list(entry.values()) == [check.name, check.passed, check.max_residual, check.trials, check.tolerance]
+
+
 class TestBatchedSuitesMatchPerTrialLoops:
     @pytest.mark.parametrize("trials", [0, 1, 2, 5, 50])
     def test_seeds(self, trials):
