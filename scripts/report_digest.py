@@ -21,6 +21,9 @@ A change that keeps every output byte-identical prints the same three lines.
 Run from the repository root (about ten seconds):
 
     python scripts/report_digest.py
+
+``reports_digest``, ``verify_digest`` and ``sweep_digest`` compute one line
+each; ``tests/test_snapshot.py`` pins the last two.
 """
 
 import hashlib
@@ -73,18 +76,29 @@ def sweep_outputs():
             yield struct.pack("<3d", state.p, state.gamma.real, state.gamma.imag)
 
 
-def main():
+def reports_digest():
     digest, count = hashlib.sha256(), 0
     for report in reports():
         digest.update(json.dumps(report, indent=2).encode())
         count += 1
-    print(f"reports {digest.hexdigest()} ({count} reports)")
-    verify = json.dumps(run_verification(1000, seed=42).to_json())
-    print(f"verify {hashlib.sha256(verify.encode()).hexdigest()}")
-    sweep = hashlib.sha256()
+    return digest.hexdigest(), count
+
+
+def verify_digest():
+    return hashlib.sha256(json.dumps(run_verification(1000, seed=42).to_json()).encode()).hexdigest()
+
+
+def sweep_digest():
+    digest = hashlib.sha256()
     for chunk in sweep_outputs():
-        sweep.update(chunk)
-    print(f"sweep {sweep.hexdigest()}")
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def main():
+    print("reports {} ({} reports)".format(*reports_digest()))
+    print(f"verify {verify_digest()}")
+    print(f"sweep {sweep_digest()}")
 
 
 if __name__ == "__main__":

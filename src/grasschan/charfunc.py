@@ -20,6 +20,13 @@ For a Hermitian source state the adjoint of the body equals the body with
 both generators negated (even part fixed, odd part sign-flipped), the
 Grassmann analogue of ``chi(xi)* = chi(-xi)``.
 
+A ``CharFunction`` holds the four coefficients ``(1, xi, xi*, xi xi*)`` of
+its xi subalgebra as Python complex numbers, checked once when it is made.
+Its 16-slot ``body`` (a ``GrassmannElement``) is built only when it is first
+read, with +0.0 in the other 12 slots, and then kept; ``CharFunction(body)``
+keeps the element it was given.  So ``char_function``, ``apply_green`` and
+``state_from_char`` on one state touch no numpy array.
+
 The array pass ``_char_bodies`` is that trace, contracted with the cached
 displacement entries; one state's ``char_function`` is the closed form on
 Python floats, spelled to have the same bits.  ``verify``'s calibration suite
@@ -31,7 +38,7 @@ from __future__ import annotations
 import cmath
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -68,6 +75,11 @@ _OFF_XI_MASKS = _MASKS[(_MASKS & ~_XI_MASK) != 0]
 # The off-xi coefficients of a ``tolist()`` row, as a tuple.
 _off_xi = operator.itemgetter(*_OFF_XI_MASKS.tolist())
 _XI_MONOMIALS = (_XI, _XI_STAR, _XI_XI_STAR)
+#: The masks of the four coefficients a ``CharFunction`` holds, in its order.
+_XI_SUBALGEBRA = [0, _XI, _XI_STAR, _XI_XI_STAR]
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class NotNormalizedError(ValueError):
@@ -78,24 +90,77 @@ class NotPhysicalError(ValueError):
     """A coefficient is not finite, or the recovered (p, gamma) violates state positivity."""
 
 
-@dataclass(frozen=True)
 class CharFunction:
     """Characteristic function supported on the xi subalgebra, constant term 1,
-    with finite coefficients."""
+    with finite coefficients.
 
-    body: GrassmannElement
+    ``coefficients`` is the tuple of its four coefficients ``(1, xi, xi*,
+    xi xi*)``, as Python complex numbers.  ``CharFunction(body)`` reads them
+    from a ``GrassmannElement`` and checks, in this order, that ``body`` has
+    no coefficient off the xi subalgebra, that its constant is 1 to
+    ``NORMALIZATION_ATOL`` and that the other three are finite.  ``body`` is
+    that element; on an instance made from four coefficients it is built on
+    its first read, a read-only element with the four in their slots and +0.0
+    in the other 12, and the same object is returned after.  Instances are
+    immutable; ``==`` and ``hash`` are those of the bodies (``-0.0 == +0.0``).
+    """
 
-    def __post_init__(self):
-        c = self.body.coefficients.tolist()
+    # ``_body`` stays unset until ``body`` is read.
+    __slots__ = ("coefficients", "_body")
+
+    def __new__(cls, body: GrassmannElement):
+        c = body.coefficients.tolist()
         if any(_off_xi(c)):
             raise ValueError("characteristic function must live on the xi subalgebra")
-        if not _modulus(c[0] - 1) <= NORMALIZATION_ATOL:
-            raise NotNormalizedError(f"constant coefficient {c[0]} differs from 1")
-        for m in _XI_MONOMIALS:
-            if not cmath.isfinite(c[m]):
+        chi = _char(c[0], c[_XI], c[_XI_STAR], c[_XI_XI_STAR])
+        _set(chi, "_body", body)
+        return chi
+
+    @property
+    def body(self) -> GrassmannElement:
+        try:
+            return self._body
+        except AttributeError:
+            c = np.zeros(16, dtype=complex)
+            c[_XI_SUBALGEBRA] = self.coefficients
+            _set(self, "_body", _element(c))
+            return self._body
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, CharFunction):
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash(self.coefficients)
+
+    def __reduce__(self):
+        return CharFunction, (self.body,)
+
+    def __repr__(self):
+        return f"CharFunction(body={self.body!r})"
+
+
+def _char(c0: complex, c1: complex, c2: complex, c3: complex) -> CharFunction:
+    """The ``CharFunction`` with coefficients ``(c0, c1, c2, c3)`` on ``(1, xi,
+    xi*, xi xi*)``, checked as ``CharFunction(body)`` checks its body."""
+    if not _modulus(c0 - 1) <= NORMALIZATION_ATOL:
+        raise NotNormalizedError(f"constant coefficient {c0} differs from 1")
+    if not (cmath.isfinite(c1) and cmath.isfinite(c2) and cmath.isfinite(c3)):
+        for m, value in zip(_XI_MONOMIALS, (c1, c2, c3)):
+            if not cmath.isfinite(value):
                 raise NotPhysicalError(
-                    f"characteristic function coefficient of {MONOMIAL_NAMES[m]} is not finite: {c[m]}"
+                    f"characteristic function coefficient of {MONOMIAL_NAMES[m]} is not finite: {value}"
                 )
+    chi = _new(CharFunction)
+    _set(chi, "coefficients", (c0, c1, c2, c3))
+    return chi
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,28 +225,28 @@ def _check_char_bodies(bodies: np.ndarray) -> None:
 
 
 def char_function(rho: QubitState) -> CharFunction:
-    """``trace(rho D(xi))`` as a Grassmann element of the xi subalgebra.
+    """``trace(rho D(xi))`` as a characteristic function on the xi subalgebra.
 
     The closed form, spelled to have the bits of row 0 of ``_char_bodies``:
     each entry of ``displacement()`` is 0, +-1 or +-1/2, so a column of the
     trace sums at most two nonzero products, and its signed zeros include
     ``p*0.0`` or ``(1 - p)*0.0``, which is +0.0 for a finite state (hence
-    ``+ 0.0`` on gamma's parts, and +0.0 in the other 12 columns).
+    ``+ 0.0`` on gamma's parts, the +0.0 imaginary parts of the real
+    coefficients, and +0.0 in the other 12 columns of ``body``).
     """
     p, gamma = rho.p, rho.gamma
     q = 1 - p
-    body = np.zeros(16, dtype=complex)
-    body[0] = p + q
-    body[_XI] = complex(gamma.real + 0.0, gamma.imag + 0.0)
-    body[_XI_STAR] = complex(-gamma.real + 0.0, gamma.imag + 0.0)
-    body[_XI_XI_STAR] = 0.5 * p - 0.5 * q
-    return CharFunction(_element(body))
+    return _char(
+        complex(p + q),
+        complex(gamma.real + 0.0, gamma.imag + 0.0),
+        complex(-gamma.real + 0.0, gamma.imag + 0.0),
+        complex(0.5 * p - 0.5 * q),
+    )
 
 
 def state_from_char(chi: CharFunction) -> QubitState:
     """Invert the closed form of a normalized ``chi``: p from xi xi*, gamma from xi."""
-    c = chi.body.coefficients.tolist()
-    pair_coeff, gamma, mirror = c[_XI_XI_STAR], c[_XI], c[_XI_STAR]
+    _, gamma, mirror, pair_coeff = chi.coefficients
     if not abs(pair_coeff.imag) <= PHYSICALITY_ATOL:
         raise NotPhysicalError(f"xi xi* coefficient {pair_coeff} is not real")
     p = pair_coeff.real + 0.5

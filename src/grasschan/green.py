@@ -29,10 +29,11 @@ The convolution is one product pass over the 16 of its 81 terms that can
 count, with the relabelling ``chi(xi) -> chi(zeta)`` and the pair integral
 folded into the pass's index table (``_convolution_table``).  A stack of
 kernels and characteristic functions runs that table as one array pass; one
-chi runs the same terms on Python floats with the same bits, except those
-whose product is a signed zero for a finite kernel and chi (an exact-zero
-kernel coefficient, the +-0 imaginary part of a real one), which never
-changes a sum taken from +0.0.
+chi runs the same terms on its four coefficients, as Python floats, with the
+same bits, except those whose product is a signed zero for a finite kernel
+and chi (an exact-zero kernel coefficient, the +-0 imaginary part of a real
+one), which never changes a sum taken from +0.0.  Its result is the four
+target sums, made a ``CharFunction`` without a 16-slot body.
 
 A kernel is Gaussian when it matches ``delta_pair(zeta - a xi - b xi*)
 * (1 + c xi xi*)`` exactly; for canonical provenance this happens iff
@@ -51,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charfunc import CharFunction, displacement
+from .charfunc import CharFunction, _char, displacement
 from .grassmann import (
     MONOMIAL_NAMES,
     _PRODUCT,
@@ -116,8 +117,11 @@ class GreenFunction:
         order; ``terms`` are its table terms in table order, each ``(chi
         index, re, im)``: the kernel coefficient times the term's sign (an
         exact negation), with ``im`` None where the coefficient is real.
-        Terms whose kernel coefficient is an exact zero are dropped.  The
-        body is read-only, so the operand never goes stale.
+        Targets and chi indices are the table's masks, all on the xi
+        subalgebra (0, 4, 8 and 12), so mask ``m`` is slot ``m >> 2`` of the
+        four coefficients of a ``CharFunction``.  Terms whose kernel
+        coefficient is an exact zero are dropped.  The body is read-only, so
+        the operand never goes stale.
         """
         chi_index, kernel_index, sign, target = (a.tolist() for a in _CONVOLUTION.pairs)
         kernel = self.body.coefficients.tolist()
@@ -284,24 +288,27 @@ def _apply_kernels(kernels: np.ndarray, chis: np.ndarray) -> np.ndarray:
     return _products(chis, kernels, _CONVOLUTION)
 
 
-def _apply_operand(operand: tuple, chi: np.ndarray) -> np.ndarray:
+def _apply_operand(operand: tuple, chi: tuple) -> tuple:
     """The Berezin convolution of one kernel, as its ``_convolution_operand``,
-    with one finite characteristic-function row ``chi``; not validated.
+    with the four coefficients ``chi`` of a finite characteristic function
+    (``CharFunction.coefficients``); the four target sums on ``(1, xi, xi*,
+    xi xi*)``, not validated.
 
-    Each target is summed from +0.0 in table order, and each term is
-    ``ar*br - ai*bi`` and ``ar*bi + ai*br`` as separate float operations on
-    the signed coefficient, so every operation rounds once, as in the array
-    pass, and the row has the bits of ``_apply_kernels``: rounding is
-    symmetric and ``x + (-y)`` is ``x - y``, and a zero term leaves the sum,
-    never -0.0, as it is.  Python's complex ``*`` is not used: a build may
-    compile that one C function with fused multiply-adds.
+    The operand's masks are read as slots: mask ``m`` of the xi subalgebra is
+    slot ``m >> 2``.  Each target is summed from +0.0 in table order (a target
+    with no term is +0.0), and each term is ``ar*br - ai*bi`` and ``ar*bi +
+    ai*br`` as separate float operations on the signed coefficient, so every
+    operation rounds once, as in the array pass, and the sums have the bits
+    of columns 0, 4, 8 and 12 of ``_apply_kernels``: rounding is symmetric
+    and ``x + (-y)`` is ``x - y``, and a zero term leaves the sum, never
+    -0.0, as it is.  Python's complex ``*`` is not used: a build may compile
+    that one C function with fused multiply-adds.
     """
-    c = chi.tolist()
-    out = np.zeros(16, dtype=complex)
+    out = [0j, 0j, 0j, 0j]
     for target, terms in operand:
         re = im = 0.0
         for i, br, bi in terms:
-            a = c[i]
+            a = chi[i >> 2]
             ar, ai = a.real, a.imag
             if bi is None:
                 re += ar * br
@@ -309,13 +316,13 @@ def _apply_operand(operand: tuple, chi: np.ndarray) -> np.ndarray:
             else:
                 re += ar * br - ai * bi
                 im += ar * bi + ai * br
-        out[target] = complex(re, im)
-    return out
+        out[target >> 2] = complex(re, im)
+    return tuple(out)
 
 
 def apply_green(green: GreenFunction, chi: CharFunction) -> CharFunction:
     """Berezin convolution of a kernel with an input characteristic function."""
-    return CharFunction(_element(_apply_operand(green._convolution_operand, chi.body.coefficients)))
+    return _char(*_apply_operand(green._convolution_operand, chi.coefficients))
 
 
 _GAUSSIAN_ZERO_MONOMIALS = (

@@ -112,10 +112,16 @@ def channel_from_json(obj: dict) -> QubitChannel:
     raise SpecError(f"unknown channel spec type {kind!r}")
 
 
+def _json_int(token: str):
+    """A JSON integer token as Python's json reads it, except ``-0``, which is
+    the float -0.0 (the int 0 has no sign), as ``-0.0`` and ``--param n=-0`` are."""
+    return -0.0 if token == "-0" else int(token)
+
+
 def load_channel_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge integers, deep nesting

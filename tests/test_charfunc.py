@@ -1,18 +1,23 @@
+import pickle
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
+from grasschan import charfunc, grassmann, green, qubit
 from grasschan.charfunc import (
     CharFunction,
     NotNormalizedError,
     NotPhysicalError,
+    _char_bodies,
     char_function,
     displacement,
     state_from_char,
 )
 from grasschan.grassmann import Generator, GrassmannElement, OperatorElement, adjoint, substitute
-from grasschan.qubit import QubitState, random_state
+from grasschan.green import _apply_kernels, _kernel_body, apply_green, green_from_channel
+from grasschan.qubit import QubitState, random_cptp_canonical_channel, random_state
 
 
 def closed_form(p, gamma):
@@ -130,3 +135,90 @@ class TestStateFromChar:
         chi = CharFunction(GrassmannElement.from_table({"1": 1, "ξ": 0.1, "ξ*": 0.1}))
         with pytest.raises(NotPhysicalError):
             state_from_char(chi)
+
+
+XI_SUBALGEBRA = [0b0000, 0b0100, 0b1000, 0b1100]
+EDGE_STATES = [
+    QubitState(p=p, gamma=g)
+    for p in (0.0, -0.0, 1.0, 0.5, 5e-324)
+    for g in (0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 5e-324))
+]
+
+
+class TestRepresentation:
+    def test_a_sweep_builds_no_element_and_touches_no_numpy(self, monkeypatch, report_digest):
+        """``char_function``, ``apply_green`` and ``state_from_char`` over the
+        1,000 states of a benchmark ``sweep`` chunk, with the kernel built and
+        its operand read before: no ``GrassmannElement`` is made, and ``np``
+        is never looked up in the modules on the path."""
+        sweep = report_digest.workloads.Sweep()
+        channel, states = sweep.chunk(11, 0)
+        _, kernel = sweep.prepare(channel)
+        kernel._convolution_operand
+        builds = []
+
+        def counted(wrapped):
+            def wrapper(*args, **kwargs):
+                builds.append(1)
+                return wrapped(*args, **kwargs)
+
+            return wrapper
+
+        for module in (grassmann, charfunc, green):
+            monkeypatch.setattr(module, "_element", counted(module._element))
+        monkeypatch.setattr(GrassmannElement, "__init__", counted(GrassmannElement.__init__))
+        for module in (grassmann, charfunc, green, qubit):
+            monkeypatch.setattr(module, "np", None)
+        outs = [state_from_char(apply_green(kernel, char_function(rho))) for rho in states]
+        assert len(outs) == 1000 and builds == []
+
+    def test_a_late_body_read_has_the_bits_of_the_array_passes(self):
+        """The body of ``char_function`` and of ``apply_green``, read after
+        both have run, has the bits of the ``_char_bodies`` and
+        ``_apply_kernels`` rows, and each read returns the same read-only
+        element."""
+        rng = np.random.default_rng(29)
+        states = EDGE_STATES + [random_state(rng) for _ in range(60)]
+        channels = [random_cptp_canonical_channel(rng) for _ in states]
+        chis = [char_function(rho) for rho in states]
+        outs = [apply_green(green_from_channel(ch), chi) for ch, chi in zip(channels, chis)]
+        rows = _char_bodies(np.array([rho.matrix for rho in states]))
+        kernels = np.array([_kernel_body(ch.t.tolist(), ch.lam.tolist()) for ch in channels])
+        out_rows = _apply_kernels(kernels, rows)
+        for s, (chi, out) in enumerate(zip(chis, outs)):
+            for x, row in ((chi, rows[s]), (out, out_rows[s])):
+                body = x.body
+                assert x.body is body and not body.coefficients.flags.writeable
+                assert body.coefficients.tobytes() == row.tobytes()
+                assert [type(c) for c in x.coefficients] == [complex] * 4
+                assert np.array(x.coefficients).tobytes() == row[XI_SUBALGEBRA].tobytes()
+
+    def test_equality_and_hash_are_those_of_the_bodies(self):
+        rng = np.random.default_rng(31)
+        for rho in EDGE_STATES + [random_state(rng) for _ in range(30)]:
+            chi = char_function(rho)
+            signed = chi.body.coefficients.copy()
+            signed[1] = signed[0b0110] = complex(-0.0, -0.0)  # off the xi subalgebra
+            for m in XI_SUBALGEBRA:
+                c = signed[m]
+                signed[m] = complex(c.real or -0.0, c.imag or -0.0)
+            element = GrassmannElement(signed)
+            other = CharFunction(element)
+            assert other.body is element and other.body == chi.body
+            assert other == chi and hash(other) == hash(chi)
+            assert len({chi, other, CharFunction(chi.body)}) == 1
+            moved = signed.copy()
+            moved[0b1100] += 0.25
+            assert CharFunction(GrassmannElement(moved)) != chi
+        assert chi != chi.body and chi != chi.coefficients
+
+    def test_is_immutable_picklable_and_printed_as_its_body(self):
+        chi = char_function(QubitState(p=0.25, gamma=0.1 - 0.2j))
+        for name in ("coefficients", "body", "_body", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(chi, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(chi, name)
+        back = pickle.loads(pickle.dumps(chi))
+        assert back == chi and back.body.coefficients.tobytes() == chi.body.coefficients.tobytes()
+        assert repr(chi) == f"CharFunction(body={chi.body!r})"

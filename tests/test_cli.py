@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import runpy
@@ -75,6 +76,14 @@ class TestChannelCodec:
             io.channel_from_json({"type": "canonical", "t": [0, 0, 0], "lambda": [1, 1, 1], "schema_version": 99})
         with pytest.raises(io.SpecError, match=r"2x2 array of \[re, im\] pairs"):
             io.channel_from_json({"type": "kraus", "matrices": [[[1, 0], [0, 1]]]})
+
+    def test_a_spec_file_reads_minus_zero_as_negative_zero(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"type": "canonical", "t": [-0, 0, -0.0], "lambda": [1, -0, 10]}')
+        spec = io.load_channel_spec(str(path))
+        assert [type(x) for x in spec["t"]] == [float, int, float]
+        assert [math.copysign(1, x) for x in spec["t"] + spec["lambda"]] == [-1, 1, -1, 1, -1, 1]
+        assert spec["lambda"][2] == 10 and type(spec["lambda"][2]) is int
 
     def test_missing_spec_file(self, tmp_path):
         with pytest.raises(io.SpecError, match="cannot read"):
@@ -296,8 +305,7 @@ class TestAnalyzeCommand:
         expected = catalog.analyze("amplitude_damping", {"n": float(value)})
         assert out == json.dumps(expected, indent=2, allow_nan=False) + "\n"
 
-    # "-0" is left out of the spec-file side: Python's json reads it as the int 0.
-    @pytest.mark.parametrize("n", ["0", "0.05", "5e-2", "0.3", "1", "1E0", "-0.0", "0.999999999999"])
+    @pytest.mark.parametrize("n", ["0", "0.05", "5e-2", "0.3", "1", "1E0", "-0", "-0.0", "0.999999999999"])
     @pytest.mark.parametrize("s", [None, "0", "0.5", "7e-1", "1"])
     def test_a_named_report_matches_its_named_spec_file(self, capsys, tmp_path, n, s):
         name, params = ("amplitude_damping", {"n": n}) if s is None else (

@@ -104,6 +104,16 @@ def test_output_is_byte_identical(snapshot, key):
     assert render(key) == snapshot[key]
 
 
+def test_sweep_and_verify_digests_are_pinned(report_digest):
+    """Two of the three lines of ``scripts/report_digest.py``, in process: the
+    bytes of 12,000 benchmark ``sweep`` states through ``char_function``,
+    ``apply_green`` and ``state_from_char``, and of ``run_verification(1000,
+    seed=42)``.  The ``reports`` line is left out: its bits depend on the
+    host's LAPACK and libm."""
+    assert report_digest.sweep_digest() == "ce35e153726af61f7a47a83a829bf255f5da464889cdc67ee48a32cbc770b5f3"
+    assert report_digest.verify_digest() == "3fcfba861603904937af79dd35aae76f7ab98336f0b6098af7a04c2fb43a1c70"
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(

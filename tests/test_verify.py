@@ -420,9 +420,14 @@ class TestConvolutionTable:
             values = np.concatenate([stacked.real, stacked.imag]).ravel()
             assert np.isinf(values).any() and np.isnan(values).any()
             assert ((values != 0) & (np.abs(values) < np.finfo(float).tiny)).any()
+        off_xi = [m for m in range(16) if m not in XI_SUBALGEBRA]
         for k, c, row, ref in zip(kernels, chis, stacked, expected):
-            one = green._apply_operand(green.GreenFunction(GrassmannElement(k))._convolution_operand, c)
-            assert one.tobytes() == row.tobytes() == ref
+            operand = green.GreenFunction(GrassmannElement(k))._convolution_operand
+            one = green._apply_operand(operand, tuple(c[XI_SUBALGEBRA].tolist()))
+            assert type(one) is tuple and len(one) == 4 and all(type(x) is complex for x in one)
+            ref = np.frombuffer(ref, dtype=complex)
+            assert np.array(one).tobytes() == row[XI_SUBALGEBRA].tobytes() == ref[XI_SUBALGEBRA].tobytes()
+            assert row[off_xi].tobytes() == ref[off_xi].tobytes() == bytes(16 * len(off_xi))
 
     def test_apply_green_builds_the_operand_once_per_kernel_and_runs_no_product_pass(self, monkeypatch):
         rng = np.random.default_rng(17)
