@@ -24,8 +24,9 @@ A ``CharFunction`` holds the four coefficients ``(1, xi, xi*, xi xi*)`` of
 its xi subalgebra as Python complex numbers, checked once when it is made.
 Its 16-slot ``body`` (a ``GrassmannElement``) is built only when it is first
 read, with +0.0 in the other 12 slots, and then kept; ``CharFunction(body)``
-keeps the element it was given.  So ``char_function``, ``apply_green`` and
-``state_from_char`` on one state touch no numpy array.
+keeps the element it was given.  So ``char_function``, ``apply_green`` with
+a kernel of the canonical form, and ``state_from_char`` on one state touch no
+numpy array.
 
 The array pass ``_char_bodies`` is that trace, contracted with the cached
 displacement entries; one state's ``char_function`` is the closed form on
@@ -245,7 +246,17 @@ def char_function(rho: QubitState) -> CharFunction:
 
 
 def state_from_char(chi: CharFunction) -> QubitState:
-    """Invert the closed form of a normalized ``chi``: p from xi xi*, gamma from xi."""
+    """Invert the closed form of a normalized ``chi``: p from xi xi*, gamma from xi.
+
+    After its four checks the ``QubitState`` is made as ``_char`` makes a
+    ``CharFunction``, without running ``QubitState``'s checks again, which
+    always pass on these values.  The clamped ``p`` lies in [0, 1].  It gives
+    ``p(1-p) >= 0``, while the unclamped ``p`` already checked gives at most
+    that, plus ``PHYSICALITY_ATOL``, which is no larger than the state's
+    ``STATE_ATOL`` (both are 1e-9), so ``|gamma|^2`` meets the state's bound
+    too.  ``p`` and ``gamma`` are a Python float and complex, which ``float``
+    and ``complex`` return as they are.
+    """
     _, gamma, mirror, pair_coeff = chi.coefficients
     if not abs(pair_coeff.imag) <= PHYSICALITY_ATOL:
         raise NotPhysicalError(f"xi xi* coefficient {pair_coeff} is not real")
@@ -261,7 +272,10 @@ def state_from_char(chi: CharFunction) -> QubitState:
         raise NotPhysicalError(
             f"recovered |gamma|^2={gamma_sq:.3e} exceeds p(1-p)={p*(1-p):.3e}"
         )
-    return QubitState(p=min(max(p, 0.0), 1.0), gamma=gamma)
+    rho = _new(QubitState)
+    _set(rho, "p", min(max(p, 0.0), 1.0))
+    _set(rho, "gamma", gamma)
+    return rho
 
 
 def _states_from_bodies(bodies: np.ndarray):

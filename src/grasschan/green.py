@@ -28,12 +28,19 @@ trial.  Its bits are those of the formula evaluated in the element algebra
 The convolution is one product pass over the 16 of its 81 terms that can
 count, with the relabelling ``chi(xi) -> chi(zeta)`` and the pair integral
 folded into the pass's index table (``_convolution_table``).  A stack of
-kernels and characteristic functions runs that table as one array pass; one
-chi runs the same terms on its four coefficients, as Python floats, with the
-same bits, except those whose product is a signed zero for a finite kernel
-and chi (an exact-zero kernel coefficient, the +-0 imaginary part of a real
-one), which never changes a sum taken from +0.0.  Its result is the four
-target sums, made a ``CharFunction`` without a 16-slot body.
+kernels and characteristic functions runs that table as one array pass
+(``_apply_kernels``).  On the four coefficients of one chi the table is a 4x4
+map.  A kernel of the canonical form above, as every kernel
+``_kernel_body`` writes, has 7 of its 16 entries zero and 7 more real, and
+``apply_green`` runs it as its closed form: four straight-line sums on
+Python floats, the Bloch map ``r -> t + lam r`` written in Grassmann
+variables.  They have the bits of the array pass: the terms they leave out
+are those whose product is a signed zero for a finite kernel and chi (a
+structural zero of the kernel, the +-0 imaginary part of a real
+coefficient), which never changes a sum taken from +0.0.  Any other kernel
+(only hand-built bodies have one) runs its row through the array pass.
+Either way the result is the four target sums, made a ``CharFunction``
+without a 16-slot body.
 
 A kernel is Gaussian when it matches ``delta_pair(zeta - a xi - b xi*)
 * (1 + c xi xi*)`` exactly; for canonical provenance this happens iff
@@ -52,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charfunc import CharFunction, _char, displacement
+from .charfunc import _XI_SUBALGEBRA, CharFunction, _char, displacement
 from .grassmann import (
     MONOMIAL_NAMES,
     _PRODUCT,
@@ -77,6 +84,7 @@ __all__ = [
     "green_from_channel_trace",
     "apply_green",
     "detect_gaussian",
+    "compose_gaussian",
     "angles_from_gaussian",
     "channel_from_angles",
     "gaussian_equivalent",
@@ -110,27 +118,28 @@ class GreenFunction:
             )
 
     @cached_property
-    def _convolution_operand(self) -> tuple:
-        """``_CONVOLUTION`` with this kernel read in, for :func:`apply_green`.
+    def _closed_form(self) -> Optional[tuple]:
+        """The 11 floats :func:`apply_green` reads of a kernel with the
+        canonical pattern, or None for any other kernel.
 
-        One ``(target, terms)`` entry per target that keeps a term, in mask
-        order; ``terms`` are its table terms in table order, each ``(chi
-        index, re, im)``: the kernel coefficient times the term's sign (an
-        exact negation), with ``im`` None where the coefficient is real.
-        Targets and chi indices are the table's masks, all on the xi
-        subalgebra (0, 4, 8 and 12), so mask ``m`` is slot ``m >> 2`` of the
-        four coefficients of a ``CharFunction``.  Terms whose kernel
-        coefficient is an exact zero are dropped.  The body is read-only, so
-        the operand never goes stale.
+        The pattern: the coefficients of 1, zeta, zeta*, xi, xi*, zeta xi xi*
+        and zeta* xi xi* are zero, and those of zeta zeta*, zeta xi, zeta* xi,
+        zeta xi*, zeta* xi*, xi xi* and zeta zeta* xi xi* are real (a zero of
+        either sign counts, in either part).  Every kernel ``_kernel_body``
+        writes has it.  The floats are read in the order of the four target
+        sums: zeta zeta*; zeta zeta* xi (both parts), zeta* xi, zeta xi; zeta
+        zeta* xi* (both parts), zeta* xi*, zeta xi*; zeta zeta* xi xi*, xi xi*.
+        The body is read-only, so the cache never goes stale.
         """
-        chi_index, kernel_index, sign, target = (a.tolist() for a in _CONVOLUTION.pairs)
-        kernel = self.body.coefficients.tolist()
-        terms = {}
-        for i, j, s, t in zip(chi_index, kernel_index, sign, target):
-            k = kernel[j]
-            if k:
-                terms.setdefault(t, []).append((i, s * k.real, s * k.imag if k.imag else None))
-        return tuple((t, tuple(terms[t])) for t in sorted(terms))
+        one, z, zs, zz, x, zx, sx, zzx, xs, zxs, sxs, zzxs, pair, zxx, sxx, full = self.body.coefficients.tolist()
+        if any((one, z, zs, x, xs, zxx, sxx)) or any(k.imag for k in (zz, zx, sx, zxs, sxs, pair, full)):
+            return None
+        return (
+            zz.real,
+            zzx.real, zzx.imag, sx.real, zx.real,
+            zzxs.real, zzxs.imag, sxs.real, zxs.real,
+            full.real, pair.real,
+        )
 
     def pretty(self) -> str:
         return self.body.pretty()
@@ -283,46 +292,60 @@ def green_from_channel_trace(ch: QubitChannel) -> GreenFunction:
 
 def _apply_kernels(kernels: np.ndarray, chis: np.ndarray) -> np.ndarray:
     """Berezin convolutions of ``(n, 16)`` kernel rows with characteristic-function
-    rows, as one pass of the convolution's 16-pair table; row ``s`` has the
-    bits of ``_apply_operand`` (and so of ``apply_green``) and is not validated."""
+    rows, as one pass of the convolution's 16-pair table; columns 0, 4, 8 and
+    12 of row ``s`` are ``apply_green``'s four coefficients, not validated."""
     return _products(chis, kernels, _CONVOLUTION)
 
 
-def _apply_operand(operand: tuple, chi: tuple) -> tuple:
-    """The Berezin convolution of one kernel, as its ``_convolution_operand``,
-    with the four coefficients ``chi`` of a finite characteristic function
-    (``CharFunction.coefficients``); the four target sums on ``(1, xi, xi*,
-    xi xi*)``, not validated.
-
-    The operand's masks are read as slots: mask ``m`` of the xi subalgebra is
-    slot ``m >> 2``.  Each target is summed from +0.0 in table order (a target
-    with no term is +0.0), and each term is ``ar*br - ai*bi`` and ``ar*bi +
-    ai*br`` as separate float operations on the signed coefficient, so every
-    operation rounds once, as in the array pass, and the sums have the bits
-    of columns 0, 4, 8 and 12 of ``_apply_kernels``: rounding is symmetric
-    and ``x + (-y)`` is ``x - y``, and a zero term leaves the sum, never
-    -0.0, as it is.  Python's complex ``*`` is not used: a build may compile
-    that one C function with fused multiply-adds.
-    """
-    out = [0j, 0j, 0j, 0j]
-    for target, terms in operand:
-        re = im = 0.0
-        for i, br, bi in terms:
-            a = chi[i >> 2]
-            ar, ai = a.real, a.imag
-            if bi is None:
-                re += ar * br
-                im += ai * br
-            else:
-                re += ar * br - ai * bi
-                im += ar * bi + ai * br
-        out[target >> 2] = complex(re, im)
-    return tuple(out)
-
-
 def apply_green(green: GreenFunction, chi: CharFunction) -> CharFunction:
-    """Berezin convolution of a kernel with an input characteristic function."""
-    return _char(*_apply_operand(green._convolution_operand, chi.coefficients))
+    """Berezin convolution of a kernel with an input characteristic function.
+
+    For a kernel with the canonical pattern (``GreenFunction._closed_form``)
+    the convolution of ``chi = c0 + c1 xi + c2 xi* + c3 xi xi*`` is, with
+    ``k(m)`` the kernel's coefficient of ``m``::
+
+        1:      c0 k(zeta zeta*)
+        xi:     c0 k(zeta zeta* xi)  + c1 k(zeta* xi)  - c2 k(zeta xi)
+        xi*:    c0 k(zeta zeta* xi*) + c1 k(zeta* xi*) - c2 k(zeta xi*)
+        xi xi*: c0 k(zeta zeta* xi xi*) + c3 k(xi xi*)
+
+    the table's terms without those whose kernel coefficient is a
+    structural zero.  Each sum starts from +0.0 and adds its terms in table
+    order, on Python floats.  A complex coefficient's term is ``ar*br -
+    ai*bi`` and ``ar*bi + ai*br`` as separate float operations, a real one's
+    ``ar*br`` and ``ai*br``: each operation rounds once, as in the array pass
+    ``_apply_kernels``, and rounding is symmetric, so ``x - y`` is ``x +
+    (-y)``.  What is left out (the structural zeros' terms and the products
+    with a real coefficient's +-0 imaginary part) is a signed zero for a
+    finite kernel and chi, which never changes a sum taken from +0.0.  So the
+    four coefficients have the bits of columns 0, 4, 8 and 12 of the array
+    pass.  Python's complex ``*`` is not used: a build may compile that one C
+    function with fused multiply-adds.
+
+    Any other kernel runs its row through ``_apply_kernels``, where overflow
+    gives inf or NaN without a warning, as on Python floats; either way
+    ``_char`` then names the first coefficient that is not finite.
+    """
+    k = green._closed_form
+    if k is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = _apply_kernels(green.body.coefficients[None], chi.body.coefficients[None])[0]
+        return _char(*row[_XI_SUBALGEBRA].tolist())
+    zz, zzx_r, zzx_i, sx, zx, zzxs_r, zzxs_i, sxs, zxs, full, pair = k
+    c0, c1, c2, c3 = chi.coefficients
+    a0, b0, a1, b1, a2, b2 = c0.real, c0.imag, c1.real, c1.imag, c2.real, c2.imag
+    return _char(
+        complex(0.0 + a0 * zz, 0.0 + b0 * zz),
+        complex(
+            0.0 + (a0 * zzx_r - b0 * zzx_i) + a1 * sx - a2 * zx,
+            0.0 + (a0 * zzx_i + b0 * zzx_r) + b1 * sx - b2 * zx,
+        ),
+        complex(
+            0.0 + (a0 * zzxs_r - b0 * zzxs_i) + a1 * sxs - a2 * zxs,
+            0.0 + (a0 * zzxs_i + b0 * zzxs_r) + b1 * sxs - b2 * zxs,
+        ),
+        complex(0.0 + a0 * full + c3.real * pair, 0.0 + b0 * full + c3.imag * pair),
+    )
 
 
 _GAUSSIAN_ZERO_MONOMIALS = (
@@ -355,6 +378,22 @@ def detect_gaussian(green: GreenFunction) -> Optional[GaussianParams]:
     if not all(x <= GAUSSIAN_ATOL for x in checks):
         return None
     return GaussianParams(a=a, b=b, c=float(c.real))
+
+
+def compose_gaussian(second: GaussianParams, first: GaussianParams) -> GaussianParams:
+    """The Gaussian kernel of ``second`` after ``first``, by the qubit semigroup law
+
+        a = a2 a1 + b2 b1,   b = a2 b1 + b2 a1,   c = (a2^2 - b2^2) c1 + c2,
+
+    the analogue of the bosonic ``(X, Y) -> (X2 X1, X2 Y1 X2^T + Y2)``
+    (Holevo and Werner, PRA 63, 032312, 2001).  It holds for the real ``a``
+    and ``b`` of canonical channels (``detect_gaussian`` returns them as
+    complex numbers with a zero imaginary part), so ``c`` takes the real part
+    of ``a2^2 - b2^2``.
+    """
+    a1, b1, c1 = first.a, first.b, first.c
+    a2, b2, c2 = second.a, second.b, second.c
+    return GaussianParams(a=a2 * a1 + b2 * b1, b=a2 * b1 + b2 * a1, c=(a2**2 - b2**2).real * c1 + c2)
 
 
 def _gaussian_params(ch: QubitChannel) -> GaussianParams:

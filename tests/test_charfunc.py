@@ -1,3 +1,4 @@
+import math
 import pickle
 import warnings
 from dataclasses import FrozenInstanceError
@@ -137,6 +138,41 @@ class TestStateFromChar:
             state_from_char(chi)
 
 
+    def test_a_recovered_state_has_the_bits_of_the_checked_constructor(self):
+        """``state_from_char`` skips ``QubitState``'s checks; on the edge
+        states, on ``p`` at and near the ends of [0, 1] (as inputs and as the
+        recovered value itself) and on ``|gamma|^2`` at and just inside
+        ``state_from_char``'s bound, its state has the bits of
+        ``QubitState(p=..., gamma=...)`` of the same values, which does not
+        raise."""
+        atol = charfunc.PHYSICALITY_ATOL
+        chis = [char_function(rho) for rho in EDGE_STATES]
+        for p in (-atol, -0.0, 5e-324, 1.0, 1 + atol):
+            # the xi xi* coefficient, moved towards 0 until the recovered p
+            # (pair + 0.5) is accepted: in range, with a bound on |gamma|^2 >= 0
+            pair = p - 0.5
+            while not (-atol <= pair + 0.5 <= 1 + atol and (pair + 0.5) * (1 - (pair + 0.5)) + atol >= 0):
+                pair = math.nextafter(pair, 0.0)
+            recovered = pair + 0.5
+            bound = recovered * (1 - recovered) + atol
+            edge = math.sqrt(bound)
+            while qubit._square(edge) > bound:
+                edge = math.nextafter(edge, 0.0)
+            while qubit._square(math.nextafter(edge, math.inf)) <= bound:
+                edge = math.nextafter(edge, math.inf)
+            for g in (0.0, edge, edge * (1 - 1e-6)):
+                for gamma in (complex(g, 0.0), complex(0.0, -g), complex(-g, -0.0)):
+                    chis.append(charfunc._char(1 + 0j, gamma, -gamma.conjugate(), complex(pair)))
+        for chi in chis:
+            rho = state_from_char(chi)
+            p = min(max(chi.coefficients[3].real + 0.5, 0.0), 1.0)
+            checked = QubitState(p=p, gamma=chi.coefficients[1])
+            assert type(rho) is QubitState and type(rho.p) is float and type(rho.gamma) is complex
+            assert rho == checked and hash(rho) == hash(checked)
+            bits = [np.array([x.p, x.gamma.real, x.gamma.imag]).tobytes() for x in (rho, checked)]
+            assert bits[0] == bits[1]
+
+
 XI_SUBALGEBRA = [0b0000, 0b0100, 0b1000, 0b1100]
 EDGE_STATES = [
     QubitState(p=p, gamma=g)
@@ -149,12 +185,12 @@ class TestRepresentation:
     def test_a_sweep_builds_no_element_and_touches_no_numpy(self, monkeypatch, report_digest):
         """``char_function``, ``apply_green`` and ``state_from_char`` over the
         1,000 states of a benchmark ``sweep`` chunk, with the kernel built and
-        its operand read before: no ``GrassmannElement`` is made, and ``np``
-        is never looked up in the modules on the path."""
+        its closed form read before: no ``GrassmannElement`` is made, and
+        ``np`` is never looked up in the modules on the path."""
         sweep = report_digest.workloads.Sweep()
         channel, states = sweep.chunk(11, 0)
         _, kernel = sweep.prepare(channel)
-        kernel._convolution_operand
+        assert kernel._closed_form is not None
         builds = []
 
         def counted(wrapped):

@@ -14,6 +14,7 @@ from grasschan.green import (
     angles_from_gaussian,
     apply_green,
     channel_from_angles,
+    compose_gaussian,
     detect_gaussian,
     gaussian_equivalent,
     green_from_canonical,
@@ -210,9 +211,9 @@ class TestDetectGaussian:
 
 class TestGaussianSemigroup:
     """Angle-form Gaussian channels compose in closed form: ``second o first``
-    has ``a = a2 a1 + b2 b1``, ``b = a2 b1 + b2 a1`` and
-    ``c = (a2^2 - b2^2) c1 + c2``, the qubit analogue of the bosonic law
-    ``(X, Y) -> (X2 X1, X2 Y1 X2^T + Y2)``."""
+    has the kernel ``compose_gaussian`` gives, ``a = a2 a1 + b2 b1``,
+    ``b = a2 b1 + b2 a1`` and ``c = (a2^2 - b2^2) c1 + c2``, the qubit
+    analogue of the bosonic law ``(X, Y) -> (X2 X1, X2 Y1 X2^T + Y2)``."""
 
     def test_composition_law(self):
         rng = np.random.default_rng(3)
@@ -227,13 +228,22 @@ class TestGaussianSemigroup:
             g1, g2 = (detect_gaussian(green_from_channel(ch)) for ch in (first, second))
             composed = detect_gaussian(green_from_channel(compose(second, first)))
             assert g1 is not None and g2 is not None and composed is not None
-            law = (
-                g2.a * g1.a + g2.b * g1.b,
-                g2.a * g1.b + g2.b * g1.a,
-                (g2.a**2 - g2.b**2).real * g1.c + g2.c,
-            )
-            worst = max(worst, *(abs(x - y) for x, y in zip((composed.a, composed.b, composed.c), law)))
+            law = compose_gaussian(g2, g1)
+            assert type(law) is GaussianParams and type(law.c) is float
+            worst = max(worst, *(abs(getattr(composed, f) - getattr(law, f)) for f in ("a", "b", "c")))
         assert worst <= 1e-14
+
+    def test_identity_is_a_unit_and_damping_multiplies(self):
+        identity = GaussianParams(1 + 0j, 0j, 0.0)
+        g = GaussianParams(0.6 + 0j, -0.3 + 0j, 0.125)
+        assert compose_gaussian(identity, g) == g == compose_gaussian(g, identity)
+        n1, n2 = 0.64, 0.36
+        damped = compose_gaussian(
+            GaussianParams(complex(np.sqrt(n2)), 0j, (1 - n2) / 2),
+            GaussianParams(complex(np.sqrt(n1)), 0j, (1 - n1) / 2),
+        )
+        assert damped.a == pytest.approx(np.sqrt(n1 * n2), abs=1e-15) and damped.b == 0
+        assert damped.c == pytest.approx((1 - n1 * n2) / 2, abs=1e-15)
 
 
 class TestAngles:

@@ -117,3 +117,11 @@ def test_docstring_table_lists_every_tolerance_with_its_value():
         name: getattr(tolerances, name) for name in dir(tolerances) if name.endswith(SUFFIXES)
     }
     assert rows == values
+
+
+def test_a_recovered_state_meets_the_state_bounds():
+    """``state_from_char`` makes its ``QubitState`` without the state's own
+    checks: every ``|gamma|^2`` it accepts is within ``p(1-p) +
+    PHYSICALITY_ATOL``, which meets ``QubitState``'s bound only while
+    ``PHYSICALITY_ATOL <= STATE_ATOL``."""
+    assert tolerances.PHYSICALITY_ATOL <= tolerances.STATE_ATOL

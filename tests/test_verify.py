@@ -7,6 +7,7 @@ convolution through ``substitute``.  The array passes must give the same
 bits, raise the same exceptions and leave the generator in the same state.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -373,43 +374,50 @@ class TestConvolutionTable:
         # the reference's one-row products are the only product passes
         assert len(product.kept) - 1 == 1
 
-    def test_the_kernel_operand_is_the_table_read_per_target(self):
-        """The operand is ``_CONVOLUTION`` read per target, without the terms whose
-        kernel coefficient is an exact zero; each kept term holds its kernel
-        coefficient times its sign, and marks a real coefficient (imaginary
-        part +-0) with ``im`` None."""
+    def test_the_closed_form_holds_a_canonical_kernels_floats(self):
+        """``_closed_form`` is None unless the kernel has the canonical pattern
+        (zeros on ``CANONICAL_ZEROS``, a zero imaginary part on
+        ``CANONICAL_REALS``, of either sign), and otherwise holds the kernel's
+        coefficients in the order of the four target sums; it is read once."""
         kernels, _ = exact_zero_convolution_inputs(3, 30)
-        rows = list(zip(*(a.tolist() for a in green._CONVOLUTION.pairs)))
+        awkward, _ = awkward_convolution_inputs(3, 30)
         kinds = set()
-        for body in kernels:
+        for body in np.concatenate([kernels, awkward, canonical_projection(awkward)]):
             kernel = green.GreenFunction(GrassmannElement(body))
-            operand = kernel._convolution_operand
-            assert kernel._convolution_operand is operand
-            coefficients = body.tolist()
-            kept = [row for row in rows if coefficients[row[1]] != 0]
-            assert len(kept) < len(rows)
-            assert [target for target, _ in operand] == sorted({row[3] for row in kept})
-            for target, terms in operand:
-                expected = [row for row in kept if row[3] == target]
-                assert [i for i, _, _ in terms] == [i for i, _, _, _ in expected]
-                for (_, re, im), (_, j, sign, _) in zip(terms, expected):
-                    k = coefficients[j]
-                    assert type(re) is float and np.array(re).tobytes() == np.array(sign * k.real).tobytes()
-                    if k.imag == 0:
-                        assert im is None
-                    else:
-                        assert type(im) is float and im == sign * k.imag
-                    kinds.add((im is None, sign))
-        assert kinds == {(True, 1.0), (True, -1.0), (False, 1.0), (False, -1.0)}
+            closed = kernel._closed_form
+            assert kernel._closed_form is closed
+            k = dict(zip(grassmann.MONOMIAL_NAMES, body.tolist()))
+            canonical = not any(k[m] for m in CANONICAL_ZEROS) and not any(k[m].imag for m in CANONICAL_REALS)
+            kinds.add(canonical)
+            if not canonical:
+                assert closed is None
+                continue
+            expected = (
+                k["ζζ*"].real,
+                k["ζζ*ξ"].real, k["ζζ*ξ"].imag, k["ζ*ξ"].real, k["ζξ"].real,
+                k["ζζ*ξ*"].real, k["ζζ*ξ*"].imag, k["ζ*ξ*"].real, k["ζξ*"].real,
+                k["ζζ*ξξ*"].real, k["ξξ*"].real,
+            )
+            assert [type(x) for x in closed] == [float] * 11
+            assert np.array(closed).tobytes() == np.array(expected).tobytes()
+        assert kinds == {True, False}
 
     @pytest.mark.parametrize("inputs", ["awkward", "extreme", "exact_zeros"])
-    def test_one_chi_rows_have_the_bits_of_the_stacked_pass_and_the_reference(self, inputs):
+    def test_one_chi_rows_have_the_bits_of_the_stacked_pass_and_the_reference(self, inputs, monkeypatch):
+        """Each set runs as given and with its kernels projected on the
+        canonical pattern, so both the closed form and the array pass run; the
+        four coefficients of ``apply_green`` (validation switched off, so that
+        unnormalized, overflowing and NaN sums come back) equal, by bytes,
+        columns 0, 4, 8 and 12 of the stacked row and of the element-algebra
+        reference, whose other 12 columns are +0.0 bytes."""
         if inputs == "awkward":
             kernels, chis = awkward_convolution_inputs(293, 300)
         elif inputs == "extreme":
             kernels, chis = extreme_convolution_inputs(307, 300)
         else:
             kernels, chis = exact_zero_convolution_inputs(311, 300)
+        kernels = np.concatenate([kernels, canonical_projection(kernels)])
+        chis = np.concatenate([chis, chis])
         with np.errstate(all="ignore"):
             stacked = _apply_kernels(kernels, chis)
             expected = [
@@ -420,38 +428,89 @@ class TestConvolutionTable:
             values = np.concatenate([stacked.real, stacked.imag]).ravel()
             assert np.isinf(values).any() and np.isnan(values).any()
             assert ((values != 0) & (np.abs(values) < np.finfo(float).tiny)).any()
+        monkeypatch.setattr(green, "_char", unchecked_char)
         off_xi = [m for m in range(16) if m not in XI_SUBALGEBRA]
+        paths = set()
         for k, c, row, ref in zip(kernels, chis, stacked, expected):
-            operand = green.GreenFunction(GrassmannElement(k))._convolution_operand
-            one = green._apply_operand(operand, tuple(c[XI_SUBALGEBRA].tolist()))
+            kernel = green.GreenFunction(GrassmannElement(k))
+            paths.add(kernel._closed_form is None)
+            one = apply_green(kernel, unchecked_char(*c[XI_SUBALGEBRA].tolist())).coefficients
             assert type(one) is tuple and len(one) == 4 and all(type(x) is complex for x in one)
             ref = np.frombuffer(ref, dtype=complex)
             assert np.array(one).tobytes() == row[XI_SUBALGEBRA].tobytes() == ref[XI_SUBALGEBRA].tobytes()
             assert row[off_xi].tobytes() == ref[off_xi].tobytes() == bytes(16 * len(off_xi))
+        assert paths == {True, False}
 
     def test_apply_green_builds_the_operand_once_per_kernel_and_runs_no_product_pass(self, monkeypatch):
+        """A canonical kernel's operand is its cached ``_closed_form``."""
         rng = np.random.default_rng(17)
         kernels = [green_from_channel(random_cptp_canonical_channel(rng)) for _ in range(3)]
         chis = [char_function(random_state(rng)) for _ in range(50)]
-        table = green._CONVOLUTION
-        reads, passes = [], []
-
-        class CountedTable:
-            @property
-            def pairs(self):
-                reads.append(1)
-                return table.pairs
-
-        def counted_products(*args, **kwargs):
-            passes.append(1)
-            return grassmann._products(*args, **kwargs)
-
-        monkeypatch.setattr(green, "_CONVOLUTION", CountedTable())
-        monkeypatch.setattr(green, "_products", counted_products)
+        builds, passes = count_closed_forms_and_passes(monkeypatch)
         for kernel in kernels:
             for chi in chis:
                 apply_green(kernel, chi)
-        assert len(reads) == len(kernels) and passes == []
+        assert builds == kernels and passes == []
+        assert all(kernel._closed_form is not None for kernel in kernels)
+
+    def test_any_other_kernel_runs_one_product_pass_per_call(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        kernels = []
+        for names, shift in ((CANONICAL_ZEROS, 1e-3), (CANONICAL_REALS, 1e-3j)) * 2:
+            body = green_from_channel(random_cptp_canonical_channel(rng)).body.coefficients.copy()
+            body[grassmann.MONOMIAL_NAMES.index(rng.choice(names))] += shift
+            kernels.append(green.GreenFunction(GrassmannElement(body)))
+        chis = [char_function(random_state(rng)) for _ in range(50)]
+        builds, passes = count_closed_forms_and_passes(monkeypatch)
+        for kernel in kernels:
+            for chi in chis:
+                apply_green(kernel, chi)
+        assert builds == kernels and len(passes) == len(kernels) * len(chis)
+        assert all(kernel._closed_form is None for kernel in kernels)
+
+
+#: The canonical pattern of a kernel: exact zeros, and real coefficients.
+CANONICAL_ZEROS = ("1", "ζ", "ζ*", "ξ", "ξ*", "ζξξ*", "ζ*ξξ*")
+CANONICAL_REALS = ("ζζ*", "ζξ", "ζ*ξ", "ζξ*", "ζ*ξ*", "ξξ*", "ζζ*ξξ*")
+
+
+def canonical_projection(kernels):
+    """``(n, 16)`` kernel rows with the canonical pattern imposed: each part
+    that must be zero is multiplied by 0.0, which keeps its sign."""
+    out = kernels.copy()
+    zeros = [grassmann.MONOMIAL_NAMES.index(m) for m in CANONICAL_ZEROS]
+    reals = [grassmann.MONOMIAL_NAMES.index(m) for m in CANONICAL_REALS]
+    out[:, zeros] *= 0.0
+    out.imag[:, reals] *= 0.0
+    return out
+
+
+def unchecked_char(*coefficients):
+    """A ``CharFunction`` holding ``coefficients`` without its checks."""
+    chi = object.__new__(CharFunction)
+    object.__setattr__(chi, "coefficients", coefficients)
+    return chi
+
+
+def count_closed_forms_and_passes(monkeypatch):
+    """Record each kernel whose ``_closed_form`` is built, and each product pass."""
+    builds, passes = [], []
+    cached = green.GreenFunction.__dict__["_closed_form"]
+
+    def counted_build(kernel):
+        builds.append(kernel)
+        return cached.func(kernel)
+
+    counted = functools.cached_property(counted_build)
+    counted.__set_name__(green.GreenFunction, "_closed_form")
+
+    def counted_products(*args, **kwargs):
+        passes.append(1)
+        return grassmann._products(*args, **kwargs)
+
+    monkeypatch.setattr(green.GreenFunction, "_closed_form", counted)
+    monkeypatch.setattr(green, "_products", counted_products)
+    return builds, passes
 
 
 def valid_bodies(n=4):
