@@ -402,12 +402,13 @@ def apply_channel(ch: QubitChannel, rho: QubitState) -> QubitState:
 def _bloch_map(t: np.ndarray, lam: np.ndarray, p: np.ndarray, gamma: np.ndarray):
     """``apply_channel`` of canonical rows ``(t[s], lam[s])`` to the states
     ``(p[s], gamma[s])``: arrays ``p`` and ``gamma``, checked like
-    ``QubitState``.  The channels must be CPTP.
+    ``QubitState``.  Each component of ``r_out = t + lam * r`` is formed as
+    ``apply_channel`` forms it, so the rows have its bits.  The channels must
+    be CPTP.
     """
-    r = np.stack([2 * gamma.real, -2 * gamma.imag, 2 * p - 1], axis=1)
-    r_out = t + lam * r
-    p_out = (1 + r_out[:, 2]) / 2
-    gamma_out = (r_out[:, 0] - 1j * r_out[:, 1]) / 2
+    (t1, t2, t3), (lam1, lam2, lam3) = t.T, lam.T
+    p_out = (1 + (t3 + lam3 * (2 * p - 1))) / 2
+    gamma_out = ((t1 + lam1 * (2 * gamma.real)) - 1j * (t2 + lam2 * (-2 * gamma.imag))) / 2
     _check_states(p_out, gamma_out)
     return p_out, gamma_out
 

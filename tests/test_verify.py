@@ -98,26 +98,34 @@ def reference_calibration_suite(rng, trials, tol):
     return CheckResult("characteristic_function_closed_form", worst <= tol, worst, trials, tol)
 
 
+def reference_symbolic(ch, rho):
+    """One oracle trial's symbolic path on elements: kernel, characteristic
+    function, convolution, inversion."""
+    return state_from_char(reference_apply(reference_kernel(ch.t, ch.lam), reference_char_function(rho)))
+
+
 def reference_oracle_suite(rng, trials, tol):
     worst = 0.0
     for _ in range(trials):
         ch = random_cptp_canonical_channel(rng)
         rho = random_state(rng)
-        symbolic = state_from_char(reference_apply(reference_kernel(ch.t, ch.lam), reference_char_function(rho)))
+        symbolic = reference_symbolic(ch, rho)
         dense = apply_channel(ch, rho)
         worst = max(worst, abs(symbolic.p - dense.p), abs(symbolic.gamma - dense.gamma))
     return CheckResult("convolution_vs_dense_oracle", worst <= tol, worst, trials, tol)
 
 
+def reference_suites(rng, trials, calibration_tol, oracle_tol):
+    """The calibration over all trials, then the oracle, one trial at a time."""
+    return (reference_calibration_suite(rng, trials, calibration_tol), reference_oracle_suite(rng, trials, oracle_tol))
+
+
 def run_both(seed, trials):
     """(batched, reference) results of both suites, plus each side's next draw."""
     out = []
-    for calibration, oracle in (
-        (verify._calibration_suite, verify._oracle_suite),
-        (reference_calibration_suite, reference_oracle_suite),
-    ):
+    for suites in (verify._suites, reference_suites):
         rng = np.random.default_rng(seed)
-        checks = (calibration(rng, trials, CALIBRATION_TOL), oracle(rng, trials, ORACLE_TOL))
+        checks = suites(rng, trials, CALIBRATION_TOL, ORACLE_TOL)
         out.append((checks, rng.random()))
     return out
 
@@ -148,11 +156,34 @@ class TestBatchedSuitesMatchPerTrialLoops:
             assert_same_checks(got, expected)
             assert got_next == expected_next
 
-    @pytest.mark.parametrize("trials", [CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1])
+    @pytest.mark.parametrize("trials", [CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 3])
     def test_chunk_boundaries(self, trials):
         (got, got_next), (expected, expected_next) = run_both(11, trials)
         assert_same_checks(got, expected)
         assert got_next == expected_next
+
+    def test_stream_order_across_many_chunks(self, monkeypatch):
+        """With three trials per chunk, runs of 0 to 20 trials cross up to six
+        chunk boundaries; each chunk's calibration rows keep their place in
+        the stream, before every oracle draw.  The oracle's streams of one
+        seed meet again (a round that starts on one run's row ends on
+        another's), so the reference computes the symbolic path of a trial it
+        has seen, by bytes, once."""
+        monkeypatch.setattr(verify, "CHUNK_TRIALS", 3)
+        seen, symbolic = {}, reference_symbolic
+
+        def once(ch, rho):
+            key = (ch.t.tobytes(), ch.lam.tobytes(), np.array([rho.p, rho.gamma]).tobytes())
+            if key not in seen:
+                seen[key] = symbolic(ch, rho)
+            return seen[key]
+
+        monkeypatch.setitem(globals(), "reference_symbolic", once)
+        for seed in range(50):
+            for trials in range(21):
+                (got, got_next), (expected, expected_next) = run_both(seed, trials)
+                assert_same_checks(got, expected)
+                assert got_next.hex() == expected_next.hex()
 
     def test_run_verification_and_zero_trials(self):
         result = run_verification(trials=0, seed=3)
@@ -629,6 +660,28 @@ class TestPerTrialChecks:
         assert run_verification(trials=trials, seed=4).passed
         assert passes == [(green._CONVOLUTION, n) for n in (CHUNK_TRIALS, CHUNK_TRIALS, 3)]
         assert len(kernels) == trials
+
+    def test_one_state_and_char_function_pass_per_chunk(self, monkeypatch):
+        """Each chunk makes its states and characteristic functions once, for
+        the calibration and the oracle together, and checks the input rows,
+        then the convolved rows."""
+        calls = []
+        for name in ("_states_from_uniforms", "_char_bodies", "_check_char_bodies"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(
+                verify, name, lambda rows, name=name, real=real: calls.append((name, len(rows))) or real(rows)
+            )
+        assert run_verification(trials=2 * CHUNK_TRIALS + 3, seed=4).passed
+        assert calls == [
+            call
+            for n in (CHUNK_TRIALS, CHUNK_TRIALS, 3)
+            for call in (
+                ("_states_from_uniforms", 2 * n),
+                ("_char_bodies", 2 * n),
+                ("_check_char_bodies", 2 * n),
+                ("_check_char_bodies", n),
+            )
+        ]
 
 
 def reference_channels_and_states(rng, trials, t_scale=0.8, max_tries=10_000):
