@@ -433,19 +433,36 @@ def _states_from_uniforms(u: np.ndarray):
 
     ``random_state(rng)`` is row 0 of ``rng.random((1, 3))``, so
     ``rng.random((n, 3))`` gives the bits of ``n`` ``random_state`` calls, as
-    arrays ``p`` and ``gamma`` checked like ``QubitState``.
+    arrays ``p`` and ``gamma``.  They need no ``QubitState`` check: for
+    uniforms in ``[0, 1)``, ``p`` is in ``[0, 1)``, and ``|gamma|^2`` is
+    ``p (1 - p) u1 <= p (1 - p)`` up to a relative rounding of a few ulps
+    (``1 - p``, the products, the square roots and the unit-modulus
+    ``exp``), so it exceeds ``p (1 - p)`` by less than ``1e-15``, far inside
+    ``STATE_ATOL``.
     """
     p = u[:, 0]
     radius = np.sqrt(p * (1 - p)) * np.sqrt(u[:, 1])
     gamma = radius * np.exp(1j * (2 * np.pi * u[:, 2]))
-    _check_states(p, gamma)
     return p, gamma
 
 
-#: Sign patterns ``s_a`` of ``(sigma_x (x) sigma_x, -sigma_y (x) sigma_y,
-#: sigma_z (x) sigma_z)`` on the four Bell states: the Choi operator of
-#: ``(t, lam)`` has diagonal ``d_a = (1 + s_a . lam) / 2`` in the Bell basis.
-_BELL_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+def _bell_sums(lam1, lam2, lam3):
+    """The four sums ``s_a . lam`` that give the Choi operator of ``(t, lam)``
+    its Bell-basis diagonal ``d_a = (1 + s_a . lam) / 2``.
+
+    ``s_a`` runs over ``(1, 1, 1)``, ``(1, -1, -1)``, ``(-1, 1, -1)`` and
+    ``(-1, -1, 1)``, the signs of ``(sigma_x (x) sigma_x, -sigma_y (x)
+    sigma_y, sigma_z (x) sigma_z)`` on the four Bell states.  Each sum is
+    the explicit three-term sum taken from the left (``-lam1 + lam2`` is
+    ``-(lam1 - lam2)`` and ``-lam1 - lam2`` is ``-(lam1 + lam2)``, exactly),
+    so its bits depend on no BLAS kernel.  The arguments are floats (the
+    decision of one candidate) or arrays of one shape (the pre-screen of a
+    block's columns).
+    """
+    plus, minus = lam1 + lam2, lam1 - lam2
+    return plus + lam3, minus - lam3, -minus - lam3, lam3 - plus
+
+
 #: ``t_k`` couples, with magnitude ``|t_k| / 2``, the two pairs of Bell
 #: states whose sign patterns agree on axis ``k``: pair ``(_BELL_A[m],
 #: _BELL_B[m])`` is coupled by ``t[_BELL_AXIS[m]]``.  The six pairs are all
@@ -467,30 +484,32 @@ def _choi_prescreen(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     ``C - f I >= (SCREEN_MARGIN - O(1e-15)) I``, a slack far above the
     rounding of these few products, so no accepted row is dropped.
     """
-    d = (1 + lam @ _BELL_SIGNS.T) / 2 - (CHOI_EIG_FLOOR - SCREEN_MARGIN)
-    return (d[:, _BELL_A] * d[:, _BELL_B] >= (t * t)[:, _BELL_AXIS] / 4).all(axis=1)
+    d = (1 + np.array(_bell_sums(*lam.T))) / 2 - (CHOI_EIG_FLOOR - SCREEN_MARGIN)
+    return (d[_BELL_A] * d[_BELL_B] >= (t * t / 4).T[_BELL_AXIS]).all(axis=0)
 
 
-#: Shifts ``s`` of ``_choi_decision``: it rejects when ``C - (f - M) I`` is
-#: not positive semidefinite and accepts when ``C - (f + M) I`` is positive
-#: definite, with ``f = CHOI_EIG_FLOOR`` and ``M = SCREEN_MARGIN``.
-_DECISION_SHIFTS = np.array([CHOI_EIG_FLOOR - SCREEN_MARGIN, CHOI_EIG_FLOOR + SCREEN_MARGIN])
+#: Shifts ``(f - M, f + M)`` of ``_cptp_ok``, with ``f = CHOI_EIG_FLOOR`` and
+#: ``M = SCREEN_MARGIN``: it rejects when ``C - (f - M) I`` is not positive
+#: semidefinite and accepts when ``C - (f + M) I`` is positive definite.
+_DECISION_SHIFTS = (CHOI_EIG_FLOOR - SCREEN_MARGIN, CHOI_EIG_FLOOR + SCREEN_MARGIN)
 #: Rounding bound of every ``_choi_invariants`` value of a pre-screen
-#: survivor, derived in ``_choi_decision``.
-_INVARIANT_ROUNDING = 11 * np.finfo(float).eps
+#: survivor, derived in ``_cptp_ok``.
+_INVARIANT_ROUNDING = float(11 * np.finfo(float).eps)
 
 
-def _choi_invariants(t: np.ndarray, lam: np.ndarray, shifts: np.ndarray) -> tuple:
-    """``(e2, e3, e4)`` of ``C - s I`` for every shift ``s`` and row ``(t, lam)``, each of shape ``(len(shifts), n)``.
+def _choi_invariants(sums: tuple, w: tuple, s: float) -> tuple:
+    """``(e2, e3, e4)`` of ``C - s I`` for one channel, on Python floats.
 
-    ``e_k`` is the k-th elementary symmetric function of the eigenvalues of
-    ``C - s I``, ``C`` the Choi operator.  In the Bell basis ``C - s I`` has
-    diagonal ``delta_a = d_a - s``, and ``t_k`` puts entries of squared
-    modulus ``w_k = t_k^2 / 4`` on the two edges of axis ``k``: edges ``2k``
-    and ``2k + 1`` of ``(_BELL_A, _BELL_B)`` are a perfect matching of the
-    four states.  Expanding the principal minors, with ``p_m = delta_a
-    delta_b`` on edge ``m``, ``P_k = p_2k + p_2k+1`` and ``W = w_0 + w_1 +
-    w_2``::
+    ``sums`` are the ``_bell_sums`` of ``lam`` and ``w = (w_0, w_1, w_2)``
+    holds ``w_k = t_k^2 / 4``.  ``e_k`` is the k-th elementary symmetric
+    function of the eigenvalues of ``C - s I``, ``C`` the Choi operator.  In
+    the Bell basis ``C - s I`` has diagonal ``delta_a = d_a - s``, and
+    ``t_k`` puts entries of squared modulus ``w_k`` on the two edges of axis
+    ``k``: ``(0, 1)`` and ``(2, 3)`` for axis 0, ``(0, 2)`` and ``(1, 3)``
+    for axis 1, ``(0, 3)`` and ``(1, 2)`` for axis 2, a perfect matching of
+    the four states for each axis.  Expanding the principal minors, with
+    ``p_m = delta_a delta_b`` on edge ``m`` (in the order above), ``P_k =
+    p_2k + p_2k+1`` and ``W = w_0 + w_1 + w_2``::
 
         e1 = delta_0 + delta_1 + delta_2 + delta_3 = 2 - 4 s
         e2 = P_0 + P_1 + P_2 - 2 W
@@ -503,30 +522,30 @@ def _choi_invariants(t: np.ndarray, lam: np.ndarray, shifts: np.ndarray) -> tupl
     so it cancels against its reverse.  The three 4-cycles (``2 w_k w_l``)
     and the three perfect matchings (``w_k^2``) add up to ``W^2``.
     """
-    delta = (1 + lam @ _BELL_SIGNS.T) / 2 - shifts[:, None, None]
-    w = t * t / 4
-    p = delta[..., _BELL_A] * delta[..., _BELL_B]
-    matchings = p[..., 0::2] + p[..., 1::2]
-    pair_sums = delta[..., _BELL_A[:2]] + delta[..., _BELL_B[:2]]
-    W = w.sum(axis=-1)
-    e1 = pair_sums[..., 0] + pair_sums[..., 1]
-    p0, p1 = p[..., 0], p[..., 1]
+    s0, s1, s2, s3 = sums
+    d0, d1, d2, d3 = (1 + s0) / 2 - s, (1 + s1) / 2 - s, (1 + s2) / 2 - s, (1 + s3) / 2 - s
+    w0, w1, w2 = w
+    p0, p1 = d0 * d1, d2 * d3
+    P0, P1, P2 = p0 + p1, d0 * d2 + d1 * d3, d0 * d3 + d1 * d2
+    W = w0 + w1 + w2
+    a, b = d0 + d1, d2 + d3
     return (
-        matchings.sum(axis=-1) - 2 * W,
-        p0 * pair_sums[..., 1] + p1 * pair_sums[..., 0] - W * e1,
-        p0 * p1 - (w * matchings).sum(axis=-1) + W * W,
+        P0 + P1 + P2 - 2 * W,
+        p0 * b + p1 * a - W * (a + b),
+        p0 * p1 - (w0 * P0 + w1 * P1 + w2 * P2) + W * W,
     )
 
 
-def _choi_decision(t: np.ndarray, lam: np.ndarray):
-    """``(accept, reject)``: the pre-screen survivors ``(t, lam)`` that ``cptp_report`` surely accepts or rejects.
+def _cptp_ok(t: list, lam: list) -> bool:
+    """``cptp_report.ok`` of one pre-screen survivor ``(t, lam)``, given as Python floats.
 
     A Hermitian matrix is positive definite iff every ``e_k`` of its
     eigenvalues is positive, and positive semidefinite iff none is negative.
-    With ``r = _INVARIANT_ROUNDING``, a row is accepted when every ``e_k`` of
-    ``C - (f + M) I`` exceeds ``r``, and rejected when some ``e_k`` of ``C -
-    (f - M) I`` is below ``-r`` (``e1 = 2 - 4s`` is positive at both shifts).
-    A row that is neither is left to the single-channel check.
+    With ``r = _INVARIANT_ROUNDING``, the candidate is accepted when every
+    ``e_k`` of ``C - (f + M) I`` exceeds ``r``, and rejected when some
+    ``e_k`` of ``C - (f - M) I`` is below ``-r`` (``e1 = 2 - 4s`` is positive
+    at both shifts).  A candidate that is neither, within about
+    ``SCREEN_MARGIN`` of the floor, is decided by ``cptp_report`` itself.
 
     Rounding, with ``u = eps / 2`` and ``eps = np.finfo(float).eps``.  The
     computed ``delta_a`` and ``w_k`` are the exact data of a Hermitian ``C'``
@@ -549,25 +568,8 @@ def _choi_decision(t: np.ndarray, lam: np.ndarray):
     at ``s = f + M``, so the smallest eigenvalue of ``C`` exceeds ``f + M -
     8.7u``; a rejected one has it below ``f - M + 8.7u``.  The
     single-channel ``eigvalsh`` of ``choi_from_ptm`` is within about 1e-13
-    of it (see ``_cptp_candidates`` for the rounding of ``choi_from_ptm``),
-    far inside ``M``, so it lands on the same side of ``f``.
-    """
-    (e2_lo, e2_hi), (e3_lo, e3_hi), (e4_lo, e4_hi) = _choi_invariants(t, lam, _DECISION_SHIFTS)
-    r = _INVARIANT_ROUNDING
-    accept = (e2_hi > r) & (e3_hi > r) & (e4_hi > r)
-    reject = (e2_lo < -r) | (e3_lo < -r) | (e4_lo < -r)
-    return accept, reject
-
-
-def _cptp_candidates(rows: np.ndarray, t_scale: float) -> np.ndarray:
-    """``cptp_report.ok`` of every candidate ``lam = rows[j]``, ``t = rows[j + 1] * t_scale``.
-
-    Entry ``j`` of the result covers rows ``j`` and ``j + 1``, so both row
-    alignments are decided at once.  The closed-form pre-screen drops
-    candidates the exact check rejects, and
-    ``_choi_decision`` decides the survivors in real arithmetic, with no
-    Choi matrix and no eigenvalue; a survivor within about ``SCREEN_MARGIN``
-    of the floor is decided by ``cptp_report`` itself.
+    of it (see below for the rounding of ``choi_from_ptm``), far inside
+    ``M``, so it lands on the same side of ``f``.
 
     Trace preservation needs no test here.  ``Tr_out C = I`` holds exactly
     for every ``(t, lam)``, and a survivor has ``|lam_k| <= 1`` and ``|t_k|
@@ -579,36 +581,46 @@ def _cptp_candidates(rows: np.ndarray, t_scale: float) -> np.ndarray:
     exactly, is below ``sqrt(2) (2 * 75.2u + u) < 250u``, about 2.8e-14, far
     below ``TP_ATOL``.  Dropping the test changes no decision.
     """
-    lam, t = rows[:-1], rows[1:] * t_scale
-    ok = np.zeros(len(lam), dtype=bool)
-    kept = np.flatnonzero(_choi_prescreen(t, lam))
-    accept, reject = _choi_decision(t[kept], lam[kept])
-    ok[kept] = accept
-    for k in kept[~(accept | reject)]:
-        ok[k] = QubitChannel.from_canonical(t[k], lam[k]).cptp_report.ok
-    return ok
+    sums, w = _bell_sums(*lam), (t[0] * t[0] / 4, t[1] * t[1] / 4, t[2] * t[2] / 4)
+    r = _INVARIANT_ROUNDING
+    e2, e3, e4 = _choi_invariants(sums, w, _DECISION_SHIFTS[1])
+    if e2 > r and e3 > r and e4 > r:
+        return True
+    e2, e3, e4 = _choi_invariants(sums, w, _DECISION_SHIFTS[0])
+    if e2 < -r or e3 < -r or e4 < -r:
+        return False
+    return QubitChannel.from_canonical(t, lam).cptp_report.ok
 
 
-def _walk(ok: np.ndarray, rows: int, trials: int, tail: int, max_tries: int):
-    """The accepted candidate of each of ``trials`` consecutive rejection loops.
+def _walk(draws: np.ndarray, t_scale: float, trials: int, tail: int, max_tries: int):
+    """The accepted candidate of each of ``trials`` consecutive rejection loops over ``draws``.
 
-    A loop starting at row ``pos`` tries the candidates at rows ``pos, pos +
-    2, ...``; the first one ``ok`` marks is its channel, and the next loop
-    starts ``tail`` rows after that candidate's first row (2 for the channel
-    alone, 3 with a state row).  Returns ``(starts, end)``: the accepted rows
-    and the rows consumed, with fewer than ``trials`` starts when a loop's
-    ``max_tries`` candidates all fail (``end`` is then the end of its last
-    candidate), or ``None`` when ``rows`` rows are too few to tell.
+    Candidate ``j`` is ``lam = draws[j]``, ``t = draws[j + 1] * t_scale``.  A
+    loop starting at row ``pos`` tries the candidates at rows ``pos, pos +
+    2, ...``; the first one that passes ``cptp_report`` is its channel, and
+    the next loop starts ``tail`` rows after that candidate's first row (2
+    for the channel alone, 3 with a state row).  The closed-form pre-screen
+    runs over the whole block and drops candidates ``cptp_report`` rejects;
+    the walk bisects over the survivors, skips those of the other row
+    parity, and decides only the survivors it reaches, one at a time, by
+    ``_cptp_ok``.  Returns ``(starts, end)``: the accepted rows and the rows
+    consumed, with fewer than ``trials`` starts when a loop's ``max_tries``
+    candidates all fail (``end`` is then the end of its last candidate), or
+    ``None`` when the block's rows are too few to tell.
     """
-    accepted = np.flatnonzero(ok)
-    by_parity = (accepted[accepted % 2 == 0].tolist(), accepted[accepted % 2 == 1].tolist())
+    rows = len(draws)
+    lam, t = draws[:-1], draws[1:] * t_scale
+    survivors = np.flatnonzero(_choi_prescreen(t, lam)).tolist()
     starts, pos = [], 0
     for _ in range(trials):
-        same_parity = by_parity[pos % 2]
-        k = bisect_left(same_parity, pos)
-        j = same_parity[k] if k < len(same_parity) else math.inf
-        if j >= pos + 2 * max_tries:
-            return None if pos + 2 * max_tries > rows else (starts, pos + 2 * max_tries)
+        k = bisect_left(survivors, pos)
+        while True:
+            j = survivors[k] if k < len(survivors) else math.inf
+            if j >= pos + 2 * max_tries:
+                return None if pos + 2 * max_tries > rows else (starts, pos + 2 * max_tries)
+            if (j - pos) % 2 == 0 and _cptp_ok(t[j].tolist(), lam[j].tolist()):
+                break
+            k += 1
         if j + tail > rows:
             return None
         starts.append(j)
@@ -619,14 +631,13 @@ def _walk(ok: np.ndarray, rows: int, trials: int, tail: int, max_tries: int):
 def _sample(rng, trials: int, tail: int, t_scale: float, max_tries: int):
     """Run ``trials`` rejection loops (see ``_walk``) on one block of draws.
 
-    The generator state is saved; a block ``rng.random((rows, 3))`` is drawn
-    and decided in one pass by
-    ``_cptp_candidates``, which makes only accept/reject decisions, so the
-    drawn bits are those of the per-trial loop; ``-1 + 2 * raw`` gives the
-    bits of ``rng.uniform(-1, 1)``.  Then the state is restored and exactly
-    the consumed rows are drawn again.  The first block has
-    ``_ROWS_PER_TRIAL`` rows per trial plus four spare shares, but never more
-    than the ``2 * max_tries + tail - 2`` rows a loop can consume; it is
+    The generator state is saved and a block ``rng.random((rows, 3))`` is
+    drawn; ``-1 + 2 * raw`` gives the bits of ``rng.uniform(-1, 1)``.  The
+    walk decides each candidate it reaches exactly as ``cptp_report`` would,
+    so the drawn bits are those of the per-trial loop.  Then the state is
+    restored and exactly the consumed rows are drawn again.  The first block
+    has ``_ROWS_PER_TRIAL`` rows per trial plus four spare shares, but never
+    more than the ``2 * max_tries + tail - 2`` rows a loop can consume; it is
     doubled until the walk is decided.  Returns ``(raw, starts)``;
     ``RuntimeError`` when a loop runs out of ``max_tries``, with the
     generator just past that loop's last candidate.
@@ -635,7 +646,7 @@ def _sample(rng, trials: int, tail: int, t_scale: float, max_tries: int):
     rows = min(_ROWS_PER_TRIAL * (trials + 4), trials * (2 * max_tries + tail - 2))
     while True:
         raw = rng.random((rows, 3))
-        walk = _walk(_cptp_candidates(-1 + 2 * raw, t_scale), rows, trials, tail, max_tries)
+        walk = _walk(-1 + 2 * raw, t_scale, trials, tail, max_tries)
         rng.bit_generator.state = start
         if walk is not None:
             break
@@ -659,15 +670,16 @@ def random_cptp_canonical_channel(
 
     This is the one-trial case of the whole-stream sampler that ``verify``
     runs (``_random_channels_and_states``): a block of candidates (at most
-    ``max_tries``) is drawn at once, doubled while too few, and decided in
-    one array pass by :func:`_cptp_candidates`: a closed-form
-    pre-screen and a closed-form Choi positivity decision in real
-    arithmetic, with :func:`is_cptp` itself only for a candidate within
-    about ``SCREEN_MARGIN`` of ``CHOI_EIG_FLOOR``.  The sampling is
-    stream-exact: for every ``numpy.random.Generator`` (any bit generator;
-    its state is saved and restored) and every ``max_tries`` the returned
-    channel has the same bits, and ``rng`` is left in the same state, as
-    drawing and checking the attempts one at a time.
+    ``max_tries``) is drawn at once, doubled while too few, and screened in
+    one array pass by the closed-form pre-screen.  The walk then decides
+    only the survivors it reaches, in order, each by :func:`_cptp_ok`: a
+    closed-form Choi positivity decision on Python floats, with
+    :func:`is_cptp` itself only for a candidate within about
+    ``SCREEN_MARGIN`` of ``CHOI_EIG_FLOOR``.  The sampling is stream-exact:
+    for every ``numpy.random.Generator`` (any bit generator; its state is
+    saved and restored) and every ``max_tries`` the returned channel has the
+    same bits, and ``rng`` is left in the same state, as drawing and
+    checking the attempts one at a time.
     """
     raw, (j,) = _sample(rng, 1, 2, t_scale, max_tries)
     lam, t = -1 + 2 * raw[j], -1 + 2 * raw[j + 1]
@@ -687,9 +699,10 @@ def _random_channels_and_states(
     candidates consumes ``6k + 3`` doubles, ``2k + 1`` rows of three, so
     rounds start on rows of either parity.  One block ``rng.random((m,
     3))`` is drawn, ``-1 + 2 * raw`` gives the bits of ``rng.uniform(-1,
-    1)``, every candidate of both parities is decided at once, and the
-    rounds are walked over the accepted rows.  The bits, the generator's
-    final state and any ``RuntimeError`` are those of the per-round loop.
+    1)``, the pre-screen runs over every candidate of both parities at once,
+    and the rounds are walked over its survivors, deciding only those they
+    reach.  The bits, the generator's final state and any ``RuntimeError``
+    are those of the per-round loop.
     """
     raw, starts = _sample(rng, trials, 3, t_scale, max_tries)
     starts = np.array(starts, dtype=np.intp)

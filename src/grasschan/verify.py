@@ -14,7 +14,10 @@ The suites run as one array pass per chunk of up to ``CHUNK_TRIALS``
 trials.  The oracle samples a chunk's channels and states in one
 stream-exact pass (``qubit._random_channels_and_states``): the bits and the
 generator's final state are those of drawing each trial's channel, then its
-state, one at a time.  The chunk's calibration uniforms are stacked on top
+state, one at a time.  The pass draws a block of candidates, pre-screens
+them all in closed form, and decides CPTP only for the survivors the
+rejection walk reaches, each on Python floats (``qubit._cptp_ok``), about a
+quarter of them.  The chunk's calibration uniforms are stacked on top
 of the oracle's state uniforms, and the states, their density rows, their
 characteristic functions (the trace pass ``charfunc._char_bodies``) and the
 characteristic-function checks are made once over the stack: the

@@ -29,9 +29,10 @@ from grasschan.qubit import (
     _CHOI_SAFE,
     _DECISION_SHIFTS,
     _ROWS_PER_TRIAL,
-    _choi_decision,
+    _bell_sums,
     _choi_invariants,
     _choi_prescreen,
+    _cptp_ok,
     _ptm_from_canonical,
     _random_channels_and_states,
 )
@@ -694,29 +695,42 @@ class TestPrescreenSoundness:
 
 
 #: ``cptp_report.tp_deviation`` of a pre-screen survivor is below ``250 u``
-#: (see ``qubit._cptp_candidates``), far below ``TP_ATOL / 2``.
+#: (see ``qubit._cptp_ok``), far below ``TP_ATOL / 2``.
 TP_ROUNDING = 250 * np.finfo(float).eps / 2
+
+
+def decisions_and_fallbacks(t, lam):
+    """``_cptp_ok`` of each row of ``(t, lam)``, and whether it fell back to ``cptp_report``."""
+    report, calls = QubitChannel.__dict__["cptp_report"].func, []
+    out = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(QubitChannel, "cptp_report", property(lambda ch: calls.append(ch) or report(ch)))
+        for t_row, lam_row in zip(t.tolist(), lam.tolist()):
+            before = len(calls)
+            out.append((_cptp_ok(t_row, lam_row), len(calls) > before))
+    return out
 
 
 def closed_form_outcomes(t, lam):
     """The closed-form decision on the pre-screen survivors of ``(t, lam)``, refereed by ``cptp_report``.
 
-    Returns ``(wrong, counts, worst_tp)``: the rows whose decision the exact
-    check contradicts, the numbers of accepted, rejected and deferred
-    survivors, and the largest ``tp_deviation`` of an accepted row.
+    Returns ``(wrong, counts, worst_tp)``: the rows whose closed-form
+    decision the exact check contradicts, the numbers of accepted, rejected
+    and deferred survivors, and the largest ``tp_deviation`` of an accepted
+    row.
     """
     kept = np.flatnonzero(_choi_prescreen(t, lam))
-    accept, reject = _choi_decision(t[kept], lam[kept])
-    decided = accept | reject
-    wrong, worst_tp = [], 0.0
-    for k, accepted in zip(kept[decided], accept[decided]):
+    wrong, counts, worst_tp = [], [0, 0, 0], 0.0
+    for k, (ok, deferred) in zip(kept, decisions_and_fallbacks(t[kept], lam[kept])):
+        counts[2 if deferred else 0 if ok else 1] += 1
+        if deferred:
+            continue
         report = QubitChannel.from_canonical(t[k], lam[k]).cptp_report
-        if report.ok != accepted:
+        if report.ok != ok:
             wrong.append(k)
-        if accepted:
+        if ok:
             worst_tp = max(worst_tp, report.tp_deviation)
-    counts = (int(accept.sum()), int(reject.sum()), int((~decided).sum()))
-    return wrong, counts, worst_tp
+    return wrong, tuple(counts), worst_tp
 
 
 class TestClosedFormDecision:
@@ -725,16 +739,31 @@ class TestClosedFormDecision:
     def test_invariants_are_the_elementary_symmetric_functions_of_the_eigenvalues(self):
         draws = np.random.default_rng(405).uniform(-1, 1, size=(20_000, 2, 3))
         lam, t = draws[:, 0], draws[:, 1]
-        shifts = np.array([0.0, *_DECISION_SHIFTS, 0.3])
+        shifts = [0.0, *_DECISION_SHIFTS, 0.3]
         eigs = np.linalg.eigvalsh(choi_from_ptm(_ptm_from_canonical(t, lam)))
-        for got, shift in zip(np.stack(_choi_invariants(t, lam, shifts), axis=1), shifts):
+        rows = [(_bell_sums(*lam_row), [x * x / 4 for x in t_row]) for t_row, lam_row in zip(t.tolist(), lam.tolist())]
+        for shift in shifts:
+            got = np.array([_choi_invariants(d, w, shift) for d, w in rows])
             x = eigs - shift
             expected = [
                 sum(x[:, a] * x[:, b] for a, b in itertools.combinations(range(4), 2)),
                 sum(x[:, a] * x[:, b] * x[:, c] for a, b, c in itertools.combinations(range(4), 3)),
                 x.prod(axis=1),
             ]
-            assert np.abs(got - expected).max() < 1e-13
+            assert np.abs(got - np.transpose(expected)).max() < 1e-13
+
+    def test_bell_sums_give_the_choi_diagonal_in_the_bell_basis(self):
+        # Bell states (|00> + |11>, |01> + |10>, |01> - |10>, |00> - |11>) / sqrt(2)
+        bell = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]]) / np.sqrt(2)
+        lam = np.random.default_rng(407).uniform(-1, 1, size=(200, 3))
+        choi = choi_from_ptm(_ptm_from_canonical(np.zeros_like(lam), lam))
+        expected = np.einsum("ai,nij,aj->na", bell, choi, bell).real
+        sums = np.array([_bell_sums(*row) for row in lam.tolist()])
+        assert np.abs((1 + sums) / 2 - expected).max() < 1e-15
+        # each sum is the left-to-right three-term sum, on floats and on columns alike
+        signed = lam[:, None, :] * BELL_SIGNS
+        assert sums.tobytes() == ((signed[..., 0] + signed[..., 1]) + signed[..., 2]).tobytes()
+        assert np.array(_bell_sums(*lam.T)).T.tobytes() == sums.tobytes()
 
     @pytest.mark.parametrize("t_scale", [0.8, 1.0])
     def test_random_candidates(self, t_scale):
@@ -768,18 +797,49 @@ class TestClosedFormDecision:
         assert (accepted, rejected)[side < 0] > 0 and (accepted, rejected)[side > 0] == 0
 
     def test_rank_deficient_choi_families(self):
-        # Unitary channels lam = s_a have Choi rank 1, amplitude damping at
-        # n = 0 rank 2 (n = 1 is the identity): with shifts of about 1e-9,
-        # e4 is 1e-27 to 1e-18, far inside the rounding bound.  Amplitude
-        # damping is put on every axis, and every row has its ulp neighbours.
-        rows = [(np.zeros(3), lam) for s in BELL_SIGNS for lam in ulp_neighbourhood_rows(s.astype(float))]
-        for n in (0.0, 1.0):
-            for axis in range(3):
-                perm = [(axis + 1) % 3, (axis + 2) % 3, axis]
-                t, lam = np.array([0.0, 0.0, 1 - n])[perm], np.array([np.sqrt(n), np.sqrt(n), n])[perm]
-                rows += [(t, l) for l in ulp_neighbourhood_rows(lam)]
-        t, lam = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        # e4 at either shift is 1e-27 to 1e-18, far inside the rounding bound.
+        t, lam = rank_deficient_rows()
         assert _choi_prescreen(t, lam).all()
         wrong, _, worst_tp = closed_form_outcomes(t, lam)
         assert wrong == [] and worst_tp <= TP_ROUNDING
 
+    @pytest.mark.parametrize("kind", ["random", "boundary", "near_floor"])
+    def test_decision_is_cptp_report_ok(self, kind):
+        """``_cptp_ok`` is ``cptp_report.ok`` on every pre-screen survivor; a
+        rank-deficient or near-floor survivor is decided by the fallback."""
+        if kind == "random":
+            draws = np.random.default_rng(408).uniform(-1, 1, size=(20_000, 2, 3))
+            t, lam = draws[:, 1], draws[:, 0]
+        elif kind == "boundary":
+            t, lam = rank_deficient_rows()
+        else:
+            t, lam = (np.concatenate(parts) for parts in zip(depolarizing_floor_scan(), shifted_floor_scan()))
+        kept = _choi_prescreen(t, lam)
+        t, lam = t[kept], lam[kept]
+        outcomes = decisions_and_fallbacks(t, lam)
+        assert [ok for ok, _ in outcomes] == exact_ok(t, lam).tolist()
+        fallbacks = sum(deferred for _, deferred in outcomes)
+        # random survivors are all decided in closed form; every boundary and
+        # near-floor row is within the rounding bound at one of the shifts
+        assert len(t) > 400 and fallbacks == (0 if kind == "random" else len(t))
+        assert {ok for ok, _ in outcomes} == ({True} if kind == "boundary" else {True, False})
+
+
+def rank_deficient_rows():
+    """Unitary channels ``lam = s_a`` (Choi rank 1), ``lam = (1, x, x)`` and its
+    sign and axis variants (rank 2), and amplitude damping at ``n = 0`` (rank
+    2) and ``n = 1`` (the identity), on every axis; each row with its ulp
+    neighbours."""
+    rows = [(np.zeros(3), lam) for s in BELL_SIGNS for lam in ulp_neighbourhood_rows(s.astype(float))]
+    for x in (-0.7, 0.0, 0.3, 1.0):
+        for s in BELL_SIGNS:
+            for axis in range(3):
+                perm = [axis, (axis + 1) % 3, (axis + 2) % 3]
+                lam = (s * np.array([1.0, x, x]))[perm]
+                rows += [(np.zeros(3), l) for l in ulp_neighbourhood_rows(lam)]
+    for n in (0.0, 1.0):
+        for axis in range(3):
+            perm = [(axis + 1) % 3, (axis + 2) % 3, axis]
+            t, lam = np.array([0.0, 0.0, 1 - n])[perm], np.array([np.sqrt(n), np.sqrt(n), n])[perm]
+            rows += [(t, l) for l in ulp_neighbourhood_rows(lam)]
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])

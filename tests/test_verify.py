@@ -52,7 +52,7 @@ from grasschan.qubit import (
     random_cptp_canonical_channel,
     random_state,
 )
-from grasschan.tolerances import CALIBRATION_TOL, CHOI_EIG_FLOOR, ORACLE_TOL, SCREEN_MARGIN
+from grasschan.tolerances import CALIBRATION_TOL, CHOI_EIG_FLOOR, ORACLE_TOL, SCREEN_MARGIN, STATE_ATOL
 from grasschan.verify import CHUNK_TRIALS, CheckResult, run_verification
 
 
@@ -615,6 +615,25 @@ class TestPerTrialChecks:
                 QubitState(p=p, gamma=gamma)
             assert str(batched.value) == str(single.value)
 
+    def test_uniform_states_are_inside_the_bounds_by_construction(self):
+        """``_states_from_uniforms`` runs no state check: on edge and random
+        uniforms ``p`` is in ``[0, 1)`` and ``|gamma|^2`` exceeds ``p (1 - p)``
+        by less than ``1e-15``, far inside ``STATE_ATOL``."""
+        top = 1 - 2.0**-53
+        edges = itertools.product(
+            [0.0, 2.0**-53, 0.5, top], [0.0, top], [0.0, 2.0**-53, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, top]
+        )
+        u = np.concatenate([np.array(list(edges)), np.random.default_rng(409).random((100_000, 3))])
+        p, gamma = _states_from_uniforms(u)
+        assert ((0 <= p) & (p < 1)).all()
+        assert (np.abs(gamma) ** 2 - p * (1 - p)).max() < 1e-15
+        assert 1e-15 < STATE_ATOL / 1e5
+        _check_states(p, gamma)
+        # random_state still builds a checked QubitState, with the same values
+        assert [random_state(ScriptedStream(row)) for row in u[:80]] == [
+            QubitState(p=a, gamma=b) for a, b in zip(p[:80], gamma[:80])
+        ]
+
     def test_a_failing_trial_fails_the_run(self, monkeypatch):
         calls = []
 
@@ -729,7 +748,7 @@ class TestWholeStreamSampler:
             for trials in (1, 5, 40):
                 blocks.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(qubit, "_walk", lambda ok, rows, *rest: blocks.append(rows) or real(ok, rows, *rest))
+                    m.setattr(qubit, "_walk", lambda draws, *rest: blocks.append(len(draws)) or real(draws, *rest))
                     got = draws_and_next(_random_channels_and_states, ours, trials, t_scale=t_scale)
                 assert got == draws_and_next(reference_channels_and_states, ref, trials, t_scale=t_scale)
                 assert blocks == [blocks[0] * 2**k for k in range(len(blocks))]
@@ -737,7 +756,7 @@ class TestWholeStreamSampler:
         assert grown >= 10
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-    @pytest.mark.parametrize("max_tries", [0, 1, 60])
+    @pytest.mark.parametrize("max_tries", [0, 1, 2, 60])
     def test_max_tries_runs_out_at_the_same_stream_position(self, bit_generator, max_tries):
         accepted_before_raising = []
         for seed in range(30):
@@ -789,15 +808,107 @@ class TestWholeStreamSampler:
         assert lam[0].tolist() == [lam_above] * 3 and u[0].tolist() == [0.25, 0.5, 0.75]
         assert ours.position == ref.position == 24
 
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("max_tries", [2, 10_000])
+    def test_one_row_per_trial_block(self, monkeypatch, bit_generator, max_tries):
+        """A first block of one row per trial, plus four, ends inside most
+        loops.  With room for many tries, a loop's accepted survivor then
+        often lies within ``tail`` rows of a block's end, so that its state
+        row is not in the block; with two tries, most runs raise."""
+        monkeypatch.setattr(qubit, "_ROWS_PER_TRIAL", 1)
+        walk, decide = qubit._walk, qubit._cptp_ok
+        passes, cut_after_acceptance = [], 0
+
+        def recorded_walk(draws, *rest):
+            passes.append((draws, []))
+            return walk(draws, *rest)
+
+        def recorded_decision(t, lam):
+            ok = decide(t, lam)
+            passes[-1][1].append((lam, ok))
+            return ok
+
+        for seed in range(40):
+            ours, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            for trials in (1, 2, 5, 40):
+                passes.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(qubit, "_walk", recorded_walk)
+                    m.setattr(qubit, "_cptp_ok", recorded_decision)
+                    got = draws_and_next(_random_channels_and_states, ours, trials, max_tries=max_tries)
+                assert got == draws_and_next(reference_channels_and_states, ref, trials, max_tries=max_tries)
+                for draws, decisions in passes[:-1]:  # every pass but the last is cut short
+                    if decisions and decisions[-1][1]:
+                        (j,) = np.flatnonzero((draws[:-1] == decisions[-1][0]).all(axis=1))
+                        cut_after_acceptance += j + 3 > len(draws)
+        if max_tries == 10_000:
+            assert cut_after_acceptance >= 5
+
+    def test_decisions_are_the_survivors_the_walk_reaches(self, monkeypatch):
+        """Each pass over a block decides only the pre-screen survivors the
+        per-trial loop meets in it: all of them when the first block
+        suffices, and a prefix of them in a pass that is cut short."""
+        walk, decide, screen = qubit._walk, qubit._cptp_ok, qubit._choi_prescreen
+        passes, decided, screened = [], [], []
+
+        def counted_walk(*args):
+            passes.append(1)
+            return walk(*args)
+
+        def counted_decision(t, lam):
+            decided.append(1)
+            return decide(t, lam)
+
+        def counted_screen(t, lam):
+            kept = screen(t, lam)
+            screened.append(int(kept.sum()))
+            return kept
+
+        monkeypatch.setattr(qubit, "_walk", counted_walk)
+        monkeypatch.setattr(qubit, "_cptp_ok", counted_decision)
+        monkeypatch.setattr(qubit, "_choi_prescreen", counted_screen)
+        grown = total_decided = 0
+        for seed in range(200):
+            passes.clear()
+            decided.clear()
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            _random_channels_and_states(ours, 5)
+            met = survivors_met_by_the_per_trial_loop(ref, 5, screen)
+            if len(passes) == 1:
+                assert len(decided) == met
+            else:
+                assert met <= len(decided) <= len(passes) * met
+                grown += 1
+            assert ours.random() == ref.random()
+            total_decided += len(decided)
+        # the walk decides about a quarter of the survivors of its blocks
+        assert total_decided < sum(screened) / 3 and grown > 0
+
     def test_closed_form_decides_every_candidate_of_the_default_run(self, monkeypatch):
-        survivors, checked, dense = [], [], []
-        decide, report = qubit._choi_decision, QubitChannel.__dict__["cptp_report"].func
-        monkeypatch.setattr(qubit, "_choi_decision", lambda t, lam: survivors.append(len(t)) or decide(t, lam))
+        decided, checked, dense = [], [], []
+        decide, report = qubit._cptp_ok, QubitChannel.__dict__["cptp_report"].func
+        monkeypatch.setattr(qubit, "_cptp_ok", lambda t, lam: decided.append(1) or decide(t, lam))
         monkeypatch.setattr(QubitChannel, "cptp_report", property(lambda ch: checked.append(ch) or report(ch)))
         for module, name in ((qubit, "choi_from_ptm"), (np.linalg, "eigvalsh")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, real=real, name=name: dense.append(name) or real(*args))
         assert run_verification(1000, seed=42).passed
-        # no survivor of the pre-screen is left to the single-channel check,
+        # no survivor the walk reaches is left to the single-channel check,
         # and no Choi matrix or eigenvalue is computed
-        assert checked == [] and dense == [] and sum(survivors) > 1000
+        assert checked == [] and dense == [] and len(decided) > 1000
+
+
+def survivors_met_by_the_per_trial_loop(rng, trials, screen, t_scale=0.8):
+    """Pre-screen survivors among the candidates that ``trials`` per-trial
+    rounds (a channel, then a state's uniforms) try before each acceptance."""
+    met = 0
+    for _ in range(trials):
+        while True:
+            lam = rng.uniform(-1, 1, size=3)
+            t = rng.uniform(-1, 1, size=3) * t_scale
+            if screen(t[None], lam[None])[0]:
+                met += 1
+                if QubitChannel.from_canonical(t, lam).cptp_report.ok:
+                    break
+        rng.random(3)
+    return met
