@@ -215,16 +215,6 @@ def _char_bodies(rho: np.ndarray) -> np.ndarray:
     return (terms[:, 0] + terms[:, 1]) + (terms[:, 2] + terms[:, 3])
 
 
-def _check_char_bodies(bodies: np.ndarray) -> None:
-    """Raise what ``CharFunction`` raises for the first invalid row of ``bodies``."""
-    bad = bodies[:, _OFF_XI_MASKS].any(axis=1) | ~(np.abs(bodies[:, 0] - 1) <= NORMALIZATION_ATOL)
-    finite = np.isfinite(bodies)
-    if not finite.all():  # one whole-block test first: the rows of valid states are finite
-        bad |= ~finite.all(axis=1)
-    for s in np.flatnonzero(bad):
-        CharFunction(_element(bodies[s].copy()))
-
-
 def char_function(rho: QubitState) -> CharFunction:
     """``trace(rho D(xi))`` as a characteristic function on the xi subalgebra.
 
@@ -279,10 +269,19 @@ def state_from_char(chi: CharFunction) -> QubitState:
 
 
 def _states_from_bodies(bodies: np.ndarray):
-    """``state_from_char`` on ``(n, 16)`` valid bodies: arrays ``p`` and ``gamma``.
+    """``state_from_char(CharFunction(row))`` on each row of ``(n, 16)`` bodies: arrays ``p`` and ``gamma``.
 
-    Every row gets the checks of ``CharFunction`` and ``state_from_char``; the
-    first failing row raises their exception and message.  ``QubitState``'s
+    Every row gets the checks of ``CharFunction`` and ``state_from_char`` in
+    one pass, and the first row that fails any of them raises their
+    exception and message, as a loop over the rows would.  The pass tests
+    the 12 coefficients off the xi subalgebra (NaN counts as nonzero), the
+    constant, and each condition of ``state_from_char``.  It has no
+    finiteness test of its own, because these imply ``CharFunction``'s: a
+    row that passes them has a finite constant (within
+    ``NORMALIZATION_ATOL`` of 1), a finite xi xi* (its imaginary part within
+    ``PHYSICALITY_ATOL`` of 0 and ``p`` in range), a finite xi (``|gamma|^2``
+    at most the finite ``p(1-p) + PHYSICALITY_ATOL``) and a finite xi*
+    (within ``PHYSICALITY_ATOL`` of ``-conj(gamma)``).  ``QubitState``'s
     checks always pass on the rows returned, by ``state_from_char``'s
     argument: the clamped ``p`` lies in [0, 1], and ``PHYSICALITY_ATOL <=
     STATE_ATOL``.
@@ -291,7 +290,8 @@ def _states_from_bodies(bodies: np.ndarray):
     gamma = bodies[:, _XI]
     p = pair.real + 0.5
     ok = (
-        (np.abs(bodies[:, 0] - 1) <= NORMALIZATION_ATOL)
+        ~bodies.take(_OFF_XI_MASKS, axis=1).any(axis=1)
+        & (np.abs(bodies[:, 0] - 1) <= NORMALIZATION_ATOL)
         & (np.abs(pair.imag) <= PHYSICALITY_ATOL)
         & (np.abs(bodies[:, _XI_STAR] + np.conj(gamma)) <= PHYSICALITY_ATOL)
         & (-PHYSICALITY_ATOL <= p)

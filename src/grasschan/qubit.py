@@ -72,6 +72,8 @@ SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 #: shares, so that a five-trial chunk needs a second, doubled block in about
 #: 2% of calls.
 _ROWS_PER_TRIAL = 48
+#: Offsets of a round's rows from its accepted candidate's first row: lam, t, the state.
+_ROUND_ROWS = np.arange(3)
 
 
 def _modulus(z: complex) -> float:
@@ -456,20 +458,24 @@ def _bell_sums(lam1, lam2, lam3):
     the explicit three-term sum taken from the left (``-lam1 + lam2`` is
     ``-(lam1 - lam2)`` and ``-lam1 - lam2`` is ``-(lam1 + lam2)``, exactly),
     so its bits depend on no BLAS kernel.  The arguments are floats (the
-    decision of one candidate) or arrays of one shape (the pre-screen of a
-    block's columns).
+    decision of one candidate) or arrays of one shape.
     """
     plus, minus = lam1 + lam2, lam1 - lam2
     return plus + lam3, minus - lam3, -minus - lam3, lam3 - plus
 
 
 #: ``t_k`` couples, with magnitude ``|t_k| / 2``, the two pairs of Bell
-#: states whose sign patterns agree on axis ``k``: pair ``(_BELL_A[m],
-#: _BELL_B[m])`` is coupled by ``t[_BELL_AXIS[m]]``.  The six pairs are all
-#: the pairs of the four states.
-_BELL_A = np.array([0, 2, 0, 1, 0, 1])
-_BELL_B = np.array([1, 3, 2, 3, 3, 2])
+#: states whose sign patterns agree on axis ``k``: pair ``(_BELL_EDGES[0, m],
+#: _BELL_EDGES[1, m])`` is coupled by ``t[_BELL_AXIS[m]]``.  The six pairs
+#: are all the pairs of the four states.
+_BELL_EDGES = np.array([[0, 2, 0, 1, 0, 1], [1, 3, 2, 3, 3, 2]])
 _BELL_AXIS = np.array([0, 0, 1, 1, 2, 2])
+#: Row ``_BELL_SIGNED[k, a]`` of ``[lam; -lam]`` (six rows) is ``s_a[k] lam_k``,
+#: the term of ``lam_k`` in Bell state ``a``'s sum ``s_a . lam`` (``_bell_sums``).
+_BELL_SIGNED = np.array([[0, 0, 3, 3], [1, 4, 1, 4], [2, 5, 5, 2]])
+#: ``1 - 2 f`` with ``f = CHOI_EIG_FLOOR - SCREEN_MARGIN``: the pre-screen's
+#: ``D_a = 2 (d_a - f)`` is ``s_a . lam`` summed from it.
+_PRESCREEN_START = 1 - 2 * (CHOI_EIG_FLOOR - SCREEN_MARGIN)
 
 
 def _choi_prescreen(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -477,15 +483,36 @@ def _choi_prescreen(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     With ``f = CHOI_EIG_FLOOR - SCREEN_MARGIN``, a channel whose Choi
     operator ``C`` satisfies ``C - f I >= 0`` has non-negative 2x2 principal
-    minors ``(d_a - f)(d_b - f) - t_k^2 / 4`` in the Bell basis.  These also
-    give ``d_a - f >= 0``: the ``d_a - f`` sum to ``2 - 4f > 0``, and a
+    minors ``(d_a - f)(d_b - f) - t_k^2 / 4`` in the Bell basis, that is
+    ``D_a D_b >= t_k^2`` with ``D_a = 2 (d_a - f) = 1 - 2f + s_a . lam``.
+    These also give ``D_a >= 0``: the ``D_a`` sum to ``4 - 8f > 0``, and a
     negative one would need every state it is paired with, so every other
-    state, to be non-positive.  An accepted channel has
-    ``C - f I >= (SCREEN_MARGIN - O(1e-15)) I``, a slack far above the
-    rounding of these few products, so no accepted row is dropped.
+    state, to be non-positive.
+
+    The pass runs on the columns (``lam.T``) and makes no matrix product:
+    one signed reduction forms the four ``D_a`` (the terms ``+-lam_k`` are
+    gathered from ``[lam; -lam]`` and summed from ``1 - 2f``), one gather
+    puts the ends of the six edges side by side, and all six minors are
+    compared with the gathered ``t_k^2`` at once.  It only filters, so its
+    rounding needs only the slack that ``SCREEN_MARGIN`` leaves.  An
+    accepted channel has smallest Choi eigenvalue at least ``CHOI_EIG_FLOOR
+    - 1e-13`` (see ``_cptp_ok``), so ``C - f I >= m I`` with ``m > 0.9
+    SCREEN_MARGIN``; each 2x2 block ``[[D_a, t_k], [t_k, D_b]]`` is then at
+    least ``2m I``, and its determinant ``D_a D_b - t_k^2`` is at least
+    ``m (D_a + D_b)``.  With ``u = eps / 2``, the computed ``D_a`` is off by
+    at most ``14u`` (``1 - 2f`` rounded once, and three additions whose
+    results, partial sums of ``1 - 2f`` and terms ``|lam_k| <= 1 + 1e-8``,
+    are below 4.1 in magnitude in any order of summation), the product and
+    ``t_k^2`` are off by a relative ``u`` each (an underflowed ``t_k^2`` by
+    at most ``2^-1075``), and ``t_k^2 <= D_a D_b <= (D_a + D_b)^2 / 4`` with
+    ``D_a + D_b <= 4.1``.  So the computed minor is at least ``(D_a + D_b)(m -
+    14u - 2.1u)``, which is positive, and no accepted row is dropped
+    (``tests/test_exact.py`` checks this against exact rational arithmetic).
     """
-    d = (1 + np.array(_bell_sums(*lam.T))) / 2 - (CHOI_EIG_FLOOR - SCREEN_MARGIN)
-    return (d[_BELL_A] * d[_BELL_B] >= (t * t / 4).T[_BELL_AXIS]).all(axis=0)
+    lam = lam.T
+    signed = np.array((lam, -lam)).reshape(6, len(t)).take(_BELL_SIGNED, axis=0)
+    ends = np.add.reduce(signed, axis=0, initial=_PRESCREEN_START).take(_BELL_EDGES, axis=0)
+    return (ends[0] * ends[1] >= (t * t).T.take(_BELL_AXIS, axis=0)).all(axis=0)
 
 
 #: Shifts ``(f - M, f + M)`` of ``_cptp_ok``, with ``f = CHOI_EIG_FLOOR`` and
@@ -603,10 +630,15 @@ def _walk(draws: np.ndarray, t_scale: float, trials: int, tail: int, max_tries: 
     runs over the whole block and drops candidates ``cptp_report`` rejects;
     the walk bisects over the survivors, skips those of the other row
     parity, and decides only the survivors it reaches, one at a time, by
-    ``_cptp_ok``.  Returns ``(starts, end)``: the accepted rows and the rows
-    consumed, with fewer than ``trials`` starts when a loop's ``max_tries``
-    candidates all fail (``end`` is then the end of its last candidate), or
-    ``None`` when the block's rows are too few to tell.
+    ``_cptp_ok``, reading each one's ``(t, lam)`` as Python floats when it
+    reaches it.  That is about a quarter of the survivors, so two small
+    ``tolist`` calls per decision cost less than one gather of every
+    survivor's row (about 4 against 16 us for the nine decisions and 43
+    survivors of a five-trial block).  Returns ``(starts, end)``: the
+    accepted rows and the rows consumed, with fewer than ``trials`` starts
+    when a loop's ``max_tries`` candidates all fail (``end`` is then the end
+    of its last candidate), or ``None`` when the block's rows are too few to
+    tell.
     """
     rows = len(draws)
     lam, t = draws[:-1], draws[1:] * t_scale
@@ -705,5 +737,6 @@ def _random_channels_and_states(
     are those of the per-round loop.
     """
     raw, starts = _sample(rng, trials, 3, t_scale, max_tries)
-    starts = np.array(starts, dtype=np.intp)
-    return (-1 + 2 * raw[starts + 1]) * t_scale, -1 + 2 * raw[starts], raw[starts + 2]
+    rounds = raw[np.array(starts, dtype=np.intp)[:, None] + _ROUND_ROWS]  # each round's lam, t and state rows
+    draws = -1 + 2 * rounds[:, :2]
+    return draws[:, 1] * t_scale, draws[:, 0], rounds[:, 2]

@@ -18,26 +18,36 @@ state, one at a time.  The pass draws a block of candidates, pre-screens
 them all in closed form, and decides CPTP only for the survivors the
 rejection walk reaches, each on Python floats (``qubit._cptp_ok``), about a
 quarter of them.  The chunk's calibration uniforms are stacked on top
-of the oracle's state uniforms, and the states, their density rows, their
-characteristic functions (the trace pass ``charfunc._char_bodies``) and the
-characteristic-function checks are made once over the stack: the
-calibration compares its rows, the first ``n``, with the closed form, and
-the oracle takes the rest.  Each trial's kernel is the closed form of
+of the oracle's state uniforms, and the states, their density rows and
+their characteristic functions (the trace pass ``charfunc._char_bodies``)
+are made once over the stack: the calibration compares its rows, the first
+``n``, with the closed form, and the oracle takes the rest.  These rows
+need no ``CharFunction`` check at run time: they are the trace rows of
+states made from uniforms in ``[0, 1)``, which are in bounds by
+construction (``qubit._states_from_uniforms``), so every entry is finite,
+the 12 columns off the xi subalgebra are sums of finite entries times the
+zero entries of ``displacement()``, which are zeros, and the constant is
+``p + (1 - p)``, within an ulp of 1 (``tests/test_verify.py`` holds this on
+the extreme uniforms).  Each trial's kernel is the closed form of
 ``green_from_channel`` (``green._kernel_body``, one call per trial); the
 oracle then runs both paths as ``(n, 16)`` coefficient arrays, with one
-convolution pass.  Every row has the bits of the single-object path
-(``char_function``, ``green_from_channel``, ``apply_green``,
-``state_from_char``, ``apply_channel``), every per-trial check runs on every
-row and raises that check's exception, and a NaN residual makes its suite
-fail.
+convolution pass, and the convolved rows get the checks of
+``CharFunction`` and ``state_from_char`` in one pass
+(``charfunc._states_from_bodies``).  Every row has the bits of the
+single-object path (``char_function``, ``green_from_channel``,
+``apply_green``, ``state_from_char``, ``apply_channel``), the first
+convolved row that fails a check raises that check's exception, as the
+per-trial loop does, and a NaN residual makes its suite fail.
 
 The draws keep the order of running the calibration over all trials, then
 the oracle: ``3 * trials`` doubles of state uniforms, then the oracle's
-rounds.  The generator is PCG64, whose ``random`` takes one 64-bit draw per
-double, so the oracle's stream starts ``advance(3 * trials)`` past the
-saved start; each chunk draws its calibration rows from the saved
-calibration state and puts the oracle's state back.  A run holds one
-chunk's arrays at a time, however many trials it has.
+rounds.  The first chunk's calibration rows are the first ``3 n`` doubles,
+so it draws them where the stream starts.  The generator is PCG64, whose
+``random`` takes one 64-bit draw per double, so the oracle's stream starts
+``advance(3 * (trials - n))`` past them.  Only a run of more than one chunk
+saves the calibration's place before that advance; each later chunk draws
+its calibration rows from there and puts the oracle's state back.  A run
+holds one chunk's arrays at a time, however many trials it has.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charfunc import _XI, _XI_STAR, _XI_XI_STAR, _char_bodies, _check_char_bodies, _states_from_bodies
+from .charfunc import _XI, _XI_STAR, _XI_XI_STAR, _char_bodies, _states_from_bodies
 from .green import _apply_kernels, _kernel_body
 from .qubit import _bloch_map, _random_channels_and_states, _states_from_uniforms
 from .tolerances import CALIBRATION_TOL, ORACLE_TOL
@@ -86,12 +96,6 @@ class VerificationResult:
         return report
 
 
-def _chunks(trials: int):
-    """Sizes of the array passes that cover ``trials`` trials, in order."""
-    for done in range(0, trials, CHUNK_TRIALS):
-        yield min(CHUNK_TRIALS, trials - done)
-
-
 def _density_rows(p: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Entries ``[p, gamma, gamma*, 1 - p]`` of the density matrices, one row per state."""
     rows = np.empty((len(p), 4), dtype=complex)
@@ -107,18 +111,21 @@ def _suites(rng: np.random.Generator, trials: int, calibration_tol: float, oracl
     calibration's draws and then the oracle's.
     """
     bits = rng.bit_generator
-    calibration = bits.state
-    bits.advance(3 * trials)  # the oracle's draws start after the calibration's 3 * trials doubles
     worst_calibration = worst_oracle = 0.0
-    for n in _chunks(trials):
-        t, lam, u = _random_channels_and_states(rng, n)
-        # this chunk's calibration rows, from the calibration's place in the stream
-        oracle, bits.state = bits.state, calibration
-        u = np.concatenate([rng.random((n, 3)), u])
-        calibration, bits.state = bits.state, oracle
-        p, gamma = _states_from_uniforms(u)
+    for done in range(0, trials, CHUNK_TRIALS):
+        n = min(CHUNK_TRIALS, trials - done)
+        if done == 0:  # the first chunk's calibration rows come first in the stream
+            u = rng.random((n, 3))
+            if n < trials:  # the later chunks' rows follow; the oracle's draws start after them
+                calibration = bits.state
+                bits.advance(3 * (trials - n))
+        else:  # a later chunk's calibration rows, from the calibration's place in the stream
+            oracle, bits.state = bits.state, calibration
+            u = rng.random((n, 3))
+            calibration, bits.state = bits.state, oracle
+        t, lam, oracle_u = _random_channels_and_states(rng, n)
+        p, gamma = _states_from_uniforms(np.concatenate([u, oracle_u]))
         chi = _char_bodies(_density_rows(p, gamma))
-        _check_char_bodies(chi)
 
         expected = np.zeros((n, 16), dtype=complex)
         expected[:, 0] = 1.0
@@ -128,9 +135,7 @@ def _suites(rng: np.random.Generator, trials: int, calibration_tol: float, oracl
         worst_calibration = np.max(np.abs(chi[:n] - expected), initial=worst_calibration)
 
         kernels = np.array([_kernel_body(t_row, lam_row) for t_row, lam_row in zip(t.tolist(), lam.tolist())])
-        chi_out = _apply_kernels(kernels, chi[n:])
-        _check_char_bodies(chi_out)
-        symbolic_p, symbolic_gamma = _states_from_bodies(chi_out)
+        symbolic_p, symbolic_gamma = _states_from_bodies(_apply_kernels(kernels, chi[n:]))
         dense_p, dense_gamma = _bloch_map(t, lam, p[n:], gamma[n:])
         residual = np.maximum(np.abs(symbolic_p - dense_p), np.abs(symbolic_gamma - dense_gamma))
         worst_oracle = np.max(residual, initial=worst_oracle)

@@ -21,7 +21,6 @@ from grasschan.charfunc import (
     NotNormalizedError,
     NotPhysicalError,
     _char_bodies,
-    _check_char_bodies,
     _states_from_bodies,
     char_function,
     displacement,
@@ -298,7 +297,7 @@ def awkward_convolution_inputs(seed, n):
 
     The kernels are random elements, not CPTP kernels.  A chi row holds random
     values on the xi subalgebra, its constant included, and a signed zero on
-    every other monomial, which ``_check_char_bodies`` lets through.  The last
+    every other monomial, which ``CharFunction`` lets through.  The last
     three rows are an all +0.0 pair, an all -0.0 pair, and a pair whose terms
     cancel to an exact zero in every target.
     """
@@ -551,20 +550,24 @@ def valid_bodies(n=4):
 
 class TestPerTrialChecks:
     def test_char_function_support_and_normalisation(self):
-        _check_char_bodies(valid_bodies())
+        _states_from_bodies(valid_bodies())
         bodies = valid_bodies()
         bodies[2, 0b0001] = 0.1  # a zeta monomial
         with pytest.raises(ValueError, match="xi subalgebra"):
-            _check_char_bodies(bodies)
+            _states_from_bodies(bodies)
         bodies = valid_bodies()
         bodies[1, 0] = 1.5
         bodies[3, 0b0010] = 0.1  # a later row fails another check
         with pytest.raises(NotNormalizedError):
-            _check_char_bodies(bodies)
+            _states_from_bodies(bodies)
+        bodies = valid_bodies()
+        bodies[2, 0b0111] = complex("nan")  # NaN off the xi subalgebra is not zero
+        with pytest.raises(ValueError, match="xi subalgebra"):
+            _states_from_bodies(bodies)
         bodies = valid_bodies()
         bodies[2, 0] = complex("nan")  # NaN fails every "within tolerance" rule
         with pytest.raises(NotNormalizedError) as batched:
-            _check_char_bodies(bodies)
+            _states_from_bodies(bodies)
         with pytest.raises(NotNormalizedError) as single:
             CharFunction(GrassmannElement(bodies[2]))
         assert str(batched.value) == str(single.value)
@@ -572,11 +575,13 @@ class TestPerTrialChecks:
     @pytest.mark.parametrize("mask", [0b0100, 0b1000, 0b1100])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0, np.inf), np.nan])
     def test_a_non_finite_coefficient_is_rejected_by_name(self, mask, value):
+        """The pass has no finiteness test of its own; its other checks reject
+        every non-finite row, which then raises ``CharFunction``'s error."""
         bodies = valid_bodies()
         bodies[1, mask] = value
         bodies[3, 0] = 2.0  # a later row fails another check
         with pytest.raises(NotPhysicalError) as batched:
-            _check_char_bodies(bodies)
+            _states_from_bodies(bodies)
         with pytest.raises(NotPhysicalError) as single:
             CharFunction(GrassmannElement(bodies[1]))
         assert str(batched.value) == str(single.value)
@@ -634,6 +639,24 @@ class TestPerTrialChecks:
             QubitState(p=a, gamma=b) for a, b in zip(p[:80], gamma[:80])
         ]
 
+    def test_trace_rows_of_edge_uniform_states_pass_the_char_function_checks(self):
+        """``verify`` runs no ``CharFunction`` check on its input rows: the
+        trace rows of states made from uniforms in ``[0, 1)`` are finite, are
+        zero off the xi subalgebra and have a constant within an ulp of 1."""
+        top = 1 - 2.0**-53
+        extremes = [0.0, 2.0**-53, 0.5, top]
+        edges = itertools.product([0.0, 2.0**-53, 0.5, 1 - 2.0**-52, top], extremes, extremes + [0.25, 0.75])
+        edges = np.array(list(edges))
+        u = np.concatenate([edges, np.random.default_rng(410).random((20_000, 3))])
+        p, gamma = _states_from_uniforms(u)
+        bodies = _char_bodies(verify._density_rows(p, gamma))
+        assert np.isfinite(bodies).all()
+        assert not bodies[:, [m for m in range(16) if m not in XI_SUBALGEBRA]].any()
+        assert np.abs(bodies[:, 0] - 1).max() <= 2.0**-52
+        for row in bodies[: len(edges)]:
+            chi = CharFunction(GrassmannElement(row))
+            assert chi.body.coefficients.tobytes() == row.tobytes()
+
     def test_a_failing_trial_fails_the_run(self, monkeypatch):
         calls = []
 
@@ -645,6 +668,40 @@ class TestPerTrialChecks:
         monkeypatch.setattr(verify, "_kernel_body", doubled_last_kernel)
         with pytest.raises(NotNormalizedError):
             run_verification(trials=5, seed=1)
+
+    def test_the_first_failing_trial_raises_its_own_error(self, monkeypatch):
+        """Trial 2's convolved row fails only a state check (its xi xi*
+        coefficient puts ``p`` out of range) and trial 4's fails a
+        ``CharFunction`` check (its constant is 3).  The per-trial loop
+        raises trial 2's error, and so does the chunk's one check of its
+        convolved rows."""
+        calls, convolved = [], []
+
+        def shifted_kernels(t, lam):
+            calls.append(1)
+            body = green._kernel_body(t, lam)
+            if len(calls) in (2, 4):
+                body[0b1111 if len(calls) == 2 else 0b0011] += 2.0
+            return body
+
+        def recorded_convolution(kernels, chis):
+            out = _apply_kernels(kernels, chis)
+            convolved.extend(out.copy())
+            return out
+
+        monkeypatch.setattr(verify, "_kernel_body", shifted_kernels)
+        monkeypatch.setattr(verify, "_apply_kernels", recorded_convolution)
+        with pytest.raises(ValueError) as batched:
+            run_verification(trials=5, seed=1)
+        errors = []
+        for row in convolved:  # the per-trial order
+            try:
+                state_from_char(CharFunction(GrassmannElement(row)))
+            except ValueError as error:
+                errors.append(error)
+        assert [type(e) for e in errors] == [NotPhysicalError, NotNormalizedError]
+        assert "outside [0, 1]" in str(errors[0])
+        assert type(batched.value) is NotPhysicalError and str(batched.value) == str(errors[0])
 
     def test_a_nan_residual_fails_its_suite(self, monkeypatch):
         def dense_with_nan(t, lam, p, gamma):
@@ -682,10 +739,10 @@ class TestPerTrialChecks:
 
     def test_one_state_and_char_function_pass_per_chunk(self, monkeypatch):
         """Each chunk makes its states and characteristic functions once, for
-        the calibration and the oracle together, and checks the input rows,
-        then the convolved rows."""
+        the calibration and the oracle together, and checks only the
+        convolved rows, once."""
         calls = []
-        for name in ("_states_from_uniforms", "_char_bodies", "_check_char_bodies"):
+        for name in ("_states_from_uniforms", "_char_bodies", "_states_from_bodies"):
             real = getattr(verify, name)
             monkeypatch.setattr(
                 verify, name, lambda rows, name=name, real=real: calls.append((name, len(rows))) or real(rows)
@@ -697,8 +754,7 @@ class TestPerTrialChecks:
             for call in (
                 ("_states_from_uniforms", 2 * n),
                 ("_char_bodies", 2 * n),
-                ("_check_char_bodies", 2 * n),
-                ("_check_char_bodies", n),
+                ("_states_from_bodies", n),
             )
         ]
 
