@@ -26,6 +26,16 @@ proof.  For a pure environment (q in {0, 1}) the sign test
 ``cos(2 theta)/cos(2 phi) >= 0`` predicts weak degradability, and
 anti-degradability otherwise; for a mixed environment the negative side of
 the test claims null quantum capacity (claimed, never computed here).
+
+Where the bosonic analogy stops.  The weak complement of the dilation is, with
+``e = 2q - 1``, ``t = (0, 0, e (cos 2theta + cos 2phi) / 2)`` and ``lam = (e
+sin(theta + phi), e sin(phi - theta), sin(theta + phi) sin(phi - theta))``:
+linear in ``q``, so ``lam1 lam2 = e^2 lam3``.  It is therefore Gaussian only
+for a pure environment or where ``lam3 = 0``, while a one-mode bosonic
+Gaussian channel with a thermal environment has a Gaussian weak complement
+(Caruso, Giovannetti and Holevo, NJP 8, 310, 2006).  Its shift is always on
+the third axis (``t1 = t2 = 0``), so ``certify`` decides its CPTP-ness on two
+2x2 blocks of its Choi matrix (``qubit._frame_cptp_ok``).
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .green import AngleParams
-from .qubit import NotCptpError, QubitChannel, QubitState, _finite_array, _ptms_from_kraus, is_cptp
+from .qubit import NotCptpError, QubitChannel, QubitState, _finite_array, _frame_cptp_ok, _ptms_from_kraus, is_cptp
 from .tolerances import BOUNDARY_ATOL, CERT_RESIDUAL_TOL, ENV_ATOL, UNITARITY_ATOL
 
 __all__ = [
@@ -224,12 +234,15 @@ def certify(
     witness passes the CPTP check; otherwise the result is
     ``neither_certified`` with both attempts reported.  ``attempt_both``
     forces the anti-degrading solve to run even when the weak direction
-    already succeeded (useful at classification boundaries).
+    already succeeded (useful at classification boundaries).  Both inputs
+    must be CPTP; the complement, a Gaussian frame for every dilation, is
+    decided by ``qubit._frame_cptp_ok`` (two 2x2 Choi blocks, no
+    eigendecomposition), which gives ``is_cptp(comp).ok``.
     """
-    for ch, label in ((n_ch, "channel"), (comp, "complement")):
-        report = is_cptp(ch)
-        if not report.ok:
-            raise NotCptpError(f"{label} is not CPTP")
+    if not is_cptp(n_ch).ok:
+        raise NotCptpError("channel is not CPTP")
+    if not _frame_cptp_ok(comp):
+        raise NotCptpError("complement is not CPTP")
     weak = _solve_degrading(n_ch, comp)
     weak_ok = weak["residual"] <= residual_tol and weak["cptp"]
     anti = _solve_degrading(comp, n_ch) if attempt_both or not weak_ok else None

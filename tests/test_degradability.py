@@ -19,6 +19,7 @@ from grasschan.green import (
     angles_from_gaussian,
     channel_from_angles,
     detect_gaussian,
+    gaussian_equivalent,
     green_from_channel,
 )
 from grasschan.io import channel_from_json
@@ -212,6 +213,42 @@ class TestWeaklyComplementary:
             ap = AngleParams(rng.uniform(0, np.pi), rng.uniform(0, np.pi), rng.uniform(0, 1))
             comp = weakly_complementary(dilation_from_angles(ap))
             assert is_cptp(comp).ok
+
+    def test_the_complement_has_lam1_lam2_equal_to_e_squared_lam3(self):
+        """With ``e = 2q - 1`` the complement is ``t = (0, 0, e (cos 2theta +
+        cos 2phi) / 2)``, ``lam = (e sin(theta + phi), e sin(phi - theta),
+        sin(theta + phi) sin(phi - theta))``: linear in ``q``, so ``lam1 lam2
+        = e^2 lam3``.  Both hold to a few ulps."""
+        rng = np.random.default_rng(2706)
+        worst = {"identity": 0.0, "closed_form": 0.0}
+        for i in range(2000):
+            theta, phi, q = rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi), [0.0, 1.0, rng.uniform()][i % 3]
+            comp = weakly_complementary(dilation_from_angles(AngleParams(theta, phi, q)))
+            (lam1, lam2, lam3), e = comp.lam.tolist(), 2 * q - 1
+            plus, minus = np.sin(theta + phi), np.sin(phi - theta)
+            closed = [0.0, 0.0, e * (np.cos(2 * theta) + np.cos(2 * phi)) / 2, e * plus, e * minus, plus * minus]
+            assert comp.t[:2].tolist() == [0.0, 0.0]
+            worst["identity"] = max(worst["identity"], abs(lam1 * lam2 - e * e * lam3))
+            worst["closed_form"] = max(worst["closed_form"], np.abs(np.concatenate([comp.t, comp.lam]) - closed).max())
+        print(worst)
+        assert worst["identity"] <= 4 * np.finfo(float).eps and worst["closed_form"] <= 8 * np.finfo(float).eps
+
+    def test_the_complement_is_gaussian_only_for_a_pure_environment_or_lam3_zero(self):
+        """Where the bosonic analogy stops: a thermal bosonic environment has a
+        Gaussian weak complement, a mixed qubit environment does not, unless
+        ``lam3 = sin(theta + phi) sin(phi - theta)`` is 0."""
+        rng = np.random.default_rng(2707)
+        gaussian = {"pure": 0, "mixed": 0, "lam3_zero": 0}
+        for i in range(500):
+            theta, phi = rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi)
+            for kind, q, angles in (
+                ("pure", float(i % 2), (theta, phi)),
+                ("mixed", rng.uniform(), (theta, phi)),
+                ("lam3_zero", rng.uniform(), (theta, theta if i % 2 else -theta)),
+            ):
+                comp = weakly_complementary(dilation_from_angles(AngleParams(*angles, q)))
+                gaussian[kind] += gaussian_equivalent(comp) is not None
+        assert gaussian == {"pure": 500, "mixed": 0, "lam3_zero": 500}
 
 
 class TestCertify:

@@ -1,9 +1,10 @@
-"""The sampler's float CPTP decisions against the exact rational referee (``exact.py``).
+"""The float CPTP decisions against the exact rational referee (``exact.py``).
 
 ``qubit._choi_prescreen`` must never drop a row that the exact decision
-accepts, and ``qubit._cptp_ok`` must be the exact decision on every
-pre-screen survivor whose smallest Choi eigenvalue lies outside the
-``SCREEN_MARGIN`` band around ``CHOI_EIG_FLOOR``; inside the band it defers
+accepts, and ``qubit._cptp_ok`` (the sampler's) and ``qubit._frame_cptp_ok``
+(``certify``'s decision on the weak complement) must be the exact decision
+on every row whose smallest Choi eigenvalue lies outside the
+``SCREEN_MARGIN`` band around ``CHOI_EIG_FLOOR``; inside the band they defer
 to ``cptp_report``, whose ``eigvalsh`` the referee does not bind.
 """
 
@@ -14,7 +15,9 @@ import pytest
 from exact import choi_invariants, exact_ok, in_screen_band, invariants, FLOOR, MARGIN
 from test_qubit import BELL_SIGNS, generic_scan, rank_deficient_rows, shifted_floor_scan, ulp_neighbourhood
 
-from grasschan.qubit import _choi_prescreen, _cptp_ok
+from grasschan.degradability import dilation_from_angles, weakly_complementary
+from grasschan.green import AngleParams
+from grasschan.qubit import QubitChannel, _choi_prescreen, _cptp_ok, _frame_cptp_ok
 from grasschan.tolerances import CHOI_EIG_FLOOR, SCREEN_MARGIN
 
 
@@ -105,3 +108,91 @@ def test_the_closed_form_decision_is_exact_outside_the_screen_band(kind):
     assert accepted == {True, False}
     if kind == "near_floor":
         assert outcomes["band"] > 100 and outcomes["agree"] > 10
+
+
+def complement_rows(pure: bool, count: int = 600):
+    """Weak complements of random dilations, with a pure (``q`` in {0, 1},
+    Choi rank 2) or a mixed environment."""
+    rng = np.random.default_rng(2703 + pure)
+    rows = []
+    for i in range(count):
+        q = float(i % 2) if pure else rng.uniform(0, 1)
+        comp = weakly_complementary(dilation_from_angles(AngleParams(rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi), q)))
+        rows.append((comp.t, comp.lam))
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+def rank_deficient_frame_rows():
+    """The Gaussian-frame rows (``t1 = t2 = 0``) of ``rank_deficient_rows``,
+    and the pure-environment complements on a grid of edge angles."""
+    t, lam = rank_deficient_rows()
+    frame = (t[:, 0] == 0) & (t[:, 1] == 0)
+    rows = [(t[frame], lam[frame])]
+    for theta in (0.0, np.pi / 8, np.pi / 4, np.pi / 2):
+        for phi in np.linspace(-np.pi, np.pi, 9):
+            for q in (0.0, 1.0):
+                comp = weakly_complementary(dilation_from_angles(AngleParams(theta, phi, q)))
+                rows.append((comp.t[None], comp.lam[None]))
+    return np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])
+
+
+def frame_near_floor_rows():
+    """Gaussian-frame rows whose smallest Choi eigenvalue is placed at 17
+    points across the band and at its edges: ``t3`` is set where a block of
+    Bell states ``(0, 3)`` or ``(1, 2)`` has its smallest eigenvalue there,
+    ``(d_a - e)(d_b - e) = t3^2 / 4``, and scanned 6 ulps either way; plus
+    the depolarizing rows (``t = 0``) of ``near_floor_rows``."""
+    rng = np.random.default_rng(2705)
+    targets = [CHOI_EIG_FLOOR + j * SCREEN_MARGIN / 8 for j in range(-8, 9)]
+    rows = []
+    for i, e in enumerate(targets * 4):
+        lam = rng.uniform(-0.3, 0.3, 3)
+        d = (1 + BELL_SIGNS @ lam) / 2 - e
+        edge = min(2 * np.sqrt(d[0] * d[3]), 2 * np.sqrt(d[1] * d[2]))
+        rows += [((0.0, 0.0, x if i % 2 else -x), lam) for x in ulp_neighbourhood(edge, 6)]
+    t, lam = near_floor_rows()
+    frame = (t[:, 0] == 0) & (t[:, 1] == 0)
+    return (
+        np.concatenate([np.array([r[0] for r in rows]), t[frame]]),
+        np.concatenate([np.array([r[1] for r in rows]), lam[frame]]),
+    )
+
+
+FRAME_ROWS = {
+    "pure_complements": lambda: complement_rows(True),
+    "mixed_complements": lambda: complement_rows(False),
+    "rank_deficient": rank_deficient_frame_rows,
+    "near_floor": frame_near_floor_rows,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FRAME_ROWS))
+def test_the_complement_decision_is_exact_outside_the_screen_band(kind):
+    """A complement's decision never calls ``cptp_report`` on the dilations,
+    and decides each near-floor row outside the band as the referee does."""
+    t, lam = FRAME_ROWS[kind]()
+    outcomes = {"agree": 0, "band": 0, "band_disagree": 0, "fallback": 0, "wrong": []}
+    accepted = set()
+    for k, (t_row, lam_row) in enumerate(zip(t.tolist(), lam.tolist())):
+        ch = QubitChannel.from_canonical(t_row, lam_row)
+        ok, exact = _frame_cptp_ok(ch), exact_ok(t_row, lam_row)
+        outcomes["fallback"] += "cptp_report" in ch.__dict__
+        accepted.add(exact)
+        if in_screen_band(t_row, lam_row):
+            outcomes["band"] += 1
+            outcomes["band_disagree"] += ok != exact
+        elif ok == exact:
+            outcomes["agree"] += 1
+        else:
+            outcomes["wrong"].append(k)
+    print(
+        f"{kind}: {len(t)} rows, {outcomes['band']} inside the SCREEN_MARGIN band"
+        f" ({outcomes['band_disagree']} of them decided against the exact side by cptp_report),"
+        f" {outcomes['fallback']} decided by cptp_report"
+    )
+    assert outcomes["wrong"] == []
+    if kind.endswith("complements"):
+        assert accepted == {True} and outcomes["fallback"] == 0
+    if kind == "near_floor":
+        assert accepted == {True, False}
+        assert outcomes["band"] > 100 and outcomes["agree"] > 100 and outcomes["fallback"] >= outcomes["band"]

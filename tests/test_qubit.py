@@ -1,10 +1,12 @@
 import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from scripted_stream import ScriptedStream
 
+from grasschan import catalog, degradability, io, qubit
 from grasschan.degradability import dilation_from_angles
 from grasschan.green import AngleParams
 from grasschan.qubit import (
@@ -249,6 +251,113 @@ class TestStackedPtmFromKraus:
         for build in (ptm_from_kraus, QubitChannel.from_kraus):
             with pytest.raises(ValueError, match="2x2|inhomogeneous"):
                 build(kraus)
+
+
+#: Parts put in place of a random one: signed zeros, subnormals, +-1, the
+#: part bound ``1 + KRAUS_TP_ATOL`` and the double just above it.
+SPECIAL_PARTS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0,
+    1 + KRAUS_TP_ATOL, -(1 + KRAUS_TP_ATOL), np.nextafter(1 + KRAUS_TP_ATOL, 2),
+]
+
+
+def random_monomial_stack(rng, lists, k):
+    """A ``(lists, k, 2, 2)`` stack of real diagonal or antidiagonal operators.
+
+    Each list is trace preserving before its special parts go in: the squared
+    parts of each column of ``sum A^dag A`` are a random split of 1.  A part
+    is replaced by one of ``SPECIAL_PARTS`` with probability 0.15, and every
+    zero real part and every imaginary part (all zero) gets a random sign.
+    """
+    real = np.zeros((lists, k, 2, 2))
+    for row in real:
+        columns = np.sqrt(rng.dirichlet(np.ones(k), 2)) * rng.choice([-1.0, 1.0], (2, k))
+        special = rng.random((2, k)) < 0.15
+        columns[special] = rng.choice(SPECIAL_PARTS, special.sum())
+        for a, (x, y) in zip(row, columns.T):
+            if rng.random() < 0.5:
+                a[0, 0], a[1, 1] = x, y   # diag(x, y): A^dag A = diag(x^2, y^2)
+            else:
+                a[1, 0], a[0, 1] = x, y   # [[0, y], [x, 0]]: A^dag A = diag(x^2, y^2)
+    zero = real == 0
+    real[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    ops = np.empty(real.shape, dtype=complex)
+    ops.real, ops.imag = real, np.where(rng.random(real.shape) < 0.5, -0.0, 0.0)
+    return ops
+
+
+class TestMonomialClosedForm:
+    """``_ptms_from_kraus`` of real monomial stacks, in closed form, against the products pass."""
+
+    def test_random_monomial_stacks_have_the_bits_of_the_products_pass(self, monkeypatch):
+        """Only a stack with a part above the bound leaves the closed form."""
+        rng = np.random.default_rng(2701)
+        products = qubit._ptms_by_products
+        entered = []
+        monkeypatch.setattr(qubit, "_ptms_by_products", lambda ops: entered.append(1) or products(ops))
+        kinds = {"ok": 0, "raised": 0}
+        negative_zero_imag = 0
+        for lists, k in itertools.product([1, 2], [1, 2, 3, 4]):
+            for _ in range(250):
+                ops = random_monomial_stack(rng, lists, k)
+                entered.clear()
+                got = outcome(qubit._ptms_from_kraus, ops)
+                assert bool(entered) == (np.abs(ops.view(float)).max() > 1 + KRAUS_TP_ATOL)
+                assert got == outcome(products, ops)
+                kinds["raised" if isinstance(got[0], type) else "ok"] += 1
+                negative_zero_imag += bool(np.signbit(ops.imag).any())
+        assert kinds["ok"] > 600 and kinds["raised"] > 300, kinds
+        assert negative_zero_imag > 1500
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [[1 + 2 * KRAUS_TP_ATOL, 0], [0, 1]],
+            [[0, 1], [-1 - 2 * KRAUS_TP_ATOL, 0]],
+            [[0.9, 0], [0, 0.9]],
+            [[0, 1], [0.9, 0]],
+            [[np.nan, 0], [0, 1]],
+            [[0, np.nan], [0, 0]],
+            [[1, 0], [0, complex(1, np.nan)]],
+            [[np.inf, 0], [0, 1]],
+        ],
+        ids=["large-diagonal", "large-antidiagonal", "short-diagonal", "short-antidiagonal",
+             "nan", "nan-structural-zero", "nan-imaginary", "inf"],
+    )
+    def test_errors_are_those_of_the_products_pass(self, ops):
+        stack = np.array([[ops, np.zeros((2, 2))]], dtype=complex)
+        with np.errstate(invalid="ignore"):
+            got = outcome(qubit._ptms_from_kraus, stack)
+            assert got == outcome(qubit._ptms_by_products, stack)
+        assert got[0] is NotTracePreservingError
+        assert re.match(r"sum A\^dag A deviates from identity by |Kraus operator 0 entry \[", got[1])
+
+    def test_angle_dilations_and_kraus_specs_take_the_closed_form(self, monkeypatch, report_digest):
+        """On the benchmark's ``analyze`` mix no dilation and no ``kraus``
+        spec makes a matrix product; a Y-type or Hadamard list does."""
+        calls = {"pass": 0, "products": 0}
+        original_pass, original_products = qubit._ptms_from_kraus, qubit._ptms_by_products
+
+        def counted(name, f):
+            def call(ops):
+                calls[name] += 1
+                return f(ops)
+
+            return call
+
+        monkeypatch.setattr(qubit, "_ptms_from_kraus", counted("pass", original_pass))
+        monkeypatch.setattr(degradability, "_ptms_from_kraus", counted("pass", original_pass))
+        monkeypatch.setattr(qubit, "_ptms_by_products", counted("products", original_products))
+        kinds = Counter()
+        for chunk in range(2):
+            for _, spec in report_digest.workloads.Analyze().chunk(3, chunk)[1]:
+                kinds[spec["type"]] += 1
+                catalog.analyze_channel(io.channel_from_json(spec))
+        assert kinds["kraus"] > 10 and calls["pass"] > 150 and calls["products"] == 0, (kinds, calls)
+        s = 0.35
+        ptm_from_kraus([np.sqrt(s) * np.eye(2), np.sqrt(1 - s) * PAULI[2]])
+        ptm_from_kraus([(PAULI[1] + PAULI[3]) / np.sqrt(2)])
+        assert calls["products"] == 2
 
 
 def canonical_from_ptm_cases():

@@ -11,13 +11,15 @@ Regenerate it only for an intended change of results::
     PYTHONPATH=src python tests/test_snapshot.py
 """
 
+import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from grasschan import catalog, cli, io, verify
+from grasschan import catalog, cli, degradability, io, qubit, verify
 from grasschan.qubit import QubitChannel
 
 FIXTURE = Path(__file__).parent / "data" / "output_snapshot.json"
@@ -112,6 +114,32 @@ def test_sweep_and_verify_digests_are_pinned(report_digest):
     host's LAPACK and libm."""
     assert report_digest.sweep_digest() == "ce35e153726af61f7a47a83a829bf255f5da464889cdc67ee48a32cbc770b5f3"
     assert report_digest.verify_digest() == "3fcfba861603904937af79dd35aae76f7ab98336f0b6098af7a04c2fb43a1c70"
+
+
+def test_reports_do_not_depend_on_the_closed_forms(report_digest, monkeypatch):
+    """A subset of the ``reports`` corpus of ``scripts/report_digest.py``,
+    hashed report by report, with the closed forms of the analyze path on
+    and then off: the dilation's Kraus pass by matrix products instead of
+    ``qubit._monomial_ptms``, and the complement's CPTP decision by
+    ``cptp_report`` instead of the 2x2 blocks of ``qubit._frame_cptp_ok``.
+    The subset is the ``analyze`` input chunks 0-2 of each of the three
+    seeds and the whole catalog grid (1,736 of the 6,056 reports).  Both
+    sides run on one host, so the test holds on any host, with no pinned
+    digest."""
+
+    def hashes():
+        reports = itertools.chain(report_digest.spec_reports(range(3)), report_digest.catalog_reports())
+        return [hashlib.sha256(json.dumps(r, indent=2).encode()).hexdigest() for r in reports]
+
+    closed = hashes()
+    products = []
+    original = qubit._ptms_by_products
+    monkeypatch.setattr(qubit, "_monomial_ptms", lambda stack: None)
+    monkeypatch.setattr(qubit, "_ptms_by_products", lambda ops: products.append(1) or original(ops))
+    monkeypatch.setattr(degradability, "_frame_cptp_ok", lambda ch: ch.cptp_report.ok)
+    reference = hashes()
+    assert len(closed) == 1736 and len(products) > 1000
+    assert [k for k, (a, b) in enumerate(zip(closed, reference)) if a != b] == []
 
 
 if __name__ == "__main__":
