@@ -289,7 +289,7 @@ def _degradability_block(ch: QubitChannel, gp: GaussianParams, residual_tol: flo
     dilation = deg.dilation_from_angles(ap)
     comp = deg.weakly_complementary(dilation)
     prediction = deg.classify_by_angles(ap)
-    block = deg.certify(ch, comp, residual_tol=residual_tol, attempt_both=prediction.boundary).to_json()
+    block = deg.certify(ch, dilation, residual_tol=residual_tol, attempt_both=prediction.boundary).to_json()
     block["complement"] = comp.to_json()
     block["prediction"] = {
         "kind": prediction.kind,

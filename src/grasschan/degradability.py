@@ -33,9 +33,9 @@ sin(theta + phi), e sin(phi - theta), sin(theta + phi) sin(phi - theta))``:
 linear in ``q``, so ``lam1 lam2 = e^2 lam3``.  It is therefore Gaussian only
 for a pure environment or where ``lam3 = 0``, while a one-mode bosonic
 Gaussian channel with a thermal environment has a Gaussian weak complement
-(Caruso, Giovannetti and Holevo, NJP 8, 310, 2006).  Its shift is always on
-the third axis (``t1 = t2 = 0``), so ``certify`` decides its CPTP-ness on two
-2x2 blocks of its Choi matrix (``qubit._frame_cptp_ok``).
+(Caruso, Giovannetti and Holevo, NJP 8, 310, 2006).  ``certify`` takes the
+dilation itself and reads the weak complement from it, so the complement is
+a Stinespring output, CPTP by construction, and is not decided again.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .green import AngleParams
-from .qubit import NotCptpError, QubitChannel, QubitState, _finite_array, _frame_cptp_ok, _ptms_from_kraus, is_cptp
+from .qubit import NotCptpError, QubitChannel, QubitState, _finite_array, _ptms_from_kraus, is_cptp
 from .tolerances import BOUNDARY_ATOL, CERT_RESIDUAL_TOL, ENV_ATOL, UNITARITY_ATOL
 
 __all__ = [
@@ -124,9 +124,17 @@ class Dilation:
     @cached_property
     def _ptms(self) -> np.ndarray:
         """Transfer matrices of the system and environment channels, from one
-        pass over both Kraus lists; each is read into a channel on request, so
-        a non-diagonal block on one side does not stop the other."""
+        pass over both Kraus lists; each is read once into a channel on request,
+        so a non-diagonal block on one side does not stop the other."""
         return _ptms_from_kraus(self._kraus_stack())
+
+    @cached_property
+    def _marginal(self) -> QubitChannel:
+        return QubitChannel.from_ptm(self._ptms[0])
+
+    @cached_property
+    def _complement(self) -> QubitChannel:
+        return QubitChannel.from_ptm(self._ptms[1])
 
     def system_kraus(self) -> list:
         """Kraus list of the system-output channel Tr_E[U (rho (x) rho_E) U^dag]."""
@@ -137,7 +145,7 @@ class Dilation:
         return list(self._kraus_stack()[1])
 
     def channel(self) -> QubitChannel:
-        return QubitChannel.from_ptm(self._ptms[0])
+        return self._marginal
 
 
 def dilation_from_angles(ap: AngleParams) -> Dilation:
@@ -154,7 +162,7 @@ def dilation_from_angles(ap: AngleParams) -> Dilation:
 
 def weakly_complementary(d: Dilation) -> QubitChannel:
     """Environment-output channel of a dilation, as a canonical-form channel."""
-    return QubitChannel.from_ptm(d._ptms[1])
+    return d._complement
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,27 +230,33 @@ def _solve_degrading(source: QubitChannel, target: QubitChannel):
 
 def certify(
     n_ch: QubitChannel,
-    comp: QubitChannel,
+    dilation: Dilation,
     residual_tol: float = CERT_RESIDUAL_TOL,
     attempt_both: bool = False,
 ) -> DegradabilityVerdict:
-    """Certify weak degradability or anti-degradability of ``n_ch`` given its
-    weakly complementary channel ``comp``.
+    """Certify weak degradability or anti-degradability of ``n_ch`` against
+    the weak complement ``N~ = weakly_complementary(dilation)``.
 
     Tries ``D o N = N~`` first, then ``D' o N~ = N``.  A direction is accepted
     only when the recomposition residual is within ``residual_tol`` and the
     witness passes the CPTP check; otherwise the result is
     ``neither_certified`` with both attempts reported.  ``attempt_both``
     forces the anti-degrading solve to run even when the weak direction
-    already succeeded (useful at classification boundaries).  Both inputs
-    must be CPTP; the complement, a Gaussian frame for every dilation, is
-    decided by ``qubit._frame_cptp_ok`` (two 2x2 Choi blocks, no
-    eigendecomposition), which gives ``is_cptp(comp).ok``.
+    already succeeded (useful at classification boundaries).  ``n_ch`` must
+    be CPTP; the complement is not checked.  A Kraus map is completely
+    positive for any operators, and ``canonical_from_ptm`` drops at most 10
+    transfer-matrix entries (the first row's deviations and the off-diagonal
+    block), each at most ``DIAG_ATOL``; as every ``sigma_k (x) sigma_l^T`` of
+    ``choi_from_ptm`` has norm 1, the Choi matrix moves by at most ``10 *
+    DIAG_ATOL / 2 = 5e-10``, so its smallest eigenvalue, less about 1e-13 of
+    rounding, stays above ``CHOI_EIG_FLOOR``.  Trace preservation is exact
+    for a canonical ``(t, lam)``, and ``tp_deviation`` stays below 2.8e-14
+    (the bound in ``qubit._cptp_ok``; every entry is at most ``1 +
+    KRAUS_TP_ATOL``).
     """
     if not is_cptp(n_ch).ok:
         raise NotCptpError("channel is not CPTP")
-    if not _frame_cptp_ok(comp):
-        raise NotCptpError("complement is not CPTP")
+    comp = dilation._complement
     weak = _solve_degrading(n_ch, comp)
     weak_ok = weak["residual"] <= residual_tol and weak["cptp"]
     anti = _solve_degrading(comp, n_ch) if attempt_both or not weak_ok else None

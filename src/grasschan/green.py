@@ -71,7 +71,7 @@ from .grassmann import (
     _products,
 )
 from .qubit import PAULI, NotCptpError, QubitChannel, _fitted, is_cptp
-from .tolerances import ANGLE_ATOL, ANGLE_RATIO_ATOL, ENV_ATOL, GAUSSIAN_ATOL
+from .tolerances import ANGLE_ATOL, ANGLE_RATIO_ATOL, ANGLE_TIE_DIGITS, ENV_ATOL, GAUSSIAN_ATOL
 
 __all__ = [
     "GreenFunction",
@@ -427,7 +427,7 @@ def _candidate_angles(u: float, v: float) -> list:
         phi = (phi + np.pi) % (2 * np.pi) - np.pi
         if phi == -np.pi:
             phi = np.pi
-        key = (round(theta, 12), round(phi, 12))
+        key = (round(theta, ANGLE_TIE_DIGITS), round(phi, ANGLE_TIE_DIGITS))
         if key not in seen:
             seen.add(key)
             out.append((theta, phi))
@@ -475,7 +475,8 @@ def angles_from_gaussian(gp: GaussianParams) -> AngleParams:
         raise NoSolutionError(
             f"no (theta, phi, q) reproduces a={a.real:.6g}, b={b.real:.6g}, c={c:.6g}"
         )
-    valid.sort(key=lambda ap: (round(ap.theta, 12), round(abs(ap.q - 1), 12), round(abs(ap.phi), 12), -ap.phi))
+    digits = ANGLE_TIE_DIGITS
+    valid.sort(key=lambda ap: (round(ap.theta, digits), round(abs(ap.q - 1), digits), round(abs(ap.phi), digits), -ap.phi))
     return valid[0]
 
 

@@ -189,8 +189,9 @@ def _ptms_from_kraus(ops: np.ndarray) -> np.ndarray:
 
     A stack of real diagonal or antidiagonal operators (every dilation of
     ``dilation_from_angles``) takes the closed form of ``_monomial_ptms``
-    on Python floats; any other stack takes ``_ptms_by_products``.  Both
-    give the same bits and raise the same errors.
+    on Python floats, with the bits of ``_ptms_by_products``; any other
+    stack, and any stack that is not trace preserving, takes
+    ``_ptms_by_products``, which alone raises.
     """
     ptms = _monomial_ptms(ops.tolist())
     return _ptms_by_products(ops) if ptms is None else ptms
@@ -199,8 +200,9 @@ def _ptms_from_kraus(ops: np.ndarray) -> np.ndarray:
 def _monomial_ptms(stack: list):
     """``_ptms_by_products`` of a stack given as nested lists of Python
     complex numbers, in closed form, or None when some operator is not real
-    and diagonal or antidiagonal, or has a part that is not finite or is
-    above ``1 + KRAUS_TP_ATOL`` (the products pass then decides, and raises).
+    and diagonal or antidiagonal, or some list's ``sum A^dag A`` deviates
+    from the identity by more than ``KRAUS_TP_ATOL`` (the products pass then
+    decides, and raises).
 
     Real means every imaginary part is zero, of either sign; diagonal and
     antidiagonal are tested by exact zeros.  Why the bits are those of the
@@ -230,11 +232,12 @@ def _monomial_ptms(stack: list):
     ``theta = 0, phi = -pi`` a dilation gives about 7.5e-33.  ``sum A^dag
     A`` is ``diag(a^2, d^2)`` or ``diag(c^2, b^2)``, so the deviation is
     the larger ``|x - 1|`` of its two diagonal sums (the complex ``abs`` of
-    ``x - 1 + 0i`` is ``|x - 1|`` exactly).  A part at most ``1 +
-    KRAUS_TP_ATOL`` is finite, and no square of it can overflow.
+    ``x - 1 + 0i`` is ``|x - 1|`` exactly).  A part that is NaN, infinite or
+    above ``1 + KRAUS_TP_ATOL`` makes one of these sums of non-negative
+    squares NaN or above ``1 + KRAUS_TP_ATOL`` (a Python float product
+    overflows to inf and raises nothing), so such a stack returns None.
     """
-    bound = 1 + KRAUS_TP_ATOL
-    out, deviation = [], 0.0
+    out = []
     for ops in stack:
         m00 = m11 = n00 = n11 = s1 = s2 = dag00 = dag11 = 0.0
         for (p, q), (r, s) in ops:
@@ -242,8 +245,6 @@ def _monomial_ptms(stack: list):
                 return None
             if q == 0 and r == 0:
                 a, d = p.real, s.real
-                if not (abs(a) <= bound and abs(d) <= bound):
-                    return None
                 aa, dd, ad = a * a, d * d, a * d
                 m00 += aa
                 m11 += dd
@@ -255,8 +256,6 @@ def _monomial_ptms(stack: list):
                 dag11 += dd
             elif p == 0 and s == 0:
                 b, c = q.real, r.real
-                if not (abs(b) <= bound and abs(c) <= bound):
-                    return None
                 bb, cc, bc = b * b, c * c, b * c
                 m00 += bb
                 m11 += cc
@@ -268,15 +267,14 @@ def _monomial_ptms(stack: list):
                 dag11 += bb
             else:
                 return None
-        deviation = max(deviation, abs(dag00 - 1.0), abs(dag11 - 1.0))
+        if not (abs(dag00 - 1.0) <= KRAUS_TP_ATOL and abs(dag11 - 1.0) <= KRAUS_TP_ATOL):
+            return None
         out += [
             (m00 + m11) / 2, 0.0, 0.0, (n00 + n11) / 2,
             0.0, s1, 0.0, 0.0,
             0.0, 0.0, s2, 0.0,
             (m00 - m11) / 2, 0.0, 0.0, (n00 - n11) / 2,
         ]
-    if not deviation <= KRAUS_TP_ATOL:
-        raise NotTracePreservingError(f"sum A^dag A deviates from identity by {deviation:.3e}")
     return np.array(out).reshape(len(stack), 4, 4)
 
 
@@ -713,51 +711,6 @@ def _cptp_ok(t: list, lam: list) -> bool:
     if e2 < -r or e3 < -r or e4 < -r:
         return False
     return QubitChannel.from_canonical(t, lam).cptp_report.ok
-
-
-def _frame_cptp_ok(ch: QubitChannel) -> bool:
-    """``ch.cptp_report.ok`` without an eigendecomposition when ``ch`` is in a
-    Gaussian frame, ``t = (0, 0, t3)``, as every weak complement of a
-    dilation is.
-
-    Only ``t3`` couples Bell states then, on the edges ``(0, 3)`` and ``(1,
-    2)`` of axis 2, so ``C - s I`` splits into two 2x2 blocks
-    ``[[delta_a, c], [c*, delta_b]]`` with ``|c|^2 = w = t3^2 / 4``, and it
-    is positive definite (semidefinite) iff the four ``delta_a`` and the two
-    determinants ``delta_a delta_b - w`` are positive (non-negative).  With
-    ``r = _INVARIANT_ROUNDING``, the channel is accepted when all six exceed
-    ``r`` at ``s = f + M`` and rejected when one is below ``-r`` at ``s = f -
-    M`` (``_DECISION_SHIFTS``); in between, within about ``SCREEN_MARGIN`` of
-    the floor, and for any channel with ``t1`` or ``t2`` nonzero, ``|t3| >
-    2`` or some ``|lam_k| > 1``, ``cptp_report`` decides.
-
-    Rounding, with ``u = eps / 2``, for ``|lam_k| <= 1`` and ``|t3| <= 2``.
-    As in ``_cptp_ok``, the computed ``delta_a`` and ``w`` are the exact data
-    of a Hermitian ``C'`` within ``8.7u`` of ``C - s I`` in norm (each
-    ``delta_a`` off by at most ``7.1u``, the coupling modulus ``|t3| / 2`` by
-    at most ``0.51u``).  The diagonal entries are read off ``C'`` exactly.
-    Each ``|delta_a| <= 2.0001``, so a computed determinant, one product and
-    one subtraction, is within ``2u * 4.0005 + u * 1.0001 < 9.1u`` of the
-    determinant of ``C'``'s block, below ``r = 11 eps = 22u``.  An accepted
-    channel thus has both blocks of ``C'`` positive definite at ``s = f +
-    M`` and its smallest Choi eigenvalue above ``f + M - 8.7u``; a rejected
-    one has it below ``f - M + 8.7u``.  The single-channel ``eigvalsh`` is
-    within about 1e-13 of it and ``tp_deviation`` is below 2.8e-14 under the
-    same bounds (see ``_cptp_ok``), so ``cptp_report.ok`` is the same.
-    """
-    (t1, t2, t3), lam = ch.t.tolist(), ch.lam.tolist()
-    if t1 == 0 and t2 == 0 and abs(t3) <= 2 and max(map(abs, lam)) <= 1:
-        (s0, s1, s2, s3), w, r = _bell_sums(*lam), t3 * t3 / 4, _INVARIANT_ROUNDING
-
-        def lowest(s):
-            d0, d1, d2, d3 = (1 + s0) / 2 - s, (1 + s1) / 2 - s, (1 + s2) / 2 - s, (1 + s3) / 2 - s
-            return min(d0, d1, d2, d3, d0 * d3 - w, d1 * d2 - w)
-
-        if lowest(_DECISION_SHIFTS[1]) > r:
-            return True
-        if lowest(_DECISION_SHIFTS[0]) < -r:
-            return False
-    return ch.cptp_report.ok
 
 
 def _walk(draws: np.ndarray, t_scale: float, trials: int, tail: int, max_tries: int):

@@ -38,6 +38,8 @@ name                        value    what it bounds                             
                                      ``cos 2theta = cos 2phi`` degeneracy
 ``ANGLE_RATIO_ATOL``        1e-7     ``c / ((cos 2theta - cos 2phi)/4)``         ``angles.q``
                                      outside ``[-1, 1]``
+``ANGLE_TIE_DIGITS``        12       ``round()`` digits of the keys that merge   ``angles`` (which of two tied candidates)
+                                     and order candidate angles (about 1e-12)
 ``UNITARITY_ATOL``          1e-12    ``max |U^dag U - I|`` of a dilation         (raises ``ValueError``)
 ``ENV_ATOL``                1e-12    off-diagonal ``gamma`` of a dilation's      ``dilation.env_state.q``
                                      environment state, and the range of
@@ -77,6 +79,7 @@ PHYSICALITY_ATOL = 1e-9
 GAUSSIAN_ATOL = 1e-10
 ANGLE_ATOL = 1e-9
 ANGLE_RATIO_ATOL = 1e-7
+ANGLE_TIE_DIGITS = 12
 
 # Dilations and degradability certificates (degradability.py).
 UNITARITY_ATOL = 1e-12

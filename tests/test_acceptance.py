@@ -171,8 +171,9 @@ def test_criterion_5_dilation_soundness_and_env_purity():
 def _certified(ch):
     gp = detect_gaussian(green_from_channel(ch))
     ap = angles_from_gaussian(gp)
-    comp = weakly_complementary(dilation_from_angles(ap))
-    verdict = certify(ch, comp)
+    dilation = dilation_from_angles(ap)
+    comp = weakly_complementary(dilation)
+    verdict = certify(ch, dilation)
     # every returned witness re-verifies against the channels it links
     if verdict.witness is not None:
         if verdict.kind == WEAKLY_DEGRADABLE:

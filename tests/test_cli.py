@@ -121,8 +121,9 @@ class TestChannelCodec:
             target, holder = (None, None) if eq is None else (eq.channel, report["gaussian_equivalent"])
         if target is not None:
             ap = angles_from_gaussian(detect_gaussian(green_from_channel(target)))
-            comp = weakly_complementary(dilation_from_angles(ap))
-            verdict = certify(target, comp, attempt_both=classify_by_angles(ap).boundary)
+            dilation = dilation_from_angles(ap)
+            comp = weakly_complementary(dilation)
+            verdict = certify(target, dilation, attempt_both=classify_by_angles(ap).boundary)
             blocks.append((report["gaussian_equivalent"]["channel"], target))
             blocks.append((holder["degradability"]["complement"], comp))
             blocks.append((holder["degradability"]["witness"], verdict.witness))

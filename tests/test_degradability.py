@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from grasschan.qubit import (
     ptm_from_kraus,
     random_state,
 )
+from grasschan.tolerances import CHOI_EIG_FLOOR
 
 
 def amplitude_damping(n):
@@ -44,8 +47,12 @@ def angles_of(ch):
     return angles_from_gaussian(detect_gaussian(green_from_channel(ch)))
 
 
+def dilation_of(ch):
+    return dilation_from_angles(angles_of(ch))
+
+
 def complement_of(ch):
-    return weakly_complementary(dilation_from_angles(angles_of(ch)))
+    return weakly_complementary(dilation_of(ch))
 
 
 class TestDilation:
@@ -208,11 +215,34 @@ class TestWeaklyComplementary:
         assert np.allclose(comp.t, [0, 0, (2 * s - 1) * n], atol=1e-12)
 
     def test_complement_is_cptp(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            ap = AngleParams(rng.uniform(0, np.pi), rng.uniform(0, np.pi), rng.uniform(0, 1))
-            comp = weakly_complementary(dilation_from_angles(ap))
-            assert is_cptp(comp).ok
+        """``certify`` makes no CPTP decision on the complement, because a
+        weak complement is a Stinespring output: its smallest Choi eigenvalue
+        stays at least ``CHOI_EIG_FLOOR / 2`` on random and edge angles, on
+        ``q`` clamped into [0, 1], and on phase-times-permutation unitaries
+        whose complement has a diagonal block."""
+        rng = np.random.default_rng(2801)
+        edge = [0.0, np.pi / 4, np.pi / 2, np.pi, -np.pi, 1e-300, np.pi / 2 - 1e-16]
+        qs = [0.0, 1.0, 1e-300, 1 - 2.0**-53, 0.5, 1 + 5e-13, -5e-13]
+        dilations = [dilation_from_angles(AngleParams(*a)) for a in itertools.product(edge, edge, qs)]
+        for _ in range(1000):
+            q = qs[rng.integers(len(qs))] if rng.random() < 0.5 else rng.uniform()
+            dilations.append(dilation_from_angles(AngleParams(rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi), q)))
+        permuted = 0
+        for perm in itertools.permutations(range(4)):
+            for _ in range(20):
+                u = np.eye(4)[:, perm] * np.exp(2j * np.pi * rng.uniform(size=4))
+                d = Dilation(unitary=u, env_state=QubitState(p=qs[rng.integers(len(qs))]))
+                try:
+                    weakly_complementary(d)
+                except NonDiagonalBlockError:
+                    continue
+                dilations.append(d)
+                permuted += 1
+        reports = [weakly_complementary(d).cptp_report for d in dilations]
+        worst = min(r.min_choi_eigenvalue for r in reports)
+        print(f"{len(reports)} complements ({permuted} permuted), smallest Choi eigenvalue {worst:.3e}")
+        assert permuted > 100 and all(r.ok for r in reports)
+        assert worst >= CHOI_EIG_FLOOR / 2
 
     def test_the_complement_has_lam1_lam2_equal_to_e_squared_lam3(self):
         """With ``e = 2q - 1`` the complement is ``t = (0, 0, e (cos 2theta +
@@ -255,7 +285,7 @@ class TestCertify:
     @pytest.mark.parametrize("n", [0.55, 0.75, 0.9])
     def test_amplitude_damping_weakly_degradable(self, n):
         ch = amplitude_damping(n)
-        verdict = certify(ch, complement_of(ch))
+        verdict = certify(ch, dilation_of(ch))
         assert verdict.kind == WEAKLY_DEGRADABLE
         assert verdict.residual <= 1e-9
         assert verdict.min_choi_eigenvalue >= -1e-9
@@ -263,20 +293,20 @@ class TestCertify:
     @pytest.mark.parametrize("n", [0.1, 0.25, 0.45])
     def test_amplitude_damping_anti_degradable(self, n):
         ch = amplitude_damping(n)
-        verdict = certify(ch, complement_of(ch))
+        verdict = certify(ch, dilation_of(ch))
         assert verdict.kind == ANTI_DEGRADABLE
         assert verdict.residual <= 1e-9
 
     @pytest.mark.parametrize("s", [0.0, 0.2, 0.5, 0.8, 1.0])
     def test_bit_flip_always_weakly_degradable(self, s):
         ch = QubitChannel.from_canonical([0, 0, 0], [1, 2 * s - 1, 2 * s - 1])
-        verdict = certify(ch, complement_of(ch))
+        verdict = certify(ch, dilation_of(ch))
         assert verdict.kind == WEAKLY_DEGRADABLE
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_bit_phase_flip_always_weakly_degradable(self, s):
         ch = QubitChannel.from_canonical([0, 0, 0], [2 * s - 1, 1, 2 * s - 1])
-        verdict = certify(ch, complement_of(ch))
+        verdict = certify(ch, dilation_of(ch))
         assert verdict.kind == WEAKLY_DEGRADABLE
 
     def test_witness_recomposition_is_honest(self):
@@ -284,8 +314,9 @@ class TestCertify:
         for _ in range(200):
             ap = AngleParams(rng.uniform(0, np.pi), rng.uniform(0, np.pi), float(rng.integers(0, 2)))
             ch = channel_from_angles(ap)
-            comp = weakly_complementary(dilation_from_angles(ap))
-            verdict = certify(ch, comp)
+            d = dilation_from_angles(ap)
+            comp = weakly_complementary(d)
+            verdict = certify(ch, d)
             if verdict.witness is None:
                 continue
             if verdict.kind == WEAKLY_DEGRADABLE:
@@ -298,10 +329,10 @@ class TestCertify:
             assert is_cptp(verdict.witness).min_choi_eigenvalue >= -1e-9
 
     def test_unrelated_channels_stay_uncertified(self):
-        # a complement that has nothing to do with the channel: honest unknown
+        # a dilation that has nothing to do with the channel: honest unknown
         n_ch = QubitChannel.from_canonical([0, 0, 0], [1, -0.2, -0.2])
-        bogus = QubitChannel.from_canonical([0, 0, 0.5], [0.5, 0.5, 0.25])
-        verdict = certify(n_ch, bogus)
+        unrelated = dilation_from_angles(AngleParams(0.1, -3.0, 0.0))
+        verdict = certify(n_ch, unrelated)
         assert verdict.kind == NEITHER_CERTIFIED
         assert verdict.witness is None
         assert verdict.attempts["weak"] is not None
@@ -309,10 +340,8 @@ class TestCertify:
 
     def test_rejects_non_cptp_channels(self):
         bad = QubitChannel.from_canonical([0, 0, 0], [1, 1, -1])
-        good = amplitude_damping(0.5)
-        for n_ch, comp, label in ((bad, good, "channel"), (good, bad, "complement")):
-            with pytest.raises(NotCptpError, match=f"{label} is not CPTP"):
-                certify(n_ch, comp)
+        with pytest.raises(NotCptpError, match="channel is not CPTP"):
+            certify(bad, dilation_of(amplitude_damping(0.5)))
 
     def test_subnormal_source_gives_a_finite_weak_attempt(self):
         # A subnormal lambda would survive lstsq's relative rcond and overflow
@@ -321,21 +350,20 @@ class TestCertify:
         ch = QubitChannel.from_canonical([0, 0, 0], [5e-324] * 3)
         comp = QubitChannel.from_canonical([0, 0, 0], [0.5] * 3)
         with np.errstate(all="raise"):
-            verdict = certify(ch, comp)
-        assert verdict.kind == ANTI_DEGRADABLE
-        weak = verdict.attempts["weak"]
+            weak, anti = _solve_degrading(ch, comp), _solve_degrading(comp, ch)
+        assert anti["residual"] <= 1e-9 and anti["cptp"] is True
         assert weak["witness"].lam.tolist() == [0.0, 0.0, 0.0] and weak["cptp"] is True
         assert weak["residual"] == 0.5 and weak["min_choi_eigenvalue"] == 0.5
 
     def test_attempt_both_runs_anti_even_on_weak_success(self):
         ch = amplitude_damping(0.75)
-        verdict = certify(ch, complement_of(ch), attempt_both=True)
+        verdict = certify(ch, dilation_of(ch), attempt_both=True)
         assert verdict.kind == WEAKLY_DEGRADABLE
         assert verdict.attempts["anti"] is not None
 
     def test_verdict_json_shape(self):
         ch = amplitude_damping(0.75)
-        verdict = certify(ch, complement_of(ch))
+        verdict = certify(ch, dilation_of(ch))
         payload = verdict.to_json()
         assert payload["kind"] == WEAKLY_DEGRADABLE
         assert payload["witness"]["type"] == "canonical"
@@ -455,7 +483,7 @@ class TestClassifyByAngles:
             if pred.boundary or abs(pred.ratio) < 0.05:
                 continue
             ch = channel_from_angles(ap)
-            verdict = certify(ch, weakly_complementary(dilation_from_angles(ap)))
+            verdict = certify(ch, dilation_from_angles(ap))
             assert verdict.kind == pred.kind
             checked += 1
 
@@ -465,14 +493,14 @@ class TestGeneralizedDamping:
     @pytest.mark.parametrize("n", [0.5, 0.6, 0.75, 0.9])
     def test_weakly_degradable_for_large_n(self, n, s):
         ch = QubitChannel.from_canonical([0, 0, (1 - n) * (2 * s - 1)], [np.sqrt(n), np.sqrt(n), n])
-        verdict = certify(ch, complement_of(ch))
+        verdict = certify(ch, dilation_of(ch))
         assert verdict.kind == WEAKLY_DEGRADABLE
 
     @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("n", [0.1, 0.25, 0.45])
     def test_small_n_reports_anti_or_neither(self, n, s):
         ch = QubitChannel.from_canonical([0, 0, (1 - n) * (2 * s - 1)], [np.sqrt(n), np.sqrt(n), n])
-        verdict = certify(ch, complement_of(ch))
+        verdict = certify(ch, dilation_of(ch))
         assert verdict.kind in (ANTI_DEGRADABLE, NEITHER_CERTIFIED)
         if verdict.kind == NEITHER_CERTIFIED:
             assert verdict.attempts["weak"] is not None

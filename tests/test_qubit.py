@@ -290,7 +290,8 @@ class TestMonomialClosedForm:
     """``_ptms_from_kraus`` of real monomial stacks, in closed form, against the products pass."""
 
     def test_random_monomial_stacks_have_the_bits_of_the_products_pass(self, monkeypatch):
-        """Only a stack with a part above the bound leaves the closed form."""
+        """Only a stack that is not trace preserving leaves the closed form,
+        and the products pass then raises."""
         rng = np.random.default_rng(2701)
         products = qubit._ptms_by_products
         entered = []
@@ -302,9 +303,10 @@ class TestMonomialClosedForm:
                 ops = random_monomial_stack(rng, lists, k)
                 entered.clear()
                 got = outcome(qubit._ptms_from_kraus, ops)
-                assert bool(entered) == (np.abs(ops.view(float)).max() > 1 + KRAUS_TP_ATOL)
+                raised = isinstance(got[0], type)
+                assert bool(entered) == raised
                 assert got == outcome(products, ops)
-                kinds["raised" if isinstance(got[0], type) else "ok"] += 1
+                kinds["raised" if raised else "ok"] += 1
                 negative_zero_imag += bool(np.signbit(ops.imag).any())
         assert kinds["ok"] > 600 and kinds["raised"] > 300, kinds
         assert negative_zero_imag > 1500
@@ -320,12 +322,15 @@ class TestMonomialClosedForm:
             [[0, np.nan], [0, 0]],
             [[1, 0], [0, complex(1, np.nan)]],
             [[np.inf, 0], [0, 1]],
+            [[0, 1e300], [1, 0]],
         ],
         ids=["large-diagonal", "large-antidiagonal", "short-diagonal", "short-antidiagonal",
-             "nan", "nan-structural-zero", "nan-imaginary", "inf"],
+             "nan", "nan-structural-zero", "nan-imaginary", "inf", "overflowing-square"],
     )
     def test_errors_are_those_of_the_products_pass(self, ops):
+        """The closed form raises nothing: it defers every failing stack."""
         stack = np.array([[ops, np.zeros((2, 2))]], dtype=complex)
+        assert qubit._monomial_ptms(stack.tolist()) is None
         with np.errstate(invalid="ignore"):
             got = outcome(qubit._ptms_from_kraus, stack)
             assert got == outcome(qubit._ptms_by_products, stack)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from grasschan import catalog, cli, degradability, io, qubit, verify
+from grasschan import catalog, cli, io, qubit, verify
 from grasschan.qubit import QubitChannel
 
 FIXTURE = Path(__file__).parent / "data" / "output_snapshot.json"
@@ -118,14 +118,12 @@ def test_sweep_and_verify_digests_are_pinned(report_digest):
 
 def test_reports_do_not_depend_on_the_closed_forms(report_digest, monkeypatch):
     """A subset of the ``reports`` corpus of ``scripts/report_digest.py``,
-    hashed report by report, with the closed forms of the analyze path on
+    hashed report by report, with the closed form of the analyze path on
     and then off: the dilation's Kraus pass by matrix products instead of
-    ``qubit._monomial_ptms``, and the complement's CPTP decision by
-    ``cptp_report`` instead of the 2x2 blocks of ``qubit._frame_cptp_ok``.
-    The subset is the ``analyze`` input chunks 0-2 of each of the three
-    seeds and the whole catalog grid (1,736 of the 6,056 reports).  Both
-    sides run on one host, so the test holds on any host, with no pinned
-    digest."""
+    ``qubit._monomial_ptms``.  The subset is the ``analyze`` input chunks
+    0-2 of each of the three seeds and the whole catalog grid (1,736 of the
+    6,056 reports).  Both sides run on one host, so the test holds on any
+    host, with no pinned digest."""
 
     def hashes():
         reports = itertools.chain(report_digest.spec_reports(range(3)), report_digest.catalog_reports())
@@ -136,7 +134,6 @@ def test_reports_do_not_depend_on_the_closed_forms(report_digest, monkeypatch):
     original = qubit._ptms_by_products
     monkeypatch.setattr(qubit, "_monomial_ptms", lambda stack: None)
     monkeypatch.setattr(qubit, "_ptms_by_products", lambda ops: products.append(1) or original(ops))
-    monkeypatch.setattr(degradability, "_frame_cptp_ok", lambda ch: ch.cptp_report.ok)
     reference = hashes()
     assert len(closed) == 1736 and len(products) > 1000
     assert [k for k, (a, b) in enumerate(zip(closed, reference)) if a != b] == []

@@ -1,8 +1,9 @@
 """The tolerance policy has one home: ``grasschan/tolerances.py``.
 
 A lint over the source: no other module may hold a tolerance-sized float
-literal or define its own tolerance constant.  The old import paths of the
-moved names must keep resolving to the policy's values.
+literal, round to a literal number of digits (``round(x, 12)`` is a 1e-12
+tolerance) or define its own tolerance constant.  The old import paths of
+the moved names must keep resolving to the policy's values.
 """
 
 import ast
@@ -14,7 +15,7 @@ from grasschan import charfunc, degradability, green, qubit, tolerances, verify
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "grasschan"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "tolerances.py")
-SUFFIXES = ("_ATOL", "_TOL", "_FLOOR", "_MARGIN")
+SUFFIXES = ("_ATOL", "_TOL", "_FLOOR", "_MARGIN", "_DIGITS")
 
 
 def _is_literal(node) -> bool:
@@ -33,6 +34,10 @@ def _violations(path: Path) -> list:
             and 0 < abs(node.value) < 1e-6
         ):
             found.append(f"{path.name}:{node.lineno}: float literal {node.value!r}")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "round":
+            digits = node.args[1:] + [k.value for k in node.keywords if k.arg == "ndigits"]
+            if any(_is_literal(d) for d in digits):
+                found.append(f"{path.name}:{node.lineno}: round() to a literal number of digits")
     for node in tree.body:
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
@@ -51,6 +56,14 @@ def _violations(path: Path) -> list:
 def test_the_lint_sees_every_module():
     assert len(MODULES) >= 10
     assert _violations(SOURCE / "tolerances.py")  # the policy itself would be flagged
+
+
+def test_the_lint_flags_rounding_to_literal_digits(tmp_path):
+    path = tmp_path / "rounding.py"
+    path.write_text(
+        "a = round(x, 12)\nb = round(x, ndigits=-3)\nc = round(x)\nd = round(x, DIGITS)\n", encoding="utf-8"
+    )
+    assert [v.split(": ", 1)[0] for v in _violations(path)] == ["rounding.py:1", "rounding.py:2"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -98,6 +111,7 @@ def test_policy_values():
         "GAUSSIAN_ATOL": 1e-10,
         "ANGLE_ATOL": 1e-9,
         "ANGLE_RATIO_ATOL": 1e-7,
+        "ANGLE_TIE_DIGITS": 12,
         "UNITARITY_ATOL": 1e-12,
         "ENV_ATOL": 1e-12,
         "CERT_RESIDUAL_TOL": 1e-9,
