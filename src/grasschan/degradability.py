@@ -40,14 +40,16 @@ a Stinespring output, CPTP by construction, and is not decided again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from . import qubit
 from .green import AngleParams
-from .qubit import NotCptpError, QubitChannel, QubitState, _finite_array, _ptms_from_kraus, is_cptp
+from .qubit import NotCptpError, QubitChannel, QubitState, _finite_array, is_cptp
 from .tolerances import BOUNDARY_ATOL, CERT_RESIDUAL_TOL, ENV_ATOL, UNITARITY_ATOL
 
 __all__ = [
@@ -70,6 +72,8 @@ _UNITARY_INDEX = np.arange(16).reshape(2, 2, 2, 2)  # [s_out, e_out, s_in, e_in]
 #: ``[e_in, e_out, s_out, s_in]``, the environment list (row 1)
 #: ``[e_in, s_out, e_out, s_in]``; the second index numbers the operators.
 _KRAUS_BLOCKS = np.array([_UNITARY_INDEX.transpose(3, 1, 0, 2), _UNITARY_INDEX.transpose(3, 0, 1, 2)])
+#: ``_KRAUS_BLOCKS`` as nested lists, for ``Dilation._kraus_lists``.
+_KRAUS_INDEX = _KRAUS_BLOCKS.tolist()
 #: The smallest normal double; ``_solve_degrading`` reads smaller source entries as zero.
 _TINY = np.finfo(float).tiny
 
@@ -121,20 +125,56 @@ class Dilation:
         blocks = self.unitary.reshape(-1)[_KRAUS_BLOCKS[:, kept]]
         return (np.sqrt(weights[kept])[:, None, None, None] * blocks).reshape(2, -1, 2, 2)
 
+    def _kraus_lists(self) -> list:
+        """``_kraus_stack().tolist()`` without the array: ``sqrt(w_j) *
+        U[i]`` on Python numbers, ``U`` the flat unitary.  ``math.sqrt``
+        rounds as ``np.sqrt`` does, and the real part of a float times a
+        complex number is numpy's ``x re - 0 im`` in both; only the sign of
+        a zero imaginary part may differ, which ``qubit._monomial_ptms``
+        does not read."""
+        flat, lists = self.unitary.ravel().tolist(), [[], []]
+        for j, weight in enumerate((self.q, 1 - self.q)):
+            if weight:
+                root = math.sqrt(weight)
+                scaled = [root * x for x in flat]
+                for ops, blocks in zip(lists, _KRAUS_INDEX):
+                    for (a, b), (c, d) in blocks[j]:
+                        ops.append([[scaled[a], scaled[b]], [scaled[c], scaled[d]]])
+        return lists
+
+    @cached_property
+    def _rows(self) -> Optional[list]:
+        """The flat transfer-matrix rows of the system and environment lists
+        by the closed form ``qubit._monomial_ptms``, or None where it does
+        not apply (``_ptms`` then takes the products pass on the array).
+        Both passes are looked up on ``qubit`` when called, so replacing
+        one there replaces it here too."""
+        return qubit._monomial_ptms(self._kraus_lists())
+
     @cached_property
     def _ptms(self) -> np.ndarray:
         """Transfer matrices of the system and environment channels, from one
-        pass over both Kraus lists; each is read once into a channel on request,
+        pass over both Kraus lists."""
+        rows = self._rows
+        if rows is None:
+            return qubit._ptms_by_products(self._kraus_stack())
+        return np.array(rows).reshape(2, 4, 4)
+
+    def _read(self, side: int) -> QubitChannel:
+        """The system (0) or environment (1) channel; each is read on its own,
         so a non-diagonal block on one side does not stop the other."""
-        return _ptms_from_kraus(self._kraus_stack())
+        rows = self._rows
+        if rows is None:
+            return QubitChannel.from_ptm(self._ptms[side])
+        return qubit._channel_from_monomial_ptm(rows[side])
 
     @cached_property
     def _marginal(self) -> QubitChannel:
-        return QubitChannel.from_ptm(self._ptms[0])
+        return self._read(0)
 
     @cached_property
     def _complement(self) -> QubitChannel:
-        return QubitChannel.from_ptm(self._ptms[1])
+        return self._read(1)
 
     def system_kraus(self) -> list:
         """Kraus list of the system-output channel Tr_E[U (rho (x) rho_E) U^dag]."""
@@ -244,9 +284,10 @@ def certify(
     forces the anti-degrading solve to run even when the weak direction
     already succeeded (useful at classification boundaries).  ``n_ch`` must
     be CPTP; the complement is not checked.  A Kraus map is completely
-    positive for any operators, and ``canonical_from_ptm`` drops at most 10
-    transfer-matrix entries (the first row's deviations and the off-diagonal
-    block), each at most ``DIAG_ATOL``; as every ``sigma_k (x) sigma_l^T`` of
+    positive for any operators, and reading it into ``(t, lam)`` drops at
+    most 10 transfer-matrix entries (the first row's deviations and the
+    off-diagonal block; the closed-form read drops only the first row's
+    two), each at most ``DIAG_ATOL``; as every ``sigma_k (x) sigma_l^T`` of
     ``choi_from_ptm`` has norm 1, the Choi matrix moves by at most ``10 *
     DIAG_ATOL / 2 = 5e-10``, so its smallest eigenvalue, less about 1e-13 of
     rounding, stays above ``CHOI_EIG_FLOOR``.  Trace preservation is exact

@@ -101,8 +101,10 @@ def _fitted(convert, value, name: str):
 
 
 def _finite_array(name: str, value, dtype, shape) -> np.ndarray:
-    """``value`` as a fresh read-only array; ``ValueError`` names ``name`` or its first non-finite entry."""
-    a = _fitted(lambda v: np.asarray(v, dtype=dtype).reshape(shape).copy(), value, name)
+    """``value`` as a fresh read-only C-contiguous array (one copy, then a
+    reshape view: ``Dilation`` views its unitary as floats); ``ValueError``
+    names ``name`` or its first non-finite entry."""
+    a = _fitted(lambda v: np.array(v, dtype=dtype, order="C"), value, name).reshape(shape)
     if not all(map(cmath.isfinite, a.ravel().tolist())):  # a third of np.isfinite(a).all()'s time
         index = np.argwhere(~np.isfinite(a))[0]
         raise ValueError(f"{name}{index.tolist()} is not finite: {a[tuple(index)]}")
@@ -171,6 +173,14 @@ def _check_states(p: np.ndarray, gamma: np.ndarray) -> None:
 _PAULI_STACK = np.array(PAULI)
 
 
+def _kraus_ops(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """A Kraus list as a ``(K, 2, 2)`` complex array; operators that are not 2x2 raise ``ValueError``."""
+    ops = np.ascontiguousarray(kraus, dtype=complex) if len(kraus) else np.empty((0, 2, 2), dtype=complex)
+    if ops.shape[1:] != (2, 2):
+        raise ValueError(f"expected 2x2 Kraus operators, got shape {ops.shape[1:]}")
+    return ops
+
+
 def ptm_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """Transfer matrix ``Tr[sigma_i sum_k A_k sigma_j A_k^dag] / 2`` of a Kraus list.
 
@@ -178,10 +188,7 @@ def ptm_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     ``_ptms_from_kraus``, so each entry has the bits of the per-entry loop.
     Operators that are not 2x2 raise ``ValueError``.
     """
-    ops = np.ascontiguousarray(kraus, dtype=complex) if len(kraus) else np.empty((0, 2, 2), dtype=complex)
-    if ops.shape[1:] != (2, 2):
-        raise ValueError(f"expected 2x2 Kraus operators, got shape {ops.shape[1:]}")
-    return _ptms_from_kraus(ops[None])[0]
+    return _ptms_from_kraus(_kraus_ops(kraus)[None])[0]
 
 
 def _ptms_from_kraus(ops: np.ndarray) -> np.ndarray:
@@ -193,13 +200,14 @@ def _ptms_from_kraus(ops: np.ndarray) -> np.ndarray:
     stack, and any stack that is not trace preserving, takes
     ``_ptms_by_products``, which alone raises.
     """
-    ptms = _monomial_ptms(ops.tolist())
-    return _ptms_by_products(ops) if ptms is None else ptms
+    rows = _monomial_ptms(ops.tolist())
+    return _ptms_by_products(ops) if rows is None else np.array(rows).reshape(len(rows), 4, 4)
 
 
 def _monomial_ptms(stack: list):
     """``_ptms_by_products`` of a stack given as nested lists of Python
-    complex numbers, in closed form, or None when some operator is not real
+    complex numbers, in closed form, as one flat row of 16 Python floats per
+    list (``ptm.ravel()``), or None when some operator is not real
     and diagonal or antidiagonal, or some list's ``sum A^dag A`` deviates
     from the identity by more than ``KRAUS_TP_ATOL`` (the products pass then
     decides, and raises).
@@ -269,13 +277,13 @@ def _monomial_ptms(stack: list):
                 return None
         if not (abs(dag00 - 1.0) <= KRAUS_TP_ATOL and abs(dag11 - 1.0) <= KRAUS_TP_ATOL):
             return None
-        out += [
+        out.append([
             (m00 + m11) / 2, 0.0, 0.0, (n00 + n11) / 2,
             0.0, s1, 0.0, 0.0,
             0.0, 0.0, s2, 0.0,
             (m00 - m11) / 2, 0.0, 0.0, (n00 - n11) / 2,
-        ]
-    return np.array(out).reshape(len(stack), 4, 4)
+        ])
+    return out
 
 
 def _ptms_by_products(ops: np.ndarray) -> np.ndarray:
@@ -410,7 +418,13 @@ class QubitChannel:
 
     @classmethod
     def from_kraus(cls, kraus: Sequence[np.ndarray]) -> "QubitChannel":
-        return cls.from_ptm(ptm_from_kraus(kraus))
+        """``from_ptm(ptm_from_kraus(kraus))``, bit for bit; a real diagonal
+        or antidiagonal list is read straight from its ``_monomial_ptms`` row."""
+        ops = _kraus_ops(kraus)
+        rows = _monomial_ptms([ops.tolist()])
+        if rows is None:
+            return cls.from_ptm(_ptms_by_products(ops[None])[0])
+        return _channel_from_monomial_ptm(rows[0])
 
     @classmethod
     def from_ptm(cls, ptm: np.ndarray) -> "QubitChannel":
@@ -477,6 +491,24 @@ class QubitChannel:
         t = ", ".join(f"{v:.6g}" for v in self.t)
         lam = ", ".join(f"{v:.6g}" for v in self.lam)
         return f"QubitChannel(t=({t}), lam=({lam}))"
+
+
+def _channel_from_monomial_ptm(row: list) -> QubitChannel:
+    """``QubitChannel.from_ptm`` of one flat ``_monomial_ptms`` row, on its Python floats.
+
+    The closed form writes ``ptm[0, 1]``, ``ptm[0, 2]``, ``t1``, ``t2`` and
+    every off-diagonal entry of the 3x3 block as a literal +0.0, so
+    ``canonical_from_ptm``'s off-diagonal test cannot fail here, its
+    first-row test is ``max(|ptm[0, 0] - 1|, |ptm[0, 3]|) <= DIAG_ATOL``
+    (the other two deviations are exact zeros, and no entry is NaN: the
+    ``KRAUS_TP_ATOL`` test that a returned row passed bounds every square
+    it sums), and it reads ``t = (0, 0, ptm[3, 0])`` and ``lam`` off the
+    diagonal.  The result has the bits of ``from_ptm`` and raises its
+    ``NonDiagonalBlockError``.
+    """
+    if not max(abs(row[0] - 1.0), abs(row[3])) <= DIAG_ATOL:
+        raise NonDiagonalBlockError("first row is not (1, 0, 0, 0)")
+    return QubitChannel(t=(0.0, 0.0, row[12]), lam=(row[5], row[10], row[15]))
 
 
 def is_cptp(ch: QubitChannel) -> CptpReport:

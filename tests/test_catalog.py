@@ -307,15 +307,12 @@ class TestOneGaussianDecision:
 
 
     def test_one_stacked_kraus_pass_per_dilation(self, monkeypatch):
-        passes = []
-        original = qubit._ptms_from_kraus
-
-        def counting(ops):
-            passes.append(ops.shape)
-            return original(ops)
-
-        monkeypatch.setattr(qubit, "_ptms_from_kraus", counting)
-        monkeypatch.setattr(degradability, "_ptms_from_kraus", counting)
+        """Each angle block reads its dilation's two channels from one
+        two-list closed-form pass, and no report takes the products pass."""
+        passes, products = [], []
+        original, by_products = qubit._monomial_ptms, qubit._ptms_by_products
+        monkeypatch.setattr(qubit, "_monomial_ptms", lambda stack: passes.append(len(stack)) or original(stack))
+        monkeypatch.setattr(qubit, "_ptms_by_products", lambda ops: products.append(1) or by_products(ops))
         channels = [catalog.build(name, p) for name, points in NAMED_POINTS.items() for p in points]
         channels += [QubitChannel.from_canonical(*case) for case in CANONICAL_CASES.values()]
         channels += [io.channel_from_json(spec) for spec in KRAUS_SPECS.values()]
@@ -325,10 +322,9 @@ class TestOneGaussianDecision:
             report = catalog.analyze_channel(ch)
             blocks = [report, report["gaussian_equivalent"] or {}]
             count = sum(block.get("angles") is not None for block in blocks)
-            assert len(passes) == count, ch
-            assert all(shape[0] == 2 and shape[2:] == (2, 2) for shape in passes), passes
+            assert passes == [2] * count, ch
             dilations[count] += 1
-        assert dilations[1] and dilations[0], dilations
+        assert dilations[1] and dilations[0] and not products, (dilations, products)
 
 
 class TestClosedFormGaussianParams:

@@ -1,9 +1,10 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from grasschan import catalog
+from grasschan import catalog, qubit
 from grasschan.degradability import (
     ANTI_DEGRADABLE,
     NEITHER_CERTIFIED,
@@ -187,6 +188,82 @@ def test_a_non_diagonal_system_block_leaves_the_complement_readable():
         d.channel()
 
 
+EDGE_ANGLES = [0.0, np.pi / 4, np.pi / 2, np.pi, -np.pi, 1e-300, np.pi / 2 - 1e-16]
+EDGE_QS = [0.0, 1.0, 1e-300, 1 - 2.0**-53, 0.5, 1 + 5e-13, -5e-13]
+
+
+def read_outcome(read):
+    """``(t bytes, lam bytes)`` of ``read()``, or its error type and message."""
+    try:
+        return channel_bits(read())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestClosedFormRead:
+    """A dilation reads its two channels from Python floats, with the bits of
+    ``from_ptm`` of the transfer matrix of each Kraus list."""
+
+    @staticmethod
+    def references(kraus):
+        ops = np.array([kraus])
+        return (
+            read_outcome(lambda: QubitChannel.from_ptm(ptm_from_kraus(kraus))),
+            read_outcome(lambda: QubitChannel.from_ptm(qubit._ptms_by_products(ops)[0])),
+        )
+
+    def test_angle_dilations_read_the_bits_of_from_ptm(self):
+        rng = np.random.default_rng(2901)
+        dilations = [dilation_from_angles(AngleParams(*a)) for a in itertools.product(EDGE_ANGLES, EDGE_ANGLES, EDGE_QS)]
+        for _ in range(2000):
+            q = EDGE_QS[rng.integers(len(EDGE_QS))] if rng.random() < 0.5 else rng.uniform()
+            dilations.append(dilation_from_angles(AngleParams(rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi), q)))
+        for d in dilations:
+            assert d._rows is not None
+            for side, kraus in ((0, d.system_kraus()), (1, d.env_kraus())):
+                got = read_outcome(lambda: qubit._channel_from_monomial_ptm(d._rows[side]))
+                assert self.references(kraus) == (got, got)
+            assert channel_bits(d.channel()) == read_outcome(lambda: qubit._channel_from_monomial_ptm(d._rows[0]))
+            assert channel_bits(weakly_complementary(d)) == read_outcome(lambda: qubit._channel_from_monomial_ptm(d._rows[1]))
+
+    def test_complex_unitaries_take_the_products_pass(self, monkeypatch):
+        """Phase-times-permutation unitaries have complex Kraus operators: the
+        closed form defers, the products pass runs on the array stack, and
+        each channel, or its error, is that of ``from_ptm``."""
+        rng = np.random.default_rng(2902)
+        products = []
+        original = qubit._ptms_by_products
+        monkeypatch.setattr(qubit, "_ptms_by_products", lambda ops: products.append(ops.shape) or original(ops))
+        outcomes = Counter()
+        for perm in itertools.permutations(range(4)):
+            for _ in range(10):
+                u = np.eye(4)[:, perm] * np.exp(2j * np.pi * rng.uniform(size=4))
+                d = Dilation(unitary=u, env_state=QubitState(p=EDGE_QS[rng.integers(len(EDGE_QS))]))
+                products.clear()
+                got = (read_outcome(d.channel), read_outcome(lambda: weakly_complementary(d)))
+                assert d._rows is None and products and all(shape[0] == 2 for shape in products)
+                expected = (self.references(d.system_kraus())[1], self.references(d.env_kraus())[1])
+                assert got == expected
+                outcomes.update(isinstance(g[0], type) for g in got)
+        assert outcomes[True] and outcomes[False], outcomes
+
+    def test_a_fortran_ordered_unitary_is_read_as_its_c_copy(self):
+        """The unitary is stored C-contiguous whatever the input's layout, so
+        ``__post_init__``'s float view and the flat reads see the same matrix."""
+        rng = np.random.default_rng(2903)
+        u = np.eye(4)[:, [2, 0, 3, 1]] * np.exp(2j * np.pi * rng.uniform(size=4))
+        angle_u = dilation_from_angles(AngleParams(0.3, -1.1, 0.4)).unitary
+        wide = np.zeros((4, 8), dtype=complex)
+        wide[:, ::2] = angle_u
+        for source, strided in ((u, np.asfortranarray(u)), (angle_u, np.asfortranarray(angle_u)), (angle_u, wide[:, ::2])):
+            assert not strided.flags.c_contiguous
+            d, reference = Dilation(strided, QubitState(p=0.4)), Dilation(source, QubitState(p=0.4))
+            assert d.unitary.flags.c_contiguous and not d.unitary.flags.writeable
+            assert d.unitary.tobytes() == source.tobytes()
+            for read in (Dilation.channel, weakly_complementary):
+                assert read_outcome(lambda: read(d)) == read_outcome(lambda: read(reference))
+
+
 class TestWeaklyComplementary:
     def test_identity_dilation_gives_constant_channel(self):
         comp = complement_of(QubitChannel.identity())
@@ -221,9 +298,8 @@ class TestWeaklyComplementary:
         ``q`` clamped into [0, 1], and on phase-times-permutation unitaries
         whose complement has a diagonal block."""
         rng = np.random.default_rng(2801)
-        edge = [0.0, np.pi / 4, np.pi / 2, np.pi, -np.pi, 1e-300, np.pi / 2 - 1e-16]
-        qs = [0.0, 1.0, 1e-300, 1 - 2.0**-53, 0.5, 1 + 5e-13, -5e-13]
-        dilations = [dilation_from_angles(AngleParams(*a)) for a in itertools.product(edge, edge, qs)]
+        qs = EDGE_QS
+        dilations = [dilation_from_angles(AngleParams(*a)) for a in itertools.product(EDGE_ANGLES, EDGE_ANGLES, qs)]
         for _ in range(1000):
             q = qs[rng.integers(len(qs))] if rng.random() < 0.5 else rng.uniform()
             dilations.append(dilation_from_angles(AngleParams(rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi), q)))

@@ -311,6 +311,48 @@ class TestMonomialClosedForm:
         assert kinds["ok"] > 600 and kinds["raised"] > 300, kinds
         assert negative_zero_imag > 1500
 
+    def test_from_kraus_reads_the_bits_of_from_ptm(self):
+        """``from_kraus`` of a real monomial list reads its closed-form row
+        directly; the channel, or the error, is that of ``from_ptm`` of its
+        transfer matrix, from the closed form and from the products pass."""
+        rng = np.random.default_rng(2904)
+
+        def channel_outcome(read):
+            try:
+                ch = read()
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return ch.t.tobytes(), ch.lam.tobytes()
+
+        kinds = Counter()
+        for i in range(2000):
+            ops = random_monomial_stack(rng, 1, 1 + i % 4)[0]
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = channel_outcome(lambda: QubitChannel.from_kraus(ops))
+                assert got == channel_outcome(lambda: QubitChannel.from_ptm(ptm_from_kraus(ops)))
+                assert got == channel_outcome(lambda: QubitChannel.from_ptm(qubit._ptms_by_products(ops[None])[0]))
+            kinds[got[0] if isinstance(got[0], type) else "read"] += 1
+        assert kinds["read"] > 900 and kinds[NotTracePreservingError] > 900, kinds
+
+    def test_the_row_reader_keeps_the_first_row_decision(self):
+        """``_channel_from_monomial_ptm`` accepts and rejects the first rows
+        that ``from_ptm`` does, with its error."""
+
+        def channel_outcome(read):
+            try:
+                ch = read()
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return ch.t.tobytes(), ch.lam.tobytes()
+
+        kinds = Counter()
+        for r0, r3 in itertools.product([1.0, 1 + DIAG_ATOL, 1 - 1.5 * DIAG_ATOL, 1 + 2 * DIAG_ATOL], [0.0, -DIAG_ATOL, 2 * DIAG_ATOL]):
+            row = [r0, 0.0, 0.0, r3, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, -0.3, 0.0, 0.2, 0.0, 0.0, 0.1]
+            got = channel_outcome(lambda: qubit._channel_from_monomial_ptm(row))
+            assert got == channel_outcome(lambda: QubitChannel.from_ptm(np.array(row).reshape(4, 4)))
+            kinds[got[0] is NonDiagonalBlockError] += 1
+        assert kinds[True] and kinds[False], kinds
+
     @pytest.mark.parametrize(
         "ops",
         [
@@ -338,27 +380,31 @@ class TestMonomialClosedForm:
         assert re.match(r"sum A\^dag A deviates from identity by |Kraus operator 0 entry \[", got[1])
 
     def test_angle_dilations_and_kraus_specs_take_the_closed_form(self, monkeypatch, report_digest):
-        """On the benchmark's ``analyze`` mix no dilation and no ``kraus``
-        spec makes a matrix product; a Y-type or Hadamard list does."""
-        calls = {"pass": 0, "products": 0}
-        original_pass, original_products = qubit._ptms_from_kraus, qubit._ptms_by_products
+        """On the benchmark's ``analyze`` mix every dilation reads both of its
+        channels from one two-list closed-form pass, every ``kraus`` spec from
+        a one-list pass, and nothing makes a matrix product; a Y-type or
+        Hadamard list does."""
+        passes, calls = Counter(), {"products": 0}
+        original_pass, original_products = qubit._monomial_ptms, qubit._ptms_by_products
 
-        def counted(name, f):
-            def call(ops):
-                calls[name] += 1
-                return f(ops)
+        def counted_pass(stack):
+            passes[len(stack)] += 1
+            return original_pass(stack)
 
-            return call
+        def counted_products(ops):
+            calls["products"] += 1
+            return original_products(ops)
 
-        monkeypatch.setattr(qubit, "_ptms_from_kraus", counted("pass", original_pass))
-        monkeypatch.setattr(degradability, "_ptms_from_kraus", counted("pass", original_pass))
-        monkeypatch.setattr(qubit, "_ptms_by_products", counted("products", original_products))
-        kinds = Counter()
+        monkeypatch.setattr(qubit, "_monomial_ptms", counted_pass)
+        monkeypatch.setattr(qubit, "_ptms_by_products", counted_products)
+        kinds, angle_blocks = Counter(), 0
         for chunk in range(2):
             for _, spec in report_digest.workloads.Analyze().chunk(3, chunk)[1]:
                 kinds[spec["type"]] += 1
-                catalog.analyze_channel(io.channel_from_json(spec))
-        assert kinds["kraus"] > 10 and calls["pass"] > 150 and calls["products"] == 0, (kinds, calls)
+                report = catalog.analyze_channel(io.channel_from_json(spec))
+                angle_blocks += sum(b.get("angles") is not None for b in (report, report["gaussian_equivalent"] or {}))
+        assert kinds["kraus"] > 10 and angle_blocks > 150, (kinds, angle_blocks)
+        assert passes == {2: angle_blocks, 1: kinds["kraus"]} and calls["products"] == 0, (passes, calls)
         s = 0.35
         ptm_from_kraus([np.sqrt(s) * np.eye(2), np.sqrt(1 - s) * PAULI[2]])
         ptm_from_kraus([(PAULI[1] + PAULI[3]) / np.sqrt(2)])
@@ -486,13 +532,36 @@ class TestFromKraus:
             QubitChannel.from_kraus(kraus)
 
     def test_derives_transfer_matrix_once(self, monkeypatch):
-        import grasschan.qubit as qubit
-
-        calls = []
-        original = qubit.ptm_from_kraus
-        monkeypatch.setattr(qubit, "ptm_from_kraus", lambda ops: calls.append(1) or original(ops))
+        """One closed-form pass per list, and the products pass only for a
+        list that the closed form does not take."""
+        calls = Counter()
+        for name in ("_monomial_ptms", "_ptms_by_products"):
+            original = getattr(qubit, name)
+            monkeypatch.setattr(qubit, name, lambda x, f=original, name=name: calls.update([name]) or f(x))
         QubitChannel.from_kraus(gad_kraus(0.4, 0.7))
-        assert len(calls) == 1
+        assert calls == {"_monomial_ptms": 1}
+        s = 0.35
+        QubitChannel.from_kraus([np.sqrt(s) * np.eye(2), np.sqrt(1 - s) * PAULI[2]])
+        assert calls == {"_monomial_ptms": 2, "_ptms_by_products": 1}
+
+
+class TestFiniteArray:
+    def test_fortran_and_strided_inputs_become_fresh_c_contiguous_arrays(self):
+        source = np.arange(24.0).reshape(4, 6)
+        for value in (np.asfortranarray(source), source[:, ::2], source.T, source[::-1]):
+            a = qubit._finite_array("x", value, float, value.shape)
+            assert a.flags.c_contiguous and not a.flags.writeable
+            assert a.tolist() == value.tolist() and not np.shares_memory(a, value)
+        t = (source / 10)[0, ::2]
+        assert not t.flags.c_contiguous
+        ch = QubitChannel.from_canonical(t, [1, 1, 1])
+        assert ch.t.flags.c_contiguous and ch.t.tolist() == [0.0, 0.2, 0.4]
+
+    def test_errors_name_the_value_or_its_first_non_finite_entry(self):
+        with pytest.raises(ValueError, match=r"^t\[1\] is not finite: inf$"):
+            QubitChannel.from_canonical([0, np.inf, np.nan], [1, 1, 1])
+        with pytest.raises(ValueError, match="^lam is too large for a float$"):
+            QubitChannel.from_canonical([0, 0, 0], [1, 10**400, 1])
 
 
 class TestApplyAndCompose:
