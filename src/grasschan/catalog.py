@@ -28,11 +28,10 @@ and act as the regression anchor for the kernel layer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
-
-import numpy as np
 
 from . import degradability as deg
 from .green import (
@@ -72,30 +71,35 @@ class _ChannelInfo:
     builder: Callable
 
 
+# The builders take the floats ``build`` checked and write every entry as a
+# Python float (``math.sqrt`` rounds as ``np.sqrt`` does), which
+# ``QubitChannel`` copies without a checked conversion.
+
+
 def _bit_flip(s):
-    return QubitChannel.from_canonical([0, 0, 0], [1, 2 * s - 1, 2 * s - 1])
+    return QubitChannel.from_canonical([0.0, 0.0, 0.0], [1.0, 2 * s - 1, 2 * s - 1])
 
 
 def _phase_flip(s):
-    return QubitChannel.from_canonical([0, 0, 0], [2 * s - 1, 2 * s - 1, 1])
+    return QubitChannel.from_canonical([0.0, 0.0, 0.0], [2 * s - 1, 2 * s - 1, 1.0])
 
 
 def _bit_phase_flip(s):
-    return QubitChannel.from_canonical([0, 0, 0], [2 * s - 1, 1, 2 * s - 1])
+    return QubitChannel.from_canonical([0.0, 0.0, 0.0], [2 * s - 1, 1.0, 2 * s - 1])
 
 
 def _depolarizing(s):
-    return QubitChannel.from_canonical([0, 0, 0], [1 - s, 1 - s, 1 - s])
+    return QubitChannel.from_canonical([0.0, 0.0, 0.0], [1 - s, 1 - s, 1 - s])
 
 
 def _amplitude_damping(n):
-    r = np.sqrt(n)
-    return QubitChannel.from_canonical([0, 0, 1 - n], [r, r, n])
+    r = math.sqrt(n)
+    return QubitChannel.from_canonical([0.0, 0.0, 1 - n], [r, r, n])
 
 
 def _generalized_amplitude_damping(n, s):
-    r = np.sqrt(n)
-    return QubitChannel.from_canonical([0, 0, (1 - n) * (2 * s - 1)], [r, r, n])
+    r = math.sqrt(n)
+    return QubitChannel.from_canonical([0.0, 0.0, (1 - n) * (2 * s - 1)], [r, r, n])
 
 
 _CATALOG = {

@@ -41,15 +41,15 @@ a Stinespring output, CPTP by construction, and is not decided again.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import qubit
 from .green import AngleParams
-from .qubit import NotCptpError, QubitChannel, QubitState, _finite_array, is_cptp
+from .qubit import NotCptpError, QubitChannel, QubitState, _cached, _finite_array, is_cptp
 from .tolerances import BOUNDARY_ATOL, CERT_RESIDUAL_TOL, ENV_ATOL, UNITARITY_ATOL
 
 __all__ = [
@@ -75,7 +75,7 @@ _KRAUS_BLOCKS = np.array([_UNITARY_INDEX.transpose(3, 1, 0, 2), _UNITARY_INDEX.t
 #: ``_KRAUS_BLOCKS`` as nested lists, for ``Dilation._kraus_lists``.
 _KRAUS_INDEX = _KRAUS_BLOCKS.tolist()
 #: The smallest normal double; ``_solve_degrading`` reads smaller source entries as zero.
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 WEAKLY_DEGRADABLE = "weakly_degradable"
 ANTI_DEGRADABLE = "anti_degradable"
@@ -98,10 +98,14 @@ class Dilation:
     def __post_init__(self):
         u = _finite_array("unitary", self.unitary, complex, (4, 4))
         object.__setattr__(self, "unitary", u)
-        largest = np.abs(u.view(float)).max()  # at most 1 for a unitary; then U^dag U cannot overflow
+        parts = u.view(float).ravel().tolist()
+        real = not any(parts[1::2])
+        if real:
+            parts = parts[0::2]
+        largest = max(map(abs, parts))  # at most 1 for a unitary; then U^dag U cannot overflow
         if not largest <= 1 + UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary (an entry has a part of modulus {largest:.3e})")
-        dev = np.abs(u.conj().T @ u - _EYE4).max()
+        dev = _orthonormality_deviation(parts) if real else np.abs(u.conj().T @ u - _EYE4).max()
         if not dev <= UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         if not abs(self.env_state.gamma) <= ENV_ATOL:
@@ -142,7 +146,7 @@ class Dilation:
                         ops.append([[scaled[a], scaled[b]], [scaled[c], scaled[d]]])
         return lists
 
-    @cached_property
+    @_cached
     def _rows(self) -> Optional[list]:
         """The flat transfer-matrix rows of the system and environment lists
         by the closed form ``qubit._monomial_ptms``, or None where it does
@@ -151,7 +155,7 @@ class Dilation:
         one there replaces it here too."""
         return qubit._monomial_ptms(self._kraus_lists())
 
-    @cached_property
+    @_cached
     def _ptms(self) -> np.ndarray:
         """Transfer matrices of the system and environment channels, from one
         pass over both Kraus lists."""
@@ -168,11 +172,11 @@ class Dilation:
             return QubitChannel.from_ptm(self._ptms[side])
         return qubit._channel_from_monomial_ptm(rows[side])
 
-    @cached_property
+    @_cached
     def _marginal(self) -> QubitChannel:
         return self._read(0)
 
-    @cached_property
+    @_cached
     def _complement(self) -> QubitChannel:
         return self._read(1)
 
@@ -188,15 +192,34 @@ class Dilation:
         return self._marginal
 
 
+def _orthonormality_deviation(r: list) -> float:
+    """``np.abs(R.T @ R - I).max()`` of the real 4x4 matrix ``R`` with the
+    row-major entries ``r``, on Python floats: the largest ``|a . b -
+    delta_ab|`` over the pairs of columns ``a <= b`` (a Gram matrix of
+    Python products is symmetric).  Its rounding differs from a GEMM's by a
+    few ulps, far inside ``UNITARITY_ATOL``, the one thing it decides."""
+    a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = r
+    return max(map(abs, (
+        a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 - 1.0,
+        b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3 - 1.0,
+        c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 - 1.0,
+        d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 - 1.0,
+        a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
+        a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3,
+        a0 * d0 + a1 * d1 + a2 * d2 + a3 * d3,
+        b0 * c0 + b1 * c1 + b2 * c2 + b3 * c3,
+        b0 * d0 + b1 * d1 + b2 * d2 + b3 * d3,
+        c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3,
+    )))
+
+
 def dilation_from_angles(ap: AngleParams) -> Dilation:
     """Construct the dilation of the Gaussian channel with angle form ``ap``."""
-    ct, st = np.cos(ap.theta), np.sin(ap.theta)
-    cp, sp = np.cos(ap.phi), np.sin(ap.phi)
+    ct, st = float(np.cos(ap.theta)), float(np.sin(ap.theta))
+    cp, sp = float(np.cos(ap.phi)), float(np.sin(ap.phi))
     # basis order |s e>: 00, 01, 10, 11; column k is the image of basis ket k
-    # (see the module docstring)
-    u = np.array(
-        [[ct, 0, 0, -st], [0, cp, sp, 0], [0, -sp, cp, 0], [st, 0, 0, ct]], dtype=complex
-    )
+    # (see the module docstring); Dilation makes the one complex array
+    u = [[ct, 0.0, 0.0, -st], [0.0, cp, sp, 0.0], [0.0, -sp, cp, 0.0], [st, 0.0, 0.0, ct]]
     return Dilation(unitary=u, env_state=QubitState(p=ap.q))
 
 
@@ -252,13 +275,27 @@ def _solve_degrading(source: QubitChannel, target: QubitChannel):
     block is read as zero: ``lstsq``'s relative cutoff would keep it and
     overflow the solve.  The result is only trusted after residual and Choi
     re-verification by the caller.
+
+    The residual ``max |D S - T|`` takes the product ``D S`` of the two
+    transfer matrices from one GEMM and the rest on Python floats, with
+    numpy's value: each entry of ``D S`` is finite, so ``max`` meets no NaN.
+    For ``certify``'s channels (entries of modulus at most about 1) ``D`` has
+    entries below ``(1 + 1e-9) / _TINY``, about 4.5e307, and no sum in the
+    product exceeds twice that.
     """
-    t_src = source.ptm[1:, 1:]
-    t_src = t_src * (np.abs(t_src) >= _TINY)
-    delta_t, *_ = np.linalg.lstsq(t_src.T, target.ptm[1:, 1:].T, rcond=None)
-    shift = target.ptm[1:, 0] - delta_t.T @ source.ptm[1:, 0]
-    witness = QubitChannel.from_canonical(shift, np.diagonal(delta_t))
-    residual = float(np.abs(witness.ptm @ source.ptm - target.ptm).max())
+    s1, s2, s3 = [x if abs(x) >= _TINY else x * 0.0 for x in source.lam.tolist()]
+    target_t, target_lam = target.t.tolist(), target.lam.tolist()
+    m1, m2, m3 = target_lam
+    # The masked source block and the target block: diagonal, so each is its
+    # own transpose; x * 0.0 keeps the sign of a masked entry, as the mask's
+    # product did.
+    blocks = np.array([s1, 0.0, 0.0, 0.0, s2, 0.0, 0.0, 0.0, s3, m1, 0.0, 0.0, 0.0, m2, 0.0, 0.0, 0.0, m3])
+    delta_t, *_ = np.linalg.lstsq(blocks[:9].reshape(3, 3), blocks[9:].reshape(3, 3), rcond=None)
+    moved = (delta_t.T @ source.ptm[1:, 0]).tolist()
+    (d1, _, _), (_, d2, _), (_, _, d3) = delta_t.tolist()
+    witness = QubitChannel.from_canonical([x - y for x, y in zip(target_t, moved)], [d1, d2, d3])
+    product = (witness.ptm @ source.ptm).ravel().tolist()
+    residual = max(map(abs, map(operator.sub, product, qubit._ptm_entries(target_t, target_lam))))
     report = is_cptp(witness)
     return {
         "witness": witness,

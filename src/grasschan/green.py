@@ -52,7 +52,7 @@ dilation with environment ``diag(q, 1-q)``.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -407,6 +407,12 @@ def _gaussian_params(ch: QubitChannel) -> GaussianParams:
     return GaussianParams(complex((lam1 + lam2) / 2 + 0.0), complex((lam2 - lam1) / 2 + 0.0), t3 / 2 + 0.0)
 
 
+#: The sign pairs ``(s_u, s_v)`` of the four branches, in ``itertools.product((1, -1), repeat=2)`` order.
+_BRANCH_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_PI = math.pi  # the double np.pi is
+_HALF_PI, _TWO_PI = _PI / 2, 2 * _PI
+
+
 def _candidate_angles(u: float, v: float) -> list:
     """Raw (theta, phi) branch candidates from theta-phi = ±u, theta+phi = ±v.
 
@@ -414,23 +420,25 @@ def _candidate_angles(u: float, v: float) -> list:
     ``(theta, phi) -> (-theta, -phi)`` and ``-> (theta + pi, phi + pi)`` so
     that ``theta`` lands in [0, pi/2]; phi then lies in (-pi, pi].  The
     arithmetic is on Python floats: ``%`` has the bits of ``np.mod``.
+    Returns ``(theta, phi, key)`` per distinct candidate, ``key`` being
+    ``(theta, phi)`` rounded to ``ANGLE_TIE_DIGITS``.
     """
     seen = set()
     out = []
-    for s_u, s_v in itertools.product((1, -1), repeat=2):
+    for s_u, s_v in _BRANCH_SIGNS:
         theta = (s_v * v + s_u * u) / 2
         phi = (s_v * v - s_u * u) / 2
         if theta < 0:
             theta, phi = -theta, -phi
-        if theta > np.pi / 2:
-            theta, phi = np.pi - theta, np.pi - phi
-        phi = (phi + np.pi) % (2 * np.pi) - np.pi
-        if phi == -np.pi:
-            phi = np.pi
+        if theta > _HALF_PI:
+            theta, phi = _PI - theta, _PI - phi
+        phi = (phi + _PI) % _TWO_PI - _PI
+        if phi == -_PI:
+            phi = _PI
         key = (round(theta, ANGLE_TIE_DIGITS), round(phi, ANGLE_TIE_DIGITS))
         if key not in seen:
             seen.add(key)
-            out.append((theta, phi))
+            out.append((theta, phi, key))
     return out
 
 
@@ -445,7 +453,13 @@ def angles_from_gaussian(gp: GaussianParams) -> AngleParams:
 
     Clipping is ``min(max(x, lo), hi)`` on Python floats, with the bits of
     ``np.clip``; the cosines stay numpy calls, whose bits ``math`` does not
-    always share.
+    always share.  Only the chosen candidate becomes an ``AngleParams``: every
+    candidate has ``theta`` in [0, pi/2], ``phi`` in (-pi, pi] and ``q`` in
+    [0, 1], inside its bounds.  The policy's key is ``(round(theta),
+    round(|q - 1|), round(|phi|), -phi)`` to ``ANGLE_TIE_DIGITS``; ``round``
+    is odd, so ``round(|phi|)`` is the modulus of the candidate's rounded
+    ``phi``.  Two candidates never share a key, which would make their
+    rounded ``(theta, phi)`` equal.
     """
     a, b, c = complex(gp.a), complex(gp.b), float(gp.c)
     if not (abs(a.imag) <= ANGLE_ATOL and abs(b.imag) <= ANGLE_ATOL):
@@ -459,7 +473,7 @@ def angles_from_gaussian(gp: GaussianParams) -> AngleParams:
     u = float(np.arccos(min(max(lam1, -1.0), 1.0)))
     v = float(np.arccos(min(max(lam2, -1.0), 1.0)))
     valid = []
-    for theta, phi in _candidate_angles(u, v):
+    for theta, phi, (theta_key, phi_key) in _candidate_angles(u, v):
         denom = (float(np.cos(2 * theta)) - float(np.cos(2 * phi))) / 4
         if abs(denom) <= ANGLE_ATOL:
             if not abs(c) <= ANGLE_ATOL:
@@ -470,14 +484,13 @@ def angles_from_gaussian(gp: GaussianParams) -> AngleParams:
             if not -1 - ANGLE_RATIO_ATOL <= ratio <= 1 + ANGLE_RATIO_ATOL:
                 continue
             q = min(max((1 + ratio) / 2, 0.0), 1.0)
-        valid.append(AngleParams(theta=theta, phi=phi, q=q))
+        valid.append(((theta_key, round(abs(q - 1), ANGLE_TIE_DIGITS), abs(phi_key), -phi), theta, phi, q))
     if not valid:
         raise NoSolutionError(
             f"no (theta, phi, q) reproduces a={a.real:.6g}, b={b.real:.6g}, c={c:.6g}"
         )
-    digits = ANGLE_TIE_DIGITS
-    valid.sort(key=lambda ap: (round(ap.theta, digits), round(abs(ap.q - 1), digits), round(abs(ap.phi), digits), -ap.phi))
-    return valid[0]
+    _, theta, phi, q = min(valid)
+    return AngleParams(theta=theta, phi=phi, q=q)
 
 
 def channel_from_angles(ap: AngleParams) -> QubitChannel:
@@ -511,10 +524,8 @@ def gaussian_equivalent(ch: QubitChannel) -> Optional[GaussianEquivalent]:
     bits of the same operations on numpy scalars.
     """
     t, lam = ch.t.tolist(), ch.lam.tolist()
-    for perm, inv in _RELABELLINGS:
-        new_t, new_lam = [t[k] for k in inv], [lam[k] for k in inv]
-        residuals = (new_t[0], new_t[1], new_lam[2] - new_lam[0] * new_lam[1])
-        if all(abs(r) <= GAUSSIAN_ATOL for r in residuals):
-            channel = QubitChannel.from_canonical([0.0, 0.0, new_t[2]], new_lam)
+    for perm, (i, j, k) in _RELABELLINGS:
+        if abs(t[i]) <= GAUSSIAN_ATOL and abs(t[j]) <= GAUSSIAN_ATOL and abs(lam[k] - lam[i] * lam[j]) <= GAUSSIAN_ATOL:
+            channel = QubitChannel.from_canonical([0.0, 0.0, t[k]], [lam[i], lam[j], lam[k]])
             return GaussianEquivalent(perm=perm, channel=channel)
     return None

@@ -22,9 +22,7 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
-from . import catalog
+from . import catalog, qubit
 from .qubit import QubitChannel
 
 __all__ = ["SpecError", "channel_from_json", "channel_to_json", "load_channel_spec"]
@@ -46,6 +44,8 @@ def _number(value, field: str, *index) -> float:
     the infinities (which Python's json accepts) raise a ``SpecError``
     naming ``field`` and its ``index``, written out only then.
     """
+    if type(value) is float and math.isfinite(value):  # most JSON numbers
+        return value
     if isinstance(value, float) or isinstance(value, int) and not isinstance(value, bool):
         try:
             x = float(value)
@@ -70,16 +70,21 @@ def _pairs(x) -> bool:
     return isinstance(x, list) and len(x) == 2
 
 
-def _parse_matrix(entry, k: int) -> np.ndarray:
+def _parse_matrix(entry, k: int) -> list:
+    """Kraus matrix ``k`` as nested lists of Python complex numbers."""
     if not (_pairs(entry) and all(_pairs(row) and all(map(_pairs, row)) for row in entry)):
         raise SpecError("each Kraus matrix must be a 2x2 array of [re, im] pairs")
-    m = np.array(
-        [
-            [[_number(x, "matrices", k, i, j, part) for part, x in enumerate(z)] for j, z in enumerate(row)]
-            for i, row in enumerate(entry)
-        ]
-    )
-    return m[..., 0] + 1j * m[..., 1]
+    return [[_entry(*z, k, i, j) for j, z in enumerate(row)] for i, row in enumerate(entry)]
+
+
+def _entry(re, im, k: int, i: int, j: int) -> complex:
+    """``[re, im]`` as numpy's ``re + 1j * im`` forms it: ``1j * im`` is the
+    complex product ``(0 im - 1 * 0, 0 * 0 + 1 im)``, then the real part
+    ``re`` is added.  So the real part is ``re + (0.0 * im - 0.0)``, which is
+    +0.0 for ``(re, im) = (-0.0, +0.0)``, and the imaginary part is ``0.0 +
+    im``, which turns -0.0 into +0.0; ``complex(re, im)`` keeps both zeros."""
+    re, im = _number(re, "matrices", k, i, j, 0), _number(im, "matrices", k, i, j, 1)
+    return complex(re + (0.0 * im - 0.0), 0.0 + im)
 
 
 def channel_from_json(obj: dict) -> QubitChannel:
@@ -98,7 +103,7 @@ def channel_from_json(obj: dict) -> QubitChannel:
         ops = [_parse_matrix(m, k) for k, m in enumerate(matrices)]
         # trace-preservation / diagonality failures are validation errors and
         # propagate as their own types
-        return QubitChannel.from_kraus(ops)
+        return qubit._channel_from_kraus(ops)
     if kind == "named":
         name = obj.get("name")
         params = obj.get("params", {})

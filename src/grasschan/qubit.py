@@ -76,6 +76,19 @@ _ROWS_PER_TRIAL = 48
 _ROUND_ROWS = np.arange(3)
 
 
+class _cached(cached_property):
+    """``functools.cached_property`` without the lock that Python before 3.12
+    takes on every first read, about half the cost of a miss.  The values
+    cached with it are deterministic and read-only, so two threads that
+    compute one at once store equal values, as they may on Python 3.12."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 def _modulus(z: complex) -> float:
     """``abs(z)``, or inf where it overflows (Python's complex ``abs`` raises there)."""
     try:
@@ -110,6 +123,21 @@ def _finite_array(name: str, value, dtype, shape) -> np.ndarray:
         raise ValueError(f"{name}{index.tolist()} is not finite: {a[tuple(index)]}")
     a.setflags(write=False)
     return a
+
+
+def _finite_floats(name: str, value) -> np.ndarray:
+    """``_finite_array(name, value, float, 3)``.  A list or tuple of three
+    finite Python floats, what the analyze pipeline passes, is copied by
+    ``np.array`` straight away: the same array, with no checked conversion.
+    ``0.0 * x * y * z`` is a zero exactly when all three are finite (``0 *
+    inf`` is NaN, and NaN stays NaN)."""
+    if type(value) in (list, tuple) and len(value) == 3:
+        x, y, z = value
+        if type(x) is type(y) is type(z) is float and 0.0 * x * y * z == 0.0:
+            a = np.array(value)
+            a.setflags(write=False)
+            return a
+    return _finite_array(name, value, float, 3)
 
 
 class NonDiagonalBlockError(ValueError):
@@ -349,6 +377,12 @@ def _ptm_from_canonical(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return ptm
 
 
+def _ptm_entries(t: list, lam: list) -> list:
+    """The 16 entries of the transfer matrix of ``(t, lam)``, row by row, as Python floats."""
+    (t1, t2, t3), (lam1, lam2, lam3) = t, lam
+    return [1.0, 0.0, 0.0, 0.0, t1, lam1, 0.0, 0.0, t2, 0.0, lam2, 0.0, t3, 0.0, 0.0, lam3]
+
+
 #: ``sigma_k (x) sigma_l^T`` flattened: row ``4k + l``, column ``4r + c``.
 _CHOI_BASIS = np.array(
     [np.kron(PAULI[k], PAULI[l].T) for k in range(4) for l in range(4)]
@@ -381,6 +415,29 @@ def _trace_out_first(op4: np.ndarray) -> np.ndarray:
     return op4[..., :2, :2] + op4[..., 2:, 2:]
 
 
+def _tp_deviation(c: list) -> float:
+    """``np.abs(_trace_out_first(choi) - _IDENTITY).max()`` of the
+    ``choi_from_ptm`` matrix of a canonical ``(t, lam)`` with no entry above
+    ``_CHOI_SAFE``, given as ``choi.tolist()``.
+
+    The complex adds and the subtraction of 1 are numpy's, part by part
+    (subtracting the identity's +0.0 off the diagonal changes no modulus).
+    The moduli agree too, although numpy's SIMD ``abs`` of a complex array
+    is not libm's ``hypot``: the two partial-trace blocks read only the
+    ``sigma_0`` and ``sigma_3`` rows of the transfer matrix, whose entries
+    in the ``sigma_0`` and ``sigma_3`` columns meet real basis entries and
+    whose ``sigma_1`` and ``sigma_2`` entries are zero; so every entry read
+    has a +-0 imaginary part, where both moduli are ``|re|`` exactly.  Each
+    entry is finite below ``_CHOI_SAFE``, so ``max`` meets no NaN.
+    """
+    return max(
+        abs(c[0][0] + c[2][2] - 1.0),
+        abs(c[0][1] + c[2][3]),
+        abs(c[1][0] + c[3][2]),
+        abs(c[1][1] + c[3][3] - 1.0),
+    )
+
+
 @dataclass(frozen=True)
 class CptpReport:
     """Outcome of a complete-positivity / trace-preservation check."""
@@ -405,8 +462,8 @@ class QubitChannel:
     lam: np.ndarray
 
     def __post_init__(self):
-        for name in ("t", "lam"):
-            object.__setattr__(self, name, _finite_array(name, getattr(self, name), float, 3))
+        object.__setattr__(self, "t", _finite_floats("t", self.t))
+        object.__setattr__(self, "lam", _finite_floats("lam", self.lam))
 
     @classmethod
     def from_canonical(cls, t, lam) -> "QubitChannel":
@@ -418,32 +475,28 @@ class QubitChannel:
 
     @classmethod
     def from_kraus(cls, kraus: Sequence[np.ndarray]) -> "QubitChannel":
-        """``from_ptm(ptm_from_kraus(kraus))``, bit for bit; a real diagonal
-        or antidiagonal list is read straight from its ``_monomial_ptms`` row."""
-        ops = _kraus_ops(kraus)
-        rows = _monomial_ptms([ops.tolist()])
-        if rows is None:
-            return cls.from_ptm(_ptms_by_products(ops[None])[0])
-        return _channel_from_monomial_ptm(rows[0])
+        """``from_ptm(ptm_from_kraus(kraus))``, bit for bit (see ``_channel_from_kraus``)."""
+        return _channel_from_kraus(_kraus_ops(kraus).tolist())
 
     @classmethod
     def from_ptm(cls, ptm: np.ndarray) -> "QubitChannel":
         t, lam = canonical_from_ptm(ptm)
         return cls(t=t, lam=lam)
 
-    @cached_property
+    @_cached
     def ptm(self) -> np.ndarray:
-        ptm = _ptm_from_canonical(self.t, self.lam)
+        """``_ptm_from_canonical(t, lam)``, built from ``_ptm_entries``."""
+        ptm = np.array(_ptm_entries(self.t.tolist(), self.lam.tolist())).reshape(4, 4)
         ptm.setflags(write=False)
         return ptm
 
-    @cached_property
+    @_cached
     def choi(self) -> np.ndarray:
         choi = choi_from_ptm(self.ptm)
         choi.setflags(write=False)
         return choi
 
-    @cached_property
+    @_cached
     def cptp_report(self) -> CptpReport:
         """The CPTP check of :func:`is_cptp`.  A channel whose Choi matrix,
         its eigenvalues or its partial trace overflow (only an entry above
@@ -452,8 +505,9 @@ class QubitChannel:
         entries = self.t.tolist() + self.lam.tolist()
         largest = max(map(abs, entries))
         if largest <= _CHOI_SAFE:
-            eigs = np.linalg.eigvalsh(self.choi)
-            tp_dev = float(np.abs(_trace_out_first(self.choi) - _IDENTITY).max())
+            choi = self.choi
+            eigs = np.linalg.eigvalsh(choi)
+            tp_dev = _tp_deviation(choi.tolist())
         else:
             overflow = None
             with np.errstate(over="ignore", invalid="ignore"):
@@ -468,8 +522,8 @@ class QubitChannel:
                 k = [abs(x) for x in entries].index(largest)
                 name = f"t[{k}]" if k < 3 else f"lam[{k - 3}]"
                 raise NotCptpError(f"{name}={entries[k]:.3e} is too large: {overflow}, so the channel is not CPTP")
-        ok = bool(eigs[0] >= CHOI_EIG_FLOOR and tp_dev <= TP_ATOL)
-        return CptpReport(ok=ok, min_choi_eigenvalue=float(eigs[0]), tp_deviation=tp_dev)
+        smallest = float(eigs[0])
+        return CptpReport(ok=smallest >= CHOI_EIG_FLOOR and tp_dev <= TP_ATOL, min_choi_eigenvalue=smallest, tp_deviation=tp_dev)
 
     def isclose(self, other: "QubitChannel", atol: float = ISCLOSE_ATOL) -> bool:
         return bool(np.max(np.abs(self.ptm - other.ptm)) <= atol)
@@ -491,6 +545,18 @@ class QubitChannel:
         t = ", ".join(f"{v:.6g}" for v in self.t)
         lam = ", ".join(f"{v:.6g}" for v in self.lam)
         return f"QubitChannel(t=({t}), lam=({lam}))"
+
+
+def _channel_from_kraus(ops: list) -> QubitChannel:
+    """``QubitChannel.from_ptm(ptm_from_kraus(ops))``, bit for bit, of one
+    Kraus list given as nested lists of Python complex numbers,
+    ``ops[k][i][j]``: a real diagonal or antidiagonal list is read straight
+    from its ``_monomial_ptms`` row, any other takes the products pass on
+    its ``(1, K, 2, 2)`` array."""
+    rows = _monomial_ptms([ops])
+    if rows is None:
+        return QubitChannel.from_ptm(_ptms_by_products(np.array(ops, dtype=complex).reshape(1, -1, 2, 2))[0])
+    return _channel_from_monomial_ptm(rows[0])
 
 
 def _channel_from_monomial_ptm(row: list) -> QubitChannel:

@@ -10,6 +10,7 @@ to the exact decision directly.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from test_qubit import BELL_SIGNS, generic_scan, rank_deficient_rows, shifted_fl
 
 from grasschan.degradability import dilation_from_angles, weakly_complementary
 from grasschan.green import AngleParams
-from grasschan.qubit import _choi_prescreen, _cptp_ok
+from grasschan.qubit import _DECISION_SHIFTS, _INVARIANT_ROUNDING, _bell_sums, _choi_invariants, _choi_prescreen, _cptp_ok
 from grasschan.tolerances import CHOI_EIG_FLOOR, SCREEN_MARGIN
 
 
@@ -149,3 +150,60 @@ def test_every_weak_complement_is_exactly_cptp(kind):
     t, lam = COMPLEMENT_ROWS[kind]()
     rejected = [k for k, (t_row, lam_row) in enumerate(zip(t.tolist(), lam.tolist())) if not exact_ok(t_row, lam_row)]
     assert len(t) >= 72 and rejected == []
+
+
+EPS = Fraction(np.finfo(float).eps)
+#: Higham's ``gamma_7 = 7u / (1 - 7u)``, ``u = eps / 2``.
+GAMMA_7 = 7 * (EPS / 2) / (1 - 7 * (EPS / 2))
+
+
+def invariant_expansions(delta, w, plus: bool) -> tuple:
+    """``_choi_invariants``' formulas for ``(e2, e3, e4)``, in exact arithmetic
+    on the data it computes: the diagonal ``delta`` and the ``w_k``.  With
+    ``plus`` every minus is made a plus; on ``|delta_a|`` that gives the
+    ``E_k`` of ``_cptp_ok``'s rounding bound."""
+    d0, d1, d2, d3 = delta
+    w0, w1, w2 = w
+    sign = 1 if plus else -1
+    p0, p1 = d0 * d1, d2 * d3
+    P0, P1, P2 = p0 + p1, d0 * d2 + d1 * d3, d0 * d3 + d1 * d2
+    W = w0 + w1 + w2
+    a, b = d0 + d1, d2 + d3
+    return (
+        P0 + P1 + P2 + sign * 2 * W,
+        p0 * b + p1 * a + sign * W * (a + b),
+        p0 * p1 + sign * (w0 * P0 + w1 * P1 + w2 * P2) + W * W,
+    )
+
+
+def test_the_invariants_round_within_gamma_7():
+    """``_cptp_ok``'s rounding claim, measured.  Each ``e_k`` that
+    ``_choi_invariants`` returns at either decision shift must be within
+    ``gamma_7 E_k`` of the exact ``e_k`` of the data it computed (the
+    ``delta_a`` and ``w_k`` floats); on pre-screen survivors, where ``E_k <=
+    3.01``, the error must stay below the docstring's ``10.6 eps``, inside
+    ``_INVARIANT_ROUNDING``."""
+    worst_ratio, worst_error, largest_bound = Fraction(0), Fraction(0), Fraction(0)
+    for kind in sorted(ROWS):
+        t, lam = ROWS[kind]()
+        kept = _choi_prescreen(t, lam)
+        for survivor, t_row, lam_row in zip(kept.tolist(), t.tolist(), lam.tolist()):
+            sums, w = _bell_sums(*lam_row), tuple(x * x / 4 for x in t_row)
+            for shift in _DECISION_SHIFTS:
+                delta = [Fraction((1 + x) / 2 - shift) for x in sums]
+                exact_w = [Fraction(x) for x in w]
+                exact = invariant_expansions(delta, exact_w, plus=False)
+                bound = invariant_expansions([abs(x) for x in delta], exact_w, plus=True)
+                for got, want, e_k in zip(_choi_invariants(sums, w, shift), exact, bound):
+                    error = abs(Fraction(got) - want)
+                    assert error <= GAMMA_7 * e_k, (kind, t_row, lam_row, shift)
+                    if e_k:
+                        worst_ratio = max(worst_ratio, error / e_k)
+                    if survivor:
+                        worst_error, largest_bound = max(worst_error, error), max(largest_bound, e_k)
+    print(
+        f"worst |e_k(float) - e_k(exact)| / E_k: {float(worst_ratio / EPS):.3f} eps (gamma_7 = {float(GAMMA_7 / EPS):.3f} eps);"
+        f" on survivors, worst error {float(worst_error / EPS):.3f} eps and largest E_k {float(largest_bound):.3f}"
+    )
+    assert worst_ratio < Fraction(106, 10) * EPS and largest_bound <= Fraction(301, 100)
+    assert worst_error < Fraction(106, 10) * EPS < Fraction(_INVARIANT_ROUNDING)

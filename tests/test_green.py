@@ -20,6 +20,7 @@ from grasschan.green import (
     green_from_canonical,
     green_from_channel,
     green_from_channel_trace,
+    _apply_kernels,
     _gaussian_params,
 )
 from grasschan.qubit import (
@@ -244,6 +245,32 @@ class TestGaussianSemigroup:
         )
         assert damped.a == pytest.approx(np.sqrt(n1 * n2), abs=1e-15) and damped.b == 0
         assert damped.c == pytest.approx((1 - n1 * n2) / 2, abs=1e-15)
+
+
+class TestGaussianStatesStayGaussian:
+    """A state with ``gamma = 0`` has ``chi = 1 + k xi xi* = exp(k xi xi*)``,
+    with no ``xi`` or ``xi*`` term.  A Gaussian kernel keeps that form, as a
+    bosonic Gaussian channel maps Gaussian states to Gaussian states: on the
+    one-state path (``apply_green``) and on the stacked pass
+    (``_apply_kernels``) the output's ``xi`` and ``xi*`` coefficients are
+    zero."""
+
+    def test_diagonal_states_keep_the_form(self):
+        rng = np.random.default_rng(31)
+        kernels, chis = [], []
+        for _ in range(300):
+            ap = AngleParams(theta=rng.uniform(0, np.pi / 2), phi=rng.uniform(-np.pi, np.pi), q=rng.uniform(0, 1))
+            kernel = green_from_channel(channel_from_angles(ap))
+            chi = char_function(QubitState(p=rng.uniform(0, 1)))
+            assert detect_gaussian(kernel) is not None
+            assert chi.coefficients[0] == 1 and chi.coefficients[1:3] == (0, 0)
+            out = apply_green(kernel, chi)
+            assert out.coefficients[0] == 1 and out.coefficients[1:3] == (0, 0)
+            assert state_from_char(out).gamma == 0
+            kernels.append(kernel.body.coefficients)
+            chis.append(chi.body.coefficients)
+        rows = _apply_kernels(np.array(kernels), np.array(chis))
+        assert (rows[:, 0] == 1).all() and (rows[:, [4, 8]] == 0).all()
 
 
 class TestAngles:

@@ -15,9 +15,12 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+import references
 
 from grasschan import catalog, cli, io, qubit, verify
 from grasschan.qubit import QubitChannel
@@ -114,6 +117,63 @@ def test_sweep_and_verify_digests_are_pinned(report_digest):
     host's LAPACK and libm."""
     assert report_digest.sweep_digest() == "ce35e153726af61f7a47a83a829bf255f5da464889cdc67ee48a32cbc770b5f3"
     assert report_digest.verify_digest() == "3fcfba861603904937af79dd35aae76f7ab98336f0b6098af7a04c2fb43a1c70"
+
+
+#: The ``reports`` line of ``scripts/report_digest.py`` under each numerical
+#: kernel of ROADMAP item 4's table, each computed by the script in its own
+#: process with ``OPENBLAS_CORETYPE`` and ``NPY_DISABLE_CPU_FEATURES`` set.
+#: The bits of ``eigvalsh``, of the Choi and residual products and of
+#: numpy's ``cos``/``arccos`` differ between kernels; the verdicts do not.
+REPORT_DIGESTS = {
+    "default (OpenBLAS SkylakeX, numpy AVX-512)": "4a8243b2964553e7843e0526a62f4dc311ff53c48f5b7fc0b758888c3d73f3f8",
+    "OPENBLAS_CORETYPE=Haswell": "840975059a94ffefda87baaac030cab89296699b2ede59f8c2dce287581d2893",
+    "OPENBLAS_CORETYPE=Nehalem": "bf3e71c68726e150fcf49597dd241f2da8f9addd0990938449d57de5a16983b9",
+    "NPY_DISABLE_CPU_FEATURES='X86_V4 AVX512_ICL AVX512_SPR'": "43b5217a175eb8e670324d4d3eea0500ac791f7af425b83c36b08ba9d38d240a",
+    "Haswell and the X86_V3 cap": "1c74b1aab6d9370871bdc035515c2513e9990cf7e9740893fd356cadce916dce",
+}
+
+
+def test_the_reports_digest_is_a_known_kernels_digest(report_digest):
+    """The ``reports`` line of ``scripts/report_digest.py`` (6,056 reports),
+    in process: it must be the digest of one of the kernels above."""
+    digest, count = report_digest.reports_digest()
+    assert count == 6056 and digest in REPORT_DIGESTS.values()
+
+
+def test_the_analyze_mix_makes_the_pinned_lapack_calls(report_digest, monkeypatch):
+    """The calls whose bits the reports pin, counted over the benchmark's
+    ``analyze`` mix (seed 3, chunks 0-9, 1,200 ops of
+    ``workloads.Analyze().op``): one ``eigvalsh`` and one Choi product per
+    CPTP report (each input channel, the permuted specs' equivalent
+    channels and every witness) and one ``lstsq`` per degrading solve.  A
+    change that adds, drops or batches one of them fails here by name."""
+    analyze = report_digest.workloads.Analyze()
+    items = [item for k in range(10) for item in analyze.chunk(3, k)[1]]  # the generator calls eigvalsh too
+    calls = Counter()
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "lstsq"), (qubit, "choi_from_ptm")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kw: calls.update([name]) or real(*args, **kw))
+    for item in items:
+        analyze.op(None, item)
+    assert calls == {"eigvalsh": 2838, "choi_from_ptm": 2838, "lstsq": 1398}
+
+
+def subset_hashes(report_digest) -> list:
+    """The hash of each report of ``spec_reports(range(3))`` and ``catalog_reports()``."""
+    reports = itertools.chain(report_digest.spec_reports(range(3)), report_digest.catalog_reports())
+    return [hashlib.sha256(json.dumps(r, indent=2).encode()).hexdigest() for r in reports]
+
+
+def test_reports_do_not_depend_on_the_float_paths(report_digest, monkeypatch):
+    """The subset of the next test, with the analyze path's Python-float code
+    and then its numpy references (``references.patch_in``): the channel
+    arrays, the transfer matrix, the TP deviation, the degrading solve, the
+    unitarity check, the Kraus spec parse and the angle solve."""
+    floats = subset_hashes(report_digest)
+    calls = references.patch_in(monkeypatch)
+    reference = subset_hashes(report_digest)
+    assert len(floats) == 1736 and min(calls.values()) > 100 and len(calls) == 7
+    assert [k for k, (a, b) in enumerate(zip(floats, reference)) if a != b] == []
 
 
 def test_reports_do_not_depend_on_the_closed_forms(report_digest, monkeypatch):
