@@ -43,13 +43,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import qubit
 from .green import AngleParams
-from .qubit import NotCptpError, QubitChannel, QubitState, _cached, _finite_array, is_cptp
+from .qubit import NotCptpError, QubitChannel, QubitState, _finite_array, is_cptp
 from .tolerances import BOUNDARY_ATOL, CERT_RESIDUAL_TOL, ENV_ATOL, UNITARITY_ATOL
 
 __all__ = [
@@ -98,14 +99,10 @@ class Dilation:
     def __post_init__(self):
         u = _finite_array("unitary", self.unitary, complex, (4, 4))
         object.__setattr__(self, "unitary", u)
-        parts = u.view(float).ravel().tolist()
-        real = not any(parts[1::2])
-        if real:
-            parts = parts[0::2]
-        largest = max(map(abs, parts))  # at most 1 for a unitary; then U^dag U cannot overflow
+        largest = np.abs(u.view(float)).max()  # at most 1 for a unitary; then U^dag U cannot overflow
         if not largest <= 1 + UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary (an entry has a part of modulus {largest:.3e})")
-        dev = _orthonormality_deviation(parts) if real else np.abs(u.conj().T @ u - _EYE4).max()
+        dev = np.abs(u.conj().T @ u - _EYE4).max()
         if not dev <= UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         if not abs(self.env_state.gamma) <= ENV_ATOL:
@@ -146,7 +143,7 @@ class Dilation:
                         ops.append([[scaled[a], scaled[b]], [scaled[c], scaled[d]]])
         return lists
 
-    @_cached
+    @cached_property
     def _rows(self) -> Optional[list]:
         """The flat transfer-matrix rows of the system and environment lists
         by the closed form ``qubit._monomial_ptms``, or None where it does
@@ -155,7 +152,7 @@ class Dilation:
         one there replaces it here too."""
         return qubit._monomial_ptms(self._kraus_lists())
 
-    @_cached
+    @cached_property
     def _ptms(self) -> np.ndarray:
         """Transfer matrices of the system and environment channels, from one
         pass over both Kraus lists."""
@@ -172,11 +169,11 @@ class Dilation:
             return QubitChannel.from_ptm(self._ptms[side])
         return qubit._channel_from_monomial_ptm(rows[side])
 
-    @_cached
+    @cached_property
     def _marginal(self) -> QubitChannel:
         return self._read(0)
 
-    @_cached
+    @cached_property
     def _complement(self) -> QubitChannel:
         return self._read(1)
 
@@ -190,27 +187,6 @@ class Dilation:
 
     def channel(self) -> QubitChannel:
         return self._marginal
-
-
-def _orthonormality_deviation(r: list) -> float:
-    """``np.abs(R.T @ R - I).max()`` of the real 4x4 matrix ``R`` with the
-    row-major entries ``r``, on Python floats: the largest ``|a . b -
-    delta_ab|`` over the pairs of columns ``a <= b`` (a Gram matrix of
-    Python products is symmetric).  Its rounding differs from a GEMM's by a
-    few ulps, far inside ``UNITARITY_ATOL``, the one thing it decides."""
-    a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = r
-    return max(map(abs, (
-        a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 - 1.0,
-        b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3 - 1.0,
-        c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 - 1.0,
-        d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 - 1.0,
-        a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
-        a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3,
-        a0 * d0 + a1 * d1 + a2 * d2 + a3 * d3,
-        b0 * c0 + b1 * c1 + b2 * c2 + b3 * c3,
-        b0 * d0 + b1 * d1 + b2 * d2 + b3 * d3,
-        c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3,
-    )))
 
 
 def dilation_from_angles(ap: AngleParams) -> Dilation:

@@ -76,19 +76,6 @@ _ROWS_PER_TRIAL = 48
 _ROUND_ROWS = np.arange(3)
 
 
-class _cached(cached_property):
-    """``functools.cached_property`` without the lock that Python before 3.12
-    takes on every first read, about half the cost of a miss.  The values
-    cached with it are deterministic and read-only, so two threads that
-    compute one at once store equal values, as they may on Python 3.12."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
-
-
 def _modulus(z: complex) -> float:
     """``abs(z)``, or inf where it overflows (Python's complex ``abs`` raises there)."""
     try:
@@ -368,15 +355,6 @@ def canonical_from_ptm(ptm: np.ndarray):
     return ptm[1:, 0].copy(), ptm[_BLOCK_DIAG, _BLOCK_DIAG]
 
 
-def _ptm_from_canonical(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Transfer matrices of canonical parameters ``t, lam`` of shape ``(..., 3)``."""
-    ptm = np.zeros(np.shape(t)[:-1] + (4, 4))
-    ptm[..., 0, 0] = 1.0
-    ptm[..., 1:, 0] = t
-    ptm[..., _BLOCK_DIAG, _BLOCK_DIAG] = lam
-    return ptm
-
-
 def _ptm_entries(t: list, lam: list) -> list:
     """The 16 entries of the transfer matrix of ``(t, lam)``, row by row, as Python floats."""
     (t1, t2, t3), (lam1, lam2, lam3) = t, lam
@@ -483,20 +461,19 @@ class QubitChannel:
         t, lam = canonical_from_ptm(ptm)
         return cls(t=t, lam=lam)
 
-    @_cached
+    @cached_property
     def ptm(self) -> np.ndarray:
-        """``_ptm_from_canonical(t, lam)``, built from ``_ptm_entries``."""
         ptm = np.array(_ptm_entries(self.t.tolist(), self.lam.tolist())).reshape(4, 4)
         ptm.setflags(write=False)
         return ptm
 
-    @_cached
+    @cached_property
     def choi(self) -> np.ndarray:
         choi = choi_from_ptm(self.ptm)
         choi.setflags(write=False)
         return choi
 
-    @_cached
+    @cached_property
     def cptp_report(self) -> CptpReport:
         """The CPTP check of :func:`is_cptp`.  A channel whose Choi matrix,
         its eigenvalues or its partial trace overflow (only an entry above

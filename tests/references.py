@@ -2,8 +2,7 @@
 
 Each function is the array expression that one float path of the analyze
 pipeline stands for.  ``test_float_paths.py`` holds each path to its
-reference by ``float.hex`` or ``tobytes`` (the unitarity check, which
-reports no number, by its decision), and ``patch_in`` puts every reference
+reference by ``float.hex`` or ``tobytes``, and ``patch_in`` puts every reference
 in place of its path, so that ``test_snapshot.py`` can compare whole reports
 with and without them.
 """
@@ -19,9 +18,18 @@ from grasschan.degradability import _TINY
 from grasschan.qubit import QubitChannel, is_cptp
 
 
+def ptm_from_canonical(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Transfer matrices of canonical parameters ``t, lam`` of shape ``(..., 3)``."""
+    ptm = np.zeros(np.shape(t)[:-1] + (4, 4))
+    ptm[..., 0, 0] = 1.0
+    ptm[..., 1:, 0] = t
+    ptm[..., qubit._BLOCK_DIAG, qubit._BLOCK_DIAG] = lam
+    return ptm
+
+
 def ptm(t, lam) -> np.ndarray:
-    """``QubitChannel.ptm`` as ``_ptm_from_canonical`` writes it into zeros."""
-    return qubit._ptm_from_canonical(np.asarray(t, dtype=float), np.asarray(lam, dtype=float))
+    """``QubitChannel.ptm`` as ``ptm_from_canonical`` writes it into zeros."""
+    return ptm_from_canonical(np.asarray(t, dtype=float), np.asarray(lam, dtype=float))
 
 
 def tp_deviation(choi) -> float:
@@ -60,12 +68,6 @@ def kraus_matrix(entry) -> np.ndarray:
     return m[..., 0] + 1j * m[..., 1]
 
 
-def unitarity_deviation(u) -> float:
-    """``Dilation``'s unitarity deviation ``max |U^dag U - I|`` by one complex matrix product."""
-    u = np.asarray(u, dtype=complex).reshape(4, 4)
-    return float(np.abs(u.conj().T @ u - np.eye(4)).max())
-
-
 def _frozen_ptm(ch: QubitChannel) -> np.ndarray:
     out = ptm(ch.t, ch.lam)
     out.setflags(write=False)
@@ -90,7 +92,6 @@ def patch_in(monkeypatch) -> Counter:
     monkeypatch.setattr(qubit, "_finite_floats", counted("finite_floats", finite_floats))
     monkeypatch.setattr(qubit, "_tp_deviation", counted("tp_deviation", tp_deviation))
     monkeypatch.setattr(degradability, "_solve_degrading", counted("solve_degrading", solve_degrading))
-    monkeypatch.setattr(degradability, "_orthonormality_deviation", counted("unitarity_deviation", unitarity_deviation))
     monkeypatch.setattr(io, "_parse_matrix", counted("kraus_matrix", lambda entry, k: kraus_matrix(entry).tolist()))
     monkeypatch.setattr(catalog, "angles_from_gaussian", counted("angles", _reference_angles_from_gaussian))
     return calls

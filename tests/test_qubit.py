@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from references import ptm_from_canonical
 from scripted_stream import ScriptedStream
 
 from grasschan import catalog, degradability, io, qubit
@@ -35,7 +36,6 @@ from grasschan.qubit import (
     _choi_invariants,
     _choi_prescreen,
     _cptp_ok,
-    _ptm_from_canonical,
     _random_channels_and_states,
 )
 
@@ -420,7 +420,7 @@ def canonical_from_ptm_cases():
         cases.setdefault(kind, []).append(m)
 
     for i in range(20):
-        ptm = _ptm_from_canonical(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        ptm = ptm_from_canonical(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
         add("canonical", ptm)
         add("signed-zeros", np.where(ptm == 0, -0.0, ptm))
         row, col = 1 + i % 3, 1 + (i + 1 + i // 3) % 3
@@ -798,7 +798,7 @@ def generic_scan(target, count=20):
     lo, hi = np.zeros(count), np.full(count, 10.0)
     for _ in range(100):
         mid = (lo + hi) / 2
-        above = np.linalg.eigvalsh(choi_from_ptm(_ptm_from_canonical(mid[:, None] * t, lam)))[:, 0] > target
+        above = np.linalg.eigvalsh(choi_from_ptm(ptm_from_canonical(mid[:, None] * t, lam)))[:, 0] > target
         lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
     steps = 1 + np.arange(-100, 101) * 2.0**-46
     scales = [np.concatenate([ulp_neighbourhood(c, 40), c * steps]) for c in lo]
@@ -853,7 +853,7 @@ class TestPrescreenSoundness:
         lam, t = draws[:, 0], draws[:, 1] * t_scale
         # A batched eigenvalue is within a few ulps of the single-channel one,
         # so only rows near or above the floor need the exact check.
-        min_eigs = np.linalg.eigvalsh(choi_from_ptm(_ptm_from_canonical(t, lam)))[:, 0]
+        min_eigs = np.linalg.eigvalsh(choi_from_ptm(ptm_from_canonical(t, lam)))[:, 0]
         near = min_eigs >= CHOI_EIG_FLOOR - SCREEN_MARGIN
         assert accepted_rows_the_prescreen_drops(t, lam, near) == []
         kept = _choi_prescreen(t, lam)
@@ -923,7 +923,7 @@ class TestClosedFormDecision:
         draws = np.random.default_rng(405).uniform(-1, 1, size=(20_000, 2, 3))
         lam, t = draws[:, 0], draws[:, 1]
         shifts = [0.0, *_DECISION_SHIFTS, 0.3]
-        eigs = np.linalg.eigvalsh(choi_from_ptm(_ptm_from_canonical(t, lam)))
+        eigs = np.linalg.eigvalsh(choi_from_ptm(ptm_from_canonical(t, lam)))
         rows = [(_bell_sums(*lam_row), [x * x / 4 for x in t_row]) for t_row, lam_row in zip(t.tolist(), lam.tolist())]
         for shift in shifts:
             got = np.array([_choi_invariants(d, w, shift) for d, w in rows])
@@ -939,7 +939,7 @@ class TestClosedFormDecision:
         # Bell states (|00> + |11>, |01> + |10>, |01> - |10>, |00> - |11>) / sqrt(2)
         bell = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]]) / np.sqrt(2)
         lam = np.random.default_rng(407).uniform(-1, 1, size=(200, 3))
-        choi = choi_from_ptm(_ptm_from_canonical(np.zeros_like(lam), lam))
+        choi = choi_from_ptm(ptm_from_canonical(np.zeros_like(lam), lam))
         expected = np.einsum("ai,nij,aj->na", bell, choi, bell).real
         sums = np.array([_bell_sums(*row) for row in lam.tolist()])
         assert np.abs((1 + sums) / 2 - expected).max() < 1e-15
