@@ -25,7 +25,8 @@ Run from the repository root (about ten seconds):
 ``reports_digest``, ``verify_digest`` and ``sweep_digest`` compute one line
 each; ``tests/test_snapshot.py`` pins the last two, and compares a subset of
 the reports (``spec_reports`` of chunks 0-2 and ``catalog_reports``) with the
-analyze path's closed-form Kraus pass on and off.
+analyze path's Python-float code and with its numpy references, the Kraus
+pass by matrix products among them.
 """
 
 import hashlib

@@ -67,14 +67,15 @@ __all__ = [
     "classify_by_angles",
 ]
 
-_EYE4 = np.eye(4)
-_UNITARY_INDEX = np.arange(16).reshape(2, 2, 2, 2)  # [s_out, e_out, s_in, e_in]
-#: Flat unitary indices of the Kraus blocks: the system list (row 0) is
-#: ``[e_in, e_out, s_out, s_in]``, the environment list (row 1)
-#: ``[e_in, s_out, e_out, s_in]``; the second index numbers the operators.
-_KRAUS_BLOCKS = np.array([_UNITARY_INDEX.transpose(3, 1, 0, 2), _UNITARY_INDEX.transpose(3, 0, 1, 2)])
-#: ``_KRAUS_BLOCKS`` as nested lists, for ``Dilation._kraus_lists``.
-_KRAUS_INDEX = _KRAUS_BLOCKS.tolist()
+#: Flat indices ``8 s_out + 4 e_out + 2 s_in + e_in`` of the unitary's entries
+#: in the Kraus operators: ``_KRAUS_INDEX[side][e_in][k]`` is operator ``k``
+#: of the system (side 0, ``k = e_out``, rows ``s_out``) or environment (side
+#: 1, ``k = s_out``, rows ``e_out``) list for the environment input ``e_in``,
+#: with columns ``s_in``.
+_KRAUS_INDEX = [
+    [[[[8 * i + 4 * k + 2 * s + j for s in (0, 1)] for i in (0, 1)] for k in (0, 1)] for j in (0, 1)],
+    [[[[8 * k + 4 * i + 2 * s + j for s in (0, 1)] for i in (0, 1)] for k in (0, 1)] for j in (0, 1)],
+]
 #: The smallest normal double; ``_solve_degrading`` reads smaller source entries as zero.
 _TINY = float(np.finfo(float).tiny)
 
@@ -91,6 +92,13 @@ class Dilation:
     An environment weight ``p`` that ``QubitState`` lets through outside
     [0, 1] (by at most ``STATE_ATOL``) is clamped into it, so ``q``, the
     reported purity and the Kraus weights ``sqrt(q)``, ``sqrt(1 - q)`` agree.
+
+    Everything a dilation computes runs on the unitary's Python numbers:
+    the unitarity check (``_unitarity_deviation``), the system and
+    environment Kraus lists (``_kraus_lists``), one ``qubit._kraus_ptms``
+    pass over both, and ``qubit._canonical`` of each row for the marginal
+    and the weak complement.  ``system_kraus`` and ``env_kraus`` give the
+    same operators as numpy arrays.
     """
 
     unitary: np.ndarray
@@ -99,11 +107,14 @@ class Dilation:
     def __post_init__(self):
         u = _finite_array("unitary", self.unitary, complex, (4, 4))
         object.__setattr__(self, "unitary", u)
-        largest = np.abs(u.view(float)).max()  # at most 1 for a unitary; then U^dag U cannot overflow
-        if not largest <= 1 + UNITARITY_ATOL:
-            raise ValueError(f"matrix is not unitary (an entry has a part of modulus {largest:.3e})")
-        dev = np.abs(u.conj().T @ u - _EYE4).max()
+        entries = u.ravel().tolist()
+        dev = _unitarity_deviation(entries)
         if not dev <= UNITARITY_ATOL:
+            # A part above 1 + UNITARITY_ATOL fails the deviation too (see
+            # _unitarity_deviation), and may overflow it: it is named first.
+            largest = max(abs(p) for z in entries for p in (z.real, z.imag))
+            if not largest <= 1 + UNITARITY_ATOL:
+                raise ValueError(f"matrix is not unitary (an entry has a part of modulus {largest:.3e})")
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         if not abs(self.env_state.gamma) <= ENV_ATOL:
             raise ValueError("environment state must be diagonal diag(q, 1-q)")
@@ -116,23 +127,13 @@ class Dilation:
     def q(self) -> float:
         return self.env_state.p
 
-    def _kraus_stack(self) -> np.ndarray:
-        """The system (row 0) and environment (row 1) Kraus lists as one
-        ``(2, K, 2, 2)`` stack: ``sqrt(w_j) blocks[j, k]`` for the environment
-        inputs ``j`` of nonzero weight ``w_j``, ``j`` then ``k`` ascending
-        (``blocks`` as in ``_KRAUS_BLOCKS``)."""
-        weights = np.array([self.q, 1 - self.q])
-        kept = np.flatnonzero(weights)
-        blocks = self.unitary.reshape(-1)[_KRAUS_BLOCKS[:, kept]]
-        return (np.sqrt(weights[kept])[:, None, None, None] * blocks).reshape(2, -1, 2, 2)
-
     def _kraus_lists(self) -> list:
-        """``_kraus_stack().tolist()`` without the array: ``sqrt(w_j) *
-        U[i]`` on Python numbers, ``U`` the flat unitary.  ``math.sqrt``
-        rounds as ``np.sqrt`` does, and the real part of a float times a
-        complex number is numpy's ``x re - 0 im`` in both; only the sign of
-        a zero imaginary part may differ, which ``qubit._monomial_ptms``
-        does not read."""
+        """``system_kraus()`` and ``env_kraus()`` as nested lists of Python
+        numbers: ``sqrt(w_j) * U[i]``, ``U`` the flat unitary and ``i`` from
+        ``_KRAUS_INDEX``, for the environment inputs ``j`` of nonzero weight
+        ``w_j``.  ``math.sqrt`` rounds as ``np.sqrt`` does, and a float times
+        a complex number has numpy's parts up to the sign of a zero imaginary
+        part, which changes no sum of ``qubit._kraus_ptms``."""
         flat, lists = self.unitary.ravel().tolist(), [[], []]
         for j, weight in enumerate((self.q, 1 - self.q)):
             if weight:
@@ -144,30 +145,16 @@ class Dilation:
         return lists
 
     @cached_property
-    def _rows(self) -> Optional[list]:
-        """The flat transfer-matrix rows of the system and environment lists
-        by the closed form ``qubit._monomial_ptms``, or None where it does
-        not apply (``_ptms`` then takes the products pass on the array).
-        Both passes are looked up on ``qubit`` when called, so replacing
-        one there replaces it here too."""
-        return qubit._monomial_ptms(self._kraus_lists())
-
-    @cached_property
-    def _ptms(self) -> np.ndarray:
-        """Transfer matrices of the system and environment channels, from one
-        pass over both Kraus lists."""
-        rows = self._rows
-        if rows is None:
-            return qubit._ptms_by_products(self._kraus_stack())
-        return np.array(rows).reshape(2, 4, 4)
+    def _rows(self) -> list:
+        """The flat transfer-matrix rows of the system and environment lists,
+        from one pass over both.  The pass and the reader are looked up on
+        ``qubit`` when called, so replacing one there replaces it here too."""
+        return qubit._kraus_ptms(self._kraus_lists())
 
     def _read(self, side: int) -> QubitChannel:
         """The system (0) or environment (1) channel; each is read on its own,
         so a non-diagonal block on one side does not stop the other."""
-        rows = self._rows
-        if rows is None:
-            return QubitChannel.from_ptm(self._ptms[side])
-        return qubit._channel_from_monomial_ptm(rows[side])
+        return QubitChannel(*qubit._canonical(self._rows[side]))
 
     @cached_property
     def _marginal(self) -> QubitChannel:
@@ -177,16 +164,48 @@ class Dilation:
     def _complement(self) -> QubitChannel:
         return self._read(1)
 
+    def _kraus(self, system: bool) -> list:
+        u = self.unitary.reshape(2, 2, 2, 2)  # [s_out, e_out, s_in, e_in]
+        return [
+            np.sqrt(weight) * (u[:, k, :, j] if system else u[k, :, :, j])
+            for j, weight in enumerate((self.q, 1 - self.q)) if weight
+            for k in (0, 1)
+        ]
+
     def system_kraus(self) -> list:
         """Kraus list of the system-output channel Tr_E[U (rho (x) rho_E) U^dag]."""
-        return list(self._kraus_stack()[0])
+        return self._kraus(True)
 
     def env_kraus(self) -> list:
         """Kraus list of the environment-output channel Tr_S[U (rho (x) rho_E) U^dag]."""
-        return list(self._kraus_stack()[1])
+        return self._kraus(False)
 
     def channel(self) -> QubitChannel:
         return self._marginal
+
+
+def _unitarity_deviation(entries: list) -> float:
+    """``max |U^dag U - I|`` of a 4x4 matrix given as its 16 entries row by
+    row, on Python floats: ``|x|^2 - 1`` for each column ``x`` and, once for
+    each pair of columns, the modulus of ``conj(x) . y``, every product of
+    two real parts (no complex ``*``).  A part above ``1 + UNITARITY_ATOL``
+    makes its column's ``|x|^2 - 1`` exceed ``UNITARITY_ATOL`` (inf where
+    the square overflows), so ``max`` returns that, a larger value or a NaN
+    met before it."""
+    columns = [
+        (entries[c].real, entries[c].imag, entries[c + 4].real, entries[c + 4].imag,
+         entries[c + 8].real, entries[c + 8].imag, entries[c + 12].real, entries[c + 12].imag)
+        for c in range(4)
+    ]
+    deviations = []
+    for a, (xr0, xi0, xr1, xi1, xr2, xi2, xr3, xi3) in enumerate(columns):
+        deviations.append(abs(xr0 * xr0 + xi0 * xi0 + xr1 * xr1 + xi1 * xi1 + xr2 * xr2 + xi2 * xi2 + xr3 * xr3 + xi3 * xi3 - 1.0))
+        for yr0, yi0, yr1, yi1, yr2, yi2, yr3, yi3 in columns[a + 1:]:
+            deviations.append(math.hypot(
+                xr0 * yr0 + xi0 * yi0 + xr1 * yr1 + xi1 * yi1 + xr2 * yr2 + xi2 * yi2 + xr3 * yr3 + xi3 * yi3,
+                xr0 * yi0 - xi0 * yr0 + xr1 * yi1 - xi1 * yr1 + xr2 * yi2 - xi2 * yr2 + xr3 * yi3 - xi3 * yr3,
+            ))
+    return max(deviations)
 
 
 def dilation_from_angles(ap: AngleParams) -> Dilation:
@@ -299,9 +318,8 @@ def certify(
     be CPTP; the complement is not checked.  A Kraus map is completely
     positive for any operators, and reading it into ``(t, lam)`` drops at
     most 10 transfer-matrix entries (the first row's deviations and the
-    off-diagonal block; the closed-form read drops only the first row's
-    two), each at most ``DIAG_ATOL``; as every ``sigma_k (x) sigma_l^T`` of
-    ``choi_from_ptm`` has norm 1, the Choi matrix moves by at most ``10 *
+    off-diagonal block), each at most ``DIAG_ATOL``; as every ``sigma_k (x)
+    sigma_l^T`` of ``choi_from_ptm`` has norm 1, the Choi matrix moves by at most ``10 *
     DIAG_ATOL / 2 = 5e-10``, so its smallest eigenvalue, less about 1e-13 of
     rounding, stays above ``CHOI_EIG_FLOOR``.  Trace preservation is exact
     for a canonical ``(t, lam)``, and ``tp_deviation`` stays below 2.8e-14

@@ -185,174 +185,164 @@ def _check_states(p: np.ndarray, gamma: np.ndarray) -> None:
         QubitState(p=p[s], gamma=gamma[s])
 
 
-_PAULI_STACK = np.array(PAULI)
-
-
-def _kraus_ops(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """A Kraus list as a ``(K, 2, 2)`` complex array; operators that are not 2x2 raise ``ValueError``."""
+def _kraus_ops(kraus: Sequence[np.ndarray]) -> list:
+    """A Kraus list as nested lists of Python complex numbers, ``ops[k][i][j]``;
+    operators that are not 2x2 raise ``ValueError``."""
     ops = np.ascontiguousarray(kraus, dtype=complex) if len(kraus) else np.empty((0, 2, 2), dtype=complex)
     if ops.shape[1:] != (2, 2):
         raise ValueError(f"expected 2x2 Kraus operators, got shape {ops.shape[1:]}")
-    return ops
+    return ops.tolist()
 
 
 def ptm_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """Transfer matrix ``Tr[sigma_i sum_k A_k sigma_j A_k^dag] / 2`` of a Kraus list.
 
-    The list becomes a ``(K, 2, 2)`` array and is one row of
-    ``_ptms_from_kraus``, so each entry has the bits of the per-entry loop.
-    Operators that are not 2x2 raise ``ValueError``.
+    The list's row of ``_kraus_ptms``, the one Kraus pass, as a 4x4 array.
+    Operators that are not 2x2 raise ``ValueError``, and a list that is not
+    trace preserving raises ``NotTracePreservingError``.
     """
-    return _ptms_from_kraus(_kraus_ops(kraus)[None])[0]
+    return np.array(_kraus_ptms([_kraus_ops(kraus)])[0]).reshape(4, 4)
 
 
-def _ptms_from_kraus(ops: np.ndarray) -> np.ndarray:
-    """Transfer matrices of the Kraus lists ``ops[l]`` of an ``(L, K, 2, 2)`` stack, as ``(L, 4, 4)``.
+def _nan_max(values: list) -> float:
+    """``max(values)``, or NaN when one of them is NaN, as numpy's ``max`` gives it."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
-    A stack of real diagonal or antidiagonal operators (every dilation of
-    ``dilation_from_angles``) takes the closed form of ``_monomial_ptms``
-    on Python floats, with the bits of ``_ptms_by_products``; any other
-    stack, and any stack that is not trace preserving, takes
-    ``_ptms_by_products``, which alone raises.
+
+def _kraus_ptms(stack: list) -> list:
+    """Transfer matrices of the Kraus lists ``stack[l]``, each a list of 2x2
+    operators as nested lists of Python numbers (``stack[l][k][i][j]``), as
+    one flat row of 16 Python floats per list (``ptm.ravel()``).
+
+    With ``A = [[a, b], [c, d]]``, the entries of ``sum A sigma_j A^dag``
+    that the traces read are sums of the moduli ``|x|^2`` and of the
+    products ``x conj(y)`` of two entries.  With every sum over the list::
+
+        ptm[0, 0], ptm[3, 0] = (m00 +- m11) / 2,  m00 = |a|^2 + |b|^2,  m11 = |c|^2 + |d|^2
+        ptm[0, 3], ptm[3, 3] = (n00 +- n11) / 2,  n00 = |a|^2 - |b|^2,  n11 = |c|^2 - |d|^2
+        ptm[1, 1], ptm[2, 2] = Re a conj(d) +- Re b conj(c)
+        ptm[0, 1], ptm[3, 1] = u0 +- u1,  ptm[0, 2], ptm[3, 2] = v0 +- v1
+        ptm[1, 0], ptm[1, 3] = ac +- bd,  ptm[2, 0], ptm[2, 3] = ca +- db
+        ptm[2, 1], ptm[1, 2] = cb +- da
+
+    where ``u0 + i v0 = a conj(b)``, ``u1 + i v1 = c conj(d)``, ``ac = Re a
+    conj(c)``, ``bd = Re b conj(d)`` and ``ca``, ``db``, ``cb``, ``da`` are
+    ``Im c conj(a)``, ``Im d conj(b)``, ``Im c conj(b)``, ``Im d conj(a)``.
+    Every product is of two real parts, ``x conj(y)`` being ``(xr yr + xi
+    yi) + i (xi yr - xr yi)``; Python's complex ``*``, which a build may
+    fuse, is not used.  Each list sum starts from +0.0 and runs in list
+    order.  The sums of the first three lines, and ``dag00``, ``dag11``
+    below, add one two-term expression per operator; the others add
+    products and are combined once per list.  A sum from +0.0 is never
+    -0.0, nor is the sum or the difference of two such sums, so no negation
+    is written and an entry is -0.0 only where halving rounds -2^-1074 to
+    it.
+
+    Real diagonal or antidiagonal operators (every dilation of
+    ``dilation_from_angles``) get the bits that complex matrix products
+    give on any BLAS kernel: each sum then adds at most one nonzero product
+    per operator (``x y`` for two entries of the operator, negated or not),
+    in list order, as the matrix products do, and adding zeros to it is
+    exact, as is a fused multiply-add of it with a zero; the sums that are
+    zero on such lists come out +0.0 however they are grouped.
+    ``tests/exact.py`` referees every other list.
+
+    ``sum A^dag A`` is ``[[dag00, z], [conj(z), dag11]]`` with ``dag00 =
+    |a|^2 + |c|^2``, ``dag11 = |b|^2 + |d|^2`` and ``z = conj(u0 + u1 + i
+    (v0 + v1))`` summed, so its deviation from the identity is the largest
+    of ``|dag00 - 1|``, ``|dag11 - 1|`` and ``hypot(ptm[0, 1], ptm[0,
+    2])``.  When the largest over the stack, NaN if one is NaN, exceeds
+    ``KRAUS_TP_ATOL``, ``NotTracePreservingError`` names the first entry
+    with a part above ``1 + KRAUS_TP_ATOL`` (list, operator, row, column,
+    real then imaginary part), and else that deviation.  The parts need
+    scanning only then: a NaN part, or one above ``1 + KRAUS_TP_ATOL``,
+    makes ``dag00`` or ``dag11``, a sum of its square and other
+    non-negative squares, NaN or above ``1 + 2 KRAUS_TP_ATOL`` (a Python
+    float product overflows to inf and raises nothing).
     """
-    rows = _monomial_ptms(ops.tolist())
-    return _ptms_by_products(ops) if rows is None else np.array(rows).reshape(len(rows), 4, 4)
-
-
-def _monomial_ptms(stack: list):
-    """``_ptms_by_products`` of a stack given as nested lists of Python
-    complex numbers, in closed form, as one flat row of 16 Python floats per
-    list (``ptm.ravel()``), or None when some operator is not real
-    and diagonal or antidiagonal, or some list's ``sum A^dag A`` deviates
-    from the identity by more than ``KRAUS_TP_ATOL`` (the products pass then
-    decides, and raises).
-
-    Real means every imaginary part is zero, of either sign; diagonal and
-    antidiagonal are tested by exact zeros.  Why the bits are those of the
-    products pass: the operators are real and monomial, and the Pauli
-    entries are 0, +-1 or +-i, so every complex product that the pass makes
-    has at most one nonzero real term (``x y`` for two entries ``x, y`` of
-    one operator, negated or not), and the others are zeros.  Adding a zero
-    to a nonzero value is exact, and a fused multiply-add of ``x y`` with a
-    zero rounds once, like the plain product; so no BLAS kernel and no FMA
-    can change the rounding.  Each ``K``-sum is taken from +0.0 in list
-    order, as the pass takes it, and a sum from +0.0 is never -0.0, so every
-    structural zero comes out as +0.0 (the literal zeros below).
-
-    With ``A_k = [[a, 0], [0, d]]`` or ``[[0, b], [c, 0]]``, the six sums of
-    a list are the entries of ``sum A sigma_j A^dag`` that the traces read::
-
-        m00, m11 (j = 0):  a^2, d^2   or  b^2, c^2
-        n00, n11 (j = 3):  a^2, -d^2  or  -b^2, c^2
-        s1 (j = 1):        a d        or  b c
-        s2 (j = 2):        a d        or  -(b c)
-
-    so ``ptm[0, 0] = (m00 + m11) / 2``, ``ptm[3, 0] = (m00 - m11) / 2``,
-    ``ptm[0, 3] = (n00 + n11) / 2``, ``ptm[3, 3] = (n00 - n11) / 2`` (each
-    trace is ``(0.0 + x) + y``, and ``0.0 + x`` is ``x``), ``ptm[1, 1] = (s1
-    + s1) / 2``, which is ``s1`` exactly, ``ptm[2, 2] = s2`` likewise, and
-    every other entry is +0.0.  ``ptm[0, 3]`` is not always zero: at
-    ``theta = 0, phi = -pi`` a dilation gives about 7.5e-33.  ``sum A^dag
-    A`` is ``diag(a^2, d^2)`` or ``diag(c^2, b^2)``, so the deviation is
-    the larger ``|x - 1|`` of its two diagonal sums (the complex ``abs`` of
-    ``x - 1 + 0i`` is ``|x - 1|`` exactly).  A part that is NaN, infinite or
-    above ``1 + KRAUS_TP_ATOL`` makes one of these sums of non-negative
-    squares NaN or above ``1 + KRAUS_TP_ATOL`` (a Python float product
-    overflows to inf and raises nothing), so such a stack returns None.
-    """
-    out = []
+    rows, deviations = [], []
     for ops in stack:
-        m00 = m11 = n00 = n11 = s1 = s2 = dag00 = dag11 = 0.0
-        for (p, q), (r, s) in ops:
-            if p.imag or q.imag or r.imag or s.imag:
-                return None
-            if q == 0 and r == 0:
-                a, d = p.real, s.real
-                aa, dd, ad = a * a, d * d, a * d
-                m00 += aa
-                m11 += dd
-                n00 += aa
-                n11 -= dd
-                s1 += ad
-                s2 += ad
-                dag00 += aa
-                dag11 += dd
-            elif p == 0 and s == 0:
-                b, c = q.real, r.real
-                bb, cc, bc = b * b, c * c, b * c
-                m00 += bb
-                m11 += cc
-                n00 -= bb
-                n11 += cc
-                s1 += bc
-                s2 -= bc
-                dag00 += cc
-                dag11 += bb
-            else:
-                return None
-        if not (abs(dag00 - 1.0) <= KRAUS_TP_ATOL and abs(dag11 - 1.0) <= KRAUS_TP_ATOL):
-            return None
-        out.append([
-            (m00 + m11) / 2, 0.0, 0.0, (n00 + n11) / 2,
-            0.0, s1, 0.0, 0.0,
-            0.0, 0.0, s2, 0.0,
-            (m00 - m11) / 2, 0.0, 0.0, (n00 - n11) / 2,
+        m00 = m11 = n00 = n11 = dag00 = dag11 = lam1 = lam2 = 0.0
+        u0 = u1 = v0 = v1 = ac = bd = ca = db = cb = da = 0.0
+        for (a, b), (c, d) in ops:
+            ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+            aa, bb, cc, dd = ar * ar + ai * ai, br * br + bi * bi, cr * cr + ci * ci, dr * dr + di * di
+            m00 += aa + bb
+            m11 += cc + dd
+            n00 += aa - bb
+            n11 += cc - dd
+            dag00 += aa + cc
+            dag11 += bb + dd
+            re_ad, re_bc = ar * dr + ai * di, br * cr + bi * ci
+            lam1 += re_ad + re_bc
+            lam2 += re_ad - re_bc
+            u0 += ar * br + ai * bi
+            u1 += cr * dr + ci * di
+            v0 += ai * br - ar * bi
+            v1 += ci * dr - cr * di
+            ac += ar * cr + ai * ci
+            bd += br * dr + bi * di
+            ca += ci * ar - cr * ai
+            db += di * br - dr * bi
+            cb += ci * br - cr * bi
+            da += di * ar - dr * ai
+        r01, r02 = u0 + u1, v0 + v1
+        deviations += [abs(dag00 - 1.0), abs(dag11 - 1.0), math.hypot(r01, r02)]
+        rows.append([
+            (m00 + m11) / 2, r01, r02, (n00 + n11) / 2,
+            ac + bd, lam1, cb - da, ac - bd,
+            ca + db, cb + da, lam2, ca - db,
+            (m00 - m11) / 2, u0 - u1, v0 - v1, (n00 - n11) / 2,
         ])
-    return out
-
-
-def _ptms_by_products(ops: np.ndarray) -> np.ndarray:
-    """``_ptms_from_kraus`` of any stack, by batched complex matrix products.
-
-    One stacked pass: one batched product forms every ``(A_k sigma_j)
-    A_k^dag`` as ``(L, K, 4, 2, 2)``, the ``K`` terms of a list are summed in
-    list order starting from +0.0, and one batched product gives every
-    ``sigma_i mapped_j``, whose trace is summed from +0.0 (``(0.0 + m00) +
-    m11``, as ``np.trace`` does; without the start a -0.0 would survive).
-    Each 2x2 product of the stack has the bits of the same product made
-    alone, so every list gets the bits of its own one-list pass.  Raises
-    ``NotTracePreservingError`` naming the first entry with a part above
-    ``1 + KRAUS_TP_ATOL`` (``sum A^dag A = I`` to ``KRAUS_TP_ATOL`` bounds
-    every part by ``sqrt(1 + KRAUS_TP_ATOL)``, and below the bound ``A^dag
-    A`` cannot overflow), and else with the largest ``max |sum A^dag A -
-    I|`` of the lists when one exceeds ``KRAUS_TP_ATOL``.
-    """
-    parts = np.abs(ops.view(float))
-    if parts.max(initial=0.0) > 1 + KRAUS_TP_ATOL:
-        l, k, i, j = np.argwhere(parts > 1 + KRAUS_TP_ATOL)[0]
-        raise NotTracePreservingError(
-            f"Kraus operator {k} entry [{i}, {j // 2}] has a part of modulus {parts[l, k, i, j]:.3e}; "
-            "sum A^dag A cannot be the identity"
-        )
-    adjoints = ops.conj().swapaxes(-1, -2)
-    deviation = np.abs(np.add.reduce(adjoints @ ops, axis=1, initial=0.0) - _IDENTITY).max()
+    deviation = _nan_max(deviations)
     if not deviation <= KRAUS_TP_ATOL:
+        large = [
+            (k, i, j, abs(x))
+            for ops in stack
+            for k, op in enumerate(ops)
+            for i, entries in enumerate(op)
+            for j, z in enumerate(entries)
+            for x in (z.real, z.imag)
+            if abs(x) > 1 + KRAUS_TP_ATOL
+        ]
+        if large:
+            k, i, j, part = large[0]
+            raise NotTracePreservingError(
+                f"Kraus operator {k} entry [{i}, {j}] has a part of modulus {part:.3e}; sum A^dag A cannot be the identity"
+            )
         raise NotTracePreservingError(f"sum A^dag A deviates from identity by {deviation:.3e}")
-    mapped = np.add.reduce((ops[:, :, None] @ _PAULI_STACK) @ adjoints[:, :, None], axis=1, initial=0.0)
-    traced = (_PAULI_STACK[:, None] @ mapped[:, None]).real
-    return ((0.0 + traced[..., 0, 0]) + traced[..., 1, 1]) / 2
-
-
-_BLOCK_DIAG = np.arange(1, 4)
-_FIRST_ROW = np.array([1.0, 0.0, 0.0, 0.0])
-#: 1 off the diagonal of the 3x3 block, 0 on it: the product keeps every
-#: off-diagonal entry and turns a non-finite diagonal entry into NaN.
-_OFF_DIAGONAL = 1.0 - np.eye(3)
+    return rows
 
 
 def canonical_from_ptm(ptm: np.ndarray):
-    """Read ``(t, lam)`` off a transfer matrix with a diagonal 3x3 block (to ``DIAG_ATOL``)."""
+    """Read ``(t, lam)`` off a transfer matrix with a diagonal 3x3 block (to
+    ``DIAG_ATOL``), as two float arrays (see ``_canonical``)."""
     ptm = np.asarray(ptm, dtype=float)
     if ptm.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if not np.abs(ptm[0] - _FIRST_ROW).max() <= DIAG_ATOL:
+    t, lam = _canonical(ptm.ravel().tolist())
+    return np.array(t), np.array(lam)
+
+
+def _canonical(row: list):
+    """``(t, lam)`` as two lists of Python floats, read off a transfer matrix
+    given as its 16 entries row by row: the one transfer-matrix reader.
+
+    ``NonDiagonalBlockError`` unless the first row is ``(1, 0, 0, 0)`` and
+    every off-diagonal entry of the 3x3 block is at most ``DIAG_ATOL`` in
+    modulus.  The block's largest off-diagonal modulus, which the error
+    prints, is NaN when an entry is NaN or a diagonal one is infinite
+    (``x - x``).
+    """
+    r00, r01, r02, r03, t1, lam1, x12, x13, t2, x21, lam2, x23, t3, x31, x32, lam3 = row
+    if not (abs(r00 - 1.0) <= DIAG_ATOL and abs(r01) <= DIAG_ATOL and abs(r02) <= DIAG_ATOL and abs(r03) <= DIAG_ATOL):
         raise NonDiagonalBlockError("first row is not (1, 0, 0, 0)")
-    worst = np.abs(ptm[1:, 1:] * _OFF_DIAGONAL).max()
+    worst = _nan_max([abs(x12), abs(x13), abs(x21), abs(x23), abs(x31), abs(x32), lam1 - lam1, lam2 - lam2, lam3 - lam3])
     if not worst <= DIAG_ATOL:
         raise NonDiagonalBlockError(
             f"transfer block has off-diagonal entry {worst:.3e}; canonicalize externally"
         )
-    return ptm[1:, 0].copy(), ptm[_BLOCK_DIAG, _BLOCK_DIAG]
+    return [t1, t2, t3], [lam1, lam2, lam3]
 
 
 def _ptm_entries(t: list, lam: list) -> list:
@@ -454,7 +444,7 @@ class QubitChannel:
     @classmethod
     def from_kraus(cls, kraus: Sequence[np.ndarray]) -> "QubitChannel":
         """``from_ptm(ptm_from_kraus(kraus))``, bit for bit (see ``_channel_from_kraus``)."""
-        return _channel_from_kraus(_kraus_ops(kraus).tolist())
+        return _channel_from_kraus(_kraus_ops(kraus))
 
     @classmethod
     def from_ptm(cls, ptm: np.ndarray) -> "QubitChannel":
@@ -525,33 +515,10 @@ class QubitChannel:
 
 
 def _channel_from_kraus(ops: list) -> QubitChannel:
-    """``QubitChannel.from_ptm(ptm_from_kraus(ops))``, bit for bit, of one
-    Kraus list given as nested lists of Python complex numbers,
-    ``ops[k][i][j]``: a real diagonal or antidiagonal list is read straight
-    from its ``_monomial_ptms`` row, any other takes the products pass on
-    its ``(1, K, 2, 2)`` array."""
-    rows = _monomial_ptms([ops])
-    if rows is None:
-        return QubitChannel.from_ptm(_ptms_by_products(np.array(ops, dtype=complex).reshape(1, -1, 2, 2))[0])
-    return _channel_from_monomial_ptm(rows[0])
-
-
-def _channel_from_monomial_ptm(row: list) -> QubitChannel:
-    """``QubitChannel.from_ptm`` of one flat ``_monomial_ptms`` row, on its Python floats.
-
-    The closed form writes ``ptm[0, 1]``, ``ptm[0, 2]``, ``t1``, ``t2`` and
-    every off-diagonal entry of the 3x3 block as a literal +0.0, so
-    ``canonical_from_ptm``'s off-diagonal test cannot fail here, its
-    first-row test is ``max(|ptm[0, 0] - 1|, |ptm[0, 3]|) <= DIAG_ATOL``
-    (the other two deviations are exact zeros, and no entry is NaN: the
-    ``KRAUS_TP_ATOL`` test that a returned row passed bounds every square
-    it sums), and it reads ``t = (0, 0, ptm[3, 0])`` and ``lam`` off the
-    diagonal.  The result has the bits of ``from_ptm`` and raises its
-    ``NonDiagonalBlockError``.
-    """
-    if not max(abs(row[0] - 1.0), abs(row[3])) <= DIAG_ATOL:
-        raise NonDiagonalBlockError("first row is not (1, 0, 0, 0)")
-    return QubitChannel(t=(0.0, 0.0, row[12]), lam=(row[5], row[10], row[15]))
+    """The channel of one Kraus list given as nested lists of Python numbers,
+    ``ops[k][i][j]``: ``_canonical`` of its ``_kraus_ptms`` row, with the
+    bits of ``QubitChannel.from_ptm(ptm_from_kraus(ops))``."""
+    return QubitChannel(*_canonical(_kraus_ptms([ops])[0]))
 
 
 def is_cptp(ch: QubitChannel) -> CptpReport:

@@ -146,3 +146,66 @@ def choi_invariants(t, lam, shift) -> tuple:
         coeff = -trace[0] / k
         out.append((-1) ** k * coeff)
     return tuple(out)
+
+
+def _gaussian(z):
+    """A Python number as a Gaussian rational ``(re, im)``."""
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _dagger(a):
+    return [[(a[j][i][0], -a[j][i][1]) for j in range(len(a))] for i in range(len(a))]
+
+
+def kraus_ptm(ops) -> list:
+    """The transfer matrix ``Re Tr[sigma_i sum_k A_k sigma_j A_k^dag] / 2`` of
+    a Kraus list of 2x2 operators (nested lists of Python numbers), exactly:
+    its 16 entries row by row, as Fractions, by Gaussian-rational matrix
+    products.  Trace preservation is not checked."""
+    mats = [[[_gaussian(z) for z in row] for row in a] for a in ops]
+    pauli = [[[_gaussian(complex(z)) for z in row] for row in p] for p in _PAULI]
+    mapped = []
+    for p in pauli:
+        total = [[(Fraction(0), Fraction(0))] * 2 for _ in range(2)]
+        for a in mats:
+            term = _matmul(_matmul(a, p), _dagger(a))
+            total = [[(x[0] + y[0], x[1] + y[1]) for x, y in zip(r, s)] for r, s in zip(total, term)]
+        mapped.append(total)
+    out = []
+    for p in pauli:
+        for m in mapped:
+            product = _matmul(p, m)
+            out.append((product[0][0][0] + product[1][1][0]) / 2)
+    return out
+
+
+#: The unit roundoff ``u = 2^-53`` and half the smallest subnormal, ``eta = 2^-1075``.
+UNIT_ROUNDOFF = Fraction(1, 2**53)
+ETA = Fraction(1, 2**1075)
+
+
+def kraus_ptm_bound(ops) -> Fraction:
+    """A bound on ``|qubit._kraus_ptms - kraus_ptm|`` for every entry of a
+    list of ``K`` operators.
+
+    Each entry of the pass is a signed sum of at most ``8K`` products of two
+    parts, rounded along the way, and perhaps halved.  In the standard model
+    a product rounds to ``p (1 + delta) + eps`` with ``|delta| <= u`` and
+    ``|eps| <= eta`` (underflow), a sum to ``s (1 + delta)``, and halving
+    is exact but for an error of at most ``eta`` on a subnormal.  Along any
+    product's path there are at most ``K + 4`` roundings: the product, the
+    sum of two products (``|x|^2`` or the real or imaginary part of ``x
+    conj(y)``), the operator's ``+-`` term or none, the ``K`` additions of
+    the list sum, and the combination of two list sums (``m00 + m11``, ``u0 -
+    u1``, ...).  So an entry is within ``gamma_{K+4} sum |p| + 2 (8K) eta +
+    eta`` of its exact value (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 3.1), with ``gamma_n = nu / (1 - nu)``.
+    Every ``|p|`` is ``x^2`` or ``|x y| <= (x^2 + y^2) / 2`` for two parts of
+    one operator, and no entry takes a product twice, so ``sum |p|`` is at
+    most ``S``, the sum of the squares of every part of the list.
+    """
+    k = len(ops)
+    squares = sum(Fraction(x) ** 2 for a in ops for row in a for z in row for x in (z.real, z.imag))
+    n = k + 4
+    gamma = n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF)
+    return gamma * squares + (16 * k + 1) * ETA

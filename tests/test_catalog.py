@@ -308,11 +308,10 @@ class TestOneGaussianDecision:
 
     def test_one_stacked_kraus_pass_per_dilation(self, monkeypatch):
         """Each angle block reads its dilation's two channels from one
-        two-list closed-form pass, and no report takes the products pass."""
-        passes, products = [], []
-        original, by_products = qubit._monomial_ptms, qubit._ptms_by_products
-        monkeypatch.setattr(qubit, "_monomial_ptms", lambda stack: passes.append(len(stack)) or original(stack))
-        monkeypatch.setattr(qubit, "_ptms_by_products", lambda ops: products.append(1) or by_products(ops))
+        two-list pass."""
+        passes = []
+        original = qubit._kraus_ptms
+        monkeypatch.setattr(qubit, "_kraus_ptms", lambda stack: passes.append(len(stack)) or original(stack))
         channels = [catalog.build(name, p) for name, points in NAMED_POINTS.items() for p in points]
         channels += [QubitChannel.from_canonical(*case) for case in CANONICAL_CASES.values()]
         channels += [io.channel_from_json(spec) for spec in KRAUS_SPECS.values()]
@@ -324,7 +323,7 @@ class TestOneGaussianDecision:
             count = sum(block.get("angles") is not None for block in blocks)
             assert passes == [2] * count, ch
             dilations[count] += 1
-        assert dilations[1] and dilations[0] and not products, (dilations, products)
+        assert dilations[1] and dilations[0], dilations
 
 
 class TestClosedFormGaussianParams:

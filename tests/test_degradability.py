@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import references
 
 from grasschan import catalog, qubit
 from grasschan.degradability import (
@@ -170,7 +171,7 @@ def test_one_pass_over_both_kraus_lists_matches_two_separate_passes(q):
     for theta, phi in angles:
         d = dilation_from_angles(AngleParams(theta, phi, rng.uniform(0, 1) if q == "random" else q))
         system, env = d.system_kraus(), d.env_kraus()
-        assert d._ptms.tobytes() == np.array([ptm_from_kraus(system), ptm_from_kraus(env)]).tobytes()
+        assert np.array(d._rows).tobytes() == np.array([ptm_from_kraus(system).ravel(), ptm_from_kraus(env).ravel()]).tobytes()
         assert channel_bits(d.channel()) == channel_bits(QubitChannel.from_kraus(system))
         assert channel_bits(weakly_complementary(d)) == channel_bits(QubitChannel.from_kraus(env))
 
@@ -209,7 +210,7 @@ class TestClosedFormRead:
         ops = np.array([kraus])
         return (
             read_outcome(lambda: QubitChannel.from_ptm(ptm_from_kraus(kraus))),
-            read_outcome(lambda: QubitChannel.from_ptm(qubit._ptms_by_products(ops)[0])),
+            read_outcome(lambda: QubitChannel.from_ptm(references.ptms_by_products(ops)[0])),
         )
 
     def test_angle_dilations_read_the_bits_of_from_ptm(self):
@@ -219,33 +220,32 @@ class TestClosedFormRead:
             q = EDGE_QS[rng.integers(len(EDGE_QS))] if rng.random() < 0.5 else rng.uniform()
             dilations.append(dilation_from_angles(AngleParams(rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi), q)))
         for d in dilations:
-            assert d._rows is not None
+            got = (read_outcome(d.channel), read_outcome(lambda: weakly_complementary(d)))
             for side, kraus in ((0, d.system_kraus()), (1, d.env_kraus())):
-                got = read_outcome(lambda: qubit._channel_from_monomial_ptm(d._rows[side]))
-                assert self.references(kraus) == (got, got)
-            assert channel_bits(d.channel()) == read_outcome(lambda: qubit._channel_from_monomial_ptm(d._rows[0]))
-            assert channel_bits(weakly_complementary(d)) == read_outcome(lambda: qubit._channel_from_monomial_ptm(d._rows[1]))
+                assert self.references(kraus) == (got[side], got[side])
 
-    def test_complex_unitaries_take_the_products_pass(self, monkeypatch):
-        """Phase-times-permutation unitaries have complex Kraus operators: the
-        closed form defers, the products pass runs on the array stack, and
-        each channel, or its error, is that of ``from_ptm``."""
+    def test_signed_zero_imaginary_parts_read_as_the_kraus_arrays(self):
+        """Phase-times-permutation unitaries, with phases that include +-1 and
+        +-i and every zero imaginary part of either sign: ``_kraus_lists``
+        may flip the sign of a zero imaginary part against numpy's product,
+        and the pass reads those parts, so both channels, or their errors,
+        must be those of ``system_kraus()`` and ``env_kraus()`` as lists."""
         rng = np.random.default_rng(2902)
-        products = []
-        original = qubit._ptms_by_products
-        monkeypatch.setattr(qubit, "_ptms_by_products", lambda ops: products.append(ops.shape) or original(ops))
-        outcomes = Counter()
+        phases = [1, -1, 1j, -1j, complex(1, -0.0), complex(-1, -0.0), complex(-0.0, 1), complex(-0.0, -1)]
+        outcomes, negative_zeros = Counter(), 0
         for perm in itertools.permutations(range(4)):
             for _ in range(10):
-                u = np.eye(4)[:, perm] * np.exp(2j * np.pi * rng.uniform(size=4))
+                z = np.where(rng.random(4) < 0.5, rng.choice(phases, 4), np.exp(2j * np.pi * rng.uniform(size=4)))
+                u = np.eye(4, dtype=complex)[:, perm] * z
+                u.imag[u.imag == 0] = rng.choice([0.0, -0.0], int((u.imag == 0).sum()))
+                negative_zeros += bool(np.signbit(u.imag[u.imag == 0]).any())
                 d = Dilation(unitary=u, env_state=QubitState(p=EDGE_QS[rng.integers(len(EDGE_QS))]))
-                products.clear()
                 got = (read_outcome(d.channel), read_outcome(lambda: weakly_complementary(d)))
-                assert d._rows is None and products and all(shape[0] == 2 for shape in products)
-                expected = (self.references(d.system_kraus())[1], self.references(d.env_kraus())[1])
-                assert got == expected
+                for side, kraus in ((0, d.system_kraus()), (1, d.env_kraus())):
+                    ops = [a.tolist() for a in kraus]
+                    assert got[side] == read_outcome(lambda: QubitChannel(*qubit._canonical(qubit._kraus_ptms([ops])[0])))
                 outcomes.update(isinstance(g[0], type) for g in got)
-        assert outcomes[True] and outcomes[False], outcomes
+        assert outcomes[True] and outcomes[False] and negative_zeros > 100, (outcomes, negative_zeros)
 
     def test_a_fortran_ordered_unitary_is_read_as_its_c_copy(self):
         """The unitary is stored C-contiguous whatever the input's layout, so

@@ -6,7 +6,8 @@ on every row whose smallest Choi eigenvalue lies outside the
 ``SCREEN_MARGIN`` band around ``CHOI_EIG_FLOOR``; inside the band it defers
 to ``cptp_report``, whose ``eigvalsh`` the referee does not bind.  The weak
 complements of dilations, on which ``certify`` makes no decision, are held
-to the exact decision directly.
+to the exact decision directly, and the Kraus pass to the exact transfer
+matrix within its rounding bound.
 """
 
 import itertools
@@ -14,11 +15,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact import choi_invariants, exact_ok, in_screen_band, invariants, FLOOR, MARGIN
-from test_qubit import BELL_SIGNS, generic_scan, rank_deficient_rows, shifted_floor_scan, ulp_neighbourhood
+from exact import choi_invariants, exact_ok, in_screen_band, invariants, kraus_ptm, kraus_ptm_bound, FLOOR, MARGIN
+from test_qubit import (
+    BELL_SIGNS,
+    generic_scan,
+    rank_deficient_rows,
+    shifted_floor_scan,
+    stinespring_kraus,
+    ulp_neighbourhood,
+    with_random_zero_signs,
+)
 
-from grasschan.degradability import dilation_from_angles, weakly_complementary
+from grasschan import qubit
+from grasschan.degradability import Dilation, dilation_from_angles, weakly_complementary
 from grasschan.green import AngleParams
+from grasschan.qubit import PAULI, QubitState
 from grasschan.qubit import _DECISION_SHIFTS, _INVARIANT_ROUNDING, _bell_sums, _choi_invariants, _choi_prescreen, _cptp_ok
 from grasschan.tolerances import CHOI_EIG_FLOOR, SCREEN_MARGIN
 
@@ -207,3 +218,74 @@ def test_the_invariants_round_within_gamma_7():
     )
     assert worst_ratio < Fraction(106, 10) * EPS and largest_bound <= Fraction(301, 100)
     assert worst_error < Fraction(106, 10) * EPS < Fraction(_INVARIANT_ROUNDING)
+
+
+def pauli_mixtures():
+    weights = np.random.default_rng(3101).dirichlet(np.ones(4), 40)
+    return [[np.sqrt(w) * p for w, p in zip(ws, PAULI)] for ws in weights]
+
+
+def phase_permutation_lists():
+    """Both Kraus lists of dilations by phase-times-permutation unitaries: complex monomial operators."""
+    rng = np.random.default_rng(3102)
+    lists = []
+    for perm in itertools.permutations(range(4)):
+        u = np.eye(4)[:, perm] * np.exp(2j * np.pi * rng.uniform(size=4))
+        lists += Dilation(u, QubitState(p=[0.0, 1.0, rng.uniform()][len(lists) % 3]))._kraus_lists()
+    return lists
+
+
+def signed_zero_lists():
+    """Pauli mixtures, complex monomial lists and angle dilations with every zero part given a random sign."""
+    rng = np.random.default_rng(3103)
+    bases = pauli_mixtures()[:10] + phase_permutation_lists()[:20]
+    for theta, phi, q in rng.uniform([0, -np.pi, 0], [np.pi / 2, np.pi, 1], size=(10, 3)):
+        d = dilation_from_angles(AngleParams(theta, phi, q))
+        bases += [d.system_kraus(), d.env_kraus()]
+    return [with_random_zero_signs(base, rng) for base in bases for _ in range(2)]
+
+
+def subnormal_lists():
+    """Lists with subnormal parts, whose products underflow: the zero parts
+    of angle dilations and of complex monomial lists made subnormal, and
+    random Stinespring lists with one more operator of subnormal parts."""
+    rng = np.random.default_rng(3104)
+    subnormals = [5e-324, -5e-324, 1e-310, -2.5e-315]
+    bases = phase_permutation_lists()[:20]
+    for theta, phi, q in rng.uniform([0, -np.pi, 0], [np.pi / 2, np.pi, 1], size=(10, 3)):
+        d = dilation_from_angles(AngleParams(theta, phi, q))
+        bases += [d.system_kraus(), d.env_kraus()]
+    lists = []
+    for base in bases:
+        ops = np.array(base, dtype=complex)
+        parts = ops.view(float)
+        parts[parts == 0] = rng.choice(subnormals, int((parts == 0).sum()))
+        lists.append(list(ops))
+    for k in range(1, 5):
+        tiny = rng.choice(subnormals, (2, 2)) + 1j * rng.choice(subnormals, (2, 2))
+        lists += [stinespring_kraus(rng, k) + [tiny] for _ in range(5)]
+    return lists
+
+
+KRAUS_LISTS = {
+    "pauli_mixtures": pauli_mixtures,
+    "phase_permutations": phase_permutation_lists,
+    "signed_zeros": signed_zero_lists,
+    "subnormal_parts": subnormal_lists,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KRAUS_LISTS))
+def test_the_kraus_pass_is_within_its_bound_of_the_exact_transfer_matrix(kind):
+    """``qubit._kraus_ptms`` against ``exact.kraus_ptm`` within
+    ``exact.kraus_ptm_bound`` (random Stinespring lists are held to it in
+    ``test_qubit.py``).  The worst error over the bound is printed."""
+    worst = Fraction(0)
+    for kraus in KRAUS_LISTS[kind]():
+        ops = [np.asarray(a, dtype=complex).tolist() for a in kraus]
+        (row,) = qubit._kraus_ptms([ops])
+        bound = kraus_ptm_bound(ops)
+        for got, exact in zip(row, kraus_ptm(ops)):
+            worst = max(worst, abs(Fraction(got) - exact) / bound)
+    print(f"{kind}: worst error / bound {float(worst):.3f}")
+    assert worst <= 1

@@ -9,6 +9,10 @@ anywhere else would be a second builder of something that has one.  The
 scalar closed forms on Python floats (one kernel, one characteristic
 function, one convolution) are not passes; the bit tests hold each of them
 to the element algebra or to ``_products``.
+
+The Kraus pass, the transfer-matrix reader and the dilation run on Python
+numbers, so that their bits depend on no BLAS kernel: no matrix product
+(``@``, ``dot``, ``matmul`` or ``einsum``) may appear in them.
 """
 
 import ast
@@ -97,3 +101,53 @@ def test_no_product_pass_outside_products(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_products_call_outside_the_algebra_and_the_convolution(path):
     assert _lines_naming(path, "_products", PRODUCTS_HOMES) == []
+
+
+#: The definitions, by module, in which no matrix product may appear.
+PRODUCT_FREE = {
+    "qubit.py": ("ptm_from_kraus", "_kraus_ptms", "canonical_from_ptm", "_canonical"),
+    "degradability.py": ("Dilation", "_unitarity_deviation", "dilation_from_angles"),
+}
+MATRIX_PRODUCTS = ("dot", "matmul", "einsum")
+
+
+def _matrix_product_lines(path: Path, names) -> list:
+    """Lines of the top-level definitions ``names`` of ``path`` with a matrix
+    product: ``@`` or ``@=``, or a name or attribute ``dot``, ``matmul`` or
+    ``einsum``, sorted.  Every name must be defined in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    definitions = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    return sorted(
+        node.lineno
+        for name in names
+        for node in ast.walk(definitions[name])
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS
+        or isinstance(node, ast.Name) and node.id in MATRIX_PRODUCTS
+    )
+
+
+def test_the_lint_flags_a_matrix_product_in_the_kraus_path(tmp_path):
+    planted = tmp_path / "qubit.py"
+    planted.write_text(
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "def _kraus_ptms(stack):\n"
+        "    return stack @ stack\n"
+        "def _canonical(row):\n"
+        "    return np.dot(row, row)\n"
+        "class Dilation:\n"
+        "    def _rows(self, x):\n"
+        "        x @= x\n"
+        "        return np.matmul(x, x), einsum('ij', x)\n"
+        "def elsewhere(a):\n"
+        "    return a @ a\n",
+        encoding="utf-8",
+    )
+    assert _matrix_product_lines(planted, ("_kraus_ptms", "_canonical", "Dilation")) == [4, 6, 9, 10, 10]
+    assert _matrix_product_lines(planted, ("elsewhere",)) == [12]
+
+
+@pytest.mark.parametrize("module", sorted(PRODUCT_FREE))
+def test_no_matrix_product_in_the_kraus_pass_the_reader_or_the_dilation(module):
+    assert _matrix_product_lines(SOURCE / module, PRODUCT_FREE[module]) == []

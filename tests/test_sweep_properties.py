@@ -372,4 +372,4 @@ def test_dilation(base, entry, env):
                 named(message, "unitary")
             return
         assert np.isfinite(dilation.unitary).all() and 0.0 <= dilation.q <= 1.0
-        assert np.isfinite(dilation._ptms).all()
+        assert np.isfinite(dilation._rows).all()
