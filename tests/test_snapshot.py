@@ -180,6 +180,20 @@ def test_reports_do_not_depend_on_the_float_paths(report_digest, monkeypatch):
     assert [k for k, (a, b) in enumerate(zip(floats, reference)) if a != b] == []
 
 
+def test_reports_do_not_depend_on_the_closed_forms(report_digest, monkeypatch):
+    """The subset of the previous test with the closed form of the Kraus
+    pass, ``qubit._kraus_ptms`` on Python numbers, and then with it alone
+    swapped for its matrix-products reference (``references.kraus_ptms``),
+    every other float path left in place: a report that changed with the
+    Kraus pass's bits fails here by index."""
+    closed = subset_hashes(report_digest)
+    products = []
+    monkeypatch.setattr(qubit, "_kraus_ptms", lambda stack: products.append(1) or references.kraus_ptms(stack))
+    reference = subset_hashes(report_digest)
+    assert len(closed) == 1736 and len(products) > 1000
+    assert [k for k, (a, b) in enumerate(zip(closed, reference)) if a != b] == []
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(
